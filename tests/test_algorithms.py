@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -18,6 +19,7 @@ from egta.algorithms import (
 )
 from egta.bounds import hoeffding_eps
 from egta.games import IndexSet, NormalFormGame, nash_mask, pure_eps_nash, regret_table
+from egta.experiments import center_per_player
 from egta.simulators import expand, gen_rc, gen_rg, noisy_sim, ppa_example_game
 
 
@@ -430,6 +432,46 @@ def test_psp_result_json():
     assert len(payload["trace"]) == len(res.trace)
     assert payload["delta"] == res.delta_total
     assert "pure_equilibria" in payload
+
+
+def _sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+# sha256 of psp(...).to_json(), frozen before psp's pruning was routed
+# through prune_pure / prune_mixed; both runs prune in their later rounds
+GOLDEN_PSP_PURE_SHA256 = "c0bb54ea1f8f10d15bad525fab0a14f48e70b4ba12493ee5ec3dfc56cf7990d2"
+GOLDEN_PSP_MIXED_SHA256 = "5930b496e2d587c16df48d15bf6edf622ee37db8d2bd5335229552f99f8f5c0c"
+
+
+def test_psp_golden_pure_hoeffding_finite():
+    sim = noisy_sim(expand(gen_rc(4, 4, 3, alpha=0.5, seed=1)), 3.0)
+    sched = SamplingSchedule.finite_doubling(100, 6300)
+    res = psp(
+        sim,
+        sched,
+        FailureSchedule.uniform_split(0.1, sched.length),
+        c=sim.range_c,
+        bound=BoundType.HOEFFDING,
+        pure=True,
+        seed=5,
+    )
+    assert _sha256(res.to_json()) == GOLDEN_PSP_PURE_SHA256
+
+
+def test_psp_golden_mixed_onera_geometric():
+    base = center_per_player(expand(gen_rc(3, 5, 6, alpha=0.6, seed=4)))
+    sim = noisy_sim(base, 2.0)
+    res = psp(
+        sim,
+        SamplingSchedule.finite_doubling(100, 12700),
+        FailureSchedule.geometric_halving(0.1),
+        c=sim.range_c,
+        bound=BoundType.ONE_ERA,
+        pure=False,
+        seed=5,
+    )
+    assert _sha256(res.to_json()) == GOLDEN_PSP_MIXED_SHA256
 
 
 # frozen from the first run; guards the whole sampling + bound pipeline

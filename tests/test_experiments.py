@@ -1,4 +1,5 @@
 import collections
+import hashlib
 
 import numpy as np
 import pytest
@@ -95,6 +96,23 @@ def test_success_rate_meets_guarantee_and_monotone_in_rho():
         rhos = sorted(by_rho, reverse=True)
         rates = [by_rho[r] for r in rhos]
         assert all(a >= b - 1e-12 for a, b in zip(rates, rates[1:]))
+
+
+# CSV sha256 at tiny sizes, frozen before the drivers built their empirical
+# games through GSResult.to_game
+GOLDEN_NASH_FREQUENCY_SHA256 = "94a3cee1364aad9633dc14648c9221ab4ea636bcf40b8b69836d139b18494893"
+GOLDEN_SUCCESS_RATE_SHA256 = "c7ca56027f9b163bdfe583288348cfd710e920e879fe2ac45684ace310360b54"
+
+
+def test_nash_frequency_csv_golden():
+    csv = run_nash_frequency(seed=2, runs=6, m_values=(50, 200)).to_csv()
+    assert hashlib.sha256(csv.encode()).hexdigest() == GOLDEN_NASH_FREQUENCY_SHA256
+
+
+def test_success_rate_csv_golden():
+    table = run_success_rate(seed=2, reps=6, delta_grid=(0.1, 0.2), rho_grid=(1.0, 0.5), m=200)
+    csv = table.to_csv()
+    assert hashlib.sha256(csv.encode()).hexdigest() == GOLDEN_SUCCESS_RATE_SHA256
 
 
 def test_gs_vs_psp_budget_parity_and_medians():
