@@ -17,7 +17,6 @@ from egta import (
     noisy_sim,
     pure_eps_nash,
 )
-from egta.games import NormalFormGame
 
 truth = expand(gen_rc(num_players=4, num_facilities=4, k=2, alpha=0.5, seed=7))
 print("hidden game:", truth.num_players, "players,", truth.num_profiles, "profiles")
@@ -35,8 +34,7 @@ for m in (100, 1000, 10000):
 # The returned radius makes the equilibrium estimates trustworthy: every true
 # equilibrium is a 2*radius-equilibrium of the estimate, and every
 # 2*radius-equilibrium of the estimate is a 4*radius-equilibrium of the truth.
-table = result.utilities.reshape(truth.utilities.shape)
-estimate = NormalFormGame(truth.strategy_counts, table)
+estimate = result.to_game(truth.strategy_counts)
 print("flagged 2eps-equilibria:", pure_eps_nash(estimate, 2 * result.epsilon))
 
 # The same radius is available a priori (no sampling needed) for planning:

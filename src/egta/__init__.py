@@ -16,7 +16,6 @@ from .algorithms import (
 )
 from .bounds import (
     NoiseProfile,
-    SampleTensor,
     crossover_size,
     era_eps,
     factored_ra_bound,
@@ -48,7 +47,6 @@ from .games import (
     welfare,
 )
 from .simulators import (
-    Condition,
     CongestionGame,
     ConditionalSimulator,
     FactoredNoiseSimulator,
@@ -56,7 +54,6 @@ from .simulators import (
     congestion_from_json,
     congestion_to_json,
     draw_conditions,
-    empirical_game,
     expand,
     factored_sim,
     gen_rc,

@@ -12,6 +12,7 @@ has spent.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator, Sequence
@@ -67,14 +68,7 @@ class SamplingSchedule:
     @property
     def length(self) -> int | None:
         """Number of iterations, or None when infinite."""
-        if self.budget is None:
-            return None
-        count, m, total = 0, self.m0, 0
-        while total + m <= self.budget:
-            total += m
-            m *= 2
-            count += 1
-        return count
+        return None if self.budget is None else sum(1 for _ in self.sizes())
 
     def sizes(self) -> Iterator[int]:
         m, total = self.m0, 0
@@ -131,6 +125,13 @@ class GSResult:
         """Largest estimate error against a known expected game."""
         actual = truth.utilities[self.index_set.players, self.index_set.profiles]
         return float(np.abs(self.utilities - actual).max())
+
+    def to_game(self, strategy_counts: Sequence[int]) -> NormalFormGame:
+        """The empirical game: estimates at their indices, zero elsewhere."""
+        counts = tuple(strategy_counts)
+        table = np.zeros((len(counts), math.prod(counts)))
+        table[self.index_set.players, self.index_set.profiles] = self.utilities
+        return NormalFormGame(counts, table)
 
     def to_json(self) -> str:
         return json.dumps(
@@ -199,32 +200,18 @@ def gs(
     return GSResult(index_set, means, epsilon, m, delta, bound)
 
 
-def _restricted_regret_mask(
-    utilities: np.ndarray, mask: np.ndarray, counts: tuple[int, ...], threshold: float
-) -> np.ndarray:
-    """Per-index survival of the pure pruning rule: keep (p, s) when p's
-    regret at s, with deviations ranging only over p's surviving indices at
-    the same opponent context, is at most the threshold."""
-    out = np.zeros_like(mask)
-    for p in range(mask.shape[0]):
-        t = utilities[p].reshape(counts)
-        alive = mask[p].reshape(counts)
-        best = np.where(alive, t, -np.inf).max(axis=p, keepdims=True)
-        regret = best - t
-        out[p] = (alive & (regret <= threshold)).reshape(-1)
-    return out
-
-
 def prune_pure(game: NormalFormGame, index_set: IndexSet, eps_hat: float) -> IndexSet:
-    """Indices worth keeping for pure-equilibrium estimation: the player's
-    own regret, evaluated within the surviving structure, is at most
-    2*eps_hat."""
+    """Indices worth keeping for pure-equilibrium estimation: keep (p, s)
+    when p's regret at s, with deviations ranging only over p's surviving
+    indices at the same opponent context, is at most 2*eps_hat."""
     index_set.validate_for(game)
     mask = index_set.to_mask(game)
-    new_mask = _restricted_regret_mask(
-        game.utilities, mask, game.strategy_counts, 2.0 * eps_hat
-    )
-    return IndexSet.from_mask(new_mask)
+    for p in range(game.num_players):
+        t = game.tensor(p)
+        alive = mask[p].reshape(game.strategy_counts)
+        best = np.where(alive, t, -np.inf).max(axis=p, keepdims=True)
+        mask[p] = (alive & (best - t <= 2.0 * eps_hat)).reshape(-1)
+    return IndexSet.from_mask(mask)
 
 
 def _restriction_of(index_set: IndexSet, game: NormalFormGame) -> list[list[int]]:
@@ -269,17 +256,10 @@ class IterationRecord:
     epsilon: float
 
 
-def query_cost(trace: Sequence[IterationRecord] | Sequence[tuple]) -> int:
+def query_cost(trace: Sequence[IterationRecord]) -> int:
     """Total simulator utility evaluations: sum over iterations of the
     sample count times the surviving index count."""
-    total = 0
-    for rec in trace:
-        if isinstance(rec, IterationRecord):
-            total += rec.m * rec.index_count
-        else:
-            _, m, count, _ = rec
-            total += int(m) * int(count)
-    return total
+    return sum(rec.m * rec.index_count for rec in trace)
 
 
 @dataclass(frozen=True)
@@ -331,18 +311,18 @@ def psp(
 
     Runs global sampling on the surviving index set once per schedule entry,
     drawing fresh conditions every iteration, and stops once the radius
-    reaches eps_threshold or the schedule ends. In pure mode the output
-    equilibria are the 2*epsilon-equilibria of the empirical game; in mixed
-    mode the output is the per-player 2*epsilon-rationalizable restriction
-    (equilibrium enumeration is out of scope). Pruned indices keep the radius
-    from their last estimation.
+    reaches eps_threshold or the schedule ends; an unbounded schedule
+    therefore needs a positive eps_threshold. Between iterations prune_pure
+    or prune_mixed shrinks the index set on the empirical game. In pure mode
+    the output equilibria are the 2*epsilon-equilibria of the empirical game;
+    in mixed mode the output is the per-player 2*epsilon-rationalizable
+    restriction (equilibrium enumeration is out of scope). Pruned indices
+    keep the radius from their last estimation.
     """
     game = sim.base
-    counts = game.strategy_counts
-    mask = np.ones((game.num_players, game.num_profiles), dtype=bool)
+    index_set = IndexSet.full(game)
     utilities = np.zeros((game.num_players, game.num_profiles))
     radii = np.full((game.num_players, game.num_profiles), c / 2.0)
-    restriction = [list(range(k)) for k in counts]
 
     total_steps = sampling.length
     if total_steps == 0:
@@ -352,48 +332,36 @@ def psp(
             raise ValueError("an unbounded sampling schedule needs a geometric failure schedule")
         if failure.steps < total_steps:
             raise ValueError("failure schedule has fewer steps than the sampling schedule")
+    if total_steps is None and eps_threshold <= 0:
+        raise ValueError("an unbounded sampling schedule needs a positive eps_threshold")
 
     trace: list[IterationRecord] = []
     details: list[tuple[IndexSet, np.ndarray]] = []
     consumed = 0.0
     epsilon = c / 2.0
+    prune = prune_pure if pure else prune_mixed
 
     for t, (m_t, delta_t) in enumerate(zip(sampling.sizes(), failure.deltas()), start=1):
-        index_set = IndexSet.from_mask(mask)
         result = gs(sim, index_set, m_t, delta_t, c, bound, seed=mix(seed, t))
-        utilities[mask] = result.utilities
+        utilities[index_set.players, index_set.profiles] = result.utilities
         epsilon = result.epsilon
-        radii[mask] = epsilon
+        radii[index_set.players, index_set.profiles] = epsilon
         consumed += delta_t
         trace.append(IterationRecord(t, m_t, len(index_set), epsilon))
         if keep_details:
-            details.append((index_set, result.utilities.copy()))
+            details.append((index_set, result.utilities))
 
         if epsilon <= eps_threshold or t == total_steps:
             break
+        index_set = prune(NormalFormGame(game.strategy_counts, utilities), index_set, epsilon)
 
-        if pure:
-            mask = _restricted_regret_mask(utilities, mask, counts, 2.0 * epsilon)
-        else:
-            empirical = NormalFormGame(counts, utilities)
-            restriction = rationalizable(empirical, 2.0 * epsilon, restrict=restriction)
-            keep = [np.zeros(k, dtype=bool) for k in counts]
-            for p, strategies in enumerate(restriction):
-                keep[p][strategies] = True
-            grid = np.stack(
-                np.unravel_index(np.arange(game.num_profiles), counts), axis=1
-            )
-            profile_ok = np.ones(game.num_profiles, dtype=bool)
-            for q in range(game.num_players):
-                profile_ok &= keep[q][grid[:, q]]
-            mask = mask & profile_ok[None, :]
-
-    empirical = NormalFormGame(counts, utilities)
+    empirical = NormalFormGame(game.strategy_counts, utilities)
     pure_equilibria = None
     mixed_restriction = None
     if pure:
         pure_equilibria = pure_eps_nash(empirical, 2.0 * epsilon)
     else:
+        restriction = _restriction_of(index_set, game)
         mixed_restriction = rationalizable(empirical, 2.0 * epsilon, restrict=restriction)
     return PSPResult(
         empirical,

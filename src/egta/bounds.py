@@ -14,34 +14,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .games import IndexSet
 from .hashing import mix, sign_array
-
-
-@dataclass(frozen=True)
-class SampleTensor:
-    """Per-condition utilities for an index set: values[i, j] is the utility
-    of index i under the j-th sampled condition."""
-
-    index_set: IndexSet
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.float64)
-        if v.ndim != 2 or v.shape[0] != len(self.index_set):
-            raise ValueError("values must be [num_indices, num_samples]")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("sample values must be finite")
-        v = v.copy()
-        v.setflags(write=False)
-        object.__setattr__(self, "values", v)
-
-    @property
-    def num_samples(self) -> int:
-        return self.values.shape[1]
-
-    def means(self) -> np.ndarray:
-        return self.values.mean(axis=1)
 
 
 def _check_common(c: float, m: float, delta: float) -> None:
@@ -77,17 +50,21 @@ def hoeffding_eps_ln(c: float, ln_num_indices: float, m: float, delta: float) ->
     return c * math.sqrt((math.log(2.0) + ln_num_indices - math.log(delta)) / (2.0 * m))
 
 
-def one_era(samples: SampleTensor, signs: np.ndarray) -> float:
-    """One-draw empirical Rademacher average: the largest absolute signed
-    sample average over the index set."""
+def one_era(values: np.ndarray, signs: np.ndarray) -> float:
+    """One-draw empirical Rademacher average of a [num_indices, num_samples]
+    matrix of per-condition utilities: the largest absolute signed sample
+    average over its rows."""
+    v = np.asarray(values, dtype=np.float64)
     sigma = np.asarray(signs, dtype=np.float64)
-    if sigma.shape != (samples.num_samples,):
+    if v.ndim != 2:
+        raise ValueError("values must be [num_indices, num_samples]")
+    if sigma.shape != (v.shape[1],):
         raise ValueError("signs must be a vector of length num_samples")
     if not np.all(np.abs(sigma) == 1.0):
         raise ValueError("signs must be +1 or -1")
-    if len(samples.index_set) == 0:
+    if v.shape[0] == 0:
         return 0.0
-    return float(np.abs(samples.values @ sigma).max() / samples.num_samples)
+    return float(np.abs(v @ sigma).max() / v.shape[1])
 
 
 def era_eps(r: float, c: float, m: float, delta: float) -> float:
@@ -201,8 +178,6 @@ def mc_rademacher_average(
         raise ValueError("draw count must be at least 1")
     eras = np.empty(draws)
     for t in range(draws):
-        values = np.asarray(sampler(mix(seed, 2 * t), m), dtype=np.float64)
-        sigma = sign_array(mix(seed, 2 * t + 1), m)
-        eras[t] = np.abs(values @ sigma).max() / m
+        eras[t] = one_era(sampler(mix(seed, 2 * t), m), sign_array(mix(seed, 2 * t + 1), m))
     stderr = float(eras.std(ddof=1) / math.sqrt(draws)) if draws > 1 else 0.0
     return float(eras.mean()), stderr

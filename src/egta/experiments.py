@@ -181,9 +181,7 @@ def run_nash_frequency(
                 sim, idx, m, delta, sim.range_c, BoundType.ONE_ERA,
                 seed=mix(seed, name, run, m),
             )
-            table = np.zeros((base.num_players, base.num_profiles))
-            table[idx.players, idx.profiles] = result.utilities
-            empirical = NormalFormGame(base.strategy_counts, table)
+            empirical = result.to_game(base.strategy_counts)
             flagged += nash_mask(empirical, 2.0 * result.epsilon)
         for j in range(base.num_profiles):
             if flagged[j]:
@@ -235,10 +233,7 @@ def run_success_rate(
                         bound,
                         seed=mix(seed, name, family, rep, bound.value),
                     )
-                    table = np.zeros_like(sim.base.utilities)
-                    idx = result.index_set
-                    table[idx.players, idx.profiles] = result.utilities
-                    empirical = NormalFormGame(sim.base.strategy_counts, table)
+                    empirical = result.to_game(sim.base.strategy_counts)
                     truth0 = nash_mask(sim.base, 0.0)
                     for rho in rho_grid:
                         eps = rho * result.epsilon

@@ -332,11 +332,14 @@ def game_to_json(game: NormalFormGame) -> str:
 
 def game_from_json(text: str) -> NormalFormGame:
     payload = json.loads(text)
-    players = int(payload["players"])
-    counts = [int(k) for k in payload["strategies"]]
+    try:
+        players = int(payload["players"])
+        counts = [int(k) for k in payload["strategies"]]
+        utilities = np.asarray(payload["utilities"], dtype=np.float64)
+    except KeyError as missing:
+        raise ValueError(f"game JSON lacks the field {missing}") from None
     if players != len(counts):
         raise ValueError("players field does not match strategies length")
-    utilities = np.asarray(payload["utilities"], dtype=np.float64)
     expected = players * math.prod(counts)
     if utilities.shape != (expected,):
         raise ValueError(f"utilities must hold exactly {expected} values")

@@ -15,16 +15,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .bounds import SampleTensor
-from .games import IndexSet, NormalFormGame, nash_mask, welfare_table
+from .games import NormalFormGame, nash_mask, welfare_table
 from .hashing import hash_uniform, mix, splitmix64
-
-
-@dataclass(frozen=True)
-class Condition:
-    """One draw from the condition distribution, realized as a 64-bit seed."""
-
-    seed: int
 
 
 def draw_conditions(rng: np.random.Generator, m: int) -> np.ndarray:
@@ -49,19 +41,6 @@ class ConditionalSimulator:
         """Utilities for each (player, profile) index under each condition;
         shape [num_indices, num_conditions]."""
         raise NotImplementedError
-
-    def query(self, condition: Condition, p: int, profile: Sequence[int]) -> float:
-        j = self.base.profile_index(profile)
-        block = self.sample_block(
-            np.array([condition.seed], dtype=np.uint64),
-            np.array([p], dtype=np.int64),
-            np.array([j], dtype=np.int64),
-        )
-        return float(block[0, 0])
-
-    def sample_tensor(self, index_set: IndexSet, cond_seeds: np.ndarray) -> SampleTensor:
-        values = self.sample_block(cond_seeds, index_set.players, index_set.profiles)
-        return SampleTensor(index_set, values)
 
 
 class NoisySimulator(ConditionalSimulator):
@@ -171,30 +150,6 @@ def factored_sim(
     seed: int,
 ) -> FactoredNoiseSimulator:
     return FactoredNoiseSimulator(a0, a, kinds, base, seed)
-
-
-def empirical_game(
-    sim: ConditionalSimulator,
-    index_set: IndexSet,
-    conditions: Sequence[Condition] | np.ndarray,
-    fill: float = 0.0,
-) -> tuple[NormalFormGame, SampleTensor]:
-    """Mean utilities over the given conditions for every index in the set.
-
-    Returns the empirical game (entries outside the index set are left at
-    ``fill``) together with the raw per-condition samples.
-    """
-    if isinstance(conditions, np.ndarray):
-        cond_seeds = conditions.astype(np.uint64)
-    else:
-        cond_seeds = np.array([c.seed for c in conditions], dtype=np.uint64)
-    if cond_seeds.size < 1:
-        raise ValueError("at least one condition required")
-    index_set.validate_for(sim.base)
-    tensor = sim.sample_tensor(index_set, cond_seeds)
-    table = np.full((sim.base.num_players, sim.base.num_profiles), fill)
-    table[index_set.players, index_set.profiles] = tensor.means()
-    return NormalFormGame(sim.base.strategy_counts, table), tensor
 
 
 def gen_rg(num_players: int, k: int, u0: float = 10.0, seed: int = 0) -> NormalFormGame:
@@ -357,10 +312,14 @@ def congestion_from_json(text: str) -> CongestionGame:
     payload = json.loads(text)
     if payload.get("cost") != "linear":
         raise ValueError("only the linear cost function is supported")
-    if int(payload["players"]) != len(payload["strategies"]):
+    try:
+        players, facilities = int(payload["players"]), int(payload["facilities"])
+        strategies = payload["strategies"]
+    except KeyError as missing:
+        raise ValueError(f"congestion game JSON lacks the field {missing}") from None
+    if players != len(strategies):
         raise ValueError("players field does not match strategies length")
     sets = tuple(
-        tuple(tuple(int(e) for e in strat) for strat in player)
-        for player in payload["strategies"]
+        tuple(tuple(int(e) for e in strat) for strat in player) for player in strategies
     )
-    return CongestionGame(int(payload["facilities"]), sets)
+    return CongestionGame(facilities, sets)

@@ -220,7 +220,7 @@ def test_query_cost():
         IterationRecord(3, 400, 4, 1.0),
     ]
     assert query_cost(trace) == 4000
-    assert query_cost([(1, 100, 8, 3.0), (2, 200, 8, 2.0), (3, 400, 4, 1.0)]) == 4000
+    assert query_cost([]) == 0
 
 
 def test_psp_huge_threshold_single_iteration():
@@ -339,6 +339,22 @@ def test_psp_delta_accounting_and_frozen_radii():
         assert res.radii[p, j] == per_round_eps[t_last]
     # indices never pruned carry the final radius
     assert res.radii.min() == res.trace[-1].epsilon
+
+
+def test_psp_unbounded_schedule_needs_positive_threshold():
+    # an unbounded doubling schedule stops only once the radius reaches the
+    # threshold, and a radius never reaches 0, so psp must refuse up front
+    sim = noisy_sim(_pd_game(), 1.0)
+    for threshold in (0.0, -1.0):
+        with pytest.raises(ValueError, match="positive eps_threshold"):
+            psp(
+                sim,
+                SamplingSchedule.infinite_doubling(100),
+                FailureSchedule.geometric_halving(0.1),
+                c=sim.range_c,
+                bound=BoundType.HOEFFDING,
+                eps_threshold=threshold,
+            )
 
 
 def test_psp_schedule_mismatch_raises():

@@ -5,7 +5,6 @@ import pytest
 
 from egta.bounds import (
     NoiseProfile,
-    SampleTensor,
     crossover_size,
     era_eps,
     factored_ra_bound,
@@ -17,16 +16,9 @@ from egta.bounds import (
     one_era,
     ra_eps_upper,
 )
-from egta.games import IndexSet
 from egta.hashing import mix, sign_array
 
 import _oracles as oracle
-
-
-def tensor(values):
-    values = np.asarray(values, dtype=float)
-    idx = IndexSet(np.zeros(values.shape[0], dtype=np.int64), np.arange(values.shape[0]))
-    return SampleTensor(idx, values)
 
 
 def test_hoeffding_single_frozen_values():
@@ -68,9 +60,9 @@ def test_hoeffding_ln_matches_linear_scale():
 
 
 def test_one_era_examples():
-    assert one_era(tensor(np.zeros((3, 4))), np.array([1.0, -1.0, 1.0, -1.0])) == 0.0
-    assert one_era(tensor([[3.0]]), np.array([1.0])) == 3.0
-    samples = tensor([[1.0, 1.0], [1.0, -1.0]])
+    assert one_era(np.zeros((3, 4)), np.array([1.0, -1.0, 1.0, -1.0])) == 0.0
+    assert one_era(np.array([[3.0]]), np.array([1.0])) == 3.0
+    samples = np.array([[1.0, 1.0], [1.0, -1.0]])
     assert one_era(samples, np.array([1.0, -1.0])) == 1.0
 
 
@@ -79,21 +71,21 @@ def test_one_era_bounded_by_max_abs_sample():
     for _ in range(20):
         values = rng.uniform(-4, 4, size=(6, 9))
         signs = rng.choice([-1.0, 1.0], size=9)
-        assert one_era(tensor(values), signs) <= np.abs(values).max() + 1e-12
+        assert one_era(values, signs) <= np.abs(values).max() + 1e-12
 
 
 def test_one_era_sign_flip_invariant():
     rng = np.random.default_rng(1)
     values = rng.normal(size=(5, 8))
     signs = rng.choice([-1.0, 1.0], size=8)
-    assert one_era(tensor(values), signs) == one_era(tensor(values), -signs)
+    assert one_era(values, signs) == one_era(values, -signs)
 
 
 def test_one_era_validates_signs():
     with pytest.raises(ValueError):
-        one_era(tensor([[1.0, 2.0]]), np.array([1.0, 0.5]))
+        one_era(np.array([[1.0, 2.0]]), np.array([1.0, 0.5]))
     with pytest.raises(ValueError):
-        one_era(tensor([[1.0, 2.0]]), np.array([1.0]))
+        one_era(np.array([[1.0, 2.0]]), np.array([1.0]))
 
 
 def test_era_eps_frozen_value():

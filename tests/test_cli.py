@@ -78,6 +78,23 @@ def test_psp_huge_threshold_stops_immediately(tmp_path):
     assert "pure_equilibria" in payload
 
 
+def test_psp_infinite_schedule_with_zero_eps_refused(tmp_path):
+    # with the default --eps 0 an unbounded schedule would never stop
+    game_path = tmp_path / "game.json"
+    main(
+        ["gen-game", "--family", "rg", "--players", "2", "--k", "2", "--seed", "4",
+         "--out", str(game_path)]
+    )
+    proc = subprocess.run(
+        [sys.executable, "-m", "egta.cli", "psp", "--game", str(game_path), "--infinite"],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode != 0
+    assert "positive eps_threshold" in proc.stderr
+
+
 def test_psp_mixed_mode_writes_restriction(tmp_path):
     game_path = tmp_path / "game.json"
     main(

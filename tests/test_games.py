@@ -340,6 +340,13 @@ def test_game_json_validates_lengths():
         game_from_json('{"players": 2, "strategies": [2, 2], "utilities": [1, 2, 3]}')
     with pytest.raises(ValueError):
         game_from_json('{"players": 3, "strategies": [2, 2], "utilities": [0,0,0,0,0,0,0,0]}')
+    for text in (
+        '{"players": 1}',
+        '{"strategies": [1], "utilities": [0]}',
+        '{"players": 1, "strategies": [1]}',
+    ):
+        with pytest.raises(ValueError, match="lacks the field"):
+            game_from_json(text)
 
 
 def test_index_set_helpers(matching_pennies):

@@ -1,15 +1,13 @@
 import numpy as np
 import pytest
 
-from egta.bounds import hoeffding_eps
-from egta.games import IndexSet, linf_distance, nash_mask, utility
+from egta.algorithms import BoundType, gs
+from egta.games import IndexSet, nash_mask, utility
 from egta.simulators import (
-    Condition,
     CongestionGame,
     congestion_from_json,
     congestion_to_json,
     draw_conditions,
-    empirical_game,
     expand,
     factored_sim,
     gen_rc,
@@ -135,6 +133,13 @@ def test_congestion_json_roundtrip():
     assert back == cg
     with pytest.raises(ValueError):
         congestion_from_json('{"players": 1, "facilities": 2, "strategies": [[[0]]], "cost": "quadratic"}')
+    for text in (
+        '{"cost": "linear", "strategies": [[[0]]]}',
+        '{"cost": "linear", "players": 1, "strategies": [[[0]]]}',
+        '{"cost": "linear", "players": 1, "facilities": 2}',
+    ):
+        with pytest.raises(ValueError, match="lacks the field"):
+            congestion_from_json(text)
 
 
 def test_noisy_sim_zero_noise_is_exact():
@@ -160,17 +165,16 @@ def test_noisy_sim_support_and_determinism():
 
 
 def test_noisy_sim_query_matches_block():
+    # a one-entry block (a single query) equals that entry of a full block
     base = gen_rg(3, 2, seed=2)
     sim = noisy_sim(base, d=2.0)
-    cond = Condition(123456789)
-    got = sim.query(cond, 1, (0, 1, 1))
+    idx = IndexSet.full(base)
+    seeds = draw_conditions(np.random.default_rng(4), 5)
+    full = sim.sample_block(seeds, idx.players, idx.profiles)
     j = base.profile_index((0, 1, 1))
-    block = sim.sample_block(
-        np.array([cond.seed], dtype=np.uint64),
-        np.array([1], dtype=np.int64),
-        np.array([j], dtype=np.int64),
-    )
-    assert got == block[0, 0]
+    one = sim.sample_block(seeds[2:3], np.array([1]), np.array([j]))
+    assert one.shape == (1, 1)
+    assert one[0, 0] == full[base.num_profiles + j, 2]
 
 
 def test_noisy_sim_means_concentrate_on_base():
@@ -229,39 +233,30 @@ def test_factored_sim_validates():
 
 
 def test_empirical_game_single_draw_and_zero_noise():
+    # the empirical game of gs (GSResult.to_game) from one condition is that
+    # condition's block; without noise it is the base game at any m
     base = expand(ppa_example_game())
     idx = IndexSet.full(base)
     sim = noisy_sim(base, 2.0)
-    conds = [Condition(42)]
-    emp, tensor = empirical_game(sim, idx, conds)
-    assert np.array_equal(emp.utilities.reshape(-1), tensor.values[:, 0])
+    emp = gs(sim, idx, 1, 0.1, sim.range_c, BoundType.HOEFFDING, seed=42).to_game(
+        base.strategy_counts
+    )
+    seeds = draw_conditions(np.random.Generator(np.random.PCG64(42)), 1)
+    block = sim.sample_block(seeds, idx.players, idx.profiles)
+    assert np.array_equal(emp.utilities.reshape(-1), block[:, 0])
     silent = noisy_sim(base, 0.0)
-    emp2, _ = empirical_game(silent, idx, draw_conditions(np.random.default_rng(5), 13))
-    assert np.array_equal(emp2.utilities, base.utilities)
+    res = gs(silent, idx, 13, 0.1, silent.range_c, BoundType.ONE_ERA, seed=5)
+    assert np.array_equal(res.to_game(base.strategy_counts).utilities, base.utilities)
 
 
 def test_empirical_game_partial_index_set():
     base = expand(ppa_example_game())
     idx = IndexSet.from_pairs([(0, 0), (2, 5)])
     sim = noisy_sim(base, 0.0)
-    emp, tensor = empirical_game(sim, idx, [Condition(1), Condition(2)])
-    assert tensor.values.shape == (2, 2)
+    res = gs(sim, idx, 2, 0.1, sim.range_c, BoundType.HOEFFDING, seed=1)
+    assert res.utilities.shape == (2,)
+    emp = res.to_game(base.strategy_counts)
+    assert emp.strategy_counts == base.strategy_counts
     assert emp.utilities[0, 0] == base.utilities[0, 0]
     assert emp.utilities[2, 5] == base.utilities[2, 5]
-    assert emp.utilities[1, 3] == 0.0  # untouched entries keep the fill value
-
-
-def test_empirical_game_hoeffding_coverage():
-    # uniform error within the union bound in at least 99 of 100 replications
-    base = gen_rg(2, 2, seed=7)
-    d = 5.0
-    sim = noisy_sim(base, d)
-    idx = IndexSet.full(base)
-    m, delta = 10_000, 0.01
-    eps = hoeffding_eps(sim.range_c, len(idx), m, delta)
-    hits = 0
-    for rep in range(100):
-        seeds = draw_conditions(np.random.default_rng(1000 + rep), m)
-        emp, _ = empirical_game(sim, idx, seeds)
-        hits += linf_distance(emp, base) <= eps
-    assert hits >= 99
+    assert emp.utilities[1, 3] == 0.0  # indices outside the set read zero
