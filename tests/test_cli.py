@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -164,3 +165,128 @@ def test_cli_entrypoint_subprocess():
 def test_help_documents_schema():
     with pytest.raises(SystemExit):
         main(["success-rate", "--help"])
+
+
+# sha256 of every file the CLI writes at tiny sizes, frozen before main()
+# became a dispatch table; "{dense}" and "{cg}" name game files made by
+# gen-game. Each entry: (args, {output suffix: sha256}).
+CLI_GOLDENS = {
+    "gen-game-rg": (
+        ["gen-game", "--family", "rg", "--players", "3", "--k", "3", "--seed", "1"],
+        {"": "4886f40b015919ff9dbfe71aefcab17b4072392b58109fe469dea4c9409f1f3f"},
+    ),
+    "gen-game-rc": (
+        ["gen-game", "--family", "rc", "--players", "3", "--k", "2", "--seed", "2"],
+        {"": "a27be521cc36b8d9a232f77e2182757affcd4c1bbe618b8e7e567f9b60118bcc"},
+    ),
+    "gen-game-rc-expand": (
+        ["gen-game", "--family", "rc", "--players", "3", "--k", "2", "--seed", "2", "--expand"],
+        {"": "6b7e2322678e7561d796d86a5c19ef8d989fc9fd75f1afcfd0b5e0a52d377ade"},
+    ),
+    "gs-hoeffding-dense": (
+        ["gs", "--game", "{dense}", "--noise-d", "1", "--m", "64", "--seed", "5"],
+        {"": "df368488dc5328a8d9b96b4d507809872e493d196a202d1531e62b3f12e45d16"},
+    ),
+    "gs-1era-dense": (
+        ["gs", "--game", "{dense}", "--noise-d", "1", "--m", "64", "--bound", "1era",
+         "--seed", "5"],
+        {"": "3547be3ef9581ccc81036fe4be24fd5cc8528f9c817a4a3bb6ebba1882adb8a0"},
+    ),
+    "gs-hoeffding-congestion": (
+        ["gs", "--game", "{cg}", "--noise-d", "2", "--m", "50", "--seed", "3"],
+        {"": "9191ee1d8793fd2f7533ba933d449631ca9c65a2913278ed430ce8f1dc27a12b"},
+    ),
+    "gs-1era-congestion": (
+        ["gs", "--game", "{cg}", "--noise-d", "2", "--m", "50", "--bound", "1era",
+         "--delta", "0.05", "--seed", "3"],
+        {"": "4cb7abadc71bb1ab713afbf0f8aeb1d99dcd7a36cc106e845356b204b7fea4cc"},
+    ),
+    "psp-pure-finite": (
+        ["psp", "--game", "{dense}", "--noise-d", "1", "--budget", "700", "--seed", "1"],
+        {"": "290af3c4ae98e19559654ce2d308d75a48e682e3cbad4318a8455b62874b07d7"},
+    ),
+    "psp-mixed-1era-infinite": (
+        ["psp", "--game", "{cg}", "--noise-d", "1", "--mixed", "--bound", "1era",
+         "--infinite", "--eps", "1.5", "--seed", "2"],
+        {"": "9bfcef5009aea5039315931b4d596b0f546714a05b53f2ee927cf822a6575758"},
+    ),
+    "ppa-demo": (
+        ["ppa-demo"],
+        {"": "5f2ded9c79af92100033bf57b7f12ea64963d432b5f21e8b26fb9c5782c29cb6"},
+    ),
+    "eps-vs-samples": (
+        ["eps-vs-samples", "--reps", "3", "--d-grid", "2.0,5.0", "--m-grid", "100,200",
+         "--seed", "7", "--plot"],
+        {
+            "": "4a1d2d3e65fc96f5d712213e8ee9ff347a8eda68af13389bf82ee52631f9dbfd",
+            ".svg": "393c54006f6077ab1fc55024a0bc8c9084e2d791457b021423510d738032d0e3",
+        },
+    ),
+    "nash-frequency": (
+        ["nash-frequency", "--reps", "4", "--m-grid", "50,100", "--seed", "2", "--plot"],
+        {
+            "": "5456fb4107353076325615362448e8ae7cdb9853a6e8750ae40d3273c4027245",
+            ".svg": "cdf81485ec6018b5ae7baedd2d475d378e6142a6349fbd50505b5c4f4bd2e4cd",
+        },
+    ),
+    "success-rate": (
+        ["success-rate", "--reps", "4", "--m", "100", "--delta-grid", "0.1,0.2",
+         "--rho-grid", "1.0,0.75,0.5", "--seed", "2", "--plot"],
+        {
+            "": "4409e51a8ab46a0c8d6884cf96a13e456065479525a2809a36215f7e525ee390",
+            ".svg": "9c7d971a2557c32ee2ab6c660b213d2f0a66db52a3e529b3e8bbb6d66d16a23a",
+        },
+    ),
+    "gs-vs-psp": (
+        ["gs-vs-psp", "--reps", "2", "--players-grid", "2,3", "--k-grid", "2,3",
+         "--budget", "700", "--seed", "3", "--plot"],
+        {
+            "": "0c4d9f60685549c3439e771997cf9aa3aebf86c53d1ba20fd918dbe70b9df1f1",
+            ".svg": "85e5bd396e836f7c51277fe2bb4e1263682ae0cfbee0719d02c49f033399c9ae",
+        },
+    ),
+    "bound-compare-factored": (
+        ["bound-compare-factored", "--players-max", "12", "--m", "5000", "--plot"],
+        {
+            "": "5d24a611a40a8968746a8f0d5d47431561987945b81ec3263cbccd846ad2972d",
+            ".svg": "882c71db0e6438574e885f86da2d937371c9eb8c23699840822e2b918c726ace",
+        },
+    ),
+    "bound-compare-vns": (
+        ["bound-compare-vns", "--players-max", "12", "--intervals", "4", "--plot"],
+        {
+            "": "b01f4cfc561bca63c9f3dcbce3df12ad2bc34d61da782e6541af5448ff1da485",
+            ".svg": "6bfc1c4a1dab0e8644126d2292bb9bef54573771a51f6ca9ec3008088f2eeaf5",
+        },
+    ),
+}
+
+
+@pytest.fixture(scope="module")
+def game_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("games")
+    paths = {"dense": root / "dense.json", "cg": root / "cg.json"}
+    main(["gen-game", "--family", "rg", "--players", "2", "--k", "3", "--seed", "6",
+          "--out", str(paths["dense"])])
+    main(["gen-game", "--family", "rc", "--players", "3", "--k", "3", "--alpha", "0.5",
+          "--seed", "9", "--out", str(paths["cg"])])
+    return {name: str(path) for name, path in paths.items()}
+
+
+@pytest.mark.parametrize("case", sorted(CLI_GOLDENS))
+def test_cli_output_golden(case, game_files, tmp_path):
+    args, expected = CLI_GOLDENS[case]
+    out = tmp_path / "out"
+    assert main([a.format(**game_files) for a in args] + ["--out", str(out)]) == 0
+    digests = {
+        suffix: hashlib.sha256((tmp_path / ("out" + suffix)).read_bytes()).hexdigest()
+        for suffix in expected
+    }
+    assert digests == expected
+
+
+def test_cli_stdout_golden(capsys):
+    args = CLI_GOLDENS["eps-vs-samples"][0][:-1]
+    assert main(args) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == CLI_GOLDENS["eps-vs-samples"][1][""]
