@@ -161,6 +161,7 @@ def gs(
     With the Hoeffding bound the radius is the Bonferroni-corrected
     c*sqrt(ln(2|I|/delta)/(2m)); with the one-draw empirical Rademacher
     average it is 2r + 3c*sqrt(ln(1/delta)/(2m)) for a fresh sign draw.
+    A zero range c makes every sample exact, and both radii are then zero.
     """
     n = len(index_set)
     if n == 0:
@@ -169,8 +170,8 @@ def gs(
         raise ValueError("sample count m must be at least 1")
     if not 0 < delta < 1:
         raise ValueError("failure probability must lie in (0, 1)")
-    if c <= 0:
-        raise ValueError("utility range c must be positive")
+    if c < 0:
+        raise ValueError("utility range c must be nonnegative")
     index_set.validate_for(sim.base)
 
     rng = np.random.Generator(np.random.PCG64(seed))
@@ -224,18 +225,11 @@ def _restriction_of(index_set: IndexSet, game: NormalFormGame) -> list[list[int]
     return restriction
 
 
-def prune_mixed(
-    game: NormalFormGame,
-    index_set: IndexSet,
-    eps_hat: float,
-    restrict: Sequence[Sequence[int]] | None = None,
-) -> IndexSet:
+def prune_mixed(game: NormalFormGame, index_set: IndexSet, eps_hat: float) -> IndexSet:
     """Indices worth keeping for mixed-equilibrium estimation: every
     coordinate of the profile is 2*eps_hat-rationalizable."""
     index_set.validate_for(game)
-    if restrict is None:
-        restrict = _restriction_of(index_set, game)
-    surviving = rationalizable(game, 2.0 * eps_hat, restrict=restrict)
+    surviving = rationalizable(game, 2.0 * eps_hat, restrict=_restriction_of(index_set, game))
     keep_strategy = [np.zeros(k, dtype=bool) for k in game.strategy_counts]
     for p, strategies in enumerate(surviving):
         keep_strategy[p][strategies] = True

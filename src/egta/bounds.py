@@ -18,8 +18,8 @@ from .hashing import mix, sign_array
 
 
 def _check_common(c: float, m: float, delta: float) -> None:
-    if c <= 0:
-        raise ValueError("utility range c must be positive")
+    if c < 0:
+        raise ValueError("utility range c must be nonnegative")
     if m < 1:
         raise ValueError("sample count m must be at least 1")
     if not 0 < delta < 1:

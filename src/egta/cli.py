@@ -1,6 +1,10 @@
 """Command-line harness: game generation, one-off learning runs, and the
 experiment suite, all deterministic under --seed (CSV output is
-byte-identical across runs)."""
+byte-identical across runs).
+
+Each subcommand declares its driver (``run``) and, for experiments, its
+plot (``lines``); option names match the driver's keyword names, so main()
+calls every driver the same way."""
 
 from __future__ import annotations
 
@@ -30,12 +34,24 @@ def _write(text: str, out: str | None) -> None:
             handle.write(text)
 
 
-def _emit_table(table: experiments.Table, args, plot_series=None, **plot_kwargs) -> None:
-    _write(table.to_csv(), args.out)
-    if args.plot:
-        if args.out is None:
-            raise SystemExit("--plot needs --out to name the .svg file")
-        _svg.write_line_plot(args.out + ".svg", plot_series(table), **plot_kwargs)
+def _lines(x, ys, keep=None, **style):
+    """Plot spec for an experiment table: one line per {label: y column},
+    where each label is a format string over the row's columns, so rows
+    whose labels agree share a line. keep(row, options) filters rows; style
+    goes to the SVG writer."""
+
+    def plot(table: experiments.Table, options: dict) -> dict:
+        series: dict[str, tuple[list, list]] = {}
+        for values in table.rows:
+            row = dict(zip(table.columns, values))
+            if keep is None or keep(row, options):
+                for label, y in ys.items():
+                    xs, points = series.setdefault(label.format(**row), ([], []))
+                    xs.append(row[x])
+                    points.append(row[y])
+        return dict(style, series=series)
+
+    return plot
 
 
 def _int_list(text: str) -> tuple[int, ...]:
@@ -54,83 +70,139 @@ def _load_base_game(path: str):
     return game_from_json(text)
 
 
+def _gen_game(family, players, k, facilities, alpha, u0, seed, dense) -> str:
+    if family == "rg":
+        return game_to_json(gen_rg(players, k, u0=u0, seed=seed)) + "\n"
+    cg = gen_rc(players, facilities, k, alpha=alpha, seed=seed)
+    return (game_to_json(expand(cg)) if dense else congestion_to_json(cg)) + "\n"
+
+
+def _gs(game, d, m, delta, bound, seed) -> str:
+    sim = noisy_sim(_load_base_game(game), d)
+    result = gs(sim, IndexSet.full(sim.base), m, delta, sim.range_c, _BOUNDS[bound], seed=seed)
+    return result.to_json() + "\n"
+
+
+def _psp(game, d, m0, budget, infinite, delta, bound, mixed, eps, seed) -> str:
+    sim = noisy_sim(_load_base_game(game), d)
+    if infinite:
+        sampling = SamplingSchedule.infinite_doubling(m0)
+        failure = FailureSchedule.geometric_halving(delta)
+    else:
+        sampling = SamplingSchedule.finite_doubling(m0, budget)
+        failure = FailureSchedule.uniform_split(delta, sampling.length)
+    result = psp(
+        sim, sampling, failure, c=sim.range_c, bound=_BOUNDS[bound],
+        pure=not mixed, eps_threshold=eps, seed=seed,
+    )
+    return result.to_json() + "\n"
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="egta",
         description="Learn uniform approximations and pure equilibria of "
         "simulation-based games from noisy samples.",
     )
+    parser.set_defaults(plot=False, lines=None)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, reps=None, noise=None, delta=0.1):
-        p.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
+    def experiment(name, run, lines, seed=True, reps=None, reps_dest="reps", noise=None,
+                   delta=0.1, **text):
+        p = sub.add_parser(name, **text)
+        p.set_defaults(run=run, lines=lines)
+        if seed:
+            p.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
         p.add_argument("--out", default=None, help="output path (default stdout)")
         p.add_argument("--plot", action="store_true", help="also write <out>.svg")
         if reps is not None:
-            p.add_argument("--reps", type=int, default=reps, help=f"replications (default {reps})")
+            p.add_argument("--reps", dest=reps_dest, type=int, default=reps,
+                           help=f"replications (default {reps})")
         if noise is not None:
-            p.add_argument("--noise-d", type=float, default=noise, help=f"noise width (default {noise})")
-        p.add_argument("--delta", type=float, default=delta, help=f"failure probability (default {delta})")
+            p.add_argument("--noise-d", dest="d", type=float, default=noise,
+                           help=f"noise width (default {noise})")
+        if delta is not None:
+            p.add_argument("--delta", type=float, default=delta,
+                           help=f"failure probability (default {delta})")
+        return p
 
-    p = sub.add_parser(
-        "eps-vs-samples",
+    p = experiment(
+        "eps-vs-samples", experiments.run_eps_vs_samples,
+        _lines("m", {"d={d}": "mean_epsilon"}, title="error radius vs samples",
+               xlabel="m", ylabel="epsilon", logx=True, logy=True),
+        reps=200,
         help="error radius vs sample count on random congestion games",
         description="CSV columns: d, m, mean_epsilon, ci_low, ci_high. "
         "One row per (noise width, sample count); 95%% normal CIs over --reps games.",
     )
-    common(p, reps=200)
-    p.add_argument("--d-grid", type=_float_list, default=(2.0, 5.0, 10.0))
-    p.add_argument("--m-grid", type=_int_list, default=(1000, 3162, 10000, 31623, 100000))
+    p.add_argument("--d-grid", dest="d_values", type=_float_list, default=(2.0, 5.0, 10.0))
+    p.add_argument("--m-grid", dest="m_values", type=_int_list,
+                   default=(1000, 3162, 10000, 31623, 100000))
 
-    p = sub.add_parser(
-        "nash-frequency",
+    p = experiment(
+        "nash-frequency", experiments.run_nash_frequency,
+        _lines("profile", {"m={m}": "frequency"},
+               title="profiles flagged as approximate equilibria",
+               xlabel="profile", ylabel="frequency"),
+        reps=200, reps_dest="runs", noise=2.0,
         help="how often profiles get flagged as approximate equilibria",
         description="CSV columns: m, profile, frequency. Zero-frequency "
         "profiles are omitted. Metadata records the fixture and its true equilibrium.",
     )
-    common(p, reps=200, noise=2.0)
-    p.add_argument("--m-grid", type=_int_list, default=(50, 100, 200, 500))
+    p.add_argument("--m-grid", dest="m_values", type=_int_list, default=(50, 100, 200, 500))
 
-    p = sub.add_parser(
-        "success-rate",
+    p = experiment(
+        "success-rate", experiments.run_success_rate,
+        _lines("delta", {"{family}/{bound}/rho={rho}": "success_rate"},
+               keep=lambda row, options: row["rho"] in (options["rho_grid"][0],
+                                                        options["rho_grid"][-1]),
+               title="empirical success rate", xlabel="delta", ylabel="success rate"),
+        reps=200, noise=5.0, delta=None,
         help="rate at which the two-sided equilibrium containment holds",
         description="CSV columns: family, bound, delta, rho, success_rate, "
         "ci_low, ci_high. rho contracts the returned radius to probe slack.",
     )
-    common(p, reps=200, noise=5.0)
     p.add_argument("--m", type=int, default=500, help="samples per run (default 500)")
     p.add_argument("--delta-grid", type=_float_list, default=(0.05, 0.1, 0.15, 0.2, 0.25))
     p.add_argument("--rho-grid", type=_float_list, default=(1.0, 0.875, 0.75, 0.625, 0.5))
 
-    p = sub.add_parser(
-        "gs-vs-psp",
+    p = experiment(
+        "gs-vs-psp", experiments.run_gs_vs_psp,
+        _lines("game_size", {"psp": "eps_psp", "gs": "eps_gs"},
+               title="progressive vs one-shot sampling", xlabel="game size",
+               ylabel="epsilon", logy=True),
+        reps=12, noise=5.0,
         help="progressive vs one-shot sampling at equal query budgets",
         description="CSV columns: players, k, game_size, rep, eps_psp, eps_gs, "
         "cost_psp, m_gs. m_gs = cost_psp / game_size is the per-utility budget "
         "granted to the one-shot baseline.",
     )
-    common(p, reps=12, noise=5.0)
-    p.add_argument("--players-grid", type=_int_list, default=(2, 3, 4, 5))
-    p.add_argument("--k-grid", type=_int_list, default=(2, 3, 4, 5))
+    p.add_argument("--players-grid", dest="players_values", type=_int_list, default=(2, 3, 4, 5))
+    p.add_argument("--k-grid", dest="k_values", type=_int_list, default=(2, 3, 4, 5))
     p.add_argument("--m0", type=int, default=100)
     p.add_argument("--budget", type=int, default=102300, help="total conditions per run")
 
-    p = sub.add_parser(
-        "bound-compare-factored",
+    bound_lines = {"hoeffding": "hoeffding", "rademacher": "rademacher"}
+    p = experiment(
+        "bound-compare-factored", experiments.run_bound_compare_factored,
+        _lines("players", bound_lines, title="bounds for factored noise",
+               xlabel="players", ylabel="radius"),
+        seed=False, delta=0.05,
         help="Hoeffding vs factored-noise Rademacher radii by player count",
         description="CSV columns: players, hoeffding, rademacher. Metadata "
         "records the first crossover player count.",
     )
-    common(p, delta=0.05)
     p.add_argument("--players-max", type=int, default=100)
     p.add_argument("--m", type=int, default=10000)
 
-    p = sub.add_parser(
-        "bound-compare-vns",
+    p = experiment(
+        "bound-compare-vns", experiments.run_bound_compare_vns,
+        _lines("players", bound_lines, title="bounds for variable-scale noise",
+               xlabel="players", ylabel="radius"),
+        seed=False, delta=0.05,
         help="Hoeffding vs variable-noise-scale Rademacher radii",
         description="CSV columns: players, hoeffding, rademacher.",
     )
-    common(p, delta=0.05)
     p.add_argument("--players-max", type=int, default=100)
     p.add_argument("--m", type=int, default=10000)
     p.add_argument("--intervals", type=int, default=6)
@@ -139,9 +211,11 @@ def build_parser() -> argparse.ArgumentParser:
         "ppa-demo",
         help="equilibria, costs, and pure price of anarchy of the canonical instance",
     )
+    p.set_defaults(run=experiments.run_ppa_demo)
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("gen-game", help="generate a game and write its JSON")
+    p.set_defaults(run=_gen_game)
     p.add_argument("--family", choices=("rg", "rc"), required=True)
     p.add_argument("--players", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
@@ -149,163 +223,52 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, default=0.1)
     p.add_argument("--u0", type=float, default=10.0)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--expand", action="store_true", help="write rc games in dense form")
+    p.add_argument("--expand", dest="dense", action="store_true",
+                   help="write rc games in dense form")
     p.add_argument("--out", default=None)
 
-    p = sub.add_parser("gs", help="one global-sampling run on a game file")
-    p.add_argument("--game", required=True, help="game JSON (dense or congestion)")
-    p.add_argument("--noise-d", type=float, default=0.0)
+    learning = argparse.ArgumentParser(add_help=False)
+    learning.add_argument("--game", required=True, help="game JSON (dense or congestion)")
+    learning.add_argument("--noise-d", dest="d", type=float, default=0.0)
+    learning.add_argument("--delta", type=float, default=0.1)
+    learning.add_argument("--bound", choices=sorted(_BOUNDS), default="hoeffding")
+    learning.add_argument("--seed", type=int, default=0)
+    learning.add_argument("--out", default=None)
+
+    p = sub.add_parser("gs", parents=[learning], help="one global-sampling run on a game file")
+    p.set_defaults(run=_gs)
     p.add_argument("--m", type=int, default=1000)
-    p.add_argument("--delta", type=float, default=0.1)
-    p.add_argument("--bound", choices=sorted(_BOUNDS), default="hoeffding")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", default=None)
 
-    p = sub.add_parser("psp", help="one progressive-sampling run on a game file")
-    p.add_argument("--game", required=True, help="game JSON (dense or congestion)")
-    p.add_argument("--noise-d", type=float, default=0.0)
+    p = sub.add_parser(
+        "psp", parents=[learning], help="one progressive-sampling run on a game file"
+    )
+    p.set_defaults(run=_psp)
     p.add_argument("--m0", type=int, default=100)
     p.add_argument("--budget", type=int, default=25500)
     p.add_argument("--infinite", action="store_true", help="unbounded doubling schedule")
-    p.add_argument("--delta", type=float, default=0.1)
-    p.add_argument("--bound", choices=sorted(_BOUNDS), default="hoeffding")
     p.add_argument("--mixed", action="store_true", help="prune toward mixed equilibria")
     p.add_argument("--eps", type=float, default=0.0, help="early-termination radius")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", default=None)
 
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-
-    if args.command == "eps-vs-samples":
-        table = experiments.run_eps_vs_samples(
-            seed=args.seed, reps=args.reps, d_values=args.d_grid,
-            m_values=args.m_grid, delta=args.delta,
-        )
-        _emit_table(
-            table, args,
-            plot_series=lambda t: {
-                f"d={d}": (
-                    [r[1] for r in t.rows if r[0] == d],
-                    [r[2] for r in t.rows if r[0] == d],
-                )
-                for d in args.d_grid
-            },
-            title="error radius vs samples", xlabel="m", ylabel="epsilon",
-            logx=True, logy=True,
-        )
-    elif args.command == "nash-frequency":
-        table = experiments.run_nash_frequency(
-            seed=args.seed, runs=args.reps, m_values=args.m_grid,
-            d=args.noise_d, delta=args.delta,
-        )
-        _emit_table(
-            table, args,
-            plot_series=lambda t: {
-                f"m={m}": (
-                    [r[1] for r in t.rows if r[0] == m],
-                    [r[2] for r in t.rows if r[0] == m],
-                )
-                for m in args.m_grid
-            },
-            title="profiles flagged as approximate equilibria",
-            xlabel="profile", ylabel="frequency",
-        )
-    elif args.command == "success-rate":
-        table = experiments.run_success_rate(
-            seed=args.seed, reps=args.reps, delta_grid=args.delta_grid,
-            rho_grid=args.rho_grid, d=args.noise_d, m=args.m,
-        )
-        _emit_table(
-            table, args,
-            plot_series=lambda t: {
-                f"{family}/{bound}/rho={rho}": (
-                    [r[2] for r in t.rows if r[0] == family and r[1] == bound and r[3] == rho],
-                    [r[4] for r in t.rows if r[0] == family and r[1] == bound and r[3] == rho],
-                )
-                for family in ("rc", "rg")
-                for bound in ("hoeffding", "1era")
-                for rho in (args.rho_grid[0], args.rho_grid[-1])
-            },
-            title="empirical success rate", xlabel="delta", ylabel="success rate",
-        )
-    elif args.command == "gs-vs-psp":
-        table = experiments.run_gs_vs_psp(
-            seed=args.seed, reps=args.reps, players_values=args.players_grid,
-            k_values=args.k_grid, d=args.noise_d, delta=args.delta,
-            m0=args.m0, budget=args.budget,
-        )
-        _emit_table(
-            table, args,
-            plot_series=lambda t: {
-                "psp": (t.column("game_size"), t.column("eps_psp")),
-                "gs": (t.column("game_size"), t.column("eps_gs")),
-            },
-            title="progressive vs one-shot sampling", xlabel="game size",
-            ylabel="epsilon", logy=True,
-        )
-    elif args.command == "bound-compare-factored":
-        table = experiments.run_bound_compare_factored(
-            players_max=args.players_max, m=args.m, delta=args.delta,
-        )
-        _emit_table(
-            table, args,
-            plot_series=lambda t: {
-                "hoeffding": (t.column("players"), t.column("hoeffding")),
-                "rademacher": (t.column("players"), t.column("rademacher")),
-            },
-            title="bounds for factored noise", xlabel="players", ylabel="radius",
-        )
-    elif args.command == "bound-compare-vns":
-        table = experiments.run_bound_compare_vns(
-            players_max=args.players_max, m=args.m, delta=args.delta,
-            intervals=args.intervals,
-        )
-        _emit_table(
-            table, args,
-            plot_series=lambda t: {
-                "hoeffding": (t.column("players"), t.column("hoeffding")),
-                "rademacher": (t.column("players"), t.column("rademacher")),
-            },
-            title="bounds for variable-scale noise", xlabel="players", ylabel="radius",
-        )
-    elif args.command == "ppa-demo":
-        _write(experiments.run_ppa_demo(), args.out)
-    elif args.command == "gen-game":
-        if args.family == "rg":
-            game = gen_rg(args.players, args.k, u0=args.u0, seed=args.seed)
-            _write(game_to_json(game) + "\n", args.out)
+    parser = build_parser()
+    options = vars(parser.parse_args(argv))
+    del options["command"]
+    run, lines, plot, out = (options.pop(key) for key in ("run", "lines", "plot", "out"))
+    if plot and out is None:
+        parser.error("--plot needs --out to name the .svg file")
+    try:
+        result = run(**options)
+        if isinstance(result, experiments.Table):
+            _write(result.to_csv(), out)
+            if plot:
+                _svg.write_line_plot(out + ".svg", **lines(result, options))
         else:
-            cg = gen_rc(args.players, args.facilities, args.k, alpha=args.alpha, seed=args.seed)
-            if args.expand:
-                _write(game_to_json(expand(cg)) + "\n", args.out)
-            else:
-                _write(congestion_to_json(cg) + "\n", args.out)
-    elif args.command == "gs":
-        base = _load_base_game(args.game)
-        sim = noisy_sim(base, args.noise_d)
-        result = gs(
-            sim, IndexSet.full(base), args.m, args.delta, sim.range_c,
-            _BOUNDS[args.bound], seed=args.seed,
-        )
-        _write(result.to_json() + "\n", args.out)
-    elif args.command == "psp":
-        base = _load_base_game(args.game)
-        sim = noisy_sim(base, args.noise_d)
-        if args.infinite:
-            sampling = SamplingSchedule.infinite_doubling(args.m0)
-            failure = FailureSchedule.geometric_halving(args.delta)
-        else:
-            sampling = SamplingSchedule.finite_doubling(args.m0, args.budget)
-            failure = FailureSchedule.uniform_split(args.delta, sampling.length)
-        result = psp(
-            sim, sampling, failure, c=sim.range_c, bound=_BOUNDS[args.bound],
-            pure=not args.mixed, eps_threshold=args.eps, seed=args.seed,
-        )
-        _write(result.to_json() + "\n", args.out)
+            _write(result, out)
+    except (OSError, ValueError) as error:
+        parser.error(str(error))
     return 0
 
 

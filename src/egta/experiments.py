@@ -28,7 +28,7 @@ from .bounds import (
     hoeffding_eps_ln,
     noise_scaling_ra_bound,
 )
-from .games import IndexSet, NormalFormGame, game_size, nash_mask
+from .games import IndexSet, NormalFormGame, check_containment, game_size, nash_mask
 from .hashing import mix
 from .simulators import expand, gen_rc, gen_rg, noisy_sim, ppa_example_game
 
@@ -234,13 +234,9 @@ def run_success_rate(
                         seed=mix(seed, name, family, rep, bound.value),
                     )
                     empirical = result.to_game(sim.base.strategy_counts)
-                    truth0 = nash_mask(sim.base, 0.0)
                     for rho in rho_grid:
-                        eps = rho * result.epsilon
-                        emp2 = nash_mask(empirical, 2.0 * eps)
-                        truth4 = nash_mask(sim.base, 4.0 * eps)
-                        success[rho][rep] = bool(
-                            np.all(emp2[truth0]) and np.all(truth4[emp2])
+                        success[rho][rep] = check_containment(
+                            sim.base, empirical, rho * result.epsilon
                         )
                 for rho in rho_grid:
                     rate, lo, hi = _mean_ci(success[rho].astype(np.float64))
@@ -306,6 +302,44 @@ def run_gs_vs_psp(
     )
 
 
+def _bound_compare(
+    name: str,
+    players_max: int,
+    m: int,
+    delta: float,
+    num_strategies: int,
+    c: float,
+    radius_fn,
+    metadata: dict[str, object],
+) -> Table:
+    """Hoeffding union radius against 2 * radius_fn(players) plus the 1ERA
+    tail term for 1..players_max players, each with num_strategies actions,
+    over the full index set; metadata names the noise model's parameters."""
+    ln_s = math.log(num_strategies)
+    tail = 3.0 * c * math.sqrt(math.log(1.0 / delta) / (2.0 * m))
+    rows = []
+    crossover = None
+    for players in range(1, players_max + 1):
+        ln_index_count = math.log(players) + players * ln_s
+        hoeff = hoeffding_eps_ln(c, ln_index_count, m, delta)
+        rad = 2.0 * radius_fn(players) + tail
+        if crossover is None and hoeff > rad:
+            crossover = players
+        rows.append((players, hoeff, rad))
+    return Table(
+        ("players", "hoeffding", "rademacher"),
+        rows,
+        {
+            "experiment": name,
+            "m": m,
+            "delta": delta,
+            "num_strategies": num_strategies,
+            **metadata,
+            "crossover_players": crossover,
+        },
+    )
+
+
 def run_bound_compare_factored(
     players_max: int = 100,
     m: int = 10000,
@@ -318,35 +352,14 @@ def run_bound_compare_factored(
     the player count grows; both use the full index set of a game with
     num_strategies actions per player."""
     c = 2.0 * (a0 + sum(a))
-    ln_s = math.log(num_strategies)
-    tail = 3.0 * c * math.sqrt(math.log(1.0 / delta) / (2.0 * m))
-    rows = []
-    crossover = None
-    for players in range(1, players_max + 1):
-        ln_index_count = math.log(players) + players * ln_s
-        hoeff = hoeffding_eps_ln(c, ln_index_count, m, delta)
-        b = (
-            1,
-            players,
-            num_strategies,
-            num_strategies**players,
-            players * num_strategies**players,
-        )
-        rad = 2.0 * factored_ra_bound(a0, a, b, m) + tail
-        if crossover is None and hoeff > rad:
-            crossover = players
-        rows.append((players, hoeff, rad))
-    return Table(
-        ("players", "hoeffding", "rademacher"),
-        rows,
-        {
-            "experiment": "bound-compare-factored",
-            "m": m,
-            "delta": delta,
-            "num_strategies": num_strategies,
-            "c": c,
-            "crossover_players": crossover,
-        },
+
+    def radius(players: int) -> float:
+        size = num_strategies**players
+        b = (1, players, num_strategies, size, players * size)
+        return factored_ra_bound(a0, a, b, m)
+
+    return _bound_compare(
+        "bound-compare-factored", players_max, m, delta, num_strategies, c, radius, {"c": c}
     )
 
 
@@ -362,34 +375,16 @@ def run_bound_compare_vns(
     """Hoeffding union radius against the variable-noise-scale Rademacher
     radius: noise magnitudes are binned dyadically, with index counts per bin
     halving as the bin's scale doubles."""
-    ln_s = math.log(num_strategies)
-    tail = 3.0 * c * math.sqrt(math.log(1.0 / delta) / (2.0 * m))
     breakpoints = (0.0,) + tuple(c * 2.0 ** (i - intervals) for i in range(1, intervals + 1))
-    rows = []
-    crossover = None
-    for players in range(1, players_max + 1):
-        ln_index_count = math.log(players) + players * ln_s
-        hoeff = hoeffding_eps_ln(c, ln_index_count, m, delta)
+
+    def radius(players: int) -> float:
         size = players * num_strategies**players
         counts = tuple(-(-size // 2**i) for i in range(1, intervals + 1))
-        profile = NoiseProfile(a, breakpoints, counts)
-        rad = 2.0 * noise_scaling_ra_bound(profile, m) + tail
-        if crossover is None and hoeff > rad:
-            crossover = players
-        rows.append((players, hoeff, rad))
-    return Table(
-        ("players", "hoeffding", "rademacher"),
-        rows,
-        {
-            "experiment": "bound-compare-vns",
-            "m": m,
-            "delta": delta,
-            "num_strategies": num_strategies,
-            "a": a,
-            "c": c,
-            "intervals": intervals,
-            "crossover_players": crossover,
-        },
+        return noise_scaling_ra_bound(NoiseProfile(a, breakpoints, counts), m)
+
+    return _bound_compare(
+        "bound-compare-vns", players_max, m, delta, num_strategies, c, radius,
+        {"a": a, "c": c, "intervals": intervals},
     )
 
 

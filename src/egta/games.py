@@ -332,12 +332,16 @@ def game_to_json(game: NormalFormGame) -> str:
 
 def game_from_json(text: str) -> NormalFormGame:
     payload = json.loads(text)
+    if not isinstance(payload, dict):
+        raise ValueError("game JSON must be an object")
     try:
         players = int(payload["players"])
         counts = [int(k) for k in payload["strategies"]]
         utilities = np.asarray(payload["utilities"], dtype=np.float64)
     except KeyError as missing:
         raise ValueError(f"game JSON lacks the field {missing}") from None
+    except TypeError as error:
+        raise ValueError(f"game JSON has a wrongly typed field: {error}") from None
     if players != len(counts):
         raise ValueError("players field does not match strategies length")
     expected = players * math.prod(counts)

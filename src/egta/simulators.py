@@ -310,16 +310,20 @@ def congestion_to_json(cg: CongestionGame) -> str:
 
 def congestion_from_json(text: str) -> CongestionGame:
     payload = json.loads(text)
+    if not isinstance(payload, dict):
+        raise ValueError("congestion game JSON must be an object")
     if payload.get("cost") != "linear":
         raise ValueError("only the linear cost function is supported")
     try:
         players, facilities = int(payload["players"]), int(payload["facilities"])
-        strategies = payload["strategies"]
+        sets = tuple(
+            tuple(tuple(int(e) for e in strat) for strat in player)
+            for player in payload["strategies"]
+        )
     except KeyError as missing:
         raise ValueError(f"congestion game JSON lacks the field {missing}") from None
-    if players != len(strategies):
+    except TypeError as error:
+        raise ValueError(f"congestion game JSON has a wrongly typed field: {error}") from None
+    if players != len(sets):
         raise ValueError("players field does not match strategies length")
-    sets = tuple(
-        tuple(tuple(int(e) for e in strat) for strat in player) for player in strategies
-    )
     return CongestionGame(facilities, sets)

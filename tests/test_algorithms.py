@@ -106,6 +106,21 @@ def test_gs_chunked_accumulation_close_to_direct():
     assert chunked.epsilon == pytest.approx(direct.epsilon, rel=1e-12)
 
 
+def test_gs_zero_range_is_exact():
+    # an all-zero game without noise has range c == 0: every sample is exact
+    base = NormalFormGame((2, 2), np.zeros((2, 4)))
+    sim = noisy_sim(base, 0.0)
+    assert sim.range_c == 0.0
+    for bound in BoundType:
+        res = gs(sim, IndexSet.full(base), m=20, delta=0.1, c=sim.range_c, bound=bound, seed=3)
+        assert res.epsilon == 0.0
+        assert np.array_equal(res.utilities, np.zeros(8))
+    sched = SamplingSchedule.finite_doubling(10, 70)
+    res = psp(sim, sched, FailureSchedule.uniform_split(0.1, 3), c=0.0, bound=BoundType.ONE_ERA)
+    assert res.epsilon == 0.0 and len(res.trace) == 1
+    assert len(res.pure_equilibria) == 4
+
+
 def test_gs_validates_inputs():
     base = gen_rg(2, 2, seed=1)
     sim = noisy_sim(base, 1.0)

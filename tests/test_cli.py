@@ -92,8 +92,34 @@ def test_psp_infinite_schedule_with_zero_eps_refused(tmp_path):
         text=True,
         timeout=60,
     )
-    assert proc.returncode != 0
+    assert proc.returncode == 2
     assert "positive eps_threshold" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_library_errors_are_usage_errors(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text("[1]")
+    good = tmp_path / "game.json"
+    main(["gen-game", "--family", "rg", "--players", "2", "--k", "2", "--out", str(good)])
+    for args, message in (
+        (["gs", "--game", str(bad)], "must be an object"),
+        (["gs", "--game", str(tmp_path / "missing.json")], "No such file"),
+        (["psp", "--game", str(good), "--delta", "2"], "failure probability"),
+    ):
+        with pytest.raises(SystemExit) as exit_info:
+            main(args)
+        assert exit_info.value.code == 2
+        assert message in capsys.readouterr().err
+
+
+def test_plot_without_out_refused_before_running(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["eps-vs-samples", "--reps", "2", "--m-grid", "100", "--plot"])
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--plot needs --out" in captured.err
 
 
 def test_psp_mixed_mode_writes_restriction(tmp_path):

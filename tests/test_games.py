@@ -347,6 +347,16 @@ def test_game_json_validates_lengths():
     ):
         with pytest.raises(ValueError, match="lacks the field"):
             game_from_json(text)
+    for text in ('[1]', '"game"', '3'):
+        with pytest.raises(ValueError, match="must be an object"):
+            game_from_json(text)
+    for text in (
+        '{"players": null, "strategies": [1], "utilities": [0]}',
+        '{"players": 1, "strategies": null, "utilities": [0]}',
+        '{"players": 1, "strategies": [[1]], "utilities": [0]}',
+    ):
+        with pytest.raises(ValueError, match="wrongly typed"):
+            game_from_json(text)
 
 
 def test_index_set_helpers(matching_pennies):

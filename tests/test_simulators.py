@@ -140,6 +140,15 @@ def test_congestion_json_roundtrip():
     ):
         with pytest.raises(ValueError, match="lacks the field"):
             congestion_from_json(text)
+    with pytest.raises(ValueError, match="must be an object"):
+        congestion_from_json("[]")
+    for text in (
+        '{"cost": "linear", "players": 1, "facilities": 2, "strategies": [[0]]}',
+        '{"cost": "linear", "players": 1, "facilities": 2, "strategies": null}',
+        '{"cost": "linear", "players": null, "facilities": 2, "strategies": [[[0]]]}',
+    ):
+        with pytest.raises(ValueError, match="wrongly typed"):
+            congestion_from_json(text)
 
 
 def test_noisy_sim_zero_noise_is_exact():
