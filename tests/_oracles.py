@@ -56,8 +56,11 @@ def dominates(game: NormalFormGame, p, s, s_other, eps):
     return True
 
 
-def ieds(game: NormalFormGame, eps):
-    alive = [list(range(k)) for k in game.strategy_counts]
+def ieds(game: NormalFormGame, eps, restrict=None):
+    if restrict is None:
+        alive = [list(range(k)) for k in game.strategy_counts]
+    else:
+        alive = [sorted(set(strats)) for strats in restrict]
 
     def restricted_dominates(p, s, s_other):
         ranges = [alive[q] if q != p else [0] for q in range(game.num_players)]

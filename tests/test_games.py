@@ -182,6 +182,25 @@ def test_rationalizable_matches_oracle():
         assert rationalizable(g, eps) == oracle.ieds(g, eps)
 
 
+def test_dominance_matches_oracle_on_tied_payoffs():
+    # integer payoffs in {-2..2} make ties, and so mutual dominance, common
+    shapes = [(1,), (4,), (1, 1), (1, 3), (2, 2), (3, 3), (2, 1, 3), (2, 2, 2), (3, 2, 3)]
+    rng = np.random.default_rng(29)
+    for counts in shapes * 25:
+        u = rng.integers(-2, 3, size=(len(counts), int(np.prod(counts)))).astype(float)
+        g = NormalFormGame(counts, u)
+        restrict = [sorted(set(rng.integers(0, k, size=k).tolist())) for k in counts]
+        for eps in (0.0, 1.0):
+            assert rationalizable(g, eps) == oracle.ieds(g, eps)
+            assert rationalizable(g, eps, restrict=restrict) == oracle.ieds(g, eps, restrict)
+            for p, k in enumerate(counts):
+                for s in range(k):
+                    for s2 in range(k):
+                        assert eps_dominates(g, p, s, s2, eps) == oracle.dominates(
+                            g, p, s, s2, eps
+                        )
+
+
 def test_rationalizable_keeps_pure_nash_strategies():
     rng = np.random.default_rng(17)
     for _ in range(60):
