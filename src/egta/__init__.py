@@ -21,10 +21,7 @@ from .bounds import (
     factored_ra_bound,
     hoeffding_eps,
     hoeffding_eps_ln,
-    hoeffding_eps_single,
-    mc_rademacher_average,
     noise_scaling_ra_bound,
-    one_era,
     ra_eps_upper,
 )
 from .games import (

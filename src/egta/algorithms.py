@@ -216,13 +216,8 @@ def prune_pure(game: NormalFormGame, index_set: IndexSet, eps_hat: float) -> Ind
 
 
 def _restriction_of(index_set: IndexSet, game: NormalFormGame) -> list[list[int]]:
-    strides = [int(np.prod(game.strategy_counts[p + 1 :], initial=1)) for p in range(game.num_players)]
-    restriction = []
-    for p in range(game.num_players):
-        own = index_set.profiles[index_set.players == p]
-        strategies = (own // strides[p]) % game.strategy_counts[p]
-        restriction.append(sorted(set(int(s) for s in strategies)))
-    return restriction
+    own = game.own_strategy(index_set.players, index_set.profiles)
+    return [np.unique(own[index_set.players == p]).tolist() for p in range(game.num_players)]
 
 
 def prune_mixed(game: NormalFormGame, index_set: IndexSet, eps_hat: float) -> IndexSet:

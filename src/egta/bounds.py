@@ -2,7 +2,8 @@
 
 Closed-form bounds (Hoeffding with a Bonferroni union, Massart-style upper
 bounds on the Rademacher average, factored-noise and variable-noise-scale
-refinements) plus the data-dependent one-draw empirical Rademacher average.
+refinements) plus the radius 2r + 3c*sqrt(ln(1/delta)/(2m)) for a one-draw
+empirical Rademacher average r, which ``gs`` computes from its own samples.
 All utilities are assumed bounded in [-c/2, c/2] for the stated range c.
 """
 
@@ -10,11 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
-
-import numpy as np
-
-from .hashing import mix, sign_array
+from typing import Sequence
 
 
 def _check_common(c: float, m: float, delta: float) -> None:
@@ -24,12 +21,6 @@ def _check_common(c: float, m: float, delta: float) -> None:
         raise ValueError("sample count m must be at least 1")
     if not 0 < delta < 1:
         raise ValueError("failure probability delta must lie in (0, 1)")
-
-
-def hoeffding_eps_single(c: float, m: float, delta: float) -> float:
-    """Error radius for one bounded mean estimate: c * sqrt(ln(2/delta)/(2m))."""
-    _check_common(c, m, delta)
-    return c * math.sqrt(math.log(2.0 / delta) / (2.0 * m))
 
 
 def hoeffding_eps(c: float, num_indices: int, m: float, delta: float) -> float:
@@ -48,23 +39,6 @@ def hoeffding_eps_ln(c: float, ln_num_indices: float, m: float, delta: float) ->
     if ln_num_indices < 0:
         raise ValueError("ln of the index-set size must be nonnegative")
     return c * math.sqrt((math.log(2.0) + ln_num_indices - math.log(delta)) / (2.0 * m))
-
-
-def one_era(values: np.ndarray, signs: np.ndarray) -> float:
-    """One-draw empirical Rademacher average of a [num_indices, num_samples]
-    matrix of per-condition utilities: the largest absolute signed sample
-    average over its rows."""
-    v = np.asarray(values, dtype=np.float64)
-    sigma = np.asarray(signs, dtype=np.float64)
-    if v.ndim != 2:
-        raise ValueError("values must be [num_indices, num_samples]")
-    if sigma.shape != (v.shape[1],):
-        raise ValueError("signs must be a vector of length num_samples")
-    if not np.all(np.abs(sigma) == 1.0):
-        raise ValueError("signs must be +1 or -1")
-    if v.shape[0] == 0:
-        return 0.0
-    return float(np.abs(v @ sigma).max() / v.shape[1])
 
 
 def era_eps(r: float, c: float, m: float, delta: float) -> float:
@@ -158,26 +132,3 @@ def noise_scaling_ra_bound(profile: NoiseProfile, m: float) -> float:
         v_i = profile.breakpoints[i + 1]
         total += v_i * min(1.0, math.sqrt(math.log(count) / (2.0 * m)))
     return total
-
-
-def mc_rademacher_average(
-    sampler: Callable[[int, int], np.ndarray],
-    m: int,
-    draws: int = 500,
-    seed: int = 0,
-) -> tuple[float, float]:
-    """Monte-Carlo estimate of the Rademacher average: the mean of one-draw
-    empirical Rademacher averages over fresh (sample, sign) draws.
-
-    sampler(draw_seed, m) must return a [num_indices, m] matrix of
-    per-condition utilities, deterministic in draw_seed. Returns the estimate
-    and its standard error. Per-draw seeds are derived by hashing, so any
-    evaluation order yields the same result.
-    """
-    if draws < 1:
-        raise ValueError("draw count must be at least 1")
-    eras = np.empty(draws)
-    for t in range(draws):
-        eras[t] = one_era(sampler(mix(seed, 2 * t), m), sign_array(mix(seed, 2 * t + 1), m))
-    stderr = float(eras.std(ddof=1) / math.sqrt(draws)) if draws > 1 else 0.0
-    return float(eras.mean()), stderr

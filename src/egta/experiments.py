@@ -79,6 +79,8 @@ def run_eps_vs_samples(
 ) -> Table:
     """Error radius of global sampling versus sample count on random
     congestion games, one row per (noise width, sample count)."""
+    if reps < 1:
+        raise ValueError("reps must be at least 1")
     name = "eps-vs-samples"
     rows = []
     for d in d_values:
@@ -169,6 +171,8 @@ def run_nash_frequency(
 ) -> Table:
     """How often each profile of a fixed unique-equilibrium congestion game
     is flagged as a pure 2-epsilon-equilibrium by global sampling."""
+    if runs < 1:
+        raise ValueError("runs must be at least 1")
     name = "nash-frequency"
     base, attempt, true_nash = find_unique_nash_rc_game(seed)
     sim = noisy_sim(base, d)
@@ -212,6 +216,8 @@ def run_success_rate(
 ) -> Table:
     """Empirical rate at which the two-sided equilibrium containment holds,
     swept over the failure probability and a radius contraction factor."""
+    if reps < 1:
+        raise ValueError("reps must be at least 1")
     name = "success-rate"
     families = {
         "rc": lambda rep: expand(gen_rc(3, 3, 2, seed=mix(seed, name, "rc", rep))),
@@ -260,6 +266,8 @@ def run_gs_vs_psp(
 ) -> Table:
     """Progressive sampling run to completion versus one-shot sampling on the
     same total utility-evaluation budget, one row per random game."""
+    if reps < 1:
+        raise ValueError("reps must be at least 1")
     name = "gs-vs-psp"
     sched = SamplingSchedule.finite_doubling(m0, budget)
     failure = FailureSchedule.uniform_split(delta, sched.length)
@@ -315,6 +323,8 @@ def _bound_compare(
     """Hoeffding union radius against 2 * radius_fn(players) plus the 1ERA
     tail term for 1..players_max players, each with num_strategies actions,
     over the full index set; metadata names the noise model's parameters."""
+    if players_max < 1:
+        raise ValueError("players_max must be at least 1")
     ln_s = math.log(num_strategies)
     tail = 3.0 * c * math.sqrt(math.log(1.0 / delta) / (2.0 * m))
     rows = []

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -57,9 +57,6 @@ class NormalFormGame:
         """Player p's utilities as a tensor with one axis per player."""
         return self.utilities[p].reshape(self.strategy_counts)
 
-    def profiles(self) -> list[Profile]:
-        return [self.profile_of_index(j) for j in range(self.num_profiles)]
-
     def profile_index(self, profile: Sequence[int]) -> int:
         s = tuple(int(x) for x in profile)
         if len(s) != self.num_players:
@@ -73,6 +70,14 @@ class NormalFormGame:
         if not 0 <= index < self.num_profiles:
             raise IndexError("profile index out of range")
         return tuple(int(x) for x in np.unravel_index(index, self.strategy_counts))
+
+    def own_strategy(self, players: np.ndarray, profiles: np.ndarray) -> np.ndarray:
+        """The strategy each index's player plays in its profile."""
+        out = np.empty(len(players), dtype=np.int64)
+        for p in range(self.num_players):
+            at = players == p
+            out[at] = np.unravel_index(profiles[at], self.strategy_counts)[p]
+        return out
 
 
 @dataclass(frozen=True)
@@ -118,13 +123,6 @@ class IndexSet:
     @staticmethod
     def from_mask(mask: np.ndarray) -> "IndexSet":
         players, profiles = np.nonzero(mask)
-        return IndexSet(players, profiles)
-
-    @staticmethod
-    def from_pairs(pairs: Iterable[tuple[int, int]]) -> "IndexSet":
-        pairs = list(pairs)
-        players = np.array([p for p, _ in pairs], dtype=np.int64)
-        profiles = np.array([s for _, s in pairs], dtype=np.int64)
         return IndexSet(players, profiles)
 
     @staticmethod
@@ -202,6 +200,14 @@ def pure_eps_nash(game: NormalFormGame, eps: float) -> list[Profile]:
     return [game.profile_of_index(j) for j in np.nonzero(nash_mask(game, eps))[0]]
 
 
+def _dominance(t: np.ndarray, p: int, eps: float) -> np.ndarray:
+    """dom[s, s2]: s beats s2 by at least eps in every context of t along
+    axis p, built row by row so memory stays at the size of t."""
+    rows = np.moveaxis(t, p, 0).reshape(t.shape[p], -1)
+    shifted = rows + eps
+    return np.array([(row >= shifted).all(axis=1) for row in rows])
+
+
 def eps_dominates(game: NormalFormGame, p: int, s: int, s_other: int, eps: float) -> bool:
     """True when strategy s beats s_other by at least eps for player p in
     every opponent context (inclusive comparison).
@@ -211,10 +217,7 @@ def eps_dominates(game: NormalFormGame, p: int, s: int, s_other: int, eps: float
     k = game.strategy_counts[p]
     if not (0 <= s < k and 0 <= s_other < k):
         raise IndexError("strategy index out of range")
-    t = game.tensor(p)
-    a = np.take(t, s, axis=p)
-    b = np.take(t, s_other, axis=p)
-    return bool(np.all(a >= b + eps))
+    return bool(_dominance(np.take(game.tensor(p), [s, s_other], axis=p), p, eps)[0, 1])
 
 
 def rationalizable(
@@ -242,32 +245,13 @@ def rationalizable(
                 raise ValueError("restriction invalid for this game")
 
     while True:
-        removed_any = False
-        doomed: list[set[int]] = []
+        doomed = []
         for p in range(game.num_players):
-            t = game.tensor(p)
-            # slice opponents down to currently alive strategies
-            for q in range(game.num_players):
-                if q != p:
-                    t = np.take(t, alive[q], axis=q)
-            slices = {s: np.take(t, s, axis=p) for s in alive[p]}
-            dead = set()
-            for s_other in alive[p]:
-                for s in alive[p]:
-                    if s == s_other:
-                        continue
-                    dom = np.all(slices[s] >= slices[s_other] + eps)
-                    back = np.all(slices[s_other] >= slices[s] + eps)
-                    if dom and not back:
-                        dead.add(s_other)
-                        break
-            doomed.append(dead)
-        for p, dead in enumerate(doomed):
-            if dead:
-                removed_any = True
-                alive[p] = [s for s in alive[p] if s not in dead]
-        if not removed_any:
+            dom = _dominance(game.tensor(p)[np.ix_(*alive)], p, eps)
+            doomed.append((dom & ~dom.T).any(axis=0))
+        if not any(dead.any() for dead in doomed):
             return alive
+        alive = [[s for s, d in zip(a, dead) if not d] for a, dead in zip(alive, doomed)]
 
 
 def welfare(game: NormalFormGame, profile: Sequence[int]) -> float:

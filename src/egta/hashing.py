@@ -50,18 +50,14 @@ def mix(*parts: int) -> int:
     return h
 
 
-def uniform01(h: np.ndarray) -> np.ndarray:
-    """Map hashed uint64 values to float64 uniforms in the open (0, 1)."""
-    return (h >> np.uint64(11)).astype(np.float64) * _INV53 + _HALF_BIN
-
-
 def hash_uniform(cond_seeds: np.ndarray, keys: np.ndarray) -> np.ndarray:
     """Uniform (0, 1) variates for every (key, condition) pair.
 
     ``cond_seeds`` has shape [m], ``keys`` shape [n]; the result has shape
     [n, m]. Both inputs are pre-hashed so the pairing needs only one more
-    finalizer pass over the n*m grid, done with in-place ops; the result is
-    identical to uniform01(splitmix64(hash(keys)[:,None] + hash(conds))).
+    finalizer pass over the n*m grid, done with in-place ops. Each value is
+    the top 53 bits of splitmix64(splitmix64(key) + splitmix64(cond)), scaled
+    to the centre of its bin of width 2^-53, so it lies in the open (0, 1).
     """
     a = splitmix64(np.asarray(cond_seeds, dtype=np.uint64))
     b = splitmix64(np.asarray(keys, dtype=np.uint64))
@@ -78,9 +74,3 @@ def hash_uniform(cond_seeds: np.ndarray, keys: np.ndarray) -> np.ndarray:
     out += _HALF_BIN
     return out
 
-
-def sign_array(seed: int, m: int) -> np.ndarray:
-    """Deterministic vector of m values in {-1.0, +1.0} derived from seed."""
-    counters = np.arange(m, dtype=np.uint64) + np.uint64(mix(seed, 0x5167))
-    bits = splitmix64(counters) >> np.uint64(63)
-    return bits.astype(np.float64) * 2.0 - 1.0

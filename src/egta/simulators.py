@@ -99,13 +99,6 @@ class FactoredNoiseSimulator(ConditionalSimulator):
         self.kinds = tuple(kinds)
         self.seed = int(seed)
         self.range_c = 2.0 * (self.a0 + sum(self.a))
-        # strides to decode a player's own strategy from a profile index
-        counts = base.strategy_counts
-        self._strides = np.array(
-            [int(np.prod(counts[p + 1 :], initial=1)) for p in range(len(counts))],
-            dtype=np.int64,
-        )
-        self._counts = np.array(counts, dtype=np.int64)
 
     def factor_image_sizes(self) -> list[int]:
         """Number of distinct grouping values per factor (the b_i of the
@@ -126,7 +119,7 @@ class FactoredNoiseSimulator(ConditionalSimulator):
         if kind == "agent":
             return players
         if kind == "own-strategy":
-            return (profiles // self._strides[players]) % self._counts[players]
+            return self.base.own_strategy(players, profiles)
         if kind == "profile":
             return profiles
         return players * self.base.num_profiles + profiles

@@ -71,6 +71,18 @@ def test_gs_zero_noise_onera_tail_floor():
     assert res.epsilon >= floor
 
 
+def test_gs_one_era_radius_between_tail_and_range():
+    # r = max|sum(sigma v)|/m <= c/2, so tail <= eps <= c + tail
+    for base in (gen_rg(3, 3, seed=4), expand(gen_rc(4, 3, 2, seed=9))):
+        for d in (1.0, 6.0):
+            sim = noisy_sim(base, d)
+            c = sim.range_c
+            for m in (1, 7, 300):
+                res = gs(sim, IndexSet.full(base), m, 0.1, c, BoundType.ONE_ERA, seed=m)
+                tail = 3 * c * math.sqrt(math.log(1 / 0.1) / (2 * m))
+                assert tail <= res.epsilon <= c + tail
+
+
 def test_gs_deterministic_and_seed_sensitive():
     base = gen_rg(3, 2, seed=6)
     sim = noisy_sim(base, 2.0)
@@ -126,7 +138,7 @@ def test_gs_validates_inputs():
     sim = noisy_sim(base, 1.0)
     idx = IndexSet.full(base)
     with pytest.raises(ValueError):
-        gs(sim, IndexSet.from_pairs([]), 10, 0.1, 1.0, BoundType.HOEFFDING)
+        gs(sim, IndexSet([], []), 10, 0.1, 1.0, BoundType.HOEFFDING)
     with pytest.raises(ValueError):
         gs(sim, idx, 0, 0.1, 1.0, BoundType.HOEFFDING)
     with pytest.raises(ValueError):
@@ -188,8 +200,8 @@ def test_prune_pure_uses_surviving_structure():
     # once an index is pruned it stops serving as a deviation target
     g = _pd_game()
     # drop player 0's cooperate-row indices by hand
-    kept = [(0, 2), (0, 3), (1, 0), (1, 1), (1, 2), (1, 3)]
-    out = prune_pure(g, IndexSet.from_pairs(kept), eps_hat=0.4)
+    kept = IndexSet([0, 0, 1, 1, 1, 1], [2, 3, 0, 1, 2, 3])
+    out = prune_pure(g, kept, eps_hat=0.4)
     # player 1 at (C,C): deviation (C,D) still alive, regret 2 -> pruned;
     # player 1 at (D,C): deviation (D,D) alive, regret 1 -> pruned
     assert set(out.pairs()) == {(0, 2), (0, 3), (1, 1), (1, 3)}

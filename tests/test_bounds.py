@@ -10,39 +10,31 @@ from egta.bounds import (
     factored_ra_bound,
     hoeffding_eps,
     hoeffding_eps_ln,
-    hoeffding_eps_single,
-    mc_rademacher_average,
     noise_scaling_ra_bound,
-    one_era,
     ra_eps_upper,
 )
-from egta.hashing import mix, sign_array
 
 import _oracles as oracle
 
 
 def test_hoeffding_single_frozen_values():
     # ln(2/delta) = 2 exactly for delta = 2 e^-2
-    assert hoeffding_eps_single(2, 200, 2 * math.exp(-2)) == pytest.approx(
+    assert hoeffding_eps(2, 1, 200, 2 * math.exp(-2)) == pytest.approx(
         0.1414213562373095, rel=1e-14
     )
-    assert hoeffding_eps_single(10, 10000, 0.05) == pytest.approx(
+    assert hoeffding_eps(10, 1, 10000, 0.05) == pytest.approx(
         0.13581015157406195, rel=1e-14
     )
 
 
 def test_hoeffding_single_vanishes_with_m():
-    values = [hoeffding_eps_single(1, m, 0.1) for m in (10, 100, 1000, 10**9)]
+    values = [hoeffding_eps(1, 1, m, 0.1) for m in (10, 100, 1000, 10**9)]
     assert all(a > b for a, b in zip(values, values[1:]))
     assert values[-1] < 1e-4
 
 
 def test_hoeffding_union_frozen_value():
     assert hoeffding_eps(2, 50, 200, 0.05) == pytest.approx(0.27569734238004695, rel=1e-14)
-
-
-def test_hoeffding_union_degenerate_is_single():
-    assert hoeffding_eps(3.0, 1, 77, 0.2) == hoeffding_eps_single(3.0, 77, 0.2)
 
 
 def test_hoeffding_doubling_identity():
@@ -57,35 +49,6 @@ def test_hoeffding_ln_matches_linear_scale():
     assert hoeffding_eps_ln(2, math.log(50), 200, 0.05) == pytest.approx(
         hoeffding_eps(2, 50, 200, 0.05), rel=1e-14
     )
-
-
-def test_one_era_examples():
-    assert one_era(np.zeros((3, 4)), np.array([1.0, -1.0, 1.0, -1.0])) == 0.0
-    assert one_era(np.array([[3.0]]), np.array([1.0])) == 3.0
-    samples = np.array([[1.0, 1.0], [1.0, -1.0]])
-    assert one_era(samples, np.array([1.0, -1.0])) == 1.0
-
-
-def test_one_era_bounded_by_max_abs_sample():
-    rng = np.random.default_rng(0)
-    for _ in range(20):
-        values = rng.uniform(-4, 4, size=(6, 9))
-        signs = rng.choice([-1.0, 1.0], size=9)
-        assert one_era(values, signs) <= np.abs(values).max() + 1e-12
-
-
-def test_one_era_sign_flip_invariant():
-    rng = np.random.default_rng(1)
-    values = rng.normal(size=(5, 8))
-    signs = rng.choice([-1.0, 1.0], size=8)
-    assert one_era(values, signs) == one_era(values, -signs)
-
-
-def test_one_era_validates_signs():
-    with pytest.raises(ValueError):
-        one_era(np.array([[1.0, 2.0]]), np.array([1.0, 0.5]))
-    with pytest.raises(ValueError):
-        one_era(np.array([[1.0, 2.0]]), np.array([1.0]))
 
 
 def test_era_eps_frozen_value():
@@ -160,7 +123,7 @@ def test_noise_scaling_values():
 
 def test_bounds_monotone_in_m_and_delta():
     for fn in (
-        lambda m, d: hoeffding_eps_single(2, m, d),
+        lambda m, d: hoeffding_eps(2, 1, m, d),
         lambda m, d: hoeffding_eps(2, 20, m, d),
         lambda m, d: era_eps(0.0, 2, m, d),
         lambda m, d: ra_eps_upper(2, 20, m, d),
@@ -177,7 +140,7 @@ def test_bound_formulas_match_high_precision_references():
         delta = float(rng.uniform(0.001, 0.999))
         n = int(rng.integers(1, 10**9))
         r = float(rng.uniform(0, 5))
-        assert hoeffding_eps_single(c, m, delta) == pytest.approx(
+        assert hoeffding_eps(c, 1, m, delta) == pytest.approx(
             float(oracle.mp_hoeffding_single(c, m, delta)), rel=1e-12
         )
         assert hoeffding_eps(c, n, m, delta) == pytest.approx(
@@ -193,46 +156,12 @@ def test_bound_formulas_match_high_precision_references():
 
 def test_invalid_domains_raise():
     with pytest.raises(ValueError):
-        hoeffding_eps_single(-1, 10, 0.1)
+        hoeffding_eps(-1, 1, 10, 0.1)
     with pytest.raises(ValueError):
-        hoeffding_eps_single(1, 0, 0.1)
+        hoeffding_eps(1, 1, 0, 0.1)
     with pytest.raises(ValueError):
         hoeffding_eps(1, 0, 10, 0.1)
     with pytest.raises(ValueError):
         era_eps(-0.1, 1, 10, 0.1)
     with pytest.raises(ValueError):
         factored_ra_bound(1, [1], [0], 10)
-
-
-def _bounded_sampler(scale, n_indices, seed0):
-    """Sampler of i.i.d. uniform values in [-scale/2, scale/2] per index."""
-
-    def sample(draw_seed, m):
-        rng = np.random.default_rng(mix(seed0, draw_seed))
-        return rng.uniform(-scale / 2, scale / 2, size=(n_indices, m))
-
-    return sample
-
-
-def test_mc_rademacher_massart_consistency():
-    # Monte-Carlo RA estimate stays below Massart's bound for bounded data
-    c, n, m = 4.0, 12, 64
-    est, se = mc_rademacher_average(_bounded_sampler(c, n, 7), m, draws=500, seed=3)
-    massart = (c / 2) * math.sqrt(2 * math.log(2 * n) / m)
-    assert est <= massart + 3 * se
-
-
-def test_mc_rademacher_deterministic_in_seed():
-    sampler = _bounded_sampler(2.0, 5, 11)
-    a = mc_rademacher_average(sampler, 32, draws=50, seed=1)
-    b = mc_rademacher_average(sampler, 32, draws=50, seed=1)
-    c = mc_rademacher_average(sampler, 32, draws=50, seed=2)
-    assert a == b
-    assert a != c
-
-
-def test_sign_array_is_pm_one():
-    s = sign_array(5, 1000)
-    assert set(np.unique(s)) == {-1.0, 1.0}
-    # roughly balanced
-    assert abs(s.mean()) < 0.2

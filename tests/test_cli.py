@@ -106,11 +106,20 @@ def test_library_errors_are_usage_errors(tmp_path, capsys):
         (["gs", "--game", str(bad)], "must be an object"),
         (["gs", "--game", str(tmp_path / "missing.json")], "No such file"),
         (["psp", "--game", str(good), "--delta", "2"], "failure probability"),
+        (["eps-vs-samples", "--reps", "0"], "reps must be at least 1"),
+        (["success-rate", "--reps", "0"], "reps must be at least 1"),
+        (["nash-frequency", "--reps", "0"], "runs must be at least 1"),
+        (["gs-vs-psp", "--reps", "0", "--out", str(tmp_path / "e.csv"), "--plot"],
+         "reps must be at least 1"),
+        (["bound-compare-factored", "--players-max", "0", "--out", str(tmp_path / "b.csv"),
+          "--plot"], "players_max must be at least 1"),
+        (["bound-compare-vns", "--players-max", "-3"], "players_max must be at least 1"),
     ):
         with pytest.raises(SystemExit) as exit_info:
             main(args)
         assert exit_info.value.code == 2
         assert message in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
 
 
 def test_plot_without_out_refused_before_running(capsys):

@@ -378,6 +378,14 @@ def test_game_json_validates_lengths():
             game_from_json(text)
 
 
+def test_own_strategy_matches_profile_of_index():
+    g = NormalFormGame((2, 3, 1, 4), np.zeros((4, 24)))
+    idx = IndexSet.full(g)
+    got = g.own_strategy(idx.players, idx.profiles)
+    want = [g.profile_of_index(s)[p] for p, s in idx.pairs()]
+    assert got.tolist() == want
+
+
 def test_index_set_helpers(matching_pennies):
     full = IndexSet.full(matching_pennies)
     assert len(full) == 8
@@ -387,6 +395,6 @@ def test_index_set_helpers(matching_pennies):
     again = IndexSet.from_mask(mask)
     assert again.pairs() == full.pairs()
     with pytest.raises(ValueError):
-        IndexSet.from_pairs([(0, 0), (0, 0)]).validate_for(matching_pennies)
+        IndexSet([0, 0], [0, 0]).validate_for(matching_pennies)
     with pytest.raises(ValueError):
-        IndexSet.from_pairs([(5, 0)]).validate_for(matching_pennies)
+        IndexSet([5], [0]).validate_for(matching_pennies)

@@ -1,6 +1,6 @@
 import numpy as np
 
-from egta.hashing import hash_uniform, mix, sign_array, splitmix64, uniform01
+from egta.hashing import hash_uniform, mix, splitmix64
 
 _MASK = (1 << 64) - 1
 
@@ -25,9 +25,8 @@ def test_splitmix64_array_matches_scalar_reference():
     assert splitmix64(int(xs[2])) == want[2]
 
 
-def test_uniform01_open_interval_and_mean():
-    h = splitmix64(np.arange(20000, dtype=np.uint64))
-    u = uniform01(h)
+def test_hash_uniform_open_interval_and_mean():
+    u = hash_uniform(np.arange(200, dtype=np.uint64), np.arange(100, dtype=np.uint64))
     assert np.all(u > 0.0) and np.all(u < 1.0)
     assert abs(u.mean() - 0.5) < 0.01
 
@@ -46,7 +45,3 @@ def test_mix_order_and_label_sensitivity():
     assert mix(1, "a") != mix(1, "b")
     assert mix(7, "run", 3) == mix(7, "run", 3)
 
-
-def test_sign_array_deterministic():
-    assert np.array_equal(sign_array(9, 64), sign_array(9, 64))
-    assert not np.array_equal(sign_array(9, 64), sign_array(10, 64))

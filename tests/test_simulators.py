@@ -260,7 +260,7 @@ def test_empirical_game_single_draw_and_zero_noise():
 
 def test_empirical_game_partial_index_set():
     base = expand(ppa_example_game())
-    idx = IndexSet.from_pairs([(0, 0), (2, 5)])
+    idx = IndexSet([0, 2], [0, 5])
     sim = noisy_sim(base, 0.0)
     res = gs(sim, idx, 2, 0.1, sim.range_c, BoundType.HOEFFDING, seed=1)
     assert res.utilities.shape == (2,)
