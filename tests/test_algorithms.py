@@ -71,7 +71,7 @@ def test_gs_zero_noise_onera_tail_floor():
     assert res.epsilon >= floor
 
 
-def test_gs_one_era_radius_between_tail_and_range():
+def test_gs_1era_radius_between_tail_and_range():
     # r = max|sum(sigma v)|/m <= c/2, so tail <= eps <= c + tail
     for base in (gen_rg(3, 3, seed=4), expand(gen_rc(4, 3, 2, seed=9))):
         for d in (1.0, 6.0):
