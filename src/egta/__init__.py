@@ -52,7 +52,6 @@ from .simulators import (
     congestion_to_json,
     draw_conditions,
     expand,
-    factored_sim,
     gen_rc,
     gen_rg,
     noisy_sim,

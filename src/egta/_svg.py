@@ -7,13 +7,14 @@ import math
 _COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 _W, _H = 640, 420
 _ML, _MR, _MT, _MB = 70, 20, 30, 50
+_TICKS = 5  # labels per axis
 
 
-def _ticks(lo: float, hi: float, n: int = 5) -> list[float]:
+def _ticks(lo: float, hi: float) -> list[float]:
     if hi <= lo:
         return [lo]
-    step = (hi - lo) / (n - 1)
-    return [lo + i * step for i in range(n)]
+    step = (hi - lo) / (_TICKS - 1)
+    return [lo + i * step for i in range(_TICKS)]
 
 
 def write_line_plot(

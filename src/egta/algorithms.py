@@ -170,8 +170,8 @@ def gs(
         raise ValueError("sample count m must be at least 1")
     if not 0 < delta < 1:
         raise ValueError("failure probability must lie in (0, 1)")
-    if c < 0:
-        raise ValueError("utility range c must be nonnegative")
+    if not 0 <= c < math.inf:
+        raise ValueError("utility range c must be finite and nonnegative")
     index_set.validate_for(sim.base)
 
     rng = np.random.Generator(np.random.PCG64(seed))
@@ -225,16 +225,10 @@ def prune_mixed(game: NormalFormGame, index_set: IndexSet, eps_hat: float) -> In
     coordinate of the profile is 2*eps_hat-rationalizable."""
     index_set.validate_for(game)
     surviving = rationalizable(game, 2.0 * eps_hat, restrict=_restriction_of(index_set, game))
-    keep_strategy = [np.zeros(k, dtype=bool) for k in game.strategy_counts]
-    for p, strategies in enumerate(surviving):
-        keep_strategy[p][strategies] = True
-    coords = np.stack(
-        np.unravel_index(index_set.profiles, game.strategy_counts), axis=1
-    )
-    ok = np.ones(len(index_set), dtype=bool)
-    for q in range(game.num_players):
-        ok &= keep_strategy[q][coords[:, q]]
-    return IndexSet(index_set.players[ok], index_set.profiles[ok])
+    grid = np.zeros(game.strategy_counts, dtype=bool)
+    grid[np.ix_(*surviving)] = True
+    keep = grid.reshape(-1)[index_set.profiles]
+    return IndexSet(index_set.players[keep], index_set.profiles[keep])
 
 
 @dataclass(frozen=True)
@@ -264,7 +258,6 @@ class PSPResult:
     epsilon: float
     delta_total: float
     trace: tuple[IterationRecord, ...]
-    details: tuple[tuple[IndexSet, np.ndarray], ...] | None = None
 
     def to_json(self) -> str:
         payload = {
@@ -294,7 +287,6 @@ def psp(
     pure: bool = True,
     eps_threshold: float = 0.0,
     seed: int = 0,
-    keep_details: bool = False,
 ) -> PSPResult:
     """Progressive sampling with pruning.
 
@@ -314,18 +306,15 @@ def psp(
     radii = np.full((game.num_players, game.num_profiles), c / 2.0)
 
     total_steps = sampling.length
-    if total_steps == 0:
-        raise ValueError("sampling schedule admits no iterations")
     if failure.steps is not None:
         if total_steps is None:
             raise ValueError("an unbounded sampling schedule needs a geometric failure schedule")
         if failure.steps < total_steps:
             raise ValueError("failure schedule has fewer steps than the sampling schedule")
-    if total_steps is None and eps_threshold <= 0:
+    if total_steps is None and not eps_threshold > 0:
         raise ValueError("an unbounded sampling schedule needs a positive eps_threshold")
 
     trace: list[IterationRecord] = []
-    details: list[tuple[IndexSet, np.ndarray]] = []
     consumed = 0.0
     epsilon = c / 2.0
     prune = prune_pure if pure else prune_mixed
@@ -337,8 +326,6 @@ def psp(
         radii[index_set.players, index_set.profiles] = epsilon
         consumed += delta_t
         trace.append(IterationRecord(t, m_t, len(index_set), epsilon))
-        if keep_details:
-            details.append((index_set, result.utilities))
 
         if epsilon <= eps_threshold or t == total_steps:
             break
@@ -353,12 +340,5 @@ def psp(
         restriction = _restriction_of(index_set, game)
         mixed_restriction = rationalizable(empirical, 2.0 * epsilon, restrict=restriction)
     return PSPResult(
-        empirical,
-        radii,
-        pure_equilibria,
-        mixed_restriction,
-        epsilon,
-        consumed,
-        tuple(trace),
-        tuple(details) if keep_details else None,
+        empirical, radii, pure_equilibria, mixed_restriction, epsilon, consumed, tuple(trace)
     )

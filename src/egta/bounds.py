@@ -15,8 +15,8 @@ from typing import Sequence
 
 
 def _check_common(c: float, m: float, delta: float) -> None:
-    if c < 0:
-        raise ValueError("utility range c must be nonnegative")
+    if not 0 <= c < math.inf:
+        raise ValueError("utility range c must be finite and nonnegative")
     if m < 1:
         raise ValueError("sample count m must be at least 1")
     if not 0 < delta < 1:

@@ -23,6 +23,7 @@ from .algorithms import (
 )
 from .bounds import (
     NoiseProfile,
+    era_eps,
     factored_ra_bound,
     hoeffding_eps,
     hoeffding_eps_ln,
@@ -30,9 +31,18 @@ from .bounds import (
 )
 from .games import IndexSet, NormalFormGame, check_containment, game_size, nash_mask
 from .hashing import mix
-from .simulators import expand, gen_rc, gen_rg, noisy_sim, ppa_example_game
+from .simulators import (
+    FACTOR_KINDS,
+    expand,
+    factor_image_sizes,
+    gen_rc,
+    gen_rg,
+    noisy_sim,
+    ppa_example_game,
+)
 
 CONFIDENCE_Z = 1.96  # normal-approximation 95% intervals throughout
+BOUND_COMPARE_STRATEGIES = 100  # actions per player in both bound comparisons
 
 
 @dataclass
@@ -73,12 +83,10 @@ def run_eps_vs_samples(
     d_values: tuple[float, ...] = (2.0, 5.0, 10.0),
     m_values: tuple[int, ...] = (1000, 3162, 10000, 31623, 100000),
     delta: float = 0.1,
-    players: int = 5,
-    facilities: int = 5,
-    k: int = 2,
 ) -> Table:
     """Error radius of global sampling versus sample count on random
-    congestion games, one row per (noise width, sample count)."""
+    RC(5,5,2) congestion games (5 players, 5 facilities, up to 2 strategies
+    each), one row per (noise width, sample count)."""
     if reps < 1:
         raise ValueError("reps must be at least 1")
     name = "eps-vs-samples"
@@ -86,7 +94,7 @@ def run_eps_vs_samples(
     for d in d_values:
         sims = []
         for rep in range(reps):
-            base = expand(gen_rc(players, facilities, k, seed=mix(seed, name, rep)))
+            base = expand(gen_rc(5, 5, 2, seed=mix(seed, name, rep)))
             sims.append(noisy_sim(base, d))
         for m in m_values:
             eps = np.empty(reps)
@@ -111,15 +119,10 @@ def run_eps_vs_samples(
             "seed": seed,
             "reps": reps,
             "delta": delta,
-            "family": f"RC({players},{facilities},{k})",
+            "family": "RC(5,5,2)",
             "bound": "1era",
         },
     )
-
-
-def loglog_slope(ms: list[float], eps: list[float]) -> float:
-    """Least-squares slope of log(eps) against log(m)."""
-    return float(np.polyfit(np.log(np.asarray(ms, float)), np.log(np.asarray(eps, float)), 1)[0])
 
 
 def center_per_player(game: NormalFormGame) -> NormalFormGame:
@@ -130,36 +133,28 @@ def center_per_player(game: NormalFormGame) -> NormalFormGame:
     return NormalFormGame(game.strategy_counts, centered)
 
 
-def find_unique_nash_rc_game(
-    seed: int,
-    players: int = 5,
-    facilities: int = 5,
-    k: int = 2,
-    profiles_wanted: int = 32,
-    alpha: float = 0.5,
-    max_tries: int = 10_000,
-) -> tuple[NormalFormGame, int, int]:
-    """First congestion game (by hashed sub-seed) whose expansion has the
-    requested profile count and a unique pure equilibrium. Returns the
-    per-player-centered expansion, the matching attempt index, and the
-    equilibrium profile.
+def find_unique_nash_rc_game(seed: int) -> tuple[NormalFormGame, int, int]:
+    """First RC(5,5,2) congestion game (facility-inclusion decay 0.5, by
+    hashed sub-seed, at most 10 000 attempts) whose expansion has 32 = 2^5
+    profiles, so every player keeps two distinct strategies, and a unique
+    pure equilibrium. Returns the per-player-centered expansion, the
+    matching attempt index, and the equilibrium profile.
 
-    The default facility-inclusion decay is raised to 0.5 here: at 0.1
-    nearly every sampled strategy collapses to {facility 1}, so a game where
-    all five players keep two distinct strategies is vanishingly rare.
+    The facility-inclusion decay is raised from gen_rc's 0.1 to 0.5 here: at
+    0.1 nearly every sampled strategy collapses to {facility 1}, so a game
+    where all five players keep two distinct strategies is vanishingly rare.
     Centering keeps the game strategically identical while its declared
     utility range stays proportional to the cost spread rather than the
     absolute cost level.
     """
-    for attempt in range(max_tries):
-        cg = gen_rc(players, facilities, k, alpha=alpha, seed=mix(seed, "fixture", attempt))
-        base = expand(cg)
-        if base.num_profiles != profiles_wanted:
+    for attempt in range(10_000):
+        base = expand(gen_rc(5, 5, 2, alpha=0.5, seed=mix(seed, "fixture", attempt)))
+        if base.num_profiles != 32:
             continue
         nash = np.nonzero(nash_mask(base, 0.0))[0]
         if nash.size == 1:
             return center_per_player(base), attempt, int(nash[0])
-    raise RuntimeError("no game with the requested shape found; widen the search")
+    raise RuntimeError("no unique-equilibrium RC(5,5,2) game in 10 000 attempts")
 
 
 def run_nash_frequency(
@@ -315,24 +310,23 @@ def _bound_compare(
     players_max: int,
     m: int,
     delta: float,
-    num_strategies: int,
     c: float,
     radius_fn,
     metadata: dict[str, object],
 ) -> Table:
-    """Hoeffding union radius against 2 * radius_fn(players) plus the 1ERA
-    tail term for 1..players_max players, each with num_strategies actions,
-    over the full index set; metadata names the noise model's parameters."""
+    """Hoeffding union radius against the 1ERA radius with radius_fn(players)
+    in place of the empirical Rademacher average, for 1..players_max players
+    with BOUND_COMPARE_STRATEGIES actions each, over the full index set;
+    metadata names the noise model's parameters."""
     if players_max < 1:
         raise ValueError("players_max must be at least 1")
-    ln_s = math.log(num_strategies)
-    tail = 3.0 * c * math.sqrt(math.log(1.0 / delta) / (2.0 * m))
+    ln_s = math.log(BOUND_COMPARE_STRATEGIES)
     rows = []
     crossover = None
     for players in range(1, players_max + 1):
         ln_index_count = math.log(players) + players * ln_s
         hoeff = hoeffding_eps_ln(c, ln_index_count, m, delta)
-        rad = 2.0 * radius_fn(players) + tail
+        rad = era_eps(radius_fn(players), c, m, delta)
         if crossover is None and hoeff > rad:
             crossover = players
         rows.append((players, hoeff, rad))
@@ -343,7 +337,7 @@ def _bound_compare(
             "experiment": name,
             "m": m,
             "delta": delta,
-            "num_strategies": num_strategies,
+            "num_strategies": BOUND_COMPARE_STRATEGIES,
             **metadata,
             "crossover_players": crossover,
         },
@@ -354,46 +348,41 @@ def run_bound_compare_factored(
     players_max: int = 100,
     m: int = 10000,
     delta: float = 0.05,
-    num_strategies: int = 100,
-    a0: float = 1.0,
-    a: tuple[float, ...] = (1.0, 1.0, 1.0, 0.5, 0.5),
 ) -> Table:
     """Hoeffding union radius against the factored-noise Rademacher radius as
-    the player count grows; both use the full index set of a game with
-    num_strategies actions per player."""
+    the player count grows; both use the full index set of a game with 100
+    actions per player. The noise has all five FACTOR_KINDS with scales
+    a = (1, 1, 1, 1/2, 1/2) over expected utilities bounded by a0 = 1."""
+    a0, a = 1.0, (1.0, 1.0, 1.0, 0.5, 0.5)
     c = 2.0 * (a0 + sum(a))
 
     def radius(players: int) -> float:
-        size = num_strategies**players
-        b = (1, players, num_strategies, size, players * size)
+        b = factor_image_sizes(FACTOR_KINDS, (BOUND_COMPARE_STRATEGIES,) * players)
         return factored_ra_bound(a0, a, b, m)
 
-    return _bound_compare(
-        "bound-compare-factored", players_max, m, delta, num_strategies, c, radius, {"c": c}
-    )
+    return _bound_compare("bound-compare-factored", players_max, m, delta, c, radius, {"c": c})
 
 
 def run_bound_compare_vns(
     players_max: int = 100,
     m: int = 10000,
     delta: float = 0.05,
-    num_strategies: int = 100,
-    a: float = 1.0,
-    c: float = 2.0,
     intervals: int = 6,
 ) -> Table:
     """Hoeffding union radius against the variable-noise-scale Rademacher
-    radius: noise magnitudes are binned dyadically, with index counts per bin
-    halving as the bin's scale doubles."""
+    radius for games with 100 actions per player, expected utilities bounded
+    by a = 1 and utility range c = 2: noise magnitudes are binned dyadically
+    up to c, with index counts per bin halving as the bin's scale doubles."""
+    a, c = 1.0, 2.0
     breakpoints = (0.0,) + tuple(c * 2.0 ** (i - intervals) for i in range(1, intervals + 1))
 
     def radius(players: int) -> float:
-        size = players * num_strategies**players
+        size = players * BOUND_COMPARE_STRATEGIES**players
         counts = tuple(-(-size // 2**i) for i in range(1, intervals + 1))
         return noise_scaling_ra_bound(NoiseProfile(a, breakpoints, counts), m)
 
     return _bound_compare(
-        "bound-compare-vns", players_max, m, delta, num_strategies, c, radius,
+        "bound-compare-vns", players_max, m, delta, c, radius,
         {"a": a, "c": c, "intervals": intervals},
     )
 

@@ -182,10 +182,7 @@ def regret_table(game: NormalFormGame) -> np.ndarray:
 def pure_regret(game: NormalFormGame, p: int, profile: Sequence[int]) -> float:
     if not 0 <= p < game.num_players:
         raise IndexError("player index out of range")
-    j = game.profile_index(profile)
-    t = game.tensor(p)
-    best = (t.max(axis=p, keepdims=True) + np.zeros_like(t)).reshape(-1)
-    return float(best[j] - game.utilities[p, j])
+    return float(regret_table(game)[p, game.profile_index(profile)])
 
 
 def nash_mask(game: NormalFormGame, eps: float) -> np.ndarray:
@@ -239,6 +236,8 @@ def rationalizable(
     if restrict is None:
         alive = [list(range(k)) for k in game.strategy_counts]
     else:
+        if len(restrict) != game.num_players:
+            raise ValueError("restriction needs one strategy list per player")
         alive = [sorted(set(int(s) for s in strats)) for strats in restrict]
         for p, strats in enumerate(alive):
             if not strats or strats[0] < 0 or strats[-1] >= game.strategy_counts[p]:

@@ -10,6 +10,7 @@ reproducible bit-for-bit, and no shared RNG state exists.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -48,8 +49,8 @@ class NoisySimulator(ConditionalSimulator):
     (player, profile) index and shared-condition consistent."""
 
     def __init__(self, base: NormalFormGame, d: float):
-        if d < 0:
-            raise ValueError("noise width d must be nonnegative")
+        if not 0 <= d < math.inf:
+            raise ValueError("noise width d must be finite and nonnegative")
         self.base = base
         self.d = float(d)
         self.range_c = 2.0 * float(np.abs(base.utilities).max()) + self.d
@@ -70,6 +71,20 @@ def noisy_sim(base: NormalFormGame, d: float) -> NoisySimulator:
 # Grouping rules for factored noise: each factor perturbs all indices that
 # share the value of its grouping function.
 FACTOR_KINDS = ("global", "agent", "own-strategy", "profile", "agent-profile")
+
+
+def factor_image_sizes(kinds: Sequence[str], strategy_counts: Sequence[int]) -> list[int]:
+    """Number of distinct grouping values per factor (the b_i of the
+    factored Rademacher bound), as exact ints for any game size."""
+    profiles = math.prod(strategy_counts)
+    table = {
+        "global": 1,
+        "agent": len(strategy_counts),
+        "own-strategy": max(strategy_counts),
+        "profile": profiles,
+        "agent-profile": len(strategy_counts) * profiles,
+    }
+    return [table[kind] for kind in kinds]
 
 
 class FactoredNoiseSimulator(ConditionalSimulator):
@@ -100,19 +115,6 @@ class FactoredNoiseSimulator(ConditionalSimulator):
         self.seed = int(seed)
         self.range_c = 2.0 * (self.a0 + sum(self.a))
 
-    def factor_image_sizes(self) -> list[int]:
-        """Number of distinct grouping values per factor (the b_i of the
-        factored Rademacher bound)."""
-        g = self.base
-        table = {
-            "global": 1,
-            "agent": g.num_players,
-            "own-strategy": max(g.strategy_counts),
-            "profile": g.num_profiles,
-            "agent-profile": g.num_players * g.num_profiles,
-        }
-        return [table[kind] for kind in self.kinds]
-
     def _phi(self, kind: str, players: np.ndarray, profiles: np.ndarray) -> np.ndarray:
         if kind == "global":
             return np.zeros_like(players)
@@ -133,16 +135,6 @@ class FactoredNoiseSimulator(ConditionalSimulator):
             keys = splitmix64(self._phi(kind, players, profiles).astype(np.uint64) + salt)
             out += (2.0 * hash_uniform(cond_seeds, keys) - 1.0) * a_i
         return out
-
-
-def factored_sim(
-    a0: float,
-    a: Sequence[float],
-    kinds: Sequence[str],
-    base: NormalFormGame,
-    seed: int,
-) -> FactoredNoiseSimulator:
-    return FactoredNoiseSimulator(a0, a, kinds, base, seed)
 
 
 def gen_rg(num_players: int, k: int, u0: float = 10.0, seed: int = 0) -> NormalFormGame:

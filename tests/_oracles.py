@@ -144,6 +144,15 @@ def congestion_costs(cg, profile):
     return [sum(cost_fn(e, loads[e]) for e in chosen[p]) for p in range(cg.num_players)]
 
 
+def loglog_slope(ms, eps):
+    """Least-squares slope of log(eps) against log(m)."""
+    xs = [math.log(m) for m in ms]
+    ys = [math.log(e) for e in eps]
+    x_bar, y_bar = sum(xs) / len(xs), sum(ys) / len(ys)
+    cov = sum((x - x_bar) * (y - y_bar) for x, y in zip(xs, ys))
+    return cov / sum((x - x_bar) ** 2 for x in xs)
+
+
 # High-precision bound formulas (the independent side of the dual-route
 # checks for every closed-form bound).
 

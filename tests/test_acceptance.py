@@ -17,7 +17,6 @@ from egta.bounds import (
     NoiseProfile,
 )
 from egta.experiments import (
-    loglog_slope,
     run_bound_compare_factored,
     run_eps_vs_samples,
     run_gs_vs_psp,
@@ -108,7 +107,7 @@ def test_criterion_05_eps_decay_slope():
     for d in (2.0, 5.0, 10.0):
         ms = [row[1] for row in table.rows if row[0] == d]
         eps = [row[2] for row in table.rows if row[0] == d]
-        slopes[d] = loglog_slope(ms, eps)
+        slopes[d] = oracle.loglog_slope(ms, eps)
     elapsed = time.perf_counter() - t0
     ok = all(-0.6 <= s <= -0.4 for s in slopes.values()) and elapsed < 300.0
     pretty = {d: round(s, 4) for d, s in slopes.items()}

@@ -338,12 +338,27 @@ def test_psp_deterministic():
     assert a.delta_total == b.delta_total
 
 
-def test_psp_delta_accounting_and_frozen_radii():
+def _psp_rounds(monkeypatch, *args, **kwargs):
+    """Run psp and record (index_set, utilities) of each round from a
+    wrapped algorithms.gs."""
+    rounds = []
+
+    def recording_gs(*gs_args, **gs_kwargs):
+        result = gs(*gs_args, **gs_kwargs)
+        rounds.append((result.index_set, result.utilities))
+        return result
+
+    monkeypatch.setattr(algorithms, "gs", recording_gs)
+    return psp(*args, **kwargs), rounds
+
+
+def test_psp_delta_accounting_and_frozen_radii(monkeypatch):
     base = gen_rg(2, 4, seed=15)
     sim = noisy_sim(base, 8.0)
     sched = SamplingSchedule.finite_doubling(100, 3100)
     failure = FailureSchedule.uniform_split(0.1, sched.length)
-    res = psp(
+    res, rounds = _psp_rounds(
+        monkeypatch,
         sim,
         sched,
         failure,
@@ -352,14 +367,14 @@ def test_psp_delta_accounting_and_frozen_radii():
         pure=True,
         eps_threshold=0.0,
         seed=21,
-        keep_details=True,
     )
+    assert len(rounds) == len(res.trace)
     deltas = list(failure.deltas())[: len(res.trace)]
     assert res.delta_total == sum(deltas)
     # every pruned index keeps the radius from the round it was last estimated
     per_round_eps = {rec.t: rec.epsilon for rec in res.trace}
     seen_at = {}
-    for (idx_set, _), rec in zip(res.details, res.trace):
+    for (idx_set, _), rec in zip(rounds, res.trace):
         for pair in idx_set.pairs():
             seen_at[pair] = rec.t
     for (p, j), t_last in seen_at.items():
@@ -372,7 +387,7 @@ def test_psp_unbounded_schedule_needs_positive_threshold():
     # an unbounded doubling schedule stops only once the radius reaches the
     # threshold, and a radius never reaches 0, so psp must refuse up front
     sim = noisy_sim(_pd_game(), 1.0)
-    for threshold in (0.0, -1.0):
+    for threshold in (0.0, -1.0, float("nan")):
         with pytest.raises(ValueError, match="positive eps_threshold"):
             psp(
                 sim,
@@ -398,14 +413,15 @@ def test_psp_schedule_mismatch_raises():
         )
 
 
-def test_psp_never_prunes_true_nash_when_guarantee_holds():
+def test_psp_never_prunes_true_nash_when_guarantee_holds(monkeypatch):
     kept_all = 0
     for seed in range(40):
         cg = gen_rc(3, 3, 2, seed=200 + seed)
         base = expand(cg)
         sim = noisy_sim(base, 5.0)
         sched = SamplingSchedule.finite_doubling(100, 1500)
-        res = psp(
+        res, rounds = _psp_rounds(
+            monkeypatch,
             sim,
             sched,
             FailureSchedule.uniform_split(0.1, sched.length),
@@ -414,18 +430,17 @@ def test_psp_never_prunes_true_nash_when_guarantee_holds():
             pure=True,
             eps_threshold=0.0,
             seed=seed,
-            keep_details=True,
         )
         # condition on the per-iteration guarantee actually holding
         good = all(
             np.abs(est - base.utilities[ids.players, ids.profiles]).max() <= rec.epsilon
-            for (ids, est), rec in zip(res.details, res.trace)
+            for (ids, est), rec in zip(rounds, res.trace)
         )
         if not good:
             continue
         kept_all += 1
         nash_profiles = np.nonzero(nash_mask(base, 0.0))[0]
-        final_pairs = set(res.details[-1][0].pairs())
+        final_pairs = set(rounds[-1][0].pairs())
         for j in nash_profiles:
             for p in range(base.num_players):
                 assert (p, int(j)) in final_pairs

@@ -80,21 +80,24 @@ def test_psp_huge_threshold_stops_immediately(tmp_path):
 
 
 def test_psp_infinite_schedule_with_zero_eps_refused(tmp_path):
-    # with the default --eps 0 an unbounded schedule would never stop
+    # with the default --eps 0, or with --eps nan, an unbounded schedule
+    # would never stop
     game_path = tmp_path / "game.json"
     main(
         ["gen-game", "--family", "rg", "--players", "2", "--k", "2", "--seed", "4",
          "--out", str(game_path)]
     )
-    proc = subprocess.run(
-        [sys.executable, "-m", "egta.cli", "psp", "--game", str(game_path), "--infinite"],
-        capture_output=True,
-        text=True,
-        timeout=60,
-    )
-    assert proc.returncode == 2
-    assert "positive eps_threshold" in proc.stderr
-    assert "Traceback" not in proc.stderr
+    for eps in ([], ["--eps", "nan"]):
+        proc = subprocess.run(
+            [sys.executable, "-m", "egta.cli", "psp", "--game", str(game_path), "--infinite",
+             *eps],
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 2
+        assert "positive eps_threshold" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
 
 def test_library_errors_are_usage_errors(tmp_path, capsys):
@@ -106,6 +109,8 @@ def test_library_errors_are_usage_errors(tmp_path, capsys):
         (["gs", "--game", str(bad)], "must be an object"),
         (["gs", "--game", str(tmp_path / "missing.json")], "No such file"),
         (["psp", "--game", str(good), "--delta", "2"], "failure probability"),
+        (["gs", "--game", str(good), "--noise-d", "nan"], "noise width d must be finite"),
+        (["gs", "--game", str(good), "--noise-d", "inf"], "noise width d must be finite"),
         (["eps-vs-samples", "--reps", "0"], "reps must be at least 1"),
         (["success-rate", "--reps", "0"], "reps must be at least 1"),
         (["nash-frequency", "--reps", "0"], "runs must be at least 1"),

@@ -8,7 +8,6 @@ from egta.experiments import (
     Table,
     center_per_player,
     find_unique_nash_rc_game,
-    loglog_slope,
     run_bound_compare_factored,
     run_bound_compare_vns,
     run_eps_vs_samples,
@@ -19,6 +18,8 @@ from egta.experiments import (
 )
 from egta.games import nash_mask, pure_eps_nash, regret_table
 from egta.simulators import gen_rg
+
+import _oracles as oracle
 
 
 def test_table_csv_layout():
@@ -55,7 +56,7 @@ def test_eps_vs_samples_rows_and_monotonicity():
     for d in (2.0, 5.0):
         ms = [r[1] for r in table.rows if r[0] == d]
         eps = [r[2] for r in table.rows if r[0] == d]
-        assert -0.7 < loglog_slope(ms, eps) < -0.3
+        assert -0.7 < oracle.loglog_slope(ms, eps) < -0.3
 
 
 def test_eps_vs_samples_deterministic():

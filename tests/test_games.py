@@ -201,6 +201,14 @@ def test_dominance_matches_oracle_on_tied_payoffs():
                         )
 
 
+def test_rationalizable_rejects_malformed_restriction(prisoners_dilemma):
+    # one strategy list per player, each nonempty; a short list used to hang
+    # and a long one leaked IndexError
+    for restrict in ([[0]], [[0, 1], [0], [1]], [[0, 1], []]):
+        with pytest.raises(ValueError, match="restriction"):
+            rationalizable(prisoners_dilemma, 0.0, restrict=restrict)
+
+
 def test_rationalizable_keeps_pure_nash_strategies():
     rng = np.random.default_rng(17)
     for _ in range(60):

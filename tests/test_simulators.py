@@ -4,12 +4,14 @@ import pytest
 from egta.algorithms import BoundType, gs
 from egta.games import IndexSet, nash_mask, utility
 from egta.simulators import (
+    FACTOR_KINDS,
     CongestionGame,
+    FactoredNoiseSimulator,
     congestion_from_json,
     congestion_to_json,
     draw_conditions,
     expand,
-    factored_sim,
+    factor_image_sizes,
     gen_rc,
     gen_rg,
     noisy_sim,
@@ -200,14 +202,14 @@ def test_noisy_sim_means_concentrate_on_base():
 
 def test_factored_sim_zero_scales_and_global_sharing():
     base = gen_rg(2, 3, u0=1.9, seed=4)
-    silent = factored_sim(1.0, [0.0], ["global"], base, seed=0)
+    silent = FactoredNoiseSimulator(1.0, [0.0], ["global"], base, seed=0)
     idx = IndexSet.full(base)
     seeds = draw_conditions(np.random.default_rng(2), 5)
     assert np.array_equal(
         silent.sample_block(seeds, idx.players, idx.profiles),
         np.tile(base.utilities.reshape(-1)[:, None], (1, 5)),
     )
-    noisy = factored_sim(1.0, [0.7], ["global"], base, seed=0)
+    noisy = FactoredNoiseSimulator(1.0, [0.7], ["global"], base, seed=0)
     offsets = noisy.sample_block(seeds, idx.players, idx.profiles) - base.utilities.reshape(-1)[:, None]
     # the global factor shifts every index identically per condition
     assert np.allclose(offsets, offsets[0][None, :])
@@ -216,14 +218,11 @@ def test_factored_sim_zero_scales_and_global_sharing():
 
 def test_factored_sim_image_sizes_and_range():
     base = gen_rg(3, 4, u0=2.0, seed=5)
-    sim = factored_sim(
-        1.0,
-        [1.0, 1.0, 1.0, 0.5, 0.5],
-        ["global", "agent", "own-strategy", "profile", "agent-profile"],
-        base,
-        seed=9,
-    )
-    assert sim.factor_image_sizes() == [1, 3, 4, 64, 192]
+    sim = FactoredNoiseSimulator(1.0, [1.0, 1.0, 1.0, 0.5, 0.5], FACTOR_KINDS, base, seed=9)
+    assert factor_image_sizes(sim.kinds, base.strategy_counts) == [1, 3, 4, 64, 192]
+    # exact ints, which no float equals: 100 players with 100 actions each
+    huge = factor_image_sizes(FACTOR_KINDS, (100,) * 100)
+    assert huge == [1, 100, 100, 100**100, 100 * 100**100]
     assert sim.range_c == 2.0 * (1.0 + 4.0)
     idx = IndexSet.full(base)
     seeds = draw_conditions(np.random.default_rng(3), 50)
@@ -234,11 +233,11 @@ def test_factored_sim_image_sizes_and_range():
 def test_factored_sim_validates():
     base = gen_rg(2, 2, u0=4.0, seed=6)
     with pytest.raises(ValueError):
-        factored_sim(1.0, [1.0], ["global"], base, seed=0)  # a0 too small
+        FactoredNoiseSimulator(1.0, [1.0], ["global"], base, seed=0)  # a0 too small
     with pytest.raises(ValueError):
-        factored_sim(2.0, [1.0], ["unknown"], base, seed=0)
+        FactoredNoiseSimulator(2.0, [1.0], ["unknown"], base, seed=0)
     with pytest.raises(ValueError):
-        factored_sim(2.0, [1.0, 1.0], ["global"], base, seed=0)
+        FactoredNoiseSimulator(2.0, [1.0, 1.0], ["global"], base, seed=0)
 
 
 def test_empirical_game_single_draw_and_zero_noise():
