@@ -30,9 +30,13 @@ from .games import (
 from .hashing import mix
 from .simulators import ConditionalSimulator, draw_conditions
 
-# cap on elements per sampling block; keeps memory flat without changing
-# results (chunk boundaries depend only on the index-set size)
+# cap on elements per sampling block; its column count sets how many
+# conditions each row sum adds at once, so it fixes the results' bits
+# (chunk boundaries depend only on the index-set size)
 _BLOCK_ELEMS = 2_000_000
+# cap on elements per Hoeffding row tile, which keeps the noise temporaries
+# in cache; results are bit-identical for any value
+_TILE_ELEMS = 65_536
 
 
 class BoundType(Enum):
@@ -162,6 +166,13 @@ def gs(
     c*sqrt(ln(2|I|/delta)/(2m)); with the one-draw empirical Rademacher
     average it is 2r + 3c*sqrt(ln(1/delta)/(2m)) for a fresh sign draw.
     A zero range c makes every sample exact, and both radii are then zero.
+
+    Conditions are consumed in column blocks of at most _BLOCK_ELEMS
+    samples. Under Hoeffding each block is sampled in row tiles of
+    _TILE_ELEMS samples (at least one row), which bounds the size of the
+    noise temporaries and leaves every estimate unchanged. Under 1ERA the
+    whole index set is one tile, because the bits of the signed sum
+    ``values @ sigma`` depend on the number of rows in the product.
     """
     n = len(index_set)
     if n == 0:
@@ -185,12 +196,15 @@ def gs(
     block = max(1, _BLOCK_ELEMS // n)
     for start in range(0, m, block):
         stop = min(start + block, m)
-        values = sim.sample_block(
-            cond_seeds[start:stop], index_set.players, index_set.profiles
-        )
-        sums += values.sum(axis=1)
-        if sigma is not None:
-            signed += values @ sigma[start:stop]
+        rows = n if sigma is not None else max(1, _TILE_ELEMS // (stop - start))
+        for r0 in range(0, n, rows):
+            r1 = min(r0 + rows, n)
+            values = sim.sample_block(
+                cond_seeds[start:stop], index_set.players[r0:r1], index_set.profiles[r0:r1]
+            )
+            sums[r0:r1] += values.sum(axis=1)
+            if sigma is not None:
+                signed[r0:r1] += values @ sigma[start:stop]
     means = sums / m
 
     if bound is BoundType.HOEFFDING:
@@ -205,6 +219,8 @@ def prune_pure(game: NormalFormGame, index_set: IndexSet, eps_hat: float) -> Ind
     """Indices worth keeping for pure-equilibrium estimation: keep (p, s)
     when p's regret at s, with deviations ranging only over p's surviving
     indices at the same opponent context, is at most 2*eps_hat."""
+    if not eps_hat >= 0:
+        raise ValueError("eps_hat must be nonnegative")
     index_set.validate_for(game)
     mask = index_set.to_mask(game)
     for p in range(game.num_players):

@@ -187,7 +187,7 @@ def pure_regret(game: NormalFormGame, p: int, profile: Sequence[int]) -> float:
 
 def nash_mask(game: NormalFormGame, eps: float) -> np.ndarray:
     """Boolean mask over profiles: every player's regret <= eps (inclusive)."""
-    if eps < 0:
+    if not eps >= 0:
         raise ValueError("eps must be nonnegative")
     return (regret_table(game) <= eps).all(axis=0)
 
@@ -231,7 +231,7 @@ def rationalizable(
     mutually dominant (payoff-identical) strategies are kept and each player
     always retains at least one strategy.
     """
-    if eps < 0:
+    if not eps >= 0:
         raise ValueError("eps must be nonnegative")
     if restrict is None:
         alive = [list(range(k)) for k in game.strategy_counts]

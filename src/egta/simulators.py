@@ -60,8 +60,13 @@ class NoisySimulator(ConditionalSimulator):
         if self.d == 0.0:
             return np.tile(base_vals[:, None], (1, len(cond_seeds)))
         keys = (players * self.base.num_profiles + profiles).astype(np.uint64)
-        noise = (hash_uniform(cond_seeds, keys) - 0.5) * self.d
-        return base_vals[:, None] + noise
+        # in place, with the same operations in the same order as
+        # base + (u - 0.5) * d, so no full-size temporary is made
+        out = hash_uniform(cond_seeds, keys)
+        out -= 0.5
+        out *= self.d
+        out += base_vals[:, None]
+        return out
 
 
 def noisy_sim(base: NormalFormGame, d: float) -> NoisySimulator:
@@ -104,10 +109,10 @@ class FactoredNoiseSimulator(ConditionalSimulator):
         for kind in kinds:
             if kind not in FACTOR_KINDS:
                 raise ValueError(f"unknown factor kind {kind!r}")
-        if any(a_i < 0 for a_i in a):
-            raise ValueError("factor scales must be nonnegative")
-        if float(np.abs(base.utilities).max()) > a0:
-            raise ValueError("a0 must bound the base game's utilities")
+        if not all(0 <= a_i < math.inf for a_i in a):
+            raise ValueError("factor scales must be finite and nonnegative")
+        if not float(np.abs(base.utilities).max()) <= a0 < math.inf:
+            raise ValueError("a0 must be finite and bound the base game's utilities")
         self.base = base
         self.a0 = float(a0)
         self.a = tuple(float(x) for x in a)

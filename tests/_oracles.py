@@ -20,11 +20,15 @@ def all_profiles(game: NormalFormGame):
     return itertools.product(*(range(k) for k in game.strategy_counts))
 
 
-def lookup(game: NormalFormGame, p, profile):
+def flat_index(game: NormalFormGame, profile):
     flat = 0
     for s, k in zip(profile, game.strategy_counts):
         flat = flat * k + s
-    return float(game.utilities[p, flat])
+    return flat
+
+
+def lookup(game: NormalFormGame, p, profile):
+    return float(game.utilities[p, flat_index(game, profile)])
 
 
 def regret(game: NormalFormGame, p, profile):
@@ -94,6 +98,43 @@ def ieds(game: NormalFormGame, eps, restrict=None):
                 alive[p] = [s for s in alive[p] if s not in dead]
         if not removed:
             return [list(a) for a in alive]
+
+
+def restricted_regret_survivors(game: NormalFormGame, pairs, eps_hat):
+    """The (player, flat profile) pairs whose regret is at most 2*eps_hat
+    when the player may deviate only to profiles whose pair is also in
+    ``pairs``, in the order given."""
+    alive = set(pairs)
+    by_flat = {flat_index(game, prof): prof for prof in all_profiles(game)}
+    keep = []
+    for p, flat in pairs:
+        profile = by_flat[flat]
+        best = lookup(game, p, profile)
+        for s in range(game.strategy_counts[p]):
+            deviated = list(profile)
+            deviated[p] = s
+            if (p, flat_index(game, deviated)) in alive:
+                best = max(best, lookup(game, p, tuple(deviated)))
+        if best - lookup(game, p, profile) <= 2 * eps_hat:
+            keep.append((p, flat))
+    return keep
+
+
+def rationalizable_survivors(game: NormalFormGame, pairs, eps_hat):
+    """The pairs whose every profile coordinate survives ieds at 2*eps_hat
+    on the restriction to each player's own strategies among ``pairs``, in
+    the order given."""
+    by_flat = {flat_index(game, prof): prof for prof in all_profiles(game)}
+    restrict = [
+        sorted({by_flat[flat][p] for q, flat in pairs if q == p})
+        for p in range(game.num_players)
+    ]
+    surviving = ieds(game, 2 * eps_hat, restrict)
+    return [
+        (p, flat)
+        for p, flat in pairs
+        if all(s in surviving[q] for q, s in enumerate(by_flat[flat]))
+    ]
 
 
 def welfare(game: NormalFormGame, profile):

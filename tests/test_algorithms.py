@@ -1,9 +1,15 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import egta.algorithms as algorithms
 from egta.algorithms import (
@@ -20,7 +26,19 @@ from egta.algorithms import (
 from egta.bounds import hoeffding_eps
 from egta.games import IndexSet, NormalFormGame, nash_mask, pure_eps_nash, regret_table
 from egta.experiments import center_per_player
-from egta.simulators import expand, gen_rc, gen_rg, noisy_sim, ppa_example_game
+from egta.hashing import hash_uniform
+from egta.simulators import (
+    draw_conditions,
+    expand,
+    gen_rc,
+    gen_rg,
+    noisy_sim,
+    ppa_example_game,
+)
+
+import _oracles as oracle
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def test_sampling_schedule_finite():
@@ -118,6 +136,62 @@ def test_gs_chunked_accumulation_close_to_direct():
     assert chunked.epsilon == pytest.approx(direct.epsilon, rel=1e-12)
 
 
+def test_gs_row_tiles_bit_identical(monkeypatch):
+    # rows sampled in any tiling give the same bits: 1-row tiles, ragged
+    # tails (50 000 elements leaves 8- and 60-row tiles over 324 indices and
+    # 7-row tiles over 50), and one tile holding the whole index set; m=7000
+    # also splits RG(4,3) into a full and a ragged column block
+    games = [gen_rg(4, 3, seed=5), gen_rg(2, 5, seed=6), expand(gen_rc(5, 5, 2, seed=17))]
+    for base in games:
+        sim = noisy_sim(base, 2.0)
+        idx = IndexSet.full(base)
+        for bound in BoundType:
+            runs = []
+            for tile in (10**12, 1, 50_000, algorithms._TILE_ELEMS):
+                monkeypatch.setattr(algorithms, "_TILE_ELEMS", tile)
+                runs.append(gs(sim, idx, 7000, 0.1, sim.range_c, bound, seed=4))
+            monkeypatch.undo()
+            for res in runs[1:]:
+                assert np.array_equal(res.utilities, runs[0].utilities)
+                assert res.epsilon == runs[0].epsilon
+
+
+def test_noisy_sample_block_matches_formula():
+    base = gen_rg(3, 3, seed=2)
+    sim = noisy_sim(base, 5.0)
+    idx = IndexSet.full(base)
+    seeds = draw_conditions(np.random.default_rng(7), 300)
+    keys = (idx.players * base.num_profiles + idx.profiles).astype(np.uint64)
+    want = base.utilities[idx.players, idx.profiles][:, None] + (
+        hash_uniform(seeds, keys) - 0.5
+    ) * sim.d
+    assert np.array_equal(sim.sample_block(seeds, idx.players, idx.profiles), want)
+
+
+def test_gs_hoeffding_independent_of_blas_threads():
+    # the Hoeffding path sums rows without BLAS, so its bits may not depend
+    # on how many threads the BLAS library runs
+    script = (
+        "from egta.algorithms import BoundType, gs\n"
+        "from egta.games import IndexSet\n"
+        "from egta.simulators import gen_rg, noisy_sim\n"
+        "base = gen_rg(4, 4, seed=3)\n"
+        "sim = noisy_sim(base, 5.0)\n"
+        "print(gs(sim, IndexSet.full(base), 3000, 0.1, sim.range_c, BoundType.HOEFFDING,"
+        " seed=9).to_json())\n"
+    )
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]
+
+
 def test_gs_zero_range_is_exact():
     # an all-zero game without noise has range c == 0: every sample is exact
     base = NormalFormGame((2, 2), np.zeros((2, 4)))
@@ -205,6 +279,50 @@ def test_prune_pure_uses_surviving_structure():
     # player 1 at (C,C): deviation (C,D) still alive, regret 2 -> pruned;
     # player 1 at (D,C): deviation (D,D) alive, regret 1 -> pruned
     assert set(out.pairs()) == {(0, 2), (0, 3), (1, 1), (1, 3)}
+
+
+def test_prune_rejects_negative_or_nan_radius():
+    # NaN used to make prune_pure return no indices at all
+    g = gen_rg(2, 2)
+    full = IndexSet.full(g)
+    for prune in (prune_pure, prune_mixed):
+        for eps_hat in (-1.0, float("nan")):
+            with pytest.raises(ValueError, match="nonnegative"):
+                prune(g, full, eps_hat)
+
+
+@st.composite
+def _tied_game_and_index_set(draw):
+    # integer payoffs in {-2..2} make ties common; 1-player and 1-strategy
+    # shapes are included, and the index set is any subset of the indices
+    counts = tuple(draw(st.lists(st.integers(1, 3), min_size=1, max_size=3)))
+    size = len(counts) * math.prod(counts)
+    payoffs = draw(st.lists(st.integers(-2, 2), min_size=size, max_size=size))
+    kept = draw(st.lists(st.booleans(), min_size=size, max_size=size))
+    game = NormalFormGame(counts, np.array(payoffs, dtype=float).reshape(len(counts), -1))
+    mask = np.array(kept).reshape(len(counts), -1)
+    return game, IndexSet.from_mask(mask), draw(st.sampled_from([0.0, 0.5, 1.0]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_tied_game_and_index_set())
+def test_prune_pure_matches_oracle(case):
+    game, index_set, eps_hat = case
+    want = oracle.restricted_regret_survivors(game, index_set.pairs(), eps_hat)
+    assert prune_pure(game, index_set, eps_hat).pairs() == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(_tied_game_and_index_set())
+def test_prune_mixed_matches_oracle(case):
+    game, index_set, eps_hat = case
+    if set(range(game.num_players)) - set(index_set.players.tolist()):
+        # a player without indices leaves no restriction to prune on
+        with pytest.raises(ValueError, match="restriction"):
+            prune_mixed(game, index_set, eps_hat)
+        return
+    want = oracle.rationalizable_survivors(game, index_set.pairs(), eps_hat)
+    assert prune_mixed(game, index_set, eps_hat).pairs() == want
 
 
 def test_prune_mixed_no_pruning_for_huge_radius():

@@ -12,6 +12,7 @@ from egta.games import (
     linf_distance,
     maximin_value,
     mixed_utility,
+    nash_mask,
     pessimal_value,
     pure_eps_nash,
     pure_regret,
@@ -20,6 +21,7 @@ from egta.games import (
     utility,
     welfare,
 )
+from egta.simulators import gen_rg
 
 import _oracles as oracle
 from conftest import random_game
@@ -207,6 +209,20 @@ def test_rationalizable_rejects_malformed_restriction(prisoners_dilemma):
     for restrict in ([[0]], [[0, 1], [0], [1]], [[0, 1], []]):
         with pytest.raises(ValueError, match="restriction"):
             rationalizable(prisoners_dilemma, 0.0, restrict=restrict)
+
+
+def test_eps_must_be_nonnegative_number():
+    # NaN compares false both ways: it used to make nash_mask all False and
+    # rationalizable keep everything instead of raising
+    g = gen_rg(2, 2)
+    for eps in (-1.0, float("nan")):
+        with pytest.raises(ValueError, match="eps must be nonnegative"):
+            nash_mask(g, eps)
+        with pytest.raises(ValueError, match="eps must be nonnegative"):
+            pure_eps_nash(g, eps)
+        with pytest.raises(ValueError, match="eps must be nonnegative"):
+            rationalizable(g, eps)
+    assert rationalizable(g, float("inf")) == [[0, 1], [0, 1]]
 
 
 def test_rationalizable_keeps_pure_nash_strategies():

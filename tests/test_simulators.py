@@ -238,6 +238,11 @@ def test_factored_sim_validates():
         FactoredNoiseSimulator(2.0, [1.0], ["unknown"], base, seed=0)
     with pytest.raises(ValueError):
         FactoredNoiseSimulator(2.0, [1.0, 1.0], ["global"], base, seed=0)
+    # non-finite scales used to build with a NaN or infinite range_c
+    nan, inf = float("nan"), float("inf")
+    for a0, a in ((nan, [nan]), (nan, [1.0]), (10.0, [nan]), (10.0, [inf]), (inf, [1.0])):
+        with pytest.raises(ValueError, match="finite"):
+            FactoredNoiseSimulator(a0, a, ["global"], base, seed=0)
 
 
 def test_empirical_game_single_draw_and_zero_noise():
