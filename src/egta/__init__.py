@@ -32,10 +32,7 @@ from .games import (
     game_from_json,
     game_size,
     game_to_json,
-    linf_distance,
     maximin_value,
-    mixed_utility,
-    pessimal_value,
     pure_eps_nash,
     pure_regret,
     rationalizable,

@@ -172,7 +172,10 @@ def gs(
     _TILE_ELEMS samples (at least one row), which bounds the size of the
     noise temporaries and leaves every estimate unchanged. Under 1ERA the
     whole index set is one tile, because the bits of the signed sum
-    ``values @ sigma`` depend on the number of rows in the product.
+    ``values @ sigma`` depend on the number of rows in the product. Those
+    bits also depend on the BLAS thread count, so a 1ERA radius reproduces
+    only at a fixed thread count; estimates and Hoeffding radii do not
+    depend on it.
     """
     n = len(index_set)
     if n == 0:
@@ -240,7 +243,10 @@ def prune_mixed(game: NormalFormGame, index_set: IndexSet, eps_hat: float) -> In
     """Indices worth keeping for mixed-equilibrium estimation: every
     coordinate of the profile is 2*eps_hat-rationalizable."""
     index_set.validate_for(game)
-    surviving = rationalizable(game, 2.0 * eps_hat, restrict=_restriction_of(index_set, game))
+    restriction = _restriction_of(index_set, game)
+    if [] in restriction:
+        raise ValueError(f"index set has no index for player {restriction.index([])}")
+    surviving = rationalizable(game, 2.0 * eps_hat, restrict=restriction)
     grid = np.zeros(game.strategy_counts, dtype=bool)
     grid[np.ix_(*surviving)] = True
     keep = grid.reshape(-1)[index_set.profiles]

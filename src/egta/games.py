@@ -143,32 +143,6 @@ def utility(game: NormalFormGame, p: int, profile: Sequence[int]) -> float:
     return float(game.utilities[p, game.profile_index(profile)])
 
 
-def validate_mixed_profile(game: NormalFormGame, mixed: Sequence[np.ndarray]) -> list[np.ndarray]:
-    if len(mixed) != game.num_players:
-        raise ValueError("one probability vector per player required")
-    out = []
-    for p, (vec, k) in enumerate(zip(mixed, game.strategy_counts)):
-        v = np.asarray(vec, dtype=np.float64)
-        if v.shape != (k,):
-            raise ValueError(f"player {p} probability vector must have length {k}")
-        if np.any(v < 0) or abs(float(v.sum()) - 1.0) > 1e-12:
-            raise ValueError(f"player {p} probabilities must be nonnegative and sum to 1")
-        out.append(v)
-    return out
-
-
-def mixed_utility(game: NormalFormGame, mixed: Sequence[np.ndarray]) -> np.ndarray:
-    """Expected utility of each player under a product mixed profile."""
-    probs = validate_mixed_profile(game, mixed)
-    out = np.empty(game.num_players)
-    for p in range(game.num_players):
-        v = game.tensor(p)
-        for q in range(game.num_players - 1, -1, -1):
-            v = np.tensordot(v, probs[q], axes=([q], [0])) if v.ndim > 1 else v @ probs[q]
-        out[p] = v
-    return out
-
-
 def regret_table(game: NormalFormGame) -> np.ndarray:
     """Pure regret of every (player, profile): best unilateral gain, >= 0."""
     out = np.empty_like(game.utilities)
@@ -262,16 +236,8 @@ def welfare_table(game: NormalFormGame) -> np.ndarray:
     return game.utilities.sum(axis=0)
 
 
-def pessimal_value(game: NormalFormGame, p: int, s: int) -> float:
-    """Worst utility player p can receive while committed to strategy s."""
-    if not 0 <= p < game.num_players:
-        raise IndexError("player index out of range")
-    if not 0 <= s < game.strategy_counts[p]:
-        raise IndexError("strategy index out of range")
-    return float(np.take(game.tensor(p), s, axis=p).min())
-
-
 def maximin_value(game: NormalFormGame, p: int) -> float:
+    """Largest worst-case utility player p can secure with a pure strategy."""
     if not 0 <= p < game.num_players:
         raise IndexError("player index out of range")
     t = game.tensor(p)
@@ -280,22 +246,12 @@ def maximin_value(game: NormalFormGame, p: int) -> float:
     return float(pessimal.max())
 
 
-def _check_same_shape(g1: NormalFormGame, g2: NormalFormGame) -> None:
-    if g1.strategy_counts != g2.strategy_counts:
-        raise ValueError("games must share players and strategy counts")
-
-
-def linf_distance(g1: NormalFormGame, g2: NormalFormGame) -> float:
-    """Largest absolute utility difference over all players and profiles."""
-    _check_same_shape(g1, g2)
-    return float(np.abs(g1.utilities - g2.utilities).max())
-
-
 def check_containment(g_a: NormalFormGame, g_b: NormalFormGame, eps: float) -> bool:
     """Nash(g_a) within Nash_{2eps}(g_b) within Nash_{4eps}(g_a), by
     exhaustive enumeration of pure profiles.
     """
-    _check_same_shape(g_a, g_b)
+    if g_a.strategy_counts != g_b.strategy_counts:
+        raise ValueError("games must share players and strategy counts")
     nash_a = nash_mask(g_a, 0.0)
     nash_b2 = nash_mask(g_b, 2.0 * eps)
     nash_a4 = nash_mask(g_a, 4.0 * eps)

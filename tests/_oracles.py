@@ -153,27 +153,6 @@ def maximin(game: NormalFormGame, p):
     return max(pessimal(game, p, s) for s in range(game.strategy_counts[p]))
 
 
-def linf(g1: NormalFormGame, g2: NormalFormGame):
-    worst = 0.0
-    for p in range(g1.num_players):
-        for profile in all_profiles(g1):
-            worst = max(worst, abs(lookup(g1, p, profile) - lookup(g2, p, profile)))
-    return worst
-
-
-def mixed_utility(game: NormalFormGame, mixed):
-    out = []
-    for p in range(game.num_players):
-        total = 0.0
-        for profile in all_profiles(game):
-            weight = 1.0
-            for q, s in enumerate(profile):
-                weight *= mixed[q][s]
-            total += weight * lookup(game, p, profile)
-        out.append(total)
-    return out
-
-
 def congestion_costs(cg, profile):
     """Per-player costs at a congestion-game profile via explicit counting."""
     chosen = [cg.strategy_sets[p][profile[p]] for p in range(cg.num_players)]

@@ -24,7 +24,14 @@ from egta.algorithms import (
     query_cost,
 )
 from egta.bounds import hoeffding_eps
-from egta.games import IndexSet, NormalFormGame, nash_mask, pure_eps_nash, regret_table
+from egta.games import (
+    IndexSet,
+    NormalFormGame,
+    nash_mask,
+    pure_eps_nash,
+    rationalizable,
+    regret_table,
+)
 from egta.experiments import center_per_player
 from egta.hashing import hash_uniform
 from egta.simulators import (
@@ -291,6 +298,14 @@ def test_prune_rejects_negative_or_nan_radius():
                 prune(g, full, eps_hat)
 
 
+def test_prune_mixed_names_player_without_index():
+    # both used to report an invalid "restriction" the caller never passed
+    g = gen_rg(2, 2)
+    for index_set, player in ((IndexSet([0, 0], [0, 1]), 1), (IndexSet([], []), 0)):
+        with pytest.raises(ValueError, match=f"no index for player {player}"):
+            prune_mixed(g, index_set, 0.5)
+
+
 @st.composite
 def _tied_game_and_index_set(draw):
     # integer payoffs in {-2..2} make ties common; 1-player and 1-strategy
@@ -318,7 +333,7 @@ def test_prune_mixed_matches_oracle(case):
     game, index_set, eps_hat = case
     if set(range(game.num_players)) - set(index_set.players.tolist()):
         # a player without indices leaves no restriction to prune on
-        with pytest.raises(ValueError, match="restriction"):
+        with pytest.raises(ValueError, match="no index for player"):
             prune_mixed(game, index_set, eps_hat)
         return
     want = oracle.rationalizable_survivors(game, index_set.pairs(), eps_hat)
@@ -587,6 +602,65 @@ def test_psp_containment_frequency():
         wide = set(pure_eps_nash(base, 4 * res.epsilon))
         hits += truth <= found <= wide
     assert hits / total >= 1 - 0.1
+
+
+def _binomial_upper(n, p, alpha):
+    """Smallest k with P[Binomial(n, p) > k] <= alpha."""
+    tail = 1.0
+    for k in range(n + 1):
+        tail -= math.comb(n, k) * p**k * (1 - p) ** (n - k)
+        if tail <= alpha:
+            return k
+    return n
+
+
+def _near_tie_pair(seed):
+    """2x2 game in which each player's strategy 1 trails strategy 0 by 1 in
+    one opponent context and leads it by 0.01 in the other, so both
+    strategies are rationalizable, but only just."""
+    rng = np.random.default_rng(seed)
+    u = rng.uniform(-0.5, 0.5, size=(2, 4))
+    for p in range(2):
+        rows = np.moveaxis(u[p].reshape(2, 2), p, 0)  # a view: rows[s] is p's payoffs at s
+        rows[1] = rows[0] - rng.permutation([1.0, -0.01])
+    return NormalFormGame((2, 2), u)
+
+
+COVERAGE_RUNS = 100
+
+
+@pytest.mark.parametrize("finite", [True, False], ids=["finite-uniform", "infinite-geometric"])
+@pytest.mark.parametrize("pure", [True, False], ids=["pure", "mixed"])
+@pytest.mark.parametrize("bound", list(BoundType), ids=[b.value for b in BoundType])
+def test_psp_coverage(bound, pure, finite):
+    # psp's output claim fails with probability at most delta; accept up to
+    # the one-sided binomial quantile at level 1e-3, so a correct psp fails
+    # this seeded test only by that chance. The games are near ties, where a
+    # radius ten times too small already fails the Hoeffding cells (the
+    # looser 1ERA radius hides such an error).
+    delta = 0.1
+    failures = 0
+    for seed in range(COVERAGE_RUNS):
+        base = gen_rg(3, 3, u0=0.5, seed=900 + seed) if pure else _near_tie_pair(900 + seed)
+        sim = noisy_sim(base, 5.0)
+        if finite:
+            sampling = SamplingSchedule.finite_doubling(100, 700)
+            failure = FailureSchedule.uniform_split(delta, sampling.length)
+            threshold = 0.0
+        else:
+            sampling = SamplingSchedule.infinite_doubling(10)
+            failure = FailureSchedule.geometric_halving(delta)
+            threshold = 0.3 if bound is BoundType.HOEFFDING else 1.0
+        res = psp(sim, sampling, failure, sim.range_c, bound, pure, threshold, seed=seed)
+        if pure:
+            found = set(res.pure_equilibria)
+            wide = set(pure_eps_nash(base, 4 * res.epsilon))
+            held = set(pure_eps_nash(base, 0.0)) <= found <= wide
+        else:
+            truth = rationalizable(base, 0.0)
+            held = all(set(t) <= set(o) for t, o in zip(truth, res.mixed_restriction))
+        failures += not held
+    assert failures <= _binomial_upper(COVERAGE_RUNS, delta, 1e-3)
 
 
 def test_psp_result_json():

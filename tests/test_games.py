@@ -9,11 +9,8 @@ from egta.games import (
     game_from_json,
     game_size,
     game_to_json,
-    linf_distance,
     maximin_value,
-    mixed_utility,
     nash_mask,
-    pessimal_value,
     pure_eps_nash,
     pure_regret,
     rationalizable,
@@ -65,44 +62,6 @@ def test_game_validation():
     bad[0, 0] = np.nan
     with pytest.raises(ValueError):
         NormalFormGame((2, 2), bad)
-
-
-def test_mixed_utility_point_mass_equals_pure(prisoners_dilemma):
-    tau = [np.array([0.0, 1.0]), np.array([1.0, 0.0])]
-    got = mixed_utility(prisoners_dilemma, tau)
-    assert got[0] == utility(prisoners_dilemma, 0, (1, 0))
-    assert got[1] == utility(prisoners_dilemma, 1, (1, 0))
-
-
-def test_mixed_utility_uniform_pennies_is_zero(matching_pennies):
-    tau = [np.array([0.5, 0.5])] * 2
-    assert np.allclose(mixed_utility(matching_pennies, tau), [0.0, 0.0])
-
-
-def test_mixed_utility_uniform_average_random_2x2():
-    rng = np.random.default_rng(42)
-    g = NormalFormGame((2, 2), rng.uniform(-5, 5, size=(2, 4)))
-    tau = [np.array([0.5, 0.5])] * 2
-    want = g.utilities.mean(axis=1)
-    assert np.allclose(mixed_utility(g, tau), want)
-
-
-def test_mixed_utility_matches_oracle_random():
-    rng = np.random.default_rng(7)
-    for _ in range(20):
-        g = random_game(rng)
-        tau = []
-        for k in g.strategy_counts:
-            v = rng.random(k)
-            tau.append(v / v.sum())
-        assert np.allclose(mixed_utility(g, tau), oracle.mixed_utility(g, tau))
-
-
-def test_mixed_profile_validation(matching_pennies):
-    with pytest.raises(ValueError):
-        mixed_utility(matching_pennies, [np.array([0.7, 0.7]), np.array([0.5, 0.5])])
-    with pytest.raises(ValueError):
-        mixed_utility(matching_pennies, [np.array([1.5, -0.5]), np.array([0.5, 0.5])])
 
 
 def test_pure_regret_examples(prisoners_dilemma, matching_pennies):
@@ -250,11 +209,8 @@ def test_welfare_examples(prisoners_dilemma):
 
 def test_maximin_examples(prisoners_dilemma, matching_pennies):
     single = NormalFormGame((3,), np.array([[1.0, -2.0, 4.0]]))
-    assert pessimal_value(single, 0, 1) == -2.0
     assert maximin_value(single, 0) == 4.0
     for p in range(2):
-        for s in range(2):
-            assert pessimal_value(matching_pennies, p, s) == -1.0
         assert maximin_value(matching_pennies, p) == -1.0
     assert maximin_value(prisoners_dilemma, 0) == 1.0
 
@@ -264,46 +220,8 @@ def test_maximin_matches_oracle():
     for _ in range(20):
         g = random_game(rng)
         for p in range(g.num_players):
-            assert maximin_value(g, p) == pytest.approx(oracle.maximin(g, p))
-            for s in range(g.strategy_counts[p]):
-                assert pessimal_value(g, p, s) == pytest.approx(oracle.pessimal(g, p, s))
-
-
-def test_linf_distance(matching_pennies):
-    assert linf_distance(matching_pennies, matching_pennies) == 0.0
-    shifted = NormalFormGame(
-        matching_pennies.strategy_counts,
-        matching_pennies.utilities + np.array([[0.3, 0, 0, 0], [0, 0, 0, 0]]),
-    )
-    assert linf_distance(matching_pennies, shifted) == pytest.approx(0.3)
-    with pytest.raises(ValueError):
-        linf_distance(matching_pennies, NormalFormGame((2, 3), np.zeros((2, 6))))
-
-
-def test_linf_tracks_applied_offsets():
-    rng = np.random.default_rng(29)
-    g = random_game(rng)
-    offsets = rng.uniform(-0.25, 0.25, size=g.utilities.shape)
-    shifted = NormalFormGame(g.strategy_counts, g.utilities + offsets)
-    assert linf_distance(g, shifted) == pytest.approx(float(np.abs(offsets).max()))
-
-
-def test_mixed_utilities_bounded_by_linf():
-    rng = np.random.default_rng(31)
-    for _ in range(10):
-        g1 = random_game(rng)
-        g2 = NormalFormGame(
-            g1.strategy_counts,
-            g1.utilities + rng.uniform(-1, 1, size=g1.utilities.shape),
-        )
-        dist = linf_distance(g1, g2)
-        for _ in range(10):
-            tau = []
-            for k in g1.strategy_counts:
-                v = rng.random(k)
-                tau.append(v / v.sum())
-            diff = np.abs(mixed_utility(g1, tau) - mixed_utility(g2, tau))
-            assert (diff <= dist + 1e-9).all()
+            # max over s of oracle.pessimal(g, p, s); min and max are exact
+            assert maximin_value(g, p) == oracle.maximin(g, p)
 
 
 def test_welfare_lipschitz_in_linf():
@@ -314,7 +232,7 @@ def test_welfare_lipschitz_in_linf():
             g1.strategy_counts,
             g1.utilities + rng.uniform(-1, 1, size=g1.utilities.shape),
         )
-        bound = g1.num_players * linf_distance(g1, g2)
+        bound = g1.num_players * np.abs(g1.utilities - g2.utilities).max()
         for profile in oracle.all_profiles(g1):
             assert abs(welfare(g1, profile) - welfare(g2, profile)) <= bound + 1e-12
 
@@ -327,7 +245,7 @@ def test_maximin_lipschitz_in_linf():
             g1.strategy_counts,
             g1.utilities + rng.uniform(-1, 1, size=g1.utilities.shape),
         )
-        dist = linf_distance(g1, g2)
+        dist = np.abs(g1.utilities - g2.utilities).max()
         for p in range(g1.num_players):
             assert abs(maximin_value(g1, p) - maximin_value(g2, p)) <= dist + 1e-12
 
@@ -335,6 +253,8 @@ def test_maximin_lipschitz_in_linf():
 def test_check_containment_identity(matching_pennies):
     assert check_containment(matching_pennies, matching_pennies, 0.0)
     assert check_containment(matching_pennies, matching_pennies, 0.5)
+    with pytest.raises(ValueError, match="share players"):
+        check_containment(matching_pennies, NormalFormGame((2, 3), np.zeros((2, 6))), 0.5)
 
 
 def test_check_containment_perturbation_property():

@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
 from egta.algorithms import BoundType, gs
+from egta.bounds import factored_ra_bound
 from egta.games import IndexSet, nash_mask, utility
 from egta.simulators import (
     FACTOR_KINDS,
@@ -228,6 +231,26 @@ def test_factored_sim_image_sizes_and_range():
     seeds = draw_conditions(np.random.default_rng(3), 50)
     values = sim.sample_block(seeds, idx.players, idx.profiles)
     assert np.all(np.abs(values) <= sim.range_c / 2)
+
+
+def test_factored_sim_mean_era_below_factored_bound():
+    # the factored Rademacher bound, for the model's own image sizes, must
+    # hold for the 1ERA r-hat that gs measures on that model; the mean sits
+    # 2.5-3x below it here
+    a = [1.0, 1.0, 1.0, 0.5, 0.5]
+    delta = 0.1
+    for players, k in ((2, 3), (3, 4)):
+        base = gen_rg(players, k, u0=2.0, seed=players)
+        b = factor_image_sizes(FACTOR_KINDS, base.strategy_counts)
+        idx = IndexSet.full(base)
+        for m in (100, 1000):
+            r_hats = []
+            for draw in range(30):
+                sim = FactoredNoiseSimulator(1.0, a, FACTOR_KINDS, base, seed=draw)
+                eps = gs(sim, idx, m, delta, sim.range_c, BoundType.ONE_ERA, seed=draw).epsilon
+                tail = 3.0 * sim.range_c * math.sqrt(math.log(1 / delta) / (2 * m))
+                r_hats.append((eps - tail) / 2)
+            assert np.mean(r_hats) < factored_ra_bound(1.0, a, b, m)
 
 
 def test_factored_sim_validates():
