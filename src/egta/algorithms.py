@@ -34,8 +34,9 @@ from .simulators import ConditionalSimulator, draw_conditions
 # conditions each row sum adds at once, so it fixes the results' bits
 # (chunk boundaries depend only on the index-set size)
 _BLOCK_ELEMS = 2_000_000
-# cap on elements per Hoeffding row tile, which keeps the noise temporaries
-# in cache; results are bit-identical for any value
+# cap on elements per row tile, which keeps the noise temporaries in cache
+# under both bounds; results are bit-identical for any value, because 1ERA
+# still takes one signed sum per column block
 _TILE_ELEMS = 65_536
 
 
@@ -168,14 +169,14 @@ def gs(
     A zero range c makes every sample exact, and both radii are then zero.
 
     Conditions are consumed in column blocks of at most _BLOCK_ELEMS
-    samples. Under Hoeffding each block is sampled in row tiles of
-    _TILE_ELEMS samples (at least one row), which bounds the size of the
-    noise temporaries and leaves every estimate unchanged. Under 1ERA the
-    whole index set is one tile, because the bits of the signed sum
-    ``values @ sigma`` depend on the number of rows in the product. Those
-    bits also depend on the BLAS thread count, so a 1ERA radius reproduces
-    only at a fixed thread count; estimates and Hoeffding radii do not
-    depend on it.
+    samples, and each block is sampled in row tiles of _TILE_ELEMS samples
+    (at least one row), which bounds the size of the noise temporaries and
+    leaves every estimate unchanged. Under 1ERA the tiles are gathered into
+    one [n, cols] block and the signed sum ``block @ sigma`` is taken once
+    per column block, because its bits depend on the number of rows in the
+    product. Those bits also depend on the BLAS thread count, so a 1ERA
+    radius reproduces only at a fixed thread count; estimates and Hoeffding
+    radii do not depend on it.
     """
     n = len(index_set)
     if n == 0:
@@ -197,17 +198,24 @@ def gs(
     sums = np.zeros(n)
     signed = np.zeros(n)
     block = max(1, _BLOCK_ELEMS // n)
+    gathered = np.empty((0, 0))
     for start in range(0, m, block):
         stop = min(start + block, m)
-        rows = n if sigma is not None else max(1, _TILE_ELEMS // (stop - start))
+        rows = max(1, _TILE_ELEMS // (stop - start))
+        # 1ERA gathers the tiles of a block unless one tile holds it all
+        gather = sigma is not None and rows < n
+        if gather and gathered.shape[1] != stop - start:
+            gathered = np.empty((n, stop - start))
         for r0 in range(0, n, rows):
             r1 = min(r0 + rows, n)
             values = sim.sample_block(
                 cond_seeds[start:stop], index_set.players[r0:r1], index_set.profiles[r0:r1]
             )
             sums[r0:r1] += values.sum(axis=1)
-            if sigma is not None:
-                signed[r0:r1] += values @ sigma[start:stop]
+            if gather:
+                gathered[r0:r1] = values
+        if sigma is not None:
+            signed += (gathered if gather else values) @ sigma[start:stop]
     means = sums / m
 
     if bound is BoundType.HOEFFDING:

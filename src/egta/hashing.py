@@ -54,14 +54,16 @@ def hash_uniform(cond_seeds: np.ndarray, keys: np.ndarray) -> np.ndarray:
     """Uniform (0, 1) variates for every (key, condition) pair.
 
     ``cond_seeds`` has shape [m], ``keys`` shape [n]; the result has shape
-    [n, m]. Both inputs are pre-hashed so the pairing needs only one more
-    finalizer pass over the n*m grid, done with in-place ops. Each value is
-    the top 53 bits of splitmix64(splitmix64(key) + splitmix64(cond)), scaled
-    to the centre of its bin of width 2^-53, so it lies in the open (0, 1).
+    [n, m]. The condition seeds arrive finalized (``draw_conditions`` applies
+    splitmix64 once, when it draws them), so they are not hashed again here;
+    only the n keys are. The pairing then needs one more finalizer pass over
+    the n*m grid, done with in-place ops. For a raw condition seed ``cond``
+    each value is the top 53 bits of
+    splitmix64(splitmix64(key) + splitmix64(cond)), scaled to the centre of
+    its bin of width 2^-53, so it lies in the open (0, 1).
     """
-    a = splitmix64(np.asarray(cond_seeds, dtype=np.uint64))
     b = splitmix64(np.asarray(keys, dtype=np.uint64))
-    z = b[:, None] + a[None, :]
+    z = b[:, None] + np.asarray(cond_seeds, dtype=np.uint64)[None, :]
     z += np.uint64(_GOLDEN)
     z ^= z >> np.uint64(30)
     z *= np.uint64(_MIX1)

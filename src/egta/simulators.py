@@ -21,8 +21,10 @@ from .hashing import hash_uniform, mix, splitmix64
 
 
 def draw_conditions(rng: np.random.Generator, m: int) -> np.ndarray:
-    """m condition seeds as a uint64 array."""
-    return rng.integers(0, 2**64, size=m, dtype=np.uint64)
+    """m condition seeds as a uint64 array, finalized with splitmix64 once
+    here so that ``hash_uniform`` can pair them with keys without hashing
+    them again on every call."""
+    return splitmix64(rng.integers(0, 2**64, size=m, dtype=np.uint64))
 
 
 class ConditionalSimulator:
@@ -138,7 +140,13 @@ class FactoredNoiseSimulator(ConditionalSimulator):
                 continue
             salt = np.uint64(mix(self.seed, i))
             keys = splitmix64(self._phi(kind, players, profiles).astype(np.uint64) + salt)
-            out += (2.0 * hash_uniform(cond_seeds, keys) - 1.0) * a_i
+            # in place, with the same operations in the same order as
+            # (2u - 1) * a_i, so no full-size temporary is made
+            noise = hash_uniform(cond_seeds, keys)
+            noise *= 2.0
+            noise -= 1.0
+            noise *= a_i
+            out += noise
         return out
 
 

@@ -144,20 +144,39 @@ def test_gs_chunked_accumulation_close_to_direct():
 
 
 def test_gs_row_tiles_bit_identical(monkeypatch):
-    # rows sampled in any tiling give the same bits: 1-row tiles, ragged
-    # tails (50 000 elements leaves 8- and 60-row tiles over 324 indices and
-    # 7-row tiles over 50), and one tile holding the whole index set; m=7000
-    # also splits RG(4,3) into a full and a ragged column block
-    games = [gen_rg(4, 3, seed=5), gen_rg(2, 5, seed=6), expand(gen_rc(5, 5, 2, seed=17))]
-    for base in games:
+    # rows sampled in any tiling give the same bits under both bounds: 1-row
+    # tiles, ragged tails (50 000 elements leaves 8- and 60-row tiles over 324
+    # indices and 7-row tiles over 50), and one tile holding the whole index
+    # set; m=7000 also splits RG(4,3) into a full and a ragged column block.
+    # RC(5,5,1) has 5 indices, so at m=70 000 even the default tiles are
+    # single rows wider than _TILE_ELEMS, and 1ERA must gather them into one
+    # signed sum per block
+    cases = [
+        (gen_rg(4, 3, seed=5), 7000),
+        (gen_rg(2, 5, seed=6), 7000),
+        (expand(gen_rc(5, 5, 2, seed=17)), 7000),
+        (expand(gen_rc(5, 5, 1, seed=3)), 70_000),
+    ]
+    tiles = (10**12, 1, 50_000, algorithms._TILE_ELEMS)
+    for base, m in cases:
         sim = noisy_sim(base, 2.0)
         idx = IndexSet.full(base)
+        calls = []
+
+        def counted(*args, sample_block=sim.sample_block):
+            calls.append(args)
+            return sample_block(*args)
+
+        sim.sample_block = counted
         for bound in BoundType:
-            runs = []
-            for tile in (10**12, 1, 50_000, algorithms._TILE_ELEMS):
+            runs, counts = [], []
+            for tile in tiles:
                 monkeypatch.setattr(algorithms, "_TILE_ELEMS", tile)
-                runs.append(gs(sim, idx, 7000, 0.1, sim.range_c, bound, seed=4))
-            monkeypatch.undo()
+                before = len(calls)
+                runs.append(gs(sim, idx, m, 0.1, sim.range_c, bound, seed=4))
+                counts.append(len(calls) - before)
+            # the 1-row tiling really tiles, so each bound's check can fail
+            assert counts[1] > counts[0]
             for res in runs[1:]:
                 assert np.array_equal(res.utilities, runs[0].utilities)
                 assert res.epsilon == runs[0].epsilon
@@ -578,30 +597,6 @@ def test_psp_never_prunes_true_nash_when_guarantee_holds(monkeypatch):
             for p in range(base.num_players):
                 assert (p, int(j)) in final_pairs
     assert kept_all >= 30  # the guarantee holds essentially always
-
-
-def test_psp_containment_frequency():
-    hits, total = 0, 60
-    for seed in range(total):
-        cg = gen_rc(3, 3, 2, seed=500 + seed)
-        base = expand(cg)
-        sim = noisy_sim(base, 5.0)
-        sched = SamplingSchedule.finite_doubling(100, 700)
-        res = psp(
-            sim,
-            sched,
-            FailureSchedule.uniform_split(0.1, sched.length),
-            c=sim.range_c,
-            bound=BoundType.HOEFFDING,
-            pure=True,
-            eps_threshold=0.0,
-            seed=seed,
-        )
-        truth = set(pure_eps_nash(base, 0.0))
-        found = set(res.pure_equilibria)
-        wide = set(pure_eps_nash(base, 4 * res.epsilon))
-        hits += truth <= found <= wide
-    assert hits / total >= 1 - 0.1
 
 
 def _binomial_upper(n, p, alpha):

@@ -1,6 +1,7 @@
 import numpy as np
 
 from egta.hashing import hash_uniform, mix, splitmix64
+from egta.simulators import draw_conditions
 
 _MASK = (1 << 64) - 1
 
@@ -38,6 +39,21 @@ def test_hash_uniform_grid_consistency():
     assert grid.shape == (2, 3)
     # each cell only depends on its own (key, condition) pair
     assert grid[1, 2] == hash_uniform(conds[2:], keys[1:])[0, 0]
+
+
+def test_hash_uniform_of_drawn_conditions_matches_reference():
+    # draw_conditions finalizes each seed once and hash_uniform does not hash
+    # it again, so every variate is F(splitmix64(key) + splitmix64(raw)) for
+    # the raw seed the generator drew
+    keys = np.array([0, 1, 2**63, _MASK, 987654321], dtype=np.uint64)
+    got = hash_uniform(draw_conditions(np.random.default_rng(3), 40), keys)
+    raw = np.random.default_rng(3).integers(0, 2**64, size=40, dtype=np.uint64)
+    for i, key in enumerate(keys):
+        for j, cond in enumerate(raw):
+            z = reference_splitmix64(
+                (reference_splitmix64(int(key)) + reference_splitmix64(int(cond))) & _MASK
+            )
+            assert got[i, j] == (z >> 11) * 2.0**-53 + 2.0**-54
 
 
 def test_mix_order_and_label_sensitivity():

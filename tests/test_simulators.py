@@ -6,6 +6,7 @@ import pytest
 from egta.algorithms import BoundType, gs
 from egta.bounds import factored_ra_bound
 from egta.games import IndexSet, nash_mask, utility
+from egta.hashing import hash_uniform, mix, splitmix64
 from egta.simulators import (
     FACTOR_KINDS,
     CongestionGame,
@@ -217,6 +218,30 @@ def test_factored_sim_zero_scales_and_global_sharing():
     # the global factor shifts every index identically per condition
     assert np.allclose(offsets, offsets[0][None, :])
     assert np.all(np.abs(offsets) <= 0.7)
+
+
+def test_factored_sample_block_matches_formula():
+    # base plus (2u - 1) * a_i for each factor with a nonzero scale, u hashed
+    # from the factor's salted grouping value: the in-place code must give
+    # these bits exactly
+    base = gen_rg(3, 3, u0=2.0, seed=7)
+    a = [1.0, 0.0, 0.5, 0.25, 0.75]
+    sim = FactoredNoiseSimulator(1.0, a, FACTOR_KINDS, base, seed=3)
+    idx = IndexSet.full(base)
+    seeds = draw_conditions(np.random.default_rng(8), 300)
+    groups = {
+        "global": np.zeros_like(idx.players),
+        "agent": idx.players,
+        "own-strategy": base.own_strategy(idx.players, idx.profiles),
+        "profile": idx.profiles,
+        "agent-profile": idx.players * base.num_profiles + idx.profiles,
+    }
+    want = base.utilities[idx.players, idx.profiles][:, None]
+    for i, (a_i, kind) in enumerate(zip(a, FACTOR_KINDS)):
+        if a_i:
+            keys = splitmix64(groups[kind].astype(np.uint64) + np.uint64(mix(3, i)))
+            want = want + (2.0 * hash_uniform(seeds, keys) - 1.0) * a_i
+    assert np.array_equal(sim.sample_block(seeds, idx.players, idx.profiles), want)
 
 
 def test_factored_sim_image_sizes_and_range():
