@@ -267,7 +267,7 @@ def main(argv=None) -> int:
                 _svg.write_line_plot(out + ".svg", **lines(result, options))
         else:
             _write(result, out)
-    except (OSError, ValueError) as error:
+    except (OSError, ValueError, MemoryError) as error:
         parser.error(str(error))
     return 0
 

@@ -91,11 +91,9 @@ def run_eps_vs_samples(
         raise ValueError("reps must be at least 1")
     name = "eps-vs-samples"
     rows = []
+    bases = [expand(gen_rc(5, 5, 2, seed=mix(seed, name, rep))) for rep in range(reps)]
     for d in d_values:
-        sims = []
-        for rep in range(reps):
-            base = expand(gen_rc(5, 5, 2, seed=mix(seed, name, rep)))
-            sims.append(noisy_sim(base, d))
+        sims = [noisy_sim(base, d) for base in bases]
         for m in m_values:
             eps = np.empty(reps)
             for rep, sim in enumerate(sims):

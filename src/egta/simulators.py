@@ -46,6 +46,27 @@ class ConditionalSimulator:
         raise NotImplementedError
 
 
+# Grouping rules for additive noise factors: a factor perturbs all indices
+# that share the value of its grouping function g(game, players, profiles).
+# Each kind maps to g and to g's number of distinct values given the strategy
+# counts (the b_i of the factored Rademacher bound), as an exact int for any
+# game size.
+_FACTOR_TABLE = {
+    "global": (lambda g, p, s: np.zeros_like(p), lambda counts: 1),
+    "agent": (lambda g, p, s: p, len),
+    "own-strategy": (NormalFormGame.own_strategy, max),
+    "profile": (lambda g, p, s: s, math.prod),
+    "agent-profile": (lambda g, p, s: p * g.num_profiles + s, lambda c: len(c) * math.prod(c)),
+}
+FACTOR_KINDS = tuple(_FACTOR_TABLE)
+
+
+def factor_image_sizes(kinds: Sequence[str], strategy_counts: Sequence[int]) -> list[int]:
+    """Number of distinct grouping values per factor (the b_i of the
+    factored Rademacher bound), as exact ints for any game size."""
+    return [_FACTOR_TABLE[kind][1](strategy_counts) for kind in kinds]
+
+
 class NoisySimulator(ConditionalSimulator):
     """Base game plus additive uniform noise on (-d/2, d/2), independent per
     (player, profile) index and shared-condition consistent."""
@@ -56,42 +77,35 @@ class NoisySimulator(ConditionalSimulator):
         self.base = base
         self.d = float(d)
         self.range_c = 2.0 * float(np.abs(base.utilities).max()) + self.d
+        if self.range_c == math.inf:
+            raise ValueError("noise width d and the base utilities overflow the utility range")
+        self._widths = (self.d,)
+
+    def _keys(self, i, players, profiles):
+        """The one factor's hash keys: each index's flat position p P + s."""
+        return players * self.base.num_profiles + profiles
 
     def sample_block(self, cond_seeds, players, profiles):
-        base_vals = self.base.utilities[players, profiles]
-        if self.d == 0.0:
-            return np.tile(base_vals[:, None], (1, len(cond_seeds)))
-        keys = (players * self.base.num_profiles + profiles).astype(np.uint64)
-        # in place, with the same operations in the same order as
-        # base + (u - 0.5) * d, so no full-size temporary is made
-        out = hash_uniform(cond_seeds, keys)
-        out -= 0.5
-        out *= self.d
-        out += base_vals[:, None]
+        """The additive-noise kernel of both simulators: factor i of width
+        w_i != 0 adds (u - 0.5) * w_i to the base, with
+        u = hash_uniform(cond_seeds, self._keys(i, players, profiles))."""
+        out = self.base.utilities[players, profiles][:, None]
+        for i, width in enumerate(self._widths):
+            if width:
+                # in place, with the same operations in the same order as
+                # out + (u - 0.5) * w_i, so no full-size temporary is made
+                noise = hash_uniform(cond_seeds, self._keys(i, players, profiles))
+                noise -= 0.5
+                noise *= width
+                noise += out
+                out = noise
+        if out.shape[1] != len(cond_seeds):  # no noisy factor: tile the base
+            out = np.tile(out, (1, len(cond_seeds)))
         return out
 
 
 def noisy_sim(base: NormalFormGame, d: float) -> NoisySimulator:
     return NoisySimulator(base, d)
-
-
-# Grouping rules for factored noise: each factor perturbs all indices that
-# share the value of its grouping function.
-FACTOR_KINDS = ("global", "agent", "own-strategy", "profile", "agent-profile")
-
-
-def factor_image_sizes(kinds: Sequence[str], strategy_counts: Sequence[int]) -> list[int]:
-    """Number of distinct grouping values per factor (the b_i of the
-    factored Rademacher bound), as exact ints for any game size."""
-    profiles = math.prod(strategy_counts)
-    table = {
-        "global": 1,
-        "agent": len(strategy_counts),
-        "own-strategy": max(strategy_counts),
-        "profile": profiles,
-        "agent-profile": len(strategy_counts) * profiles,
-    }
-    return [table[kind] for kind in kinds]
 
 
 class FactoredNoiseSimulator(ConditionalSimulator):
@@ -109,7 +123,7 @@ class FactoredNoiseSimulator(ConditionalSimulator):
         if len(a) != len(kinds):
             raise ValueError("one scale per factor kind required")
         for kind in kinds:
-            if kind not in FACTOR_KINDS:
+            if kind not in _FACTOR_TABLE:
                 raise ValueError(f"unknown factor kind {kind!r}")
         if not all(0 <= a_i < math.inf for a_i in a):
             raise ValueError("factor scales must be finite and nonnegative")
@@ -121,41 +135,26 @@ class FactoredNoiseSimulator(ConditionalSimulator):
         self.kinds = tuple(kinds)
         self.seed = int(seed)
         self.range_c = 2.0 * (self.a0 + sum(self.a))
+        if self.range_c == math.inf:
+            raise ValueError("a0 and the factor scales overflow the utility range")
+        # uniform on [-a_i, a_i] is (u - 0.5) * 2a_i, which rounds exactly
+        # like (2u - 1) * a_i because doubling is exact
+        self._widths = tuple(2.0 * a_i for a_i in self.a)
 
-    def _phi(self, kind: str, players: np.ndarray, profiles: np.ndarray) -> np.ndarray:
-        if kind == "global":
-            return np.zeros_like(players)
-        if kind == "agent":
-            return players
-        if kind == "own-strategy":
-            return self.base.own_strategy(players, profiles)
-        if kind == "profile":
-            return profiles
-        return players * self.base.num_profiles + profiles
+    def _keys(self, i, players, profiles):
+        """Factor i's hash keys: its grouping values, salted per factor and hashed."""
+        group = _FACTOR_TABLE[self.kinds[i]][0](self.base, players, profiles)
+        return splitmix64(group.astype(np.uint64) + np.uint64(mix(self.seed, i)))
 
-    def sample_block(self, cond_seeds, players, profiles):
-        out = np.tile(self.base.utilities[players, profiles][:, None], (1, len(cond_seeds)))
-        for i, (a_i, kind) in enumerate(zip(self.a, self.kinds)):
-            if a_i == 0.0:
-                continue
-            salt = np.uint64(mix(self.seed, i))
-            keys = splitmix64(self._phi(kind, players, profiles).astype(np.uint64) + salt)
-            # in place, with the same operations in the same order as
-            # (2u - 1) * a_i, so no full-size temporary is made
-            noise = hash_uniform(cond_seeds, keys)
-            noise *= 2.0
-            noise -= 1.0
-            noise *= a_i
-            out += noise
-        return out
+    sample_block = NoisySimulator.sample_block  # the one additive-noise kernel
 
 
 def gen_rg(num_players: int, k: int, u0: float = 10.0, seed: int = 0) -> NormalFormGame:
     """Uniform random game: every utility i.i.d. uniform on (-u0/2, u0/2)."""
     if num_players < 1 or k < 1:
         raise ValueError("need at least one player and one strategy")
-    if u0 <= 0:
-        raise ValueError("utility magnitude u0 must be positive")
+    if not 0 < u0 < math.inf:
+        raise ValueError("utility magnitude u0 must be positive and finite")
     rng = np.random.Generator(np.random.PCG64(seed))
     counts = (k,) * num_players
     shape = (num_players, int(np.prod(counts)))

@@ -111,6 +111,10 @@ def test_library_errors_are_usage_errors(tmp_path, capsys):
         (["psp", "--game", str(good), "--delta", "2"], "failure probability"),
         (["gs", "--game", str(good), "--noise-d", "nan"], "noise width d must be finite"),
         (["gs", "--game", str(good), "--noise-d", "inf"], "noise width d must be finite"),
+        (["gen-game", "--family", "rg", "--players", "2", "--k", "2", "--u0", "inf"],
+         "u0 must be positive and finite"),
+        # a 40-player game would need 320 TiB: numpy refuses at once, allocating nothing
+        (["gen-game", "--family", "rg", "--players", "40", "--k", "2"], "Unable to allocate"),
         (["eps-vs-samples", "--reps", "0"], "reps must be at least 1"),
         (["success-rate", "--reps", "0"], "reps must be at least 1"),
         (["nash-frequency", "--reps", "0"], "runs must be at least 1"),

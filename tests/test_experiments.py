@@ -4,6 +4,7 @@ import hashlib
 import numpy as np
 import pytest
 
+import egta.experiments as experiments
 from egta.experiments import (
     Table,
     center_per_player,
@@ -17,7 +18,7 @@ from egta.experiments import (
     run_success_rate,
 )
 from egta.games import nash_mask, pure_eps_nash, regret_table
-from egta.simulators import gen_rg
+from egta.simulators import gen_rc, gen_rg
 
 import _oracles as oracle
 
@@ -59,10 +60,17 @@ def test_eps_vs_samples_rows_and_monotonicity():
         assert -0.7 < oracle.loglog_slope(ms, eps) < -0.3
 
 
-def test_eps_vs_samples_deterministic():
+def test_eps_vs_samples_deterministic(monkeypatch):
     a = run_eps_vs_samples(seed=9, reps=3, d_values=(2.0,), m_values=(200, 400))
     b = run_eps_vs_samples(seed=9, reps=3, d_values=(2.0,), m_values=(200, 400))
     assert a.to_csv() == b.to_csv()
+    # each replication's game is built once and shared by every noise width
+    seeds = []
+    monkeypatch.setattr(
+        experiments, "gen_rc", lambda *args, seed: seeds.append(seed) or gen_rc(*args, seed=seed)
+    )
+    run_eps_vs_samples(seed=9, reps=3, d_values=(2.0, 5.0), m_values=(200,))
+    assert len(seeds) == len(set(seeds)) == 3
 
 
 def test_fixture_search_properties():

@@ -41,6 +41,15 @@ def test_gen_rg_deterministic_in_seed():
     assert not np.array_equal(a.utilities, c.utilities)
 
 
+def test_gen_rg_validates():
+    for players, k in ((0, 2), (2, 0)):
+        with pytest.raises(ValueError, match="at least one player"):
+            gen_rg(players, k)
+    for u0 in (0.0, -1.0, float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="u0 must be positive and finite"):
+            gen_rg(2, 2, u0=u0)
+
+
 def test_gen_rc_strategy_counts_and_facility_one():
     for seed in range(30):
         cg = gen_rc(5, 5, 2, seed=seed)
@@ -179,6 +188,16 @@ def test_noisy_sim_support_and_determinism():
     assert sim.range_c == 2.0 * np.abs(base.utilities).max() + 3.0
 
 
+def test_noisy_sim_validates():
+    base = gen_rg(2, 2, seed=1)
+    for d in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="noise width d must be finite"):
+            noisy_sim(base, d)
+    # a finite width whose declared range 2 max|u| + d overflows
+    with pytest.raises(ValueError, match="overflow the utility range"):
+        noisy_sim(gen_rg(2, 2, u0=1e308), 1e308)
+
+
 def test_noisy_sim_query_matches_block():
     # a one-entry block (a single query) equals that entry of a full block
     base = gen_rg(3, 2, seed=2)
@@ -221,12 +240,11 @@ def test_factored_sim_zero_scales_and_global_sharing():
 
 
 def test_factored_sample_block_matches_formula():
-    # base plus (2u - 1) * a_i for each factor with a nonzero scale, u hashed
-    # from the factor's salted grouping value: the in-place code must give
-    # these bits exactly
+    # base plus (2u - 1) * a_i for each factor with a nonzero scale, in
+    # factor order, u hashed from the factor's salted grouping value: the
+    # in-place code must give these bits exactly, whichever factor is the
+    # first nonzero one
     base = gen_rg(3, 3, u0=2.0, seed=7)
-    a = [1.0, 0.0, 0.5, 0.25, 0.75]
-    sim = FactoredNoiseSimulator(1.0, a, FACTOR_KINDS, base, seed=3)
     idx = IndexSet.full(base)
     seeds = draw_conditions(np.random.default_rng(8), 300)
     groups = {
@@ -236,12 +254,14 @@ def test_factored_sample_block_matches_formula():
         "profile": idx.profiles,
         "agent-profile": idx.players * base.num_profiles + idx.profiles,
     }
-    want = base.utilities[idx.players, idx.profiles][:, None]
-    for i, (a_i, kind) in enumerate(zip(a, FACTOR_KINDS)):
-        if a_i:
-            keys = splitmix64(groups[kind].astype(np.uint64) + np.uint64(mix(3, i)))
-            want = want + (2.0 * hash_uniform(seeds, keys) - 1.0) * a_i
-    assert np.array_equal(sim.sample_block(seeds, idx.players, idx.profiles), want)
+    for a in ([1.0, 0.0, 0.5, 0.25, 0.75], [0.0, 0.0, 0.5, 0.0, 0.75], [0.0] * 5):
+        sim = FactoredNoiseSimulator(1.0, a, FACTOR_KINDS, base, seed=3)
+        want = np.tile(base.utilities[idx.players, idx.profiles][:, None], (1, len(seeds)))
+        for i, (a_i, kind) in enumerate(zip(a, FACTOR_KINDS)):
+            if a_i:
+                keys = splitmix64(groups[kind].astype(np.uint64) + np.uint64(mix(3, i)))
+                want = want + (2.0 * hash_uniform(seeds, keys) - 1.0) * a_i
+        assert np.array_equal(sim.sample_block(seeds, idx.players, idx.profiles), want), a
 
 
 def test_factored_sim_image_sizes_and_range():
@@ -291,6 +311,10 @@ def test_factored_sim_validates():
     for a0, a in ((nan, [nan]), (nan, [1.0]), (10.0, [nan]), (10.0, [inf]), (inf, [1.0])):
         with pytest.raises(ValueError, match="finite"):
             FactoredNoiseSimulator(a0, a, ["global"], base, seed=0)
+    # finite scales whose declared range 2 (a0 + sum a) overflows
+    for a0, a in ((10.0, [1e308, 1e308]), (1e308, [1e308, 0.0])):
+        with pytest.raises(ValueError, match="overflow the utility range"):
+            FactoredNoiseSimulator(a0, a, ["global", "agent"], base, seed=0)
 
 
 def test_empirical_game_single_draw_and_zero_noise():

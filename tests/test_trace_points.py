@@ -19,3 +19,7 @@ def test_every_trace_point_resolves(monkeypatch):
     for target in targets:
         owner, attr = tracing._resolve(target)
         assert callable(getattr(owner, attr, None)), target
+    # patching takes a method from its class's own __dict__, so a method
+    # that is only inherited fails here
+    with tracing.patched([(target, lambda fn: fn) for target in targets]):
+        pass
