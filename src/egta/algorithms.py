@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator, Sequence
@@ -57,10 +58,12 @@ class SamplingSchedule:
     budget: int | None = None
 
     def __post_init__(self):
-        if self.m0 < 1:
-            raise ValueError("initial sample size must be at least 1")
-        if self.budget is not None and self.budget < self.m0:
-            raise ValueError("budget admits no iterations")
+        if not isinstance(self.m0, numbers.Integral) or not self.m0 >= 1:
+            raise ValueError("initial sample size must be an integer of at least 1")
+        if self.budget is not None and (
+            not isinstance(self.budget, numbers.Integral) or not self.budget >= self.m0
+        ):
+            raise ValueError("budget must be an integer that admits an iteration")
 
     @staticmethod
     def finite_doubling(m0: int, budget: int) -> "SamplingSchedule":
@@ -93,8 +96,10 @@ class FailureSchedule:
     def __post_init__(self):
         if not 0 < self.delta < 1:
             raise ValueError("total failure probability must lie in (0, 1)")
-        if self.steps is not None and self.steps < 1:
-            raise ValueError("uniform split needs at least one step")
+        if self.steps is not None and (
+            not isinstance(self.steps, numbers.Integral) or not self.steps >= 1
+        ):
+            raise ValueError("uniform split needs an integer number of steps, at least one")
 
     @staticmethod
     def uniform_split(delta: float, steps: int) -> "FailureSchedule":
@@ -157,11 +162,12 @@ def gs(
     m: int,
     delta: float,
     c: float,
-    bound: BoundType,
+    bound: BoundType | str,
     seed: int = 0,
 ) -> GSResult:
     """Global sampling: estimate every index from m shared conditions and
-    bound the uniform error.
+    bound the uniform error. ``bound`` is a BoundType or its value
+    ("hoeffding" or "1era"); anything else raises ValueError.
 
     With the Hoeffding bound the radius is the Bonferroni-corrected
     c*sqrt(ln(2|I|/delta)/(2m)); with the one-draw empirical Rademacher
@@ -178,11 +184,12 @@ def gs(
     radius reproduces only at a fixed thread count; estimates and Hoeffding
     radii do not depend on it.
     """
+    bound = BoundType(bound)
     n = len(index_set)
     if n == 0:
         raise ValueError("index set must be nonempty")
-    if m < 1:
-        raise ValueError("sample count m must be at least 1")
+    if not isinstance(m, numbers.Integral) or not m >= 1:
+        raise ValueError("sample count m must be an integer of at least 1")
     if not 0 < delta < 1:
         raise ValueError("failure probability must lie in (0, 1)")
     if not 0 <= c < math.inf:
@@ -313,12 +320,13 @@ def psp(
     sampling: SamplingSchedule,
     failure: FailureSchedule,
     c: float,
-    bound: BoundType,
+    bound: BoundType | str,
     pure: bool = True,
     eps_threshold: float = 0.0,
     seed: int = 0,
 ) -> PSPResult:
-    """Progressive sampling with pruning.
+    """Progressive sampling with pruning. ``bound`` is a BoundType or its
+    value, as in gs.
 
     Runs global sampling on the surviving index set once per schedule entry,
     drawing fresh conditions every iteration, and stops once the radius

@@ -17,7 +17,7 @@ from typing import Sequence
 def _check_common(c: float, m: float, delta: float) -> None:
     if not 0 <= c < math.inf:
         raise ValueError("utility range c must be finite and nonnegative")
-    if m < 1:
+    if not m >= 1:
         raise ValueError("sample count m must be at least 1")
     if not 0 < delta < 1:
         raise ValueError("failure probability delta must lie in (0, 1)")
@@ -27,7 +27,7 @@ def hoeffding_eps(c: float, num_indices: int, m: float, delta: float) -> float:
     """Union-bound error radius over num_indices simultaneous estimates:
     c * sqrt(ln(2|I|/delta)/(2m)). Use hoeffding_eps_ln when |I| overflows."""
     _check_common(c, m, delta)
-    if num_indices < 1:
+    if not num_indices >= 1:
         raise ValueError("index-set size must be at least 1")
     return c * math.sqrt(math.log(2.0 * num_indices / delta) / (2.0 * m))
 
@@ -36,7 +36,7 @@ def hoeffding_eps_ln(c: float, ln_num_indices: float, m: float, delta: float) ->
     """Union-bound radius with the index-set size given in log space, for
     games too large to represent |I| as a float."""
     _check_common(c, m, delta)
-    if ln_num_indices < 0:
+    if not ln_num_indices >= 0:
         raise ValueError("ln of the index-set size must be nonnegative")
     return c * math.sqrt((math.log(2.0) + ln_num_indices - math.log(delta)) / (2.0 * m))
 
@@ -44,7 +44,7 @@ def hoeffding_eps_ln(c: float, ln_num_indices: float, m: float, delta: float) ->
 def era_eps(r: float, c: float, m: float, delta: float) -> float:
     """Uniform error radius from a one-draw empirical Rademacher average r."""
     _check_common(c, m, delta)
-    if r < 0:
+    if not r >= 0:
         raise ValueError("empirical Rademacher average must be nonnegative")
     return 2.0 * r + 3.0 * c * math.sqrt(math.log(1.0 / delta) / (2.0 * m))
 
@@ -53,7 +53,7 @@ def ra_eps_upper(c: float, num_indices: int, m: float, delta: float) -> float:
     """A-priori cap on the Rademacher-average radius via Massart's finite
     class bound: c*sqrt(ln|I|/(2m)) + c*sqrt(ln(1/delta)/(2m))."""
     _check_common(c, m, delta)
-    if num_indices < 1:
+    if not num_indices >= 1:
         raise ValueError("index-set size must be at least 1")
     tail = c * math.sqrt(math.log(1.0 / delta) / (2.0 * m))
     return c * math.sqrt(math.log(num_indices) / (2.0 * m)) + tail
@@ -74,15 +74,15 @@ def factored_ra_bound(a0: float, a: Sequence[float], b: Sequence[int | float], m
     a_i bounds factor i's magnitude and b_i the number of distinct values its
     grouping function can take. b_i may be arbitrarily large Python ints.
     """
-    if m < 1:
+    if not m >= 1:
         raise ValueError("sample count m must be at least 1")
-    if a0 < 0:
+    if not a0 >= 0:
         raise ValueError("expected-utility bound a0 must be nonnegative")
     if len(a) != len(b):
         raise ValueError("a and b must have equal length")
     total = a0 / math.sqrt(m)
     for a_i, b_i in zip(a, b):
-        if a_i <= 0 or b_i < 1:
+        if not (a_i > 0 and b_i >= 1):
             raise ValueError("factor scales must be positive and counts >= 1")
         total += a_i * min(1.0, math.sqrt(2.0 * math.log(b_i) / m))
     return total
@@ -104,12 +104,12 @@ class NoiseProfile:
     def __post_init__(self):
         object.__setattr__(self, "breakpoints", tuple(float(v) for v in self.breakpoints))
         object.__setattr__(self, "counts", tuple(int(f) for f in self.counts))
-        if self.a < 0:
+        if not self.a >= 0:
             raise ValueError("expected-utility bound a must be nonnegative")
         v = self.breakpoints
         if len(v) < 2 or v[0] != 0.0:
             raise ValueError("breakpoints must start at 0 and contain at least one interval")
-        if any(v[i] >= v[i + 1] for i in range(len(v) - 1)):
+        if not all(v[i] < v[i + 1] for i in range(len(v) - 1)):
             raise ValueError("breakpoints must be strictly increasing")
         if len(self.counts) != len(v) - 1:
             raise ValueError("need one count per interval")
@@ -123,7 +123,7 @@ def noise_scaling_ra_bound(profile: NoiseProfile, m: float) -> float:
 
     Intervals with zero or one index contribute nothing (ln F resolved as 0).
     """
-    if m < 1:
+    if not m >= 1:
         raise ValueError("sample count m must be at least 1")
     total = profile.a / math.sqrt(m)
     for i, count in enumerate(profile.counts):

@@ -3,12 +3,14 @@ experiment suite, all deterministic under --seed (CSV output is
 byte-identical across runs).
 
 Each subcommand declares its driver (``run``) and, for experiments, its
-plot (``lines``); option names match the driver's keyword names, so main()
-calls every driver the same way."""
+plot (``lines``); option dests match the driver's keyword names, so main()
+calls every driver the same way. An experiment's flags and their defaults
+are read from its driver's signature, so each setting is declared once."""
 
 from __future__ import annotations
 
 import argparse
+import inspect
 import sys
 
 from . import _svg, experiments
@@ -23,7 +25,24 @@ from .simulators import (
     noisy_sim,
 )
 
-_BOUNDS = {"hoeffding": BoundType.HOEFFDING, "1era": BoundType.ONE_ERA}
+# experiment flags whose name is not the driver keyword with dashes
+_FLAGS = {
+    "d": "--noise-d",
+    "runs": "--reps",
+    "d_values": "--d-grid",
+    "m_values": "--m-grid",
+    "players_values": "--players-grid",
+    "k_values": "--k-grid",
+}
+_HELP = {
+    "seed": "master seed",
+    "reps": "replications",
+    "runs": "replications",
+    "d": "noise width",
+    "delta": "failure probability",
+    "m": "samples per run",
+    "budget": "total conditions per run",
+}
 
 
 def _write(text: str, out: str | None) -> None:
@@ -79,7 +98,7 @@ def _gen_game(family, players, k, facilities, alpha, u0, seed, dense) -> str:
 
 def _gs(game, d, m, delta, bound, seed) -> str:
     sim = noisy_sim(_load_base_game(game), d)
-    result = gs(sim, IndexSet.full(sim.base), m, delta, sim.range_c, _BOUNDS[bound], seed=seed)
+    result = gs(sim, IndexSet.full(sim.base), m, delta, sim.range_c, bound, seed=seed)
     return result.to_json() + "\n"
 
 
@@ -92,7 +111,7 @@ def _psp(game, d, m0, budget, infinite, delta, bound, mixed, eps, seed) -> str:
         sampling = SamplingSchedule.finite_doubling(m0, budget)
         failure = FailureSchedule.uniform_split(delta, sampling.length)
     result = psp(
-        sim, sampling, failure, c=sim.range_c, bound=_BOUNDS[bound],
+        sim, sampling, failure, c=sim.range_c, bound=bound,
         pure=not mixed, eps_threshold=eps, seed=seed,
     )
     return result.to_json() + "\n"
@@ -107,105 +126,74 @@ def build_parser() -> argparse.ArgumentParser:
     parser.set_defaults(plot=False, lines=None)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def experiment(name, run, lines, seed=True, reps=None, reps_dest="reps", noise=None,
-                   delta=0.1, **text):
+    def experiment(name, run, lines, **text):
         p = sub.add_parser(name, **text)
         p.set_defaults(run=run, lines=lines)
-        if seed:
-            p.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
         p.add_argument("--out", default=None, help="output path (default stdout)")
         p.add_argument("--plot", action="store_true", help="also write <out>.svg")
-        if reps is not None:
-            p.add_argument("--reps", dest=reps_dest, type=int, default=reps,
-                           help=f"replications (default {reps})")
-        if noise is not None:
-            p.add_argument("--noise-d", dest="d", type=float, default=noise,
-                           help=f"noise width (default {noise})")
-        if delta is not None:
-            p.add_argument("--delta", type=float, default=delta,
-                           help=f"failure probability (default {delta})")
-        return p
+        for key, param in inspect.signature(run).parameters.items():
+            default = shown = param.default
+            flag_type = type(default)
+            if isinstance(default, tuple):
+                flag_type = _int_list if all(type(x) is int for x in default) else _float_list
+                shown = ",".join(map(str, default))
+            p.add_argument(_FLAGS.get(key, "--" + key.replace("_", "-")), dest=key,
+                           type=flag_type, default=default,
+                           help=f"{_HELP.get(key, '')} (default {shown})".lstrip())
 
-    p = experiment(
+    experiment(
         "eps-vs-samples", experiments.run_eps_vs_samples,
         _lines("m", {"d={d}": "mean_epsilon"}, title="error radius vs samples",
                xlabel="m", ylabel="epsilon", logx=True, logy=True),
-        reps=200,
         help="error radius vs sample count on random congestion games",
         description="CSV columns: d, m, mean_epsilon, ci_low, ci_high. "
         "One row per (noise width, sample count); 95%% normal CIs over --reps games.",
     )
-    p.add_argument("--d-grid", dest="d_values", type=_float_list, default=(2.0, 5.0, 10.0))
-    p.add_argument("--m-grid", dest="m_values", type=_int_list,
-                   default=(1000, 3162, 10000, 31623, 100000))
-
-    p = experiment(
+    experiment(
         "nash-frequency", experiments.run_nash_frequency,
         _lines("profile", {"m={m}": "frequency"},
                title="profiles flagged as approximate equilibria",
                xlabel="profile", ylabel="frequency"),
-        reps=200, reps_dest="runs", noise=2.0,
         help="how often profiles get flagged as approximate equilibria",
         description="CSV columns: m, profile, frequency. Zero-frequency "
         "profiles are omitted. Metadata records the fixture and its true equilibrium.",
     )
-    p.add_argument("--m-grid", dest="m_values", type=_int_list, default=(50, 100, 200, 500))
-
-    p = experiment(
+    experiment(
         "success-rate", experiments.run_success_rate,
         _lines("delta", {"{family}/{bound}/rho={rho}": "success_rate"},
                keep=lambda row, options: row["rho"] in (options["rho_grid"][0],
                                                         options["rho_grid"][-1]),
                title="empirical success rate", xlabel="delta", ylabel="success rate"),
-        reps=200, noise=5.0, delta=None,
         help="rate at which the two-sided equilibrium containment holds",
         description="CSV columns: family, bound, delta, rho, success_rate, "
         "ci_low, ci_high. rho contracts the returned radius to probe slack.",
     )
-    p.add_argument("--m", type=int, default=500, help="samples per run (default 500)")
-    p.add_argument("--delta-grid", type=_float_list, default=(0.05, 0.1, 0.15, 0.2, 0.25))
-    p.add_argument("--rho-grid", type=_float_list, default=(1.0, 0.875, 0.75, 0.625, 0.5))
-
-    p = experiment(
+    experiment(
         "gs-vs-psp", experiments.run_gs_vs_psp,
         _lines("game_size", {"psp": "eps_psp", "gs": "eps_gs"},
                title="progressive vs one-shot sampling", xlabel="game size",
                ylabel="epsilon", logy=True),
-        reps=12, noise=5.0,
         help="progressive vs one-shot sampling at equal query budgets",
         description="CSV columns: players, k, game_size, rep, eps_psp, eps_gs, "
         "cost_psp, m_gs. m_gs = cost_psp / game_size is the per-utility budget "
         "granted to the one-shot baseline.",
     )
-    p.add_argument("--players-grid", dest="players_values", type=_int_list, default=(2, 3, 4, 5))
-    p.add_argument("--k-grid", dest="k_values", type=_int_list, default=(2, 3, 4, 5))
-    p.add_argument("--m0", type=int, default=100)
-    p.add_argument("--budget", type=int, default=102300, help="total conditions per run")
-
     bound_lines = {"hoeffding": "hoeffding", "rademacher": "rademacher"}
-    p = experiment(
+    experiment(
         "bound-compare-factored", experiments.run_bound_compare_factored,
         _lines("players", bound_lines, title="bounds for factored noise",
                xlabel="players", ylabel="radius"),
-        seed=False, delta=0.05,
         help="Hoeffding vs factored-noise Rademacher radii by player count",
         description="CSV columns: players, hoeffding, rademacher. Metadata "
         "records the first crossover player count.",
     )
-    p.add_argument("--players-max", type=int, default=100)
-    p.add_argument("--m", type=int, default=10000)
-
-    p = experiment(
+    experiment(
         "bound-compare-vns", experiments.run_bound_compare_vns,
         _lines("players", bound_lines, title="bounds for variable-scale noise",
                xlabel="players", ylabel="radius"),
-        seed=False, delta=0.05,
         help="Hoeffding vs variable-noise-scale Rademacher radii",
         description="CSV columns: players, hoeffding, rademacher.",
     )
-    p.add_argument("--players-max", type=int, default=100)
-    p.add_argument("--m", type=int, default=10000)
-    p.add_argument("--intervals", type=int, default=6)
 
     p = sub.add_parser(
         "ppa-demo",
@@ -231,7 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
     learning.add_argument("--game", required=True, help="game JSON (dense or congestion)")
     learning.add_argument("--noise-d", dest="d", type=float, default=0.0)
     learning.add_argument("--delta", type=float, default=0.1)
-    learning.add_argument("--bound", choices=sorted(_BOUNDS), default="hoeffding")
+    learning.add_argument("--bound", choices=[b.value for b in BoundType], default="hoeffding")
     learning.add_argument("--seed", type=int, default=0)
     learning.add_argument("--out", default=None)
 

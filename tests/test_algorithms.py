@@ -54,6 +54,10 @@ def test_sampling_schedule_finite():
     assert sched.length == 8
     with pytest.raises(ValueError):
         SamplingSchedule.finite_doubling(100, 99)
+    # NaN and fractional sizes used to pass and yield no or fractional sizes
+    for m0, budget in ((10, math.nan), (math.nan, 100), (1.5, 10), (10, 100.0), (0, 10)):
+        with pytest.raises(ValueError):
+            SamplingSchedule.finite_doubling(m0, budget)
 
 
 def test_sampling_schedule_infinite():
@@ -61,6 +65,9 @@ def test_sampling_schedule_infinite():
     it = sched.sizes()
     assert [next(it) for _ in range(4)] == [50, 100, 200, 400]
     assert sched.length is None
+    for m0 in (math.nan, 1.5, 0):
+        with pytest.raises(ValueError):
+            SamplingSchedule.infinite_doubling(m0)
 
 
 def test_failure_schedules():
@@ -73,6 +80,9 @@ def test_failure_schedules():
     assert sum(first) < 0.2
     with pytest.raises(ValueError):
         FailureSchedule.uniform_split(1.5, 4)
+    for steps in (0, math.nan, 2.5):
+        with pytest.raises(ValueError):
+            FailureSchedule.uniform_split(0.1, steps)
     with pytest.raises(ValueError):
         FailureSchedule.uniform_split(0.1, 0)
 
@@ -245,6 +255,35 @@ def test_gs_validates_inputs():
         gs(sim, idx, 10, 1.1, 1.0, BoundType.HOEFFDING)
     with pytest.raises(ValueError):
         gs(sim, idx, 10, 0.1, -1.0, BoundType.HOEFFDING)
+    for m in (math.nan, 10.5, 10.0):
+        with pytest.raises(ValueError):
+            gs(sim, idx, m, 0.1, 1.0, BoundType.HOEFFDING)
+    for bound in ("bogus", None, "HOEFFDING"):
+        with pytest.raises(ValueError):
+            gs(sim, idx, 10, 0.1, 1.0, bound)
+
+
+def test_bound_accepts_enum_or_value():
+    """A BoundType's value selects the same bound as the member itself; any
+    other value used to fall through to 1ERA without drawing signs."""
+    base = gen_rg(2, 2, seed=1)
+    sim = noisy_sim(base, 1.0)
+    idx = IndexSet.full(base)
+    for bound in BoundType:
+        by_enum = gs(sim, idx, 10, 0.1, sim.range_c, bound, seed=3)
+        by_value = gs(sim, idx, 10, 0.1, sim.range_c, bound.value, seed=3)
+        assert by_value.bound is bound
+        assert by_value.to_json() == by_enum.to_json()
+    assert gs(sim, idx, 10, 0.1, sim.range_c, "hoeffding").epsilon == hoeffding_eps(
+        sim.range_c, len(idx), 10, 0.1
+    )
+    sched = SamplingSchedule.finite_doubling(10, 70)
+    failure = FailureSchedule.uniform_split(0.1, sched.length)
+    for bound in BoundType:
+        by_enum, by_value = (
+            psp(sim, sched, failure, sim.range_c, b, seed=5) for b in (bound, bound.value)
+        )
+        assert by_value.to_json() == by_enum.to_json()
 
 
 def test_gs_guarantee_monte_carlo_small():

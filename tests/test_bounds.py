@@ -101,6 +101,12 @@ def test_noise_profile_validation():
         NoiseProfile(1.0, (0.0, 1.0, 1.0), (3, 4))  # strictly increasing
     with pytest.raises(ValueError):
         NoiseProfile(1.0, (0.0, 1.0), (3, 4))  # one count per interval
+    with pytest.raises(ValueError):
+        NoiseProfile(math.nan, (0.0, 1.0), (3,))
+    with pytest.raises(ValueError):
+        NoiseProfile(1.0, (0.0, math.nan), (2,))
+    with pytest.raises(ValueError):
+        NoiseProfile(1.0, (0.0, math.nan, 1.0), (2, 2))
 
 
 def test_noise_scaling_values():
@@ -165,3 +171,20 @@ def test_invalid_domains_raise():
         era_eps(-0.1, 1, 10, 0.1)
     with pytest.raises(ValueError):
         factored_ra_bound(1, [1], [0], 10)
+    # NaN fails every comparison, so each domain check must reject it too
+    nan = math.nan
+    for call in (
+        lambda: hoeffding_eps(1, 2, nan, 0.1),
+        lambda: hoeffding_eps(1, nan, 10, 0.1),
+        lambda: hoeffding_eps_ln(1, nan, 10, 0.1),
+        lambda: era_eps(nan, 1, 10, 0.1),
+        lambda: ra_eps_upper(1, 2, nan, 0.1),
+        lambda: ra_eps_upper(1, nan, 10, 0.1),
+        lambda: factored_ra_bound(nan, [1], [2], 10),
+        lambda: factored_ra_bound(1, [nan], [2], 10),
+        lambda: factored_ra_bound(1, [1], [nan], 10),
+        lambda: factored_ra_bound(1, [1], [2], nan),
+        lambda: noise_scaling_ra_bound(NoiseProfile(1.0, (0.0, 1.0), (2,)), nan),
+    ):
+        with pytest.raises(ValueError):
+            call()

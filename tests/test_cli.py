@@ -1,11 +1,13 @@
 import hashlib
+import inspect
 import json
 import subprocess
 import sys
 
 import pytest
 
-from egta.cli import main
+from egta import experiments
+from egta.cli import build_parser, main
 from egta.games import game_from_json
 from egta.simulators import congestion_from_json
 
@@ -206,9 +208,55 @@ def test_cli_entrypoint_subprocess():
     assert "Pure price of anarchy: 2.5" in proc.stdout
 
 
-def test_help_documents_schema():
+def test_help_documents_schema(capsys):
     with pytest.raises(SystemExit):
         main(["success-rate", "--help"])
+    assert "CSV columns: family, bound, delta, rho, success_rate" in capsys.readouterr().out
+
+
+# every experiment subcommand's {flag: dest}; each dest is a keyword of the
+# driver and takes the driver's default
+EXPERIMENT_FLAGS = {
+    "eps-vs-samples": (experiments.run_eps_vs_samples, {
+        "--seed": "seed", "--reps": "reps", "--d-grid": "d_values",
+        "--m-grid": "m_values", "--delta": "delta",
+    }),
+    "nash-frequency": (experiments.run_nash_frequency, {
+        "--seed": "seed", "--reps": "runs", "--m-grid": "m_values",
+        "--noise-d": "d", "--delta": "delta",
+    }),
+    "success-rate": (experiments.run_success_rate, {
+        "--seed": "seed", "--reps": "reps", "--delta-grid": "delta_grid",
+        "--rho-grid": "rho_grid", "--noise-d": "d", "--m": "m",
+    }),
+    "gs-vs-psp": (experiments.run_gs_vs_psp, {
+        "--seed": "seed", "--reps": "reps", "--players-grid": "players_values",
+        "--k-grid": "k_values", "--noise-d": "d", "--delta": "delta",
+        "--m0": "m0", "--budget": "budget",
+    }),
+    "bound-compare-factored": (experiments.run_bound_compare_factored, {
+        "--players-max": "players_max", "--m": "m", "--delta": "delta",
+    }),
+    "bound-compare-vns": (experiments.run_bound_compare_vns, {
+        "--players-max": "players_max", "--m": "m", "--delta": "delta",
+        "--intervals": "intervals",
+    }),
+}
+
+
+def test_experiment_flags_mirror_driver_signature(capsys):
+    for name, (run, flags) in EXPERIMENT_FLAGS.items():
+        options = vars(build_parser().parse_args([name]))
+        for key in ("run", "lines", "plot", "out", "command"):
+            del options[key]
+        params = inspect.signature(run).parameters
+        assert options == {key: p.default for key, p in params.items()}, name
+        assert sorted(flags.values()) == sorted(options), name
+        with pytest.raises(SystemExit):
+            main([name, "--help"])
+        text = capsys.readouterr().out
+        for flag, dest in flags.items():
+            assert f" {flag} {dest.upper()}" in text, (name, flag)
 
 
 # sha256 of every file the CLI writes at tiny sizes, frozen before main()
