@@ -205,14 +205,18 @@ def gs(
     sums = np.zeros(n)
     signed = np.zeros(n)
     block = max(1, _BLOCK_ELEMS // n)
-    gathered = np.empty((0, 0))
+    buffer = None
     for start in range(0, m, block):
         stop = min(start + block, m)
         rows = max(1, _TILE_ELEMS // (stop - start))
-        # 1ERA gathers the tiles of a block unless one tile holds it all
+        # 1ERA gathers the tiles of a block unless one tile holds it all;
+        # the first gathered block is the widest, so its buffer holds the
+        # later ones as contiguous views, and no second buffer is allocated
         gather = sigma is not None and rows < n
-        if gather and gathered.shape[1] != stop - start:
-            gathered = np.empty((n, stop - start))
+        if gather:
+            if buffer is None:
+                buffer = np.empty(n * (stop - start))
+            gathered = buffer[: n * (stop - start)].reshape(n, stop - start)
         for r0 in range(0, n, rows):
             r1 = min(r0 + rows, n)
             values = sim.sample_block(

@@ -4,9 +4,28 @@ Every source of randomness in this package that must be stable across
 processes, platforms, and execution order (simulator noise, per-replication
 seeds) is derived by hashing integer counters with splitmix64 rather than by
 consuming a shared stateful RNG.
+
+``hash_uniform``, the noise kernel behind every simulator sample, runs as a
+small C loop when one can be built: the first call compiles ``_C_SOURCE``
+with gcc into ``$XDG_CACHE_HOME/egta`` (default ``~/.cache/egta``), under a
+name hashed from the source, the flags and the host CPU, and loads it with
+ctypes. The loop does the same integer operations and the same two rounded
+floating-point steps as the numpy code, built without floating-point
+contraction, so both give identical bits. Without a compiler, a writable
+cache directory or a loadable library, the numpy code runs instead; it is
+also the reference the tests compare against.
 """
 
 from __future__ import annotations
+
+import ctypes
+import functools
+import hashlib
+import os
+import platform
+import subprocess
+import tempfile
+from pathlib import Path
 
 import numpy as np
 
@@ -57,13 +76,27 @@ def hash_uniform(cond_seeds: np.ndarray, keys: np.ndarray) -> np.ndarray:
     [n, m]. The condition seeds arrive finalized (``draw_conditions`` applies
     splitmix64 once, when it draws them), so they are not hashed again here;
     only the n keys are. The pairing then needs one more finalizer pass over
-    the n*m grid, done with in-place ops. For a raw condition seed ``cond``
-    each value is the top 53 bits of
-    splitmix64(splitmix64(key) + splitmix64(cond)), scaled to the centre of
-    its bin of width 2^-53, so it lies in the open (0, 1).
+    the n*m grid. For a raw condition seed ``cond`` each value is the top 53
+    bits of splitmix64(splitmix64(key) + splitmix64(cond)), scaled to the
+    centre of its bin of width 2^-53, so it lies in the open (0, 1). The
+    compiled kernel computes this when it could be built, and
+    ``_hash_uniform_numpy`` otherwise; the bits are the same.
     """
-    b = splitmix64(np.asarray(keys, dtype=np.uint64))
-    z = b[:, None] + np.asarray(cond_seeds, dtype=np.uint64)[None, :]
+    conds = np.ascontiguousarray(cond_seeds, dtype=np.uint64)
+    keys = np.ascontiguousarray(keys, dtype=np.uint64)
+    if conds.ndim != 1 or keys.ndim != 1:
+        raise ValueError("cond_seeds and keys must be one-dimensional")
+    kernel = _kernel()
+    if kernel is None:
+        return _hash_uniform_numpy(conds, keys)
+    out = np.empty((keys.size, conds.size))
+    kernel(conds.ctypes.data, conds.size, keys.ctypes.data, keys.size, out.ctypes.data)
+    return out
+
+
+def _hash_uniform_numpy(conds: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """``hash_uniform`` in numpy, with in-place ops over the n*m grid."""
+    z = splitmix64(keys)[:, None] + conds[None, :]
     z += np.uint64(_GOLDEN)
     z ^= z >> np.uint64(30)
     z *= np.uint64(_MIX1)
@@ -76,3 +109,86 @@ def hash_uniform(cond_seeds: np.ndarray, keys: np.ndarray) -> np.ndarray:
     out += _HALF_BIN
     return out
 
+
+# The same arithmetic as _hash_uniform_numpy. The 53-bit integer converts to
+# double exactly, and the scale and offset are two separately rounded steps,
+# as in numpy, which -ffp-contract=off keeps from being fused.
+_C_SOURCE = r"""
+#include <stddef.h>
+#include <stdint.h>
+
+static inline uint64_t splitmix64(uint64_t z) {
+    z += 0x9E3779B97F4A7C15ULL;
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
+    return z ^ (z >> 31);
+}
+
+void egta_hash_uniform(const uint64_t *restrict conds, size_t m,
+                       const uint64_t *restrict keys, size_t n,
+                       double *restrict out) {
+    for (size_t i = 0; i < n; i++) {
+        uint64_t key_hash = splitmix64(keys[i]);
+        double *row = out + i * m;
+        for (size_t j = 0; j < m; j++) {
+            uint64_t z = splitmix64(key_hash + conds[j]);
+            row[j] = (double)(int64_t)(z >> 11) * 0x1p-53 + 0x1p-54;
+        }
+    }
+}
+"""
+# never -ffast-math: it licenses rewrites that change the bits
+_C_FLAGS = ("-O3", "-march=native", "-ffp-contract=off", "-fPIC", "-shared")
+
+
+def _cpu_signature() -> str:
+    """The host's architecture and, where readable, its CPU feature flags,
+    so a cache shared between hosts never loads another host's build."""
+    try:
+        with open("/proc/cpuinfo") as fh:
+            flags = next((line for line in fh if line.startswith("flags")), "")
+    except OSError:
+        flags = ""
+    return platform.machine() + "\n" + flags
+
+
+def _kernel_path(cache_dir: Path) -> Path:
+    """Where the build of this source, these flags and this CPU is cached."""
+    tag = "\0".join((_C_SOURCE, *_C_FLAGS, _cpu_signature()))
+    return cache_dir / f"hash_uniform-{hashlib.sha256(tag.encode()).hexdigest()[:32]}.so"
+
+
+def _load_kernel(cache_dir: Path, compiler: str = "gcc"):
+    """The compiled kernel from ``cache_dir``, built there first if absent,
+    as a ctypes function; None when it cannot be built or loaded."""
+    path = _kernel_path(cache_dir)
+    try:
+        if not path.exists():
+            cache_dir.mkdir(parents=True, exist_ok=True)
+            # concurrent builders each write their own file and rename it
+            # into place; the rename is atomic, so no reader sees a partial one
+            fd, tmp = tempfile.mkstemp(dir=cache_dir, prefix=path.stem, suffix=".tmp")
+            os.close(fd)
+            try:
+                subprocess.run(
+                    [compiler, *_C_FLAGS, "-x", "c", "-", "-o", tmp],
+                    input=_C_SOURCE, text=True, capture_output=True, check=True,
+                )
+                os.replace(tmp, path)
+            finally:
+                if os.path.exists(tmp):
+                    os.unlink(tmp)
+        fn = ctypes.CDLL(str(path)).egta_hash_uniform
+    except (OSError, subprocess.CalledProcessError):
+        return None
+    fn.argtypes = [ctypes.c_void_p, ctypes.c_size_t, ctypes.c_void_p, ctypes.c_size_t, ctypes.c_void_p]
+    fn.restype = None
+    return fn
+
+
+@functools.cache
+def _kernel():
+    """The process's compiled kernel, loaded on first use; None when the
+    numpy code must run instead."""
+    cache_home = os.environ.get("XDG_CACHE_HOME") or os.path.join(os.path.expanduser("~"), ".cache")
+    return _load_kernel(Path(cache_home) / "egta")

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -190,6 +191,24 @@ def test_gs_row_tiles_bit_identical(monkeypatch):
             for res in runs[1:]:
                 assert np.array_equal(res.utilities, runs[0].utilities)
                 assert res.epsilon == runs[0].epsilon
+
+
+def test_gs_1era_gathers_ragged_blocks_in_one_buffer():
+    # 288 indices at m=12 800 make a full 6944-column block and a ragged
+    # 5856-column one, and 1ERA gathers both; the ragged block must reuse the
+    # first block's buffer, so the call's peak stays near one 16 MB block
+    base = gen_rg(2, 12, seed=1)
+    sim = noisy_sim(base, 2.0)
+    idx = IndexSet.full(base)
+    assert len(idx) == 288
+    tracemalloc.start()
+    try:
+        gs(sim, idx, 12_800, 0.1, sim.range_c, BoundType.ONE_ERA, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    block_bytes = 8 * len(idx) * (algorithms._BLOCK_ELEMS // len(idx))
+    assert peak < 1.25 * block_bytes
 
 
 def test_noisy_sample_block_matches_formula():

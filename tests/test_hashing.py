@@ -1,9 +1,20 @@
-import numpy as np
+import hashlib
+import os
+import shutil
+import subprocess
+import sys
+import time
+from pathlib import Path
 
+import numpy as np
+import pytest
+
+from egta import hashing
 from egta.hashing import hash_uniform, mix, splitmix64
 from egta.simulators import draw_conditions
 
 _MASK = (1 << 64) - 1
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def reference_splitmix64(x: int) -> int:
@@ -61,3 +72,113 @@ def test_mix_order_and_label_sensitivity():
     assert mix(1, "a") != mix(1, "b")
     assert mix(7, "run", 3) == mix(7, "run", 3)
 
+
+needs_gcc = pytest.mark.skipif(shutil.which("gcc") is None, reason="gcc is not installed")
+
+
+@pytest.fixture(scope="module")
+def compiled(tmp_path_factory):
+    """The compiled kernel, built into a fresh cache directory."""
+    if shutil.which("gcc") is None:
+        pytest.skip("gcc is not installed")
+    kernel = hashing._load_kernel(tmp_path_factory.mktemp("cache"))
+    assert kernel is not None, "gcc is installed but the kernel did not build or load"
+    return kernel
+
+
+def _compiled_and_numpy(monkeypatch, kernel, conds, keys):
+    monkeypatch.setattr(hashing, "_kernel", lambda: kernel)
+    got = hash_uniform(conds, keys)
+    monkeypatch.setattr(hashing, "_kernel", lambda: None)
+    return got, hash_uniform(conds, keys)
+
+
+@pytest.mark.parametrize("n, m", [(1, 1), (1, 100_001), (33, 1953), (0, 5), (5, 0)])
+def test_compiled_kernel_bit_identical(compiled, monkeypatch, n, m):
+    rng = np.random.default_rng(n * 1_000_003 + m)
+    conds = rng.integers(0, 2**64, size=m, dtype=np.uint64)
+    keys = rng.integers(0, 2**64, size=n, dtype=np.uint64)
+    got, want = _compiled_and_numpy(monkeypatch, compiled, conds, keys)
+    assert got.shape == want.shape == (n, m) and got.dtype == np.float64
+    assert np.array_equal(got, want)
+
+
+def test_compiled_kernel_strided_and_extreme_inputs(compiled, monkeypatch):
+    extremes = np.array([0, 1, 2**63, _MASK], dtype=np.uint64)
+    conds = np.concatenate([extremes, np.arange(2**64 - 300, 2**64 - 1, dtype=np.uint64)])
+    keys = np.concatenate([extremes, np.arange(50, dtype=np.uint64) * np.uint64(0x9E3779B9)])
+    for c, k in [(conds, keys), (conds[::3], keys[1::2]), (conds[::-1], keys[::-7])]:
+        got, want = _compiled_and_numpy(monkeypatch, compiled, c, k)
+        assert np.array_equal(got, want)
+        assert np.array_equal(want, hashing._hash_uniform_numpy(c, k))
+    # Python ints and signed arrays are taken mod 2^64 on both paths
+    got, want = _compiled_and_numpy(monkeypatch, compiled, [0, 2**63, _MASK], np.arange(-3, 3))
+    assert np.array_equal(got, want)
+    with pytest.raises(ValueError, match="one-dimensional"):
+        hash_uniform(conds, keys.reshape(2, -1))
+
+
+@pytest.mark.parametrize("force", ["missing compiler", "unwritable cache", "corrupt library"])
+def test_forced_fallback_gives_same_bits(compiled, monkeypatch, tmp_path, force):
+    cache_dir, compiler = tmp_path / "egta", "gcc"
+    if force == "missing compiler":
+        compiler = "egta-no-such-compiler"
+    elif force == "unwritable cache":
+        # below a regular file no directory can be made, not even by root
+        (tmp_path / "file").write_text("")
+        cache_dir = tmp_path / "file" / "egta"
+    else:
+        cache_dir.mkdir()
+        hashing._kernel_path(cache_dir).write_bytes(b"not a shared library")
+    assert hashing._load_kernel(cache_dir, compiler) is None
+    conds = np.arange(2**64 - 700, 2**64 - 1, dtype=np.uint64)
+    got, want = _compiled_and_numpy(monkeypatch, compiled, conds, np.arange(40))
+    assert np.array_equal(got, want)
+    if cache_dir.is_dir():
+        assert [p.name for p in cache_dir.iterdir() if p.suffix == ".tmp"] == []
+
+
+_BUILDER = """
+import hashlib, sys, time
+from pathlib import Path
+import numpy as np
+from egta import hashing
+time.sleep(max(0.0, float(sys.argv[2]) - time.time()))
+kernel = hashing._load_kernel(Path(sys.argv[1]))
+assert kernel is not None
+hashing._kernel = lambda: kernel
+out = hashing.hash_uniform(np.arange(1000, dtype=np.uint64), np.arange(30, dtype=np.uint64))
+print(hashlib.sha256(out.tobytes()).hexdigest())
+"""
+
+
+@needs_gcc
+def test_concurrent_builds_share_one_library(tmp_path):
+    cache_dir = tmp_path / "egta"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    start_at = str(time.time() + 1.0)  # both start building at this moment
+    procs = [
+        subprocess.Popen(
+            [sys.executable, "-c", _BUILDER, str(cache_dir), start_at],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
+        )
+        for _ in range(2)
+    ]
+    results = [proc.communicate(timeout=120) for proc in procs]
+    for proc, (_, err) in zip(procs, results):
+        assert proc.returncode == 0, err
+    digests = {out.strip() for out, _ in results}
+    assert len(digests) == 1
+    want = hashing._hash_uniform_numpy(np.arange(1000, dtype=np.uint64), np.arange(30, dtype=np.uint64))
+    assert digests == {hashlib.sha256(want.tobytes()).hexdigest()}
+    assert sorted(p.name for p in cache_dir.iterdir()) == [hashing._kernel_path(cache_dir).name]
+
+
+@needs_gcc
+def test_kernel_source_compiles_without_warnings(tmp_path):
+    proc = subprocess.run(
+        ["gcc", *hashing._C_FLAGS, "-Wall", "-Wextra", "-Werror", "-x", "c", "-", "-o", str(tmp_path / "k.so")],
+        input=hashing._C_SOURCE, text=True, capture_output=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
