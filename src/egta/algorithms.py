@@ -176,13 +176,14 @@ def gs(
 
     Conditions are consumed in column blocks of at most _BLOCK_ELEMS
     samples, and each block is sampled in row tiles of _TILE_ELEMS samples
-    (at least one row), which bounds the size of the noise temporaries and
-    leaves every estimate unchanged. Under 1ERA the tiles are gathered into
-    one [n, cols] block and the signed sum ``block @ sigma`` is taken once
-    per column block, because its bits depend on the number of rows in the
-    product. Those bits also depend on the BLAS thread count, so a 1ERA
-    radius reproduces only at a fixed thread count; estimates and Hoeffding
-    radii do not depend on it.
+    (at least one row), which bounds the size of the sampling buffer and
+    leaves every estimate unchanged. Each call owns one buffer, and the
+    simulator writes every tile into a view of it. Under 1ERA the buffer
+    holds a whole [n, cols] block, and the signed sum ``block @ sigma`` is
+    taken once per column block, because its bits depend on the number of
+    rows in the product. Those bits also depend on the BLAS thread count, so
+    a 1ERA radius reproduces only at a fixed thread count; estimates and
+    Hoeffding radii do not depend on it.
     """
     bound = BoundType(bound)
     n = len(index_set)
@@ -200,33 +201,31 @@ def gs(
     cond_seeds = draw_conditions(rng, m)
     sigma = None
     if bound is BoundType.ONE_ERA:
-        sigma = rng.integers(0, 2, size=m).astype(np.float64) * 2.0 - 1.0
+        sigma = rng.integers(0, 2, size=m).astype(np.float64)
+        sigma *= 2.0
+        sigma -= 1.0
 
     sums = np.zeros(n)
     signed = np.zeros(n)
     block = max(1, _BLOCK_ELEMS // n)
-    buffer = None
+    # the first block is the widest; a tile holds at most max(_TILE_ELEMS,
+    # cols) samples, and under 1ERA the buffer keeps a whole block
+    widest = min(block, m)
+    buffer = np.empty(n * widest if sigma is not None else min(n * widest, max(_TILE_ELEMS, widest)))
     for start in range(0, m, block):
         stop = min(start + block, m)
-        rows = max(1, _TILE_ELEMS // (stop - start))
-        # 1ERA gathers the tiles of a block unless one tile holds it all;
-        # the first gathered block is the widest, so its buffer holds the
-        # later ones as contiguous views, and no second buffer is allocated
-        gather = sigma is not None and rows < n
-        if gather:
-            if buffer is None:
-                buffer = np.empty(n * (stop - start))
-            gathered = buffer[: n * (stop - start)].reshape(n, stop - start)
+        cols = stop - start
+        rows = max(1, _TILE_ELEMS // cols)
         for r0 in range(0, n, rows):
             r1 = min(r0 + rows, n)
-            values = sim.sample_block(
-                cond_seeds[start:stop], index_set.players[r0:r1], index_set.profiles[r0:r1]
+            at = r0 * cols if sigma is not None else 0  # 1ERA keeps the whole block
+            tile = buffer[at : at + (r1 - r0) * cols].reshape(r1 - r0, cols)
+            sim.sample_block(
+                cond_seeds[start:stop], index_set.players[r0:r1], index_set.profiles[r0:r1], out=tile
             )
-            sums[r0:r1] += values.sum(axis=1)
-            if gather:
-                gathered[r0:r1] = values
+            sums[r0:r1] += tile.sum(axis=1)
         if sigma is not None:
-            signed += (gathered if gather else values) @ sigma[start:stop]
+            signed += buffer[: n * cols].reshape(n, cols) @ sigma[start:stop]
     means = sums / m
 
     if bound is BoundType.HOEFFDING:

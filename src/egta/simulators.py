@@ -39,10 +39,15 @@ class ConditionalSimulator:
     range_c: float
 
     def sample_block(
-        self, cond_seeds: np.ndarray, players: np.ndarray, profiles: np.ndarray
+        self,
+        cond_seeds: np.ndarray,
+        players: np.ndarray,
+        profiles: np.ndarray,
+        out: np.ndarray | None = None,
     ) -> np.ndarray:
         """Utilities for each (player, profile) index under each condition;
-        shape [num_indices, num_conditions]."""
+        shape [num_indices, num_conditions]. They are written into ``out``
+        when it is given, which is then returned."""
         raise NotImplementedError
 
 
@@ -85,22 +90,23 @@ class NoisySimulator(ConditionalSimulator):
         """The one factor's hash keys: each index's flat position p P + s."""
         return players * self.base.num_profiles + profiles
 
-    def sample_block(self, cond_seeds, players, profiles):
+    def sample_block(self, cond_seeds, players, profiles, out=None):
         """The additive-noise kernel of both simulators: factor i of width
         w_i != 0 adds (u - 0.5) * w_i to the base, with
-        u = hash_uniform(cond_seeds, self._keys(i, players, profiles))."""
-        out = self.base.utilities[players, profiles][:, None]
+        u = hash_uniform(cond_seeds, self._keys(i, players, profiles)).
+        The utilities are written into ``out`` (a fresh array when None),
+        which is returned."""
+        if out is None:
+            out = np.empty((len(players), len(cond_seeds)))
+        base = self.base.utilities[players, profiles]
         for i, width in enumerate(self._widths):
             if width:
-                # in place, with the same operations in the same order as
-                # out + (u - 0.5) * w_i, so no full-size temporary is made
-                noise = hash_uniform(cond_seeds, self._keys(i, players, profiles))
-                noise -= 0.5
-                noise *= width
-                noise += out
-                out = noise
-        if out.shape[1] != len(cond_seeds):  # no noisy factor: tile the base
-            out = np.tile(out, (1, len(cond_seeds)))
+                # the kernel writes (u - 0.5) * w_i + add into out, where add
+                # is the base for the first noisy factor and out itself after
+                hash_uniform(cond_seeds, self._keys(i, players, profiles), out=out, width=width, base=base)
+                base = None
+        if base is not None:  # no noisy factor: tile the base
+            out[...] = base[:, None]
         return out
 
 

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import egta.algorithms as algorithms
+from egta import hashing
 from egta.algorithms import (
     BoundType,
     FailureSchedule,
@@ -174,9 +175,9 @@ def test_gs_row_tiles_bit_identical(monkeypatch):
         idx = IndexSet.full(base)
         calls = []
 
-        def counted(*args, sample_block=sim.sample_block):
+        def counted(*args, sample_block=sim.sample_block, **kwargs):
             calls.append(args)
-            return sample_block(*args)
+            return sample_block(*args, **kwargs)
 
         sim.sample_block = counted
         for bound in BoundType:
@@ -195,8 +196,8 @@ def test_gs_row_tiles_bit_identical(monkeypatch):
 
 def test_gs_1era_gathers_ragged_blocks_in_one_buffer():
     # 288 indices at m=12 800 make a full 6944-column block and a ragged
-    # 5856-column one, and 1ERA gathers both; the ragged block must reuse the
-    # first block's buffer, so the call's peak stays near one 16 MB block
+    # 5856-column one, and 1ERA keeps each whole; the ragged block must reuse
+    # the first block's buffer, so the call's peak stays near one 16 MB block
     base = gen_rg(2, 12, seed=1)
     sim = noisy_sim(base, 2.0)
     idx = IndexSet.full(base)
@@ -209,6 +210,27 @@ def test_gs_1era_gathers_ragged_blocks_in_one_buffer():
         tracemalloc.stop()
     block_bytes = 8 * len(idx) * (algorithms._BLOCK_ELEMS // len(idx))
     assert peak < 1.25 * block_bytes
+
+
+def test_gs_hoeffding_samples_into_one_tile_buffer():
+    # under Hoeffding the tiles of both blocks of the case above are written
+    # into one buffer of at most _TILE_ELEMS samples, so the call's peak stays
+    # near one tile plus the condition seeds and per-index vectors, far below
+    # a block; the numpy fallback's grid temporaries would exceed this
+    if hashing._kernel() is None:
+        pytest.skip("the compiled kernel is not available")
+    base = gen_rg(2, 12, seed=1)
+    sim = noisy_sim(base, 2.0)
+    idx = IndexSet.full(base)
+    m = 12_800
+    tracemalloc.start()
+    try:
+        gs(sim, idx, m, 0.1, sim.range_c, BoundType.HOEFFDING, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    tile_bytes = 8 * algorithms._TILE_ELEMS
+    assert peak < 2 * tile_bytes + 16 * m + 64 * len(idx)
 
 
 def test_noisy_sample_block_matches_formula():

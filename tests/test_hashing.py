@@ -4,6 +4,7 @@ import shutil
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -86,11 +87,26 @@ def compiled(tmp_path_factory):
     return kernel
 
 
-def _compiled_and_numpy(monkeypatch, kernel, conds, keys):
+def _compiled_and_numpy(monkeypatch, kernel, run):
+    """``run()`` with the compiled kernel, then on the numpy fallback."""
     monkeypatch.setattr(hashing, "_kernel", lambda: kernel)
-    got = hash_uniform(conds, keys)
+    got = run()
     monkeypatch.setattr(hashing, "_kernel", lambda: None)
-    return got, hash_uniform(conds, keys)
+    return got, run()
+
+
+def _fake_compiler(directory, body):
+    """An executable script that takes the compiler's arguments and runs
+    ``body`` with ``out`` set to the path after -o."""
+    script = directory / "fake-cc"
+    script.write_text(
+        f"#!{sys.executable}\n"
+        "import shutil, sys, time\n"
+        "sys.stdin.read()\n"
+        "out = sys.argv[sys.argv.index('-o') + 1]\n" + body + "\n"
+    )
+    script.chmod(0o755)
+    return str(script)
 
 
 @pytest.mark.parametrize("n, m", [(1, 1), (1, 100_001), (33, 1953), (0, 5), (5, 0)])
@@ -98,9 +114,28 @@ def test_compiled_kernel_bit_identical(compiled, monkeypatch, n, m):
     rng = np.random.default_rng(n * 1_000_003 + m)
     conds = rng.integers(0, 2**64, size=m, dtype=np.uint64)
     keys = rng.integers(0, 2**64, size=n, dtype=np.uint64)
-    got, want = _compiled_and_numpy(monkeypatch, compiled, conds, keys)
+    got, want = _compiled_and_numpy(monkeypatch, compiled, lambda: hash_uniform(conds, keys))
     assert got.shape == want.shape == (n, m) and got.dtype == np.float64
     assert np.array_equal(got, want)
+    for kernel in (compiled, None):
+        monkeypatch.setattr(hashing, "_kernel", lambda: kernel)
+        buf = np.full((n, m), np.nan)
+        assert hash_uniform(conds, keys, out=buf) is buf and np.array_equal(buf, want)
+    # the noise step: the first noisy factor adds each row's base, later
+    # ones add onto out
+    base = rng.uniform(-5.0, 5.0, size=n)
+    start = rng.uniform(-5.0, 5.0, size=(n, m))
+    for width in (2.0, 0.3):
+        got, want = _compiled_and_numpy(
+            monkeypatch, compiled, lambda: hash_uniform(conds, keys, width=width, base=base)
+        )
+        assert np.array_equal(got, want)
+        assert np.array_equal(got, (buf - 0.5) * width + base[:, None])
+        got, want = _compiled_and_numpy(
+            monkeypatch, compiled, lambda: hash_uniform(conds, keys, out=start.copy(), width=width)
+        )
+        assert np.array_equal(got, want)
+        assert np.array_equal(got, start + (buf - 0.5) * width)
 
 
 def test_compiled_kernel_strided_and_extreme_inputs(compiled, monkeypatch):
@@ -108,18 +143,92 @@ def test_compiled_kernel_strided_and_extreme_inputs(compiled, monkeypatch):
     conds = np.concatenate([extremes, np.arange(2**64 - 300, 2**64 - 1, dtype=np.uint64)])
     keys = np.concatenate([extremes, np.arange(50, dtype=np.uint64) * np.uint64(0x9E3779B9)])
     for c, k in [(conds, keys), (conds[::3], keys[1::2]), (conds[::-1], keys[::-7])]:
-        got, want = _compiled_and_numpy(monkeypatch, compiled, c, k)
+        got, want = _compiled_and_numpy(monkeypatch, compiled, lambda: hash_uniform(c, k))
         assert np.array_equal(got, want)
         assert np.array_equal(want, hashing._hash_uniform_numpy(c, k))
     # Python ints and signed arrays are taken mod 2^64 on both paths
-    got, want = _compiled_and_numpy(monkeypatch, compiled, [0, 2**63, _MASK], np.arange(-3, 3))
+    got, want = _compiled_and_numpy(
+        monkeypatch, compiled, lambda: hash_uniform([0, 2**63, _MASK], np.arange(-3, 3))
+    )
     assert np.array_equal(got, want)
     with pytest.raises(ValueError, match="one-dimensional"):
         hash_uniform(conds, keys.reshape(2, -1))
 
 
-@pytest.mark.parametrize("force", ["missing compiler", "unwritable cache", "corrupt library"])
+def test_compiled_noise_step_extreme_values(compiled, monkeypatch):
+    rng = np.random.default_rng(12)
+    conds = rng.integers(0, 2**64, size=257, dtype=np.uint64)
+    bases = np.array([-1e300, -3.5, -0.0, 0.0, 5e-324, 1e-300, 2.5, 1e300, 1e308])
+    keys = np.arange(bases.size, dtype=np.uint64)
+    for width in (1e-300, 1e-150, 1e-10, 1.0, 3.7, 1e10, 1e150, 1e300):
+        got, want = _compiled_and_numpy(
+            monkeypatch, compiled, lambda: hash_uniform(conds, keys, width=width, base=bases)
+        )
+        assert np.array_equal(got, want), width
+        got, want = _compiled_and_numpy(
+            monkeypatch,
+            compiled,
+            lambda: hash_uniform(conds, keys, out=np.repeat(bases[:, None], conds.size, axis=1), width=width),
+        )
+        assert np.array_equal(got, want), width
+
+
+def test_hash_uniform_refuses_bad_out(monkeypatch):
+    # refused before the kernel is looked up, so no pointer is ever passed
+    monkeypatch.setattr(hashing, "_kernel", lambda: pytest.fail("the kernel was reached"))
+    conds, keys = np.arange(6, dtype=np.uint64), np.arange(4, dtype=np.uint64)
+    read_only = np.zeros((4, 6))
+    read_only.flags.writeable = False
+    bad = [
+        np.zeros((4, 6), dtype=np.float32),
+        np.zeros((4, 6), dtype=np.int64),
+        np.zeros((6, 4)),
+        np.zeros((4, 7)),
+        np.zeros(24),
+        np.zeros((4, 12))[:, ::2],
+        np.zeros((6, 4)).T,
+        read_only,
+        [[0.0] * 6] * 4,
+    ]
+    for out in bad:
+        for kwargs in ({}, {"width": 1.0, "base": np.zeros(4)}, {"width": 1.0}):
+            with pytest.raises(ValueError, match="out must be"):
+                hash_uniform(conds, keys, out=out, **kwargs)
+    with pytest.raises(ValueError, match="out, which must be given"):
+        hash_uniform(conds, keys, width=1.0)
+    with pytest.raises(ValueError, match="needs a width"):
+        hash_uniform(conds, keys, base=np.zeros(4))
+    with pytest.raises(ValueError, match="one value per key"):
+        hash_uniform(conds, keys, width=1.0, base=np.zeros(3))
+
+
+def test_compiled_splitmix64_bit_identical(compiled, monkeypatch):
+    extremes = np.array([0, 1, 2**63, _MASK], dtype=np.uint64)
+    xs = np.concatenate([extremes, np.random.default_rng(5).integers(0, 2**64, size=999, dtype=np.uint64)])
+    for x in (xs, xs[::-3], xs[:1000].reshape(40, 25), xs[:0]):
+        kept = x.copy()
+        got, want = _compiled_and_numpy(monkeypatch, compiled, lambda: splitmix64(x))
+        assert got.dtype == want.dtype == np.uint64 and got.shape == want.shape == x.shape
+        assert np.array_equal(got, want)
+        assert np.array_equal(x, kept)
+    monkeypatch.setattr(hashing, "_kernel", lambda: compiled)
+    assert [int(v) for v in splitmix64(extremes)] == [reference_splitmix64(int(x)) for x in extremes]
+
+
+# each forced failure and the reason its warning names; a corrupt cached
+# library is built again instead, so it warns of nothing
+_FORCED = {
+    "missing compiler": "not on the PATH",
+    "unwritable cache": "cache directory",
+    "failing compiler": "failed",
+    "unloadable build": "does not load",
+    "corrupt library": None,
+}
+
+
+@pytest.mark.parametrize("force", list(_FORCED))
 def test_forced_fallback_gives_same_bits(compiled, monkeypatch, tmp_path, force):
+    reason = _FORCED[force]
     cache_dir, compiler = tmp_path / "egta", "gcc"
     if force == "missing compiler":
         compiler = "egta-no-such-compiler"
@@ -127,15 +236,52 @@ def test_forced_fallback_gives_same_bits(compiled, monkeypatch, tmp_path, force)
         # below a regular file no directory can be made, not even by root
         (tmp_path / "file").write_text("")
         cache_dir = tmp_path / "file" / "egta"
+    elif force == "failing compiler":
+        compiler = _fake_compiler(tmp_path, "sys.exit(1)")
+    elif force == "unloadable build":
+        compiler = _fake_compiler(tmp_path, "open(out, 'w').write('not a shared library')")
     else:
         cache_dir.mkdir()
         hashing._kernel_path(cache_dir).write_bytes(b"not a shared library")
-    assert hashing._load_kernel(cache_dir, compiler) is None
+    if reason is None:
+        # a cached file that does not load is built again, once, and loads
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            kernel = hashing._load_kernel(cache_dir, compiler)
+        assert kernel is not None
+    else:
+        with pytest.warns(RuntimeWarning, match=reason):
+            kernel = hashing._load_kernel(cache_dir, compiler)
+        assert kernel is None
     conds = np.arange(2**64 - 700, 2**64 - 1, dtype=np.uint64)
-    got, want = _compiled_and_numpy(monkeypatch, compiled, conds, np.arange(40))
+    got, want = _compiled_and_numpy(
+        monkeypatch, compiled if kernel is None else kernel, lambda: hash_uniform(conds, np.arange(40))
+    )
     assert np.array_equal(got, want)
     if cache_dir.is_dir():
         assert [p.name for p in cache_dir.iterdir() if p.suffix == ".tmp"] == []
+
+
+def test_fallback_warns_once_per_process(tmp_path):
+    # without a compiler the numpy path runs and one RuntimeWarning says
+    # why; stdout is untouched
+    env = dict(os.environ, PATH=str(tmp_path), XDG_CACHE_HOME=str(tmp_path / "cache"))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    code = (
+        "import numpy as np\n"
+        "from egta.hashing import hash_uniform, splitmix64\n"
+        "for _ in range(3):\n"
+        "    splitmix64(np.arange(5, dtype=np.uint64))\n"
+        "    hash_uniform(np.arange(5, dtype=np.uint64), np.arange(3))\n"
+        "print('done')\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "done\n"
+    assert proc.stderr.count("RuntimeWarning") == 1
+    assert "not on the PATH" in proc.stderr
 
 
 _BUILDER = """
@@ -143,8 +289,8 @@ import hashlib, sys, time
 from pathlib import Path
 import numpy as np
 from egta import hashing
-time.sleep(max(0.0, float(sys.argv[2]) - time.time()))
-kernel = hashing._load_kernel(Path(sys.argv[1]))
+time.sleep(max(0.0, float(sys.argv[3]) - time.time()))
+kernel = hashing._load_kernel(Path(sys.argv[1]), sys.argv[2])
 assert kernel is not None
 hashing._kernel = lambda: kernel
 out = hashing.hash_uniform(np.arange(1000, dtype=np.uint64), np.arange(30, dtype=np.uint64))
@@ -154,16 +300,28 @@ print(hashlib.sha256(out.tobytes()).hexdigest())
 
 @needs_gcc
 def test_concurrent_builds_share_one_library(tmp_path):
+    # four builders find the cache empty at the same moment; each one's
+    # compiler logs the file it was told to write, waits so that the builds
+    # overlap, then writes a library built beforehand
+    built = hashing._kernel_path(tmp_path / "built")
+    assert hashing._load_kernel(tmp_path / "built") is not None
+    log = tmp_path / "outputs.log"
+    compiler = _fake_compiler(
+        tmp_path,
+        f"open({str(log)!r}, 'a').write(out + '\\n')\n"
+        f"time.sleep(1.0)\n"
+        f"shutil.copyfile({str(built)!r}, out)",
+    )
     cache_dir = tmp_path / "egta"
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    start_at = str(time.time() + 1.0)  # both start building at this moment
+    start_at = str(time.time() + 2.0)  # all start building at this moment
     procs = [
         subprocess.Popen(
-            [sys.executable, "-c", _BUILDER, str(cache_dir), start_at],
+            [sys.executable, "-c", _BUILDER, str(cache_dir), compiler, start_at],
             stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
         )
-        for _ in range(2)
+        for _ in range(4)
     ]
     results = [proc.communicate(timeout=120) for proc in procs]
     for proc, (_, err) in zip(procs, results):
@@ -172,6 +330,8 @@ def test_concurrent_builds_share_one_library(tmp_path):
     assert len(digests) == 1
     want = hashing._hash_uniform_numpy(np.arange(1000, dtype=np.uint64), np.arange(30, dtype=np.uint64))
     assert digests == {hashlib.sha256(want.tobytes()).hexdigest()}
+    outputs = log.read_text().split()
+    assert len(outputs) == 4 and len(set(outputs)) == 4, outputs
     assert sorted(p.name for p in cache_dir.iterdir()) == [hashing._kernel_path(cache_dir).name]
 
 

@@ -5,6 +5,7 @@ import pytest
 
 from egta.algorithms import BoundType, gs
 from egta.bounds import factored_ra_bound
+from egta import hashing
 from egta.games import IndexSet, nash_mask, utility
 from egta.hashing import hash_uniform, mix, splitmix64
 from egta.simulators import (
@@ -262,6 +263,31 @@ def test_factored_sample_block_matches_formula():
                 keys = splitmix64(groups[kind].astype(np.uint64) + np.uint64(mix(3, i)))
                 want = want + (2.0 * hash_uniform(seeds, keys) - 1.0) * a_i
         assert np.array_equal(sim.sample_block(seeds, idx.players, idx.profiles), want), a
+
+
+def test_sample_block_fills_out(monkeypatch):
+    # out= gives the bits of a fresh block, on the compiled kernel and on
+    # the numpy fallback, for noisy factors and for all-zero widths
+    base = gen_rg(3, 3, u0=2.0, seed=7)
+    idx = IndexSet.full(base)
+    seeds = draw_conditions(np.random.default_rng(9), 301)
+    sims = [
+        noisy_sim(base, 2.0),
+        noisy_sim(base, 0.0),
+        FactoredNoiseSimulator(1.0, [0.0, 0.5, 0.0, 0.25, 0.75], FACTOR_KINDS, base, seed=3),
+        FactoredNoiseSimulator(1.0, [0.0] * 5, FACTOR_KINDS, base, seed=3),
+    ]
+    kernel = hashing._kernel()
+    for sim in sims:
+        blocks = []
+        for lib in (kernel, None):
+            monkeypatch.setattr(hashing, "_kernel", lambda: lib)
+            want = sim.sample_block(seeds, idx.players, idx.profiles)
+            buf = np.full(want.shape, np.nan)
+            assert sim.sample_block(seeds, idx.players, idx.profiles, out=buf) is buf
+            assert np.array_equal(buf, want)
+            blocks.append(buf)
+        assert np.array_equal(blocks[0], blocks[1])
 
 
 def test_factored_sim_image_sizes_and_range():
