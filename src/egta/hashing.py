@@ -5,19 +5,18 @@ processes, platforms, and execution order (simulator noise, per-replication
 seeds) is derived by hashing integer counters with splitmix64 rather than by
 consuming a shared stateful RNG.
 
-``hash_uniform``, the noise kernel behind every simulator sample, runs as a
-small C loop when one can be built: the first call compiles ``_C_SOURCE``
-with gcc into ``$XDG_CACHE_HOME/egta`` (default ``~/.cache/egta``), under a
-name hashed from the source, the flags and the host CPU, and loads it with
-ctypes; a cached library that fails to load is built again once. The loop
-also applies the simulators' noise step (u - 0.5) * w + add and writes the
-finished utilities in place, into the caller's buffer. It does the same
-integer operations and the same separately rounded floating-point steps as
-the numpy code, built without floating-point contraction, so both give
-identical bits. ``splitmix64`` over a uint64 array runs in the same library.
-Without a compiler, a writable cache directory or a loadable library, the
-numpy code runs instead, and a RuntimeWarning says why once per process; it
-is also the reference the tests compare against.
+``hash_uniform``, the noise kernel behind every simulator sample, writes a
+tile of utilities base + sum_f (u_f - 0.5) * w_f into the caller's buffer in
+one call. It runs as a small C loop when one can be built: the first call
+compiles ``_C_SOURCE`` with gcc into ``$XDG_CACHE_HOME/egta`` (default
+``~/.cache/egta``), under a name hashed from the source, the flags and the
+host CPU, and loads it with ctypes; a cached library that fails to load is
+built again once. Built without floating-point contraction, the loop does
+the numpy code's integer operations and separately rounded floating-point
+steps, so both give identical bits; ``splitmix64`` over arrays runs in the
+same library. Without a compiler, a writable cache directory or a loadable
+library, the numpy code runs instead, and a RuntimeWarning says why once per
+process; it is also the reference the tests compare against.
 """
 
 from __future__ import annotations
@@ -40,25 +39,31 @@ _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 _MASK64 = (1 << 64) - 1
 
-# Scaling of a 53-bit integer into [0, 1); the +2^-54 offset used below
-# centers each bin so the result is symmetric around 1/2 and never 0 or 1.
+# A 53-bit integer k becomes k 2^-53 + 2^-54, the centre of its bin, rounded
+# to even: a tie for k >= 2^52, so k = 2^52 gives 1/2 and k = 2^53 - 1 gives
+# 1. Every variate is a multiple of 2^-54 in [2^-54, 1].
 _INV53 = 2.0**-53
 _HALF_BIN = 2.0**-54
 
 
 def splitmix64(x: np.ndarray | int) -> np.ndarray | int:
-    """splitmix64 finalizer. Accepts uint64 arrays or Python ints (mod 2^64)."""
+    """splitmix64 finalizer of a Python int or an integer array (mod 2^64);
+    an array gives a uint64 array of its shape, 0-d included."""
     if isinstance(x, np.ndarray):
-        lib = _kernel() if x.dtype == np.uint64 else None
+        if x.dtype.kind not in "iu":
+            raise ValueError(f"splitmix64 takes integer arrays, not {x.dtype}")
+        z = np.array(x, dtype=np.uint64)  # a copy, hashed in place below
+        lib = _kernel()
         if lib is not None:
-            src = np.ascontiguousarray(x)
-            out = np.empty(x.shape, dtype=np.uint64)
-            lib.egta_splitmix64(src.ctypes.data, src.size, out.ctypes.data)
-            return out
-        z = x + np.uint64(_GOLDEN)
-        z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
-        z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
-        return z ^ (z >> np.uint64(31))
+            lib.egta_splitmix64(_address(z), z.size)
+            return z
+        z += np.uint64(_GOLDEN)
+        z ^= z >> np.uint64(30)
+        z *= np.uint64(_MIX1)
+        z ^= z >> np.uint64(27)
+        z *= np.uint64(_MIX2)
+        z ^= z >> np.uint64(31)
+        return z
     z = (int(x) + _GOLDEN) & _MASK64
     z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
     z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
@@ -84,37 +89,29 @@ def mix(*parts: int) -> int:
 def hash_uniform(
     cond_seeds: np.ndarray,
     keys: np.ndarray,
-    *,
-    out: np.ndarray | None = None,
-    width: float | None = None,
-    base: np.ndarray | None = None,
+    widths: np.ndarray,
+    base: np.ndarray,
+    out: np.ndarray,
 ) -> np.ndarray:
-    """Uniform (0, 1) variates for every (key, condition) pair.
+    """A tile of utilities, base plus F noise factors, written into ``out``.
 
-    ``cond_seeds`` has shape [m], ``keys`` shape [n]; the result has shape
-    [n, m]. The condition seeds arrive finalized (``draw_conditions`` applies
-    splitmix64 once, when it draws them), so they are not hashed again here;
-    only the n keys are. The pairing then needs one more finalizer pass over
-    the n*m grid. For a raw condition seed ``cond`` each value is the top 53
-    bits of splitmix64(splitmix64(key) + splitmix64(cond)), scaled to the
-    centre of its bin of width 2^-53, so it lies in the open (0, 1). The
-    compiled kernel computes this when it could be built, and
-    ``_hash_uniform_numpy`` otherwise; the bits are the same.
-
-    With a ``width``, each variate u becomes the noise step
-    (u - 0.5) * width + add, rounded step by step in that order, where add
-    is ``base[i]`` (one value per key) when ``base`` is given and
-    ``out[i, j]`` itself otherwise, so later noise factors accumulate onto
-    the first. The result is written into ``out`` when it is given, which
-    must be a writable C-contiguous float64 array of shape [n, m], and
-    ``out`` is returned.
+    ``cond_seeds`` is [m], ``keys`` one row of n keys per factor ([F, n]),
+    ``widths`` [F] and ``base`` [n]; ``out``, a writable C-contiguous float64
+    [n, m] array, is returned. out[i, j] starts at base[i], and each factor f
+    in order adds (u - 0.5) * widths[f] onto it, rounded step by step, where
+    u is the variate of (keys[f, i], cond_seeds[j]): the top 53 bits of
+    splitmix64(splitmix64(key) + cond), centred in its bin, in [2^-54, 1].
+    The condition seeds arrive finalized by ``draw_conditions``, so only the
+    keys are hashed here. The compiled kernel and numpy give the same bits.
     """
     conds = np.ascontiguousarray(cond_seeds, dtype=np.uint64)
     keys = np.ascontiguousarray(keys, dtype=np.uint64)
-    if conds.ndim != 1 or keys.ndim != 1:
-        raise ValueError("cond_seeds and keys must be one-dimensional")
-    shape = (keys.size, conds.size)
-    if out is not None and not (
+    widths = np.ascontiguousarray(widths, dtype=np.float64)
+    base = np.ascontiguousarray(base, dtype=np.float64)
+    if conds.ndim != 1 or keys.ndim != 2 or widths.shape != keys.shape[:1] or base.shape != keys.shape[1:]:
+        raise ValueError("hash_uniform takes cond_seeds [m], keys [F, n], widths [F] and base [n]")
+    shape = base.shape + conds.shape
+    if not (
         isinstance(out, np.ndarray)
         and out.dtype == np.float64
         and out.shape == shape
@@ -122,37 +119,35 @@ def hash_uniform(
         and out.flags.writeable
     ):
         raise ValueError(f"out must be a writable C-contiguous float64 array of shape {shape}")
-    if width is None and base is not None:
-        raise ValueError("base is added to the noise step, which needs a width")
-    if width is not None and base is None and out is None:
-        raise ValueError("noise accumulates onto out, which must be given")
-    if base is not None:
-        base = np.ascontiguousarray(base, dtype=np.float64)
-        if base.shape != (keys.size,):
-            raise ValueError("base must hold one value per key")
     lib = _kernel()
     if lib is None:
-        u = _hash_uniform_numpy(conds, keys)
-        if width is not None:
+        out[...] = base[:, None]
+        for row, width in zip(keys, widths):
+            u = _hash_uniform_numpy(conds, row)
             u -= 0.5
             u *= width
-            u += out if base is None else base[:, None]
-        if out is None:
-            return u
-        out[...] = u
+            out += u
         return out
-    if out is None:
-        out = np.empty(shape)
-    mode = 0 if width is None else 1 if base is not None else 2
-    lib.egta_hash_uniform(
-        conds.ctypes.data, conds.size, keys.ctypes.data, keys.size, out.ctypes.data,
-        mode, 0.0 if width is None else float(width), None if base is None else base.ctypes.data,
+    lib.egta_noise(
+        _address(conds), conds.size, _address(keys), keys.shape[0], base.size,
+        _address(widths), _address(base), _address(out),
     )
     return out
 
 
+def _address(a: np.ndarray) -> int | None:
+    """Where a C-contiguous array's data starts (None if empty: it is never
+    read). ``a.ctypes.data`` builds an object on every use, which costs more
+    than hashing a small tile, so writable arrays use the buffer protocol."""
+    if not a.size:
+        return None
+    if a.flags.writeable:
+        return ctypes.addressof(ctypes.c_char.from_buffer(a))
+    return a.ctypes.data
+
+
 def _hash_uniform_numpy(conds: np.ndarray, keys: np.ndarray) -> np.ndarray:
-    """``hash_uniform`` in numpy, with in-place ops over the n*m grid."""
+    """The variates u of ``keys`` [n] and ``conds`` [m] in numpy, [n, m]."""
     z = splitmix64(keys)[:, None] + conds[None, :]
     z += np.uint64(_GOLDEN)
     z ^= z >> np.uint64(30)
@@ -170,7 +165,7 @@ def _hash_uniform_numpy(conds: np.ndarray, keys: np.ndarray) -> np.ndarray:
 # The same arithmetic as _hash_uniform_numpy and hash_uniform's noise step.
 # The 53-bit integer converts to double exactly, and the scale, the offset,
 # the -0.5, the width and the add are separately rounded steps, as in numpy,
-# which -ffp-contract=off keeps from being fused.
+# which -ffp-contract=off keeps from being fused; IEEE addition commutes.
 _C_SOURCE = r"""
 #include <stddef.h>
 #include <stdint.h>
@@ -182,38 +177,39 @@ static inline uint64_t splitmix64(uint64_t z) {
     return z ^ (z >> 31);
 }
 
-static inline double uniform(uint64_t key_hash, uint64_t cond) {
-    uint64_t z = splitmix64(key_hash + cond);
-    return (double)(int64_t)(z >> 11) * 0x1p-53 + 0x1p-54;
+static inline double noise(uint64_t key, uint64_t cond, double width) {
+    uint64_t z = splitmix64(key + cond);
+    return ((double)(int64_t)(z >> 11) * 0x1p-53 + 0x1p-54 - 0.5) * width;
 }
 
-/* out[i][j] is the uniform u of (keys[i], conds[j]) in mode 0, and the noise
-   step (u - 0.5) * width + add in modes 1 (add = base[i]) and 2
-   (add = out[i][j]) */
-void egta_hash_uniform(const uint64_t *restrict conds, size_t m,
-                       const uint64_t *restrict keys, size_t n,
-                       double *restrict out, int mode, double width,
-                       const double *restrict base) {
+/* out[i][j] = base[i] + the noise of each factor f of keys[f][i], in order */
+void egta_noise(const uint64_t *restrict conds, size_t m,
+                const uint64_t *restrict keys, size_t factors, size_t n,
+                const double *restrict widths, const double *restrict base,
+                double *restrict out) {
     for (size_t i = 0; i < n; i++) {
-        uint64_t key_hash = splitmix64(keys[i]);
         double *restrict row = out + i * m;
-        if (mode == 0) {
+        if (factors == 0) {
             for (size_t j = 0; j < m; j++)
-                row[j] = uniform(key_hash, conds[j]);
-        } else if (mode == 1) {
-            double add = base[i];
+                row[j] = base[i];
+            continue;
+        }
+        uint64_t key = splitmix64(keys[i]);
+        double width = widths[0], add = base[i];
+        for (size_t j = 0; j < m; j++)
+            row[j] = noise(key, conds[j], width) + add;
+        for (size_t f = 1; f < factors; f++) {
+            key = splitmix64(keys[f * n + i]);
+            width = widths[f];
             for (size_t j = 0; j < m; j++)
-                row[j] = (uniform(key_hash, conds[j]) - 0.5) * width + add;
-        } else {
-            for (size_t j = 0; j < m; j++)
-                row[j] = (uniform(key_hash, conds[j]) - 0.5) * width + row[j];
+                row[j] = noise(key, conds[j], width) + row[j];
         }
     }
 }
 
-void egta_splitmix64(const uint64_t *in, size_t n, uint64_t *out) {
+void egta_splitmix64(uint64_t *z, size_t n) {
     for (size_t i = 0; i < n; i++)
-        out[i] = splitmix64(in[i]);
+        z[i] = splitmix64(z[i]);
 }
 """
 # never -ffast-math: it licenses rewrites that change the bits
@@ -276,12 +272,10 @@ def _load_kernel(cache_dir: Path, compiler: str = "gcc"):
 
 def _bind(lib: ctypes.CDLL) -> ctypes.CDLL:
     """``lib`` with the argument and result types of its two functions."""
-    lib.egta_hash_uniform.argtypes = [
-        ctypes.c_void_p, ctypes.c_size_t, ctypes.c_void_p, ctypes.c_size_t,
-        ctypes.c_void_p, ctypes.c_int, ctypes.c_double, ctypes.c_void_p,
-    ]
-    lib.egta_hash_uniform.restype = None
-    lib.egta_splitmix64.argtypes = [ctypes.c_void_p, ctypes.c_size_t, ctypes.c_void_p]
+    pointer, size = ctypes.c_void_p, ctypes.c_size_t
+    lib.egta_noise.argtypes = [pointer, size, pointer, size, size, pointer, pointer, pointer]
+    lib.egta_noise.restype = None
+    lib.egta_splitmix64.argtypes = [pointer, size]
     lib.egta_splitmix64.restype = None
     return lib
 

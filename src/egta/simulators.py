@@ -66,6 +66,13 @@ _FACTOR_TABLE = {
 FACTOR_KINDS = tuple(_FACTOR_TABLE)
 
 
+def _noisy_factors(widths: Sequence[float]) -> tuple[list[int], np.ndarray]:
+    """The factors of nonzero width, and their widths: a zero-width factor's
+    +-0.0 noise would turn a -0.0 base into +0.0."""
+    noisy = [i for i, width in enumerate(widths) if width]
+    return noisy, np.array([widths[i] for i in noisy], dtype=np.float64)
+
+
 def factor_image_sizes(kinds: Sequence[str], strategy_counts: Sequence[int]) -> list[int]:
     """Number of distinct grouping values per factor (the b_i of the
     factored Rademacher bound), as exact ints for any game size."""
@@ -73,7 +80,7 @@ def factor_image_sizes(kinds: Sequence[str], strategy_counts: Sequence[int]) -> 
 
 
 class NoisySimulator(ConditionalSimulator):
-    """Base game plus additive uniform noise on (-d/2, d/2), independent per
+    """Base game plus additive uniform noise on (-d/2, d/2], independent per
     (player, profile) index and shared-condition consistent."""
 
     def __init__(self, base: NormalFormGame, d: float):
@@ -84,30 +91,23 @@ class NoisySimulator(ConditionalSimulator):
         self.range_c = 2.0 * float(np.abs(base.utilities).max()) + self.d
         if self.range_c == math.inf:
             raise ValueError("noise width d and the base utilities overflow the utility range")
-        self._widths = (self.d,)
+        self._noisy, self._widths = _noisy_factors((self.d,))
 
     def _keys(self, i, players, profiles):
         """The one factor's hash keys: each index's flat position p P + s."""
         return players * self.base.num_profiles + profiles
 
     def sample_block(self, cond_seeds, players, profiles, out=None):
-        """The additive-noise kernel of both simulators: factor i of width
-        w_i != 0 adds (u - 0.5) * w_i to the base, with
-        u = hash_uniform(cond_seeds, self._keys(i, players, profiles)).
-        The utilities are written into ``out`` (a fresh array when None),
-        which is returned."""
+        """The additive-noise kernel of both simulators, one ``hash_uniform``
+        call: each noisy factor i adds (u - 0.5) * w_i to the base, with u
+        hashed from ``self._keys(i, players, profiles)`` and the condition.
+        The utilities are written into ``out`` (a fresh array when None)."""
         if out is None:
             out = np.empty((len(players), len(cond_seeds)))
-        base = self.base.utilities[players, profiles]
-        for i, width in enumerate(self._widths):
-            if width:
-                # the kernel writes (u - 0.5) * w_i + add into out, where add
-                # is the base for the first noisy factor and out itself after
-                hash_uniform(cond_seeds, self._keys(i, players, profiles), out=out, width=width, base=base)
-                base = None
-        if base is not None:  # no noisy factor: tile the base
-            out[...] = base[:, None]
-        return out
+        keys = np.empty((len(self._noisy), len(players)), dtype=np.uint64)
+        for row, i in enumerate(self._noisy):
+            keys[row] = self._keys(i, players, profiles)
+        return hash_uniform(cond_seeds, keys, self._widths, self.base.utilities[players, profiles], out)
 
 
 def noisy_sim(base: NormalFormGame, d: float) -> NoisySimulator:
@@ -116,7 +116,7 @@ def noisy_sim(base: NormalFormGame, d: float) -> NoisySimulator:
 
 class FactoredNoiseSimulator(ConditionalSimulator):
     """Base game plus a sum of additive noise factors, each uniform on
-    [-a_i, a_i] and constant across indices with equal grouping value."""
+    (-a_i, a_i] and constant across indices with equal grouping value."""
 
     def __init__(
         self,
@@ -145,7 +145,7 @@ class FactoredNoiseSimulator(ConditionalSimulator):
             raise ValueError("a0 and the factor scales overflow the utility range")
         # uniform on [-a_i, a_i] is (u - 0.5) * 2a_i, which rounds exactly
         # like (2u - 1) * a_i because doubling is exact
-        self._widths = tuple(2.0 * a_i for a_i in self.a)
+        self._noisy, self._widths = _noisy_factors([2.0 * a_i for a_i in self.a])
 
     def _keys(self, i, players, profiles):
         """Factor i's hash keys: its grouping values, salted per factor and hashed."""

@@ -35,7 +35,7 @@ from egta.games import (
     regret_table,
 )
 from egta.experiments import center_per_player
-from egta.hashing import hash_uniform
+from egta.hashing import _hash_uniform_numpy
 from egta.simulators import (
     draw_conditions,
     expand,
@@ -240,7 +240,7 @@ def test_noisy_sample_block_matches_formula():
     seeds = draw_conditions(np.random.default_rng(7), 300)
     keys = (idx.players * base.num_profiles + idx.profiles).astype(np.uint64)
     want = base.utilities[idx.players, idx.profiles][:, None] + (
-        hash_uniform(seeds, keys) - 0.5
+        _hash_uniform_numpy(seeds, keys) - 0.5
     ) * sim.d
     assert np.array_equal(sim.sample_block(seeds, idx.players, idx.profiles), want)
 

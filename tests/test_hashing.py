@@ -25,6 +25,40 @@ def reference_splitmix64(x: int) -> int:
     return z ^ (z >> 31)
 
 
+def inverse_splitmix64(z: int) -> int:
+    """The x with reference_splitmix64(x) == z: each xor-shift and each
+    multiplication by an odd constant is undone in reverse order."""
+
+    def unshift(z, s):  # undoes z ^ (z >> s); each round fixes s more bits
+        x = z
+        for _ in range(64 // s):
+            x = z ^ (x >> s)
+        return x
+
+    z = unshift(z, 31) * pow(0x94D049BB133111EB, -1, 1 << 64) & _MASK
+    z = unshift(z, 27) * pow(0xBF58476D1CE4E5B9, -1, 1 << 64) & _MASK
+    return (unshift(z, 30) - 0x9E3779B97F4A7C15) & _MASK
+
+
+def variates(conds, keys):
+    """hash_uniform's plain variates u of one row of keys: one factor of
+    width 1 on a base of 1/2 gives (u - 0.5) * 1 + 0.5, which is u exactly,
+    because every u is a multiple of 2^-54 in [2^-54, 1]."""
+    keys = np.asarray(keys)
+    out = np.empty((keys.size, len(conds)))
+    return hash_uniform(conds, keys[None], [1.0], np.full(keys.size, 0.5), out)
+
+
+def sequential(conds, keys, widths, base):
+    """hash_uniform's sum, one factor after another in numpy: each factor's
+    (u - 0.5) * w is added onto the base and the factors before it."""
+    conds = np.asarray(conds, dtype=np.uint64)
+    total = np.repeat(np.asarray(base, dtype=np.float64)[:, None], conds.size, axis=1)
+    for row, width in zip(np.asarray(keys, dtype=np.uint64), widths):
+        total = total + (hashing._hash_uniform_numpy(conds, row) - 0.5) * width
+    return total
+
+
 def test_splitmix64_known_answer():
     # first output from a zero seed, a widely published check value
     assert splitmix64(0) == 0xE220A8397B1DCDAF
@@ -38,19 +72,44 @@ def test_splitmix64_array_matches_scalar_reference():
     assert splitmix64(int(xs[2])) == want[2]
 
 
-def test_hash_uniform_open_interval_and_mean():
-    u = hash_uniform(np.arange(200, dtype=np.uint64), np.arange(100, dtype=np.uint64))
-    assert np.all(u > 0.0) and np.all(u < 1.0)
+def test_splitmix64_refuses_non_integer_arrays():
+    for x in (np.arange(3.0), np.array([True]), np.array(["1"])):
+        with pytest.raises(ValueError, match="integer arrays"):
+            splitmix64(x)
+
+
+def test_hash_uniform_range_and_mean():
+    u = variates(np.arange(200, dtype=np.uint64), np.arange(100, dtype=np.uint64))
+    assert np.all(u >= 2.0**-54) and np.all(u <= 1.0)
     assert abs(u.mean() - 0.5) < 0.01
+
+
+def test_variate_range_endpoints(monkeypatch):
+    # k 2^-53 + 2^-54 rounds to even, a tie for k >= 2^52: k = 2^52 gives
+    # exactly 1/2 and k = 2^53 - 1 exactly 1. Each condition below is made
+    # by inverting splitmix64, so that it hashes with the key to k << 11.
+    key = 7
+    ks = [0, 2**52 - 1, 2**52, 2**53 - 1]
+    hashed = [inverse_splitmix64(k << 11) for k in ks]
+    assert [reference_splitmix64(z) >> 11 for z in hashed] == ks
+    conds = np.array([(z - reference_splitmix64(key)) & _MASK for z in hashed], dtype=np.uint64)
+    want = [2.0**-54, 0.5 - 2.0**-54, 0.5, 1.0]
+    assert hashing._hash_uniform_numpy(conds, np.array([key], dtype=np.uint64)).tolist() == [want]
+    for kernel in (hashing._kernel(), None):
+        monkeypatch.setattr(hashing, "_kernel", lambda: kernel)
+        assert variates(conds, [key]).tolist() == [want]
+        # so noise of width d lies in (-d/2, d/2], and reaches d/2
+        noise = hash_uniform(conds, [[key]], [3.0], [0.0], np.empty((1, 4)))
+        assert noise.min() > -1.5 and noise.max() == 1.5
 
 
 def test_hash_uniform_grid_consistency():
     conds = np.array([5, 6, 7], dtype=np.uint64)
     keys = np.array([1, 2], dtype=np.uint64)
-    grid = hash_uniform(conds, keys)
+    grid = variates(conds, keys)
     assert grid.shape == (2, 3)
     # each cell only depends on its own (key, condition) pair
-    assert grid[1, 2] == hash_uniform(conds[2:], keys[1:])[0, 0]
+    assert grid[1, 2] == variates(conds[2:], keys[1:])[0, 0]
 
 
 def test_hash_uniform_of_drawn_conditions_matches_reference():
@@ -58,7 +117,7 @@ def test_hash_uniform_of_drawn_conditions_matches_reference():
     # it again, so every variate is F(splitmix64(key) + splitmix64(raw)) for
     # the raw seed the generator drew
     keys = np.array([0, 1, 2**63, _MASK, 987654321], dtype=np.uint64)
-    got = hash_uniform(draw_conditions(np.random.default_rng(3), 40), keys)
+    got = variates(draw_conditions(np.random.default_rng(3), 40), keys)
     raw = np.random.default_rng(3).integers(0, 2**64, size=40, dtype=np.uint64)
     for i, key in enumerate(keys):
         for j, cond in enumerate(raw):
@@ -113,29 +172,24 @@ def _fake_compiler(directory, body):
 def test_compiled_kernel_bit_identical(compiled, monkeypatch, n, m):
     rng = np.random.default_rng(n * 1_000_003 + m)
     conds = rng.integers(0, 2**64, size=m, dtype=np.uint64)
-    keys = rng.integers(0, 2**64, size=n, dtype=np.uint64)
-    got, want = _compiled_and_numpy(monkeypatch, compiled, lambda: hash_uniform(conds, keys))
+    keys = rng.integers(0, 2**64, size=(3, n), dtype=np.uint64)
+    base = rng.uniform(-5.0, 5.0, size=n)
+    got, want = _compiled_and_numpy(monkeypatch, compiled, lambda: variates(conds, keys[0]))
     assert got.shape == want.shape == (n, m) and got.dtype == np.float64
     assert np.array_equal(got, want)
-    for kernel in (compiled, None):
-        monkeypatch.setattr(hashing, "_kernel", lambda: kernel)
-        buf = np.full((n, m), np.nan)
-        assert hash_uniform(conds, keys, out=buf) is buf and np.array_equal(buf, want)
-    # the noise step: the first noisy factor adds each row's base, later
-    # ones add onto out
-    base = rng.uniform(-5.0, 5.0, size=n)
-    start = rng.uniform(-5.0, 5.0, size=(n, m))
-    for width in (2.0, 0.3):
-        got, want = _compiled_and_numpy(
-            monkeypatch, compiled, lambda: hash_uniform(conds, keys, width=width, base=base)
-        )
-        assert np.array_equal(got, want)
-        assert np.array_equal(got, (buf - 0.5) * width + base[:, None])
-        got, want = _compiled_and_numpy(
-            monkeypatch, compiled, lambda: hash_uniform(conds, keys, out=start.copy(), width=width)
-        )
-        assert np.array_equal(got, want)
-        assert np.array_equal(got, start + (buf - 0.5) * width)
+    assert np.array_equal(got, hashing._hash_uniform_numpy(conds, keys[0]))
+    # out starts at the base and each of F = 0..3 factors adds its noise
+    for widths in ([], [2.0], [0.3, 2.0], [2.0, 0.3, 1e-3]):
+        factors = keys[: len(widths)]
+
+        def run():
+            out = np.full((n, m), np.nan)
+            assert hash_uniform(conds, factors, widths, base, out) is out
+            return out
+
+        got, want = _compiled_and_numpy(monkeypatch, compiled, run)
+        assert np.array_equal(got, want), widths
+        assert np.array_equal(got, sequential(conds, factors, widths, base)), widths
 
 
 def test_compiled_kernel_strided_and_extreme_inputs(compiled, monkeypatch):
@@ -143,43 +197,56 @@ def test_compiled_kernel_strided_and_extreme_inputs(compiled, monkeypatch):
     conds = np.concatenate([extremes, np.arange(2**64 - 300, 2**64 - 1, dtype=np.uint64)])
     keys = np.concatenate([extremes, np.arange(50, dtype=np.uint64) * np.uint64(0x9E3779B9)])
     for c, k in [(conds, keys), (conds[::3], keys[1::2]), (conds[::-1], keys[::-7])]:
-        got, want = _compiled_and_numpy(monkeypatch, compiled, lambda: hash_uniform(c, k))
+        got, want = _compiled_and_numpy(monkeypatch, compiled, lambda: variates(c, k))
         assert np.array_equal(got, want)
         assert np.array_equal(want, hashing._hash_uniform_numpy(c, k))
-    # Python ints and signed arrays are taken mod 2^64 on both paths
+    # read-only inputs take the other way to their address
+    frozen = keys.copy()
+    frozen.flags.writeable = False
+    got, want = _compiled_and_numpy(monkeypatch, compiled, lambda: variates(conds, frozen))
+    assert np.array_equal(got, want) and np.array_equal(got, hashing._hash_uniform_numpy(conds, keys))
+    # strided factor tables, widths and bases are read like contiguous ones
+    table = np.stack([keys, keys[::-1], keys * np.uint64(3)])[::2, ::3]
+    widths, base = np.array([0.5, 9.0, 2.0])[::2], np.linspace(-4.0, 4.0, 2 * table.shape[1])[::2]
     got, want = _compiled_and_numpy(
-        monkeypatch, compiled, lambda: hash_uniform([0, 2**63, _MASK], np.arange(-3, 3))
+        monkeypatch, compiled, lambda: hash_uniform(conds, table, widths, base, np.empty((base.size, conds.size)))
     )
     assert np.array_equal(got, want)
-    with pytest.raises(ValueError, match="one-dimensional"):
-        hash_uniform(conds, keys.reshape(2, -1))
+    assert np.array_equal(got, sequential(conds, table, widths, base))
+    # Python ints and signed arrays are taken mod 2^64 on both paths
+    got, want = _compiled_and_numpy(
+        monkeypatch,
+        compiled,
+        lambda: hash_uniform([0, 2**63, _MASK], np.arange(-3, 3)[None], [1.0], np.zeros(6), np.empty((6, 3))),
+    )
+    assert np.array_equal(got, want)
 
 
 def test_compiled_noise_step_extreme_values(compiled, monkeypatch):
     rng = np.random.default_rng(12)
     conds = rng.integers(0, 2**64, size=257, dtype=np.uint64)
     bases = np.array([-1e300, -3.5, -0.0, 0.0, 5e-324, 1e-300, 2.5, 1e300, 1e308])
-    keys = np.arange(bases.size, dtype=np.uint64)
+    keys = rng.integers(0, 2**64, size=(3, bases.size), dtype=np.uint64)
     for width in (1e-300, 1e-150, 1e-10, 1.0, 3.7, 1e10, 1e150, 1e300):
-        got, want = _compiled_and_numpy(
-            monkeypatch, compiled, lambda: hash_uniform(conds, keys, width=width, base=bases)
-        )
-        assert np.array_equal(got, want), width
-        got, want = _compiled_and_numpy(
-            monkeypatch,
-            compiled,
-            lambda: hash_uniform(conds, keys, out=np.repeat(bases[:, None], conds.size, axis=1), width=width),
-        )
-        assert np.array_equal(got, want), width
+        for widths in ([width], [width, 3.7], [1e-300, width, 1e300]):
+            factors = keys[: len(widths)]
+            got, want = _compiled_and_numpy(
+                monkeypatch,
+                compiled,
+                lambda: hash_uniform(conds, factors, widths, bases, np.empty((bases.size, conds.size))),
+            )
+            assert np.array_equal(got, want), widths
+            assert np.array_equal(got, sequential(conds, factors, widths, bases)), widths
 
 
 def test_hash_uniform_refuses_bad_out(monkeypatch):
     # refused before the kernel is looked up, so no pointer is ever passed
     monkeypatch.setattr(hashing, "_kernel", lambda: pytest.fail("the kernel was reached"))
-    conds, keys = np.arange(6, dtype=np.uint64), np.arange(4, dtype=np.uint64)
+    conds, keys, base = np.arange(6, dtype=np.uint64), np.arange(8, dtype=np.uint64).reshape(2, 4), np.zeros(4)
     read_only = np.zeros((4, 6))
     read_only.flags.writeable = False
     bad = [
+        None,
         np.zeros((4, 6), dtype=np.float32),
         np.zeros((4, 6), dtype=np.int64),
         np.zeros((6, 4)),
@@ -191,28 +258,50 @@ def test_hash_uniform_refuses_bad_out(monkeypatch):
         [[0.0] * 6] * 4,
     ]
     for out in bad:
-        for kwargs in ({}, {"width": 1.0, "base": np.zeros(4)}, {"width": 1.0}):
+        for factors, widths in ((keys, [1.0, 2.0]), (keys[:0], [])):
             with pytest.raises(ValueError, match="out must be"):
-                hash_uniform(conds, keys, out=out, **kwargs)
-    with pytest.raises(ValueError, match="out, which must be given"):
-        hash_uniform(conds, keys, width=1.0)
-    with pytest.raises(ValueError, match="needs a width"):
-        hash_uniform(conds, keys, base=np.zeros(4))
-    with pytest.raises(ValueError, match="one value per key"):
-        hash_uniform(conds, keys, width=1.0, base=np.zeros(3))
+                hash_uniform(conds, factors, widths, base, out)
+
+
+def test_hash_uniform_refuses_bad_factors(monkeypatch):
+    monkeypatch.setattr(hashing, "_kernel", lambda: pytest.fail("the kernel was reached"))
+    conds, keys = np.arange(6, dtype=np.uint64), np.arange(8, dtype=np.uint64).reshape(2, 4)
+    widths, base, out = np.ones(2), np.zeros(4), np.zeros((4, 6))
+    bad = [
+        (conds.reshape(2, 3), keys, widths, base),  # cond_seeds not [m]
+        (conds, keys[0], widths[:1], base),  # keys [n], not [F, n]
+        (conds, keys[None], widths, base),  # keys [1, F, n]
+        (conds, keys, widths[:1], base),  # fewer widths than factors
+        (conds, keys[:1], widths, base),  # more widths than factors
+        (conds, keys, widths[:, None], base),  # widths [F, 1]
+        (conds, keys, 1.0, base),  # one width for two factors
+        (conds, keys, widths, np.zeros(3)),  # base not [n]
+        (conds, keys, widths, np.zeros((4, 1))),
+        (conds, keys[:0], widths[:0], np.zeros(3)),  # F = 0 still sets n
+    ]
+    for args in bad:
+        with pytest.raises(ValueError, match=r"keys \[F, n\]"):
+            hash_uniform(*args, out)
 
 
 def test_compiled_splitmix64_bit_identical(compiled, monkeypatch):
     extremes = np.array([0, 1, 2**63, _MASK], dtype=np.uint64)
     xs = np.concatenate([extremes, np.random.default_rng(5).integers(0, 2**64, size=999, dtype=np.uint64)])
-    for x in (xs, xs[::-3], xs[:1000].reshape(40, 25), xs[:0]):
-        kept = x.copy()
-        got, want = _compiled_and_numpy(monkeypatch, compiled, lambda: splitmix64(x))
-        assert got.dtype == want.dtype == np.uint64 and got.shape == want.shape == x.shape
-        assert np.array_equal(got, want)
-        assert np.array_equal(x, kept)
+    signed = np.arange(-500, 500)
+    inputs = (xs, xs[::-3], xs[:1000].reshape(40, 25), xs[:0], np.array(xs[2]), signed, np.array(-1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the wrapping arithmetic warns of no overflow
+        for x in inputs:
+            kept = x.copy()
+            got, want = _compiled_and_numpy(monkeypatch, compiled, lambda: splitmix64(x))
+            assert isinstance(got, np.ndarray) and isinstance(want, np.ndarray)
+            assert got.dtype == want.dtype == np.uint64 and got.shape == want.shape == x.shape
+            assert np.array_equal(got, want)
+            assert np.array_equal(x, kept)
     monkeypatch.setattr(hashing, "_kernel", lambda: compiled)
     assert [int(v) for v in splitmix64(extremes)] == [reference_splitmix64(int(x)) for x in extremes]
+    # signed values are taken mod 2^64
+    assert [int(v) for v in splitmix64(signed)] == [reference_splitmix64(int(x) & _MASK) for x in signed]
 
 
 # each forced failure and the reason its warning names; a corrupt cached
@@ -255,7 +344,7 @@ def test_forced_fallback_gives_same_bits(compiled, monkeypatch, tmp_path, force)
         assert kernel is None
     conds = np.arange(2**64 - 700, 2**64 - 1, dtype=np.uint64)
     got, want = _compiled_and_numpy(
-        monkeypatch, compiled if kernel is None else kernel, lambda: hash_uniform(conds, np.arange(40))
+        monkeypatch, compiled if kernel is None else kernel, lambda: variates(conds, np.arange(40))
     )
     assert np.array_equal(got, want)
     if cache_dir.is_dir():
@@ -272,7 +361,7 @@ def test_fallback_warns_once_per_process(tmp_path):
         "from egta.hashing import hash_uniform, splitmix64\n"
         "for _ in range(3):\n"
         "    splitmix64(np.arange(5, dtype=np.uint64))\n"
-        "    hash_uniform(np.arange(5, dtype=np.uint64), np.arange(3))\n"
+        "    hash_uniform(np.arange(5, dtype=np.uint64), [np.arange(3)], [1.0], np.zeros(3), np.empty((3, 5)))\n"
         "print('done')\n"
     )
     proc = subprocess.run(
@@ -293,7 +382,9 @@ time.sleep(max(0.0, float(sys.argv[3]) - time.time()))
 kernel = hashing._load_kernel(Path(sys.argv[1]), sys.argv[2])
 assert kernel is not None
 hashing._kernel = lambda: kernel
-out = hashing.hash_uniform(np.arange(1000, dtype=np.uint64), np.arange(30, dtype=np.uint64))
+# one factor of width 1 on a base of 1/2 gives the plain variates exactly
+out = np.empty((30, 1000))
+hashing.hash_uniform(np.arange(1000, dtype=np.uint64), [np.arange(30)], [1.0], np.full(30, 0.5), out)
 print(hashlib.sha256(out.tobytes()).hexdigest())
 """
 

@@ -6,8 +6,8 @@ import pytest
 from egta.algorithms import BoundType, gs
 from egta.bounds import factored_ra_bound
 from egta import hashing
-from egta.games import IndexSet, nash_mask, utility
-from egta.hashing import hash_uniform, mix, splitmix64
+from egta.games import IndexSet, NormalFormGame, nash_mask, utility
+from egta.hashing import _hash_uniform_numpy, mix, splitmix64
 from egta.simulators import (
     FACTOR_KINDS,
     CongestionGame,
@@ -261,7 +261,7 @@ def test_factored_sample_block_matches_formula():
         for i, (a_i, kind) in enumerate(zip(a, FACTOR_KINDS)):
             if a_i:
                 keys = splitmix64(groups[kind].astype(np.uint64) + np.uint64(mix(3, i)))
-                want = want + (2.0 * hash_uniform(seeds, keys) - 1.0) * a_i
+                want = want + (2.0 * _hash_uniform_numpy(seeds, keys) - 1.0) * a_i
         assert np.array_equal(sim.sample_block(seeds, idx.players, idx.profiles), want), a
 
 
@@ -289,6 +289,20 @@ def test_sample_block_fills_out(monkeypatch):
             blocks.append(buf)
         assert np.array_equal(blocks[0], blocks[1])
 
+
+def test_zero_width_factors_keep_negative_zero_base(monkeypatch):
+    # a zero-width factor is dropped rather than adding +-0.0 noise, which
+    # would turn a -0.0 base into +0.0
+    base = NormalFormGame((2, 2), np.array([[-0.0, 1.0, -0.0, 2.0], [0.0, -0.0, 3.0, -0.0]]))
+    idx = IndexSet.full(base)
+    seeds = draw_conditions(np.random.default_rng(10), 9)
+    want = np.repeat(base.utilities.reshape(-1)[:, None], 9, axis=1)
+    kernel = hashing._kernel()
+    for sim in (noisy_sim(base, 0.0), FactoredNoiseSimulator(3.0, [0.0, 0.0], ["global", "agent"], base, 0)):
+        for lib in (kernel, None):
+            monkeypatch.setattr(hashing, "_kernel", lambda: lib)
+            got = sim.sample_block(seeds, idx.players, idx.profiles)
+            assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
 
 def test_factored_sim_image_sizes_and_range():
     base = gen_rg(3, 4, u0=2.0, seed=5)

@@ -6,14 +6,25 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import pytest
+
+import egta.algorithms as algorithms
+from egta.games import IndexSet
+from egta.simulators import gen_rg, noisy_sim
+
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
 
-def test_every_trace_point_resolves(monkeypatch):
+@pytest.fixture
+def tracing(monkeypatch):
     monkeypatch.setattr(sys, "dont_write_bytecode", True)
     spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_trace_point_resolves(tracing):
     targets = [target for _, group, _ in tracing.TRACE_POINTS for target in group]
     assert targets
     for target in targets:
@@ -23,3 +34,18 @@ def test_every_trace_point_resolves(monkeypatch):
     # that is only inherited fails here
     with tracing.patched([(target, lambda fn: fn) for target in targets]):
         pass
+
+
+def test_tracer_sees_the_kernel(tracing):
+    # a kernel reached by any other name than the traced one would read
+    # zero hash calls here, and zero in every per-layer hash metric
+    game = gen_rg(3, 3, seed=1)
+    tracer = tracing.Tracer()
+    with tracing.patched(tracer.replacements()):
+        tracer.run_pass(
+            0, lambda: algorithms.gs(noisy_sim(game, 2.0), IndexSet.full(game), 5000, 0.05, 30.0, "hoeffding")
+        )
+    metrics = tracing.layer_metrics(tracer.spans, 1, 1.0, 1.0)
+    calls = metrics["hashing.hash_uniform.calls"]
+    assert calls == metrics["simulators.sample_block.calls"] > 0
+    assert metrics["hashing.hash_uniform.elems"] == metrics["simulators.sample_block.evals"] == 81 * 5000
