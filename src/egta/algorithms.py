@@ -20,7 +20,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .bounds import era_eps, hoeffding_eps
+from .bounds import _check_common, era_eps, hoeffding_eps
 from .games import (
     IndexSet,
     NormalFormGame,
@@ -35,9 +35,9 @@ from .simulators import ConditionalSimulator, draw_conditions
 # conditions each row sum adds at once, so it fixes the results' bits
 # (chunk boundaries depend only on the index-set size)
 _BLOCK_ELEMS = 2_000_000
-# cap on elements per row tile, which keeps the noise temporaries in cache
-# under both bounds; results are bit-identical for any value, because 1ERA
-# still takes one signed sum per column block
+# cap on elements per row tile, which bounds the Hoeffding buffer and keeps
+# each tile in cache for its row sums; results are bit-identical for any
+# value, because 1ERA still takes one signed sum per column block
 _TILE_ELEMS = 65_536
 
 
@@ -191,18 +191,14 @@ def gs(
         raise ValueError("index set must be nonempty")
     if not isinstance(m, numbers.Integral) or not m >= 1:
         raise ValueError("sample count m must be an integer of at least 1")
-    if not 0 < delta < 1:
-        raise ValueError("failure probability must lie in (0, 1)")
-    if not 0 <= c < math.inf:
-        raise ValueError("utility range c must be finite and nonnegative")
+    _check_common(c, m, delta)
     index_set.validate_for(sim.base)
 
     rng = np.random.Generator(np.random.PCG64(seed))
     cond_seeds = draw_conditions(rng, m)
     sigma = None
     if bound is BoundType.ONE_ERA:
-        sigma = rng.integers(0, 2, size=m).astype(np.float64)
-        sigma *= 2.0
+        sigma = rng.integers(0, 2, size=m) * 2.0
         sigma -= 1.0
 
     sums = np.zeros(n)

@@ -36,7 +36,7 @@ class NormalFormGame:
         if not counts or any(k < 1 for k in counts):
             raise ValueError("every player needs at least one strategy")
         u = np.asarray(self.utilities, dtype=np.float64)
-        expected = (len(counts), int(np.prod(counts)))
+        expected = (len(counts), math.prod(counts))
         if u.shape != expected:
             raise ValueError(f"utilities must have shape {expected}, got {u.shape}")
         if not np.all(np.isfinite(u)):

@@ -24,6 +24,7 @@ from __future__ import annotations
 import ctypes
 import functools
 import hashlib
+import numbers
 import os
 import platform
 import shutil
@@ -47,27 +48,50 @@ _HALF_BIN = 2.0**-54
 
 
 def splitmix64(x: np.ndarray | int) -> np.ndarray | int:
-    """splitmix64 finalizer of a Python int or an integer array (mod 2^64);
-    an array gives a uint64 array of its shape, 0-d included."""
-    if isinstance(x, np.ndarray):
-        if x.dtype.kind not in "iu":
-            raise ValueError(f"splitmix64 takes integer arrays, not {x.dtype}")
-        z = np.array(x, dtype=np.uint64)  # a copy, hashed in place below
+    """splitmix64 finalizer of a Python int or an integer array, taken mod
+    2^64: an int gives an int, an array a uint64 array of its shape, 0-d
+    included. Floats, bools and anything else raise ValueError."""
+    z = _uint64(x, "splitmix64")
+    if isinstance(z, np.ndarray):
+        z = np.array(z)  # a copy, hashed in place below
         lib = _kernel()
         if lib is not None:
             lib.egta_splitmix64(_address(z), z.size)
-            return z
-        z += np.uint64(_GOLDEN)
-        z ^= z >> np.uint64(30)
-        z *= np.uint64(_MIX1)
-        z ^= z >> np.uint64(27)
-        z *= np.uint64(_MIX2)
-        z ^= z >> np.uint64(31)
+        else:
+            _splitmix64_numpy(z)
         return z
-    z = (int(x) + _GOLDEN) & _MASK64
+    z = (z + _GOLDEN) & _MASK64
     z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
     z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
     return z ^ (z >> 31)
+
+
+def _splitmix64_numpy(z: np.ndarray) -> None:
+    """splitmix64 of each element of a uint64 array, in place."""
+    z += np.uint64(_GOLDEN)
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(_MIX1)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(_MIX2)
+    z ^= z >> np.uint64(31)
+
+
+def _uint64(x, name: str) -> np.ndarray | int:
+    """The integers of ``x`` taken mod 2^64, whatever their sign: an int for
+    a Python int, else a C-contiguous uint64 array (``x`` itself when it is
+    one). Floats, bools and anything else raise ValueError. A sequence is
+    read item by item: numpy would infer float64 for ints past 2^63."""
+    if type(x) is int:
+        return x & _MASK64
+    if isinstance(x, np.ndarray):
+        if x.dtype.kind not in "iu":
+            raise ValueError(f"{name} takes integer arrays and ints, not {x.dtype}")
+        return np.asarray(x, dtype=np.uint64, order="C")
+    items = np.array(x, dtype=object)
+    for item in items.flat:
+        if not isinstance(item, numbers.Integral) or isinstance(item, bool):
+            raise ValueError(f"{name} takes integer arrays and ints, not {type(item).__name__}")
+    return np.array([int(item) & _MASK64 for item in items.flat], dtype=np.uint64).reshape(items.shape)
 
 
 def mix(*parts: int) -> int:
@@ -104,11 +128,11 @@ def hash_uniform(
     The condition seeds arrive finalized by ``draw_conditions``, so only the
     keys are hashed here. The compiled kernel and numpy give the same bits.
     """
-    conds = np.ascontiguousarray(cond_seeds, dtype=np.uint64)
-    keys = np.ascontiguousarray(keys, dtype=np.uint64)
+    conds = _uint64(cond_seeds, "cond_seeds")
+    keys = _uint64(keys, "keys")
     widths = np.ascontiguousarray(widths, dtype=np.float64)
     base = np.ascontiguousarray(base, dtype=np.float64)
-    if conds.ndim != 1 or keys.ndim != 2 or widths.shape != keys.shape[:1] or base.shape != keys.shape[1:]:
+    if np.ndim(conds) != 1 or np.ndim(keys) != 2 or widths.shape != keys.shape[:1] or base.shape != keys.shape[1:]:
         raise ValueError("hash_uniform takes cond_seeds [m], keys [F, n], widths [F] and base [n]")
     shape = base.shape + conds.shape
     if not (
@@ -149,12 +173,7 @@ def _address(a: np.ndarray) -> int | None:
 def _hash_uniform_numpy(conds: np.ndarray, keys: np.ndarray) -> np.ndarray:
     """The variates u of ``keys`` [n] and ``conds`` [m] in numpy, [n, m]."""
     z = splitmix64(keys)[:, None] + conds[None, :]
-    z += np.uint64(_GOLDEN)
-    z ^= z >> np.uint64(30)
-    z *= np.uint64(_MIX1)
-    z ^= z >> np.uint64(27)
-    z *= np.uint64(_MIX2)
-    z ^= z >> np.uint64(31)
+    _splitmix64_numpy(z)
     z >>= np.uint64(11)
     out = z.astype(np.float64)
     out *= _INV53

@@ -43,11 +43,11 @@ class ConditionalSimulator:
         cond_seeds: np.ndarray,
         players: np.ndarray,
         profiles: np.ndarray,
-        out: np.ndarray | None = None,
+        out: np.ndarray,
     ) -> np.ndarray:
-        """Utilities for each (player, profile) index under each condition;
-        shape [num_indices, num_conditions]. They are written into ``out``
-        when it is given, which is then returned."""
+        """Utilities for each (player, profile) index under each condition,
+        written into ``out`` (C-contiguous float64, [num_indices,
+        num_conditions]), which is returned."""
         raise NotImplementedError
 
 
@@ -66,13 +66,6 @@ _FACTOR_TABLE = {
 FACTOR_KINDS = tuple(_FACTOR_TABLE)
 
 
-def _noisy_factors(widths: Sequence[float]) -> tuple[list[int], np.ndarray]:
-    """The factors of nonzero width, and their widths: a zero-width factor's
-    +-0.0 noise would turn a -0.0 base into +0.0."""
-    noisy = [i for i, width in enumerate(widths) if width]
-    return noisy, np.array([widths[i] for i in noisy], dtype=np.float64)
-
-
 def factor_image_sizes(kinds: Sequence[str], strategy_counts: Sequence[int]) -> list[int]:
     """Number of distinct grouping values per factor (the b_i of the
     factored Rademacher bound), as exact ints for any game size."""
@@ -86,24 +79,29 @@ class NoisySimulator(ConditionalSimulator):
     def __init__(self, base: NormalFormGame, d: float):
         if not 0 <= d < math.inf:
             raise ValueError("noise width d must be finite and nonnegative")
-        self.base = base
         self.d = float(d)
-        self.range_c = 2.0 * float(np.abs(base.utilities).max()) + self.d
-        if self.range_c == math.inf:
-            raise ValueError("noise width d and the base utilities overflow the utility range")
-        self._noisy, self._widths = _noisy_factors((self.d,))
+        self._set_noise(base, 2.0 * float(np.abs(base.utilities).max()) + self.d, (self.d,))
+
+    def _set_noise(self, base: NormalFormGame, range_c: float, widths: Sequence[float]) -> None:
+        """Keep the base game, the declared range and the factors of nonzero
+        width with their widths: a zero-width factor's +-0.0 noise would turn
+        a -0.0 base into +0.0."""
+        if range_c == math.inf:
+            raise ValueError("the noise and utility scales overflow the utility range")
+        self.base = base
+        self.range_c = range_c
+        self._noisy = [i for i, width in enumerate(widths) if width]
+        self._widths = np.array([widths[i] for i in self._noisy], dtype=np.float64)
 
     def _keys(self, i, players, profiles):
         """The one factor's hash keys: each index's flat position p P + s."""
         return players * self.base.num_profiles + profiles
 
-    def sample_block(self, cond_seeds, players, profiles, out=None):
+    def sample_block(self, cond_seeds, players, profiles, out):
         """The additive-noise kernel of both simulators, one ``hash_uniform``
         call: each noisy factor i adds (u - 0.5) * w_i to the base, with u
         hashed from ``self._keys(i, players, profiles)`` and the condition.
-        The utilities are written into ``out`` (a fresh array when None)."""
-        if out is None:
-            out = np.empty((len(players), len(cond_seeds)))
+        The utilities are written into ``out``."""
         keys = np.empty((len(self._noisy), len(players)), dtype=np.uint64)
         for row, i in enumerate(self._noisy):
             keys[row] = self._keys(i, players, profiles)
@@ -114,7 +112,7 @@ def noisy_sim(base: NormalFormGame, d: float) -> NoisySimulator:
     return NoisySimulator(base, d)
 
 
-class FactoredNoiseSimulator(ConditionalSimulator):
+class FactoredNoiseSimulator(NoisySimulator):
     """Base game plus a sum of additive noise factors, each uniform on
     (-a_i, a_i] and constant across indices with equal grouping value."""
 
@@ -135,24 +133,18 @@ class FactoredNoiseSimulator(ConditionalSimulator):
             raise ValueError("factor scales must be finite and nonnegative")
         if not float(np.abs(base.utilities).max()) <= a0 < math.inf:
             raise ValueError("a0 must be finite and bound the base game's utilities")
-        self.base = base
         self.a0 = float(a0)
         self.a = tuple(float(x) for x in a)
         self.kinds = tuple(kinds)
         self.seed = int(seed)
-        self.range_c = 2.0 * (self.a0 + sum(self.a))
-        if self.range_c == math.inf:
-            raise ValueError("a0 and the factor scales overflow the utility range")
         # uniform on [-a_i, a_i] is (u - 0.5) * 2a_i, which rounds exactly
         # like (2u - 1) * a_i because doubling is exact
-        self._noisy, self._widths = _noisy_factors([2.0 * a_i for a_i in self.a])
+        self._set_noise(base, 2.0 * (self.a0 + sum(self.a)), [2.0 * a_i for a_i in self.a])
 
     def _keys(self, i, players, profiles):
         """Factor i's hash keys: its grouping values, salted per factor and hashed."""
         group = _FACTOR_TABLE[self.kinds[i]][0](self.base, players, profiles)
         return splitmix64(group.astype(np.uint64) + np.uint64(mix(self.seed, i)))
-
-    sample_block = NoisySimulator.sample_block  # the one additive-noise kernel
 
 
 def gen_rg(num_players: int, k: int, u0: float = 10.0, seed: int = 0) -> NormalFormGame:
@@ -163,7 +155,7 @@ def gen_rg(num_players: int, k: int, u0: float = 10.0, seed: int = 0) -> NormalF
         raise ValueError("utility magnitude u0 must be positive and finite")
     rng = np.random.Generator(np.random.PCG64(seed))
     counts = (k,) * num_players
-    shape = (num_players, int(np.prod(counts)))
+    shape = (num_players, math.prod(counts))
     return NormalFormGame(counts, rng.uniform(-u0 / 2.0, u0 / 2.0, size=shape))
 
 
@@ -242,7 +234,7 @@ def expand(cg: CongestionGame) -> NormalFormGame:
     """Dense normal-form view of a congestion game; utilities are negated
     costs so the usual regret/equilibrium machinery applies unchanged."""
     counts = cg.strategy_counts
-    num_profiles = int(np.prod(counts))
+    num_profiles = math.prod(counts)
     profiles = np.stack(
         np.unravel_index(np.arange(num_profiles), counts), axis=1
     )  # [num_profiles, P]

@@ -242,7 +242,7 @@ def test_noisy_sample_block_matches_formula():
     want = base.utilities[idx.players, idx.profiles][:, None] + (
         _hash_uniform_numpy(seeds, keys) - 0.5
     ) * sim.d
-    assert np.array_equal(sim.sample_block(seeds, idx.players, idx.profiles), want)
+    assert np.array_equal(sim.sample_block(seeds, idx.players, idx.profiles, np.empty(want.shape)), want)
 
 
 def test_gs_hoeffding_independent_of_blas_threads():

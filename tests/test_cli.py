@@ -117,6 +117,8 @@ def test_library_errors_are_usage_errors(tmp_path, capsys):
          "u0 must be positive and finite"),
         # a 40-player game would need 320 TiB: numpy refuses at once, allocating nothing
         (["gen-game", "--family", "rg", "--players", "40", "--k", "2"], "Unable to allocate"),
+        # 2^64 profiles, which an int64 product wraps to an empty game
+        (["gen-game", "--family", "rg", "--players", "2", "--k", "4294967296"], "Maximum allowed dimension"),
         (["eps-vs-samples", "--reps", "0"], "reps must be at least 1"),
         (["success-rate", "--reps", "0"], "reps must be at least 1"),
         (["nash-frequency", "--reps", "0"], "runs must be at least 1"),

@@ -58,6 +58,9 @@ def test_game_validation():
         NormalFormGame((2, 2), np.zeros((2, 3)))
     with pytest.raises(ValueError):
         NormalFormGame((2, 0), np.zeros((2, 0)))
+    # 2^64 profiles, which an int64 product wraps to 0
+    with pytest.raises(ValueError, match="shape"):
+        NormalFormGame((2**32, 2**32), np.zeros((2, 0)))
     bad = np.zeros((2, 4))
     bad[0, 0] = np.nan
     with pytest.raises(ValueError):

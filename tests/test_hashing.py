@@ -73,7 +73,7 @@ def test_splitmix64_array_matches_scalar_reference():
 
 
 def test_splitmix64_refuses_non_integer_arrays():
-    for x in (np.arange(3.0), np.array([True]), np.array(["1"])):
+    for x in (np.arange(3.0), np.array([True]), np.array(["1"]), 1.5, True, "1", [1.5], [[1], [1, 2]]):
         with pytest.raises(ValueError, match="integer arrays"):
             splitmix64(x)
 
@@ -282,6 +282,23 @@ def test_hash_uniform_refuses_bad_factors(monkeypatch):
     for args in bad:
         with pytest.raises(ValueError, match=r"keys \[F, n\]"):
             hash_uniform(*args, out)
+    # keys and conditions follow splitmix64's rule: floats and bools are
+    # refused, not truncated, and ints of any sign are taken mod 2^64
+    for args in (
+        (conds, [[1.5] * 4, [2] * 4], widths, base),
+        (np.arange(6.0), keys, widths, base),
+        ([0.5] * 6, keys, widths, base),
+        (conds, keys.astype(bool), widths, base),
+        ([True] * 6, keys, widths, base),
+    ):
+        with pytest.raises(ValueError, match="integer arrays"):
+            hash_uniform(*args, out)
+
+
+def test_hash_uniform_takes_ints_of_any_sign_mod_2_64():
+    out = np.empty((1, 3))
+    want = variates(np.array([_MASK, 2**63, 0], dtype=np.uint64), [_MASK - 4])
+    assert np.array_equal(hash_uniform([-1, -(2**63), 2**64], [[-5]], [1.0], [0.5], out), want)
 
 
 def test_compiled_splitmix64_bit_identical(compiled, monkeypatch):

@@ -27,6 +27,11 @@ from egta.simulators import (
 import _oracles as oracle
 
 
+def sample(sim, seeds, players, profiles):
+    """``sim.sample_block`` into a fresh buffer."""
+    return sim.sample_block(seeds, players, profiles, np.empty((len(players), len(seeds))))
+
+
 def test_gen_rg_shape_and_support():
     g = gen_rg(4, 3, u0=10.0, seed=5)
     assert g.strategy_counts == (3, 3, 3, 3)
@@ -49,6 +54,10 @@ def test_gen_rg_validates():
     for u0 in (0.0, -1.0, float("inf"), float("nan")):
         with pytest.raises(ValueError, match="u0 must be positive and finite"):
             gen_rg(2, 2, u0=u0)
+    # 2^66 profiles, which an int64 product wraps to 0; numpy refuses the
+    # shape at once, allocating nothing
+    with pytest.raises(ValueError):
+        gen_rg(3, 2**22)
 
 
 def test_gen_rc_strategy_counts_and_facility_one():
@@ -172,7 +181,7 @@ def test_noisy_sim_zero_noise_is_exact():
     sim = noisy_sim(base, 0.0)
     idx = IndexSet.full(base)
     seeds = draw_conditions(np.random.default_rng(0), 7)
-    values = sim.sample_block(seeds, idx.players, idx.profiles)
+    values = sample(sim, seeds, idx.players, idx.profiles)
     assert np.array_equal(values, np.tile(base.utilities.reshape(-1)[:, None], (1, 7)))
 
 
@@ -181,8 +190,8 @@ def test_noisy_sim_support_and_determinism():
     sim = noisy_sim(base, d=3.0)
     idx = IndexSet.full(base)
     seeds = draw_conditions(np.random.default_rng(1), 500)
-    a = sim.sample_block(seeds, idx.players, idx.profiles)
-    b = sim.sample_block(seeds, idx.players, idx.profiles)
+    a = sample(sim, seeds, idx.players, idx.profiles)
+    b = sample(sim, seeds, idx.players, idx.profiles)
     assert np.array_equal(a, b)
     spread = np.abs(a - base.utilities.reshape(-1)[:, None])
     assert np.all(spread < 1.5)
@@ -205,9 +214,9 @@ def test_noisy_sim_query_matches_block():
     sim = noisy_sim(base, d=2.0)
     idx = IndexSet.full(base)
     seeds = draw_conditions(np.random.default_rng(4), 5)
-    full = sim.sample_block(seeds, idx.players, idx.profiles)
+    full = sample(sim, seeds, idx.players, idx.profiles)
     j = base.profile_index((0, 1, 1))
-    one = sim.sample_block(seeds[2:3], np.array([1]), np.array([j]))
+    one = sample(sim, seeds[2:3], np.array([1]), np.array([j]))
     assert one.shape == (1, 1)
     assert one[0, 0] == full[base.num_profiles + j, 2]
 
@@ -219,7 +228,7 @@ def test_noisy_sim_means_concentrate_on_base():
     idx = IndexSet.full(base)
     m = 100_000
     seeds = draw_conditions(np.random.default_rng(11), m)
-    means = sim.sample_block(seeds, idx.players, idx.profiles).mean(axis=1)
+    means = sample(sim, seeds, idx.players, idx.profiles).mean(axis=1)
     tol = 3.0 * d / np.sqrt(12.0 * m)
     assert np.all(np.abs(means - base.utilities.reshape(-1)) < tol)
 
@@ -230,11 +239,11 @@ def test_factored_sim_zero_scales_and_global_sharing():
     idx = IndexSet.full(base)
     seeds = draw_conditions(np.random.default_rng(2), 5)
     assert np.array_equal(
-        silent.sample_block(seeds, idx.players, idx.profiles),
+        sample(silent, seeds, idx.players, idx.profiles),
         np.tile(base.utilities.reshape(-1)[:, None], (1, 5)),
     )
     noisy = FactoredNoiseSimulator(1.0, [0.7], ["global"], base, seed=0)
-    offsets = noisy.sample_block(seeds, idx.players, idx.profiles) - base.utilities.reshape(-1)[:, None]
+    offsets = sample(noisy, seeds, idx.players, idx.profiles) - base.utilities.reshape(-1)[:, None]
     # the global factor shifts every index identically per condition
     assert np.allclose(offsets, offsets[0][None, :])
     assert np.all(np.abs(offsets) <= 0.7)
@@ -262,12 +271,13 @@ def test_factored_sample_block_matches_formula():
             if a_i:
                 keys = splitmix64(groups[kind].astype(np.uint64) + np.uint64(mix(3, i)))
                 want = want + (2.0 * _hash_uniform_numpy(seeds, keys) - 1.0) * a_i
-        assert np.array_equal(sim.sample_block(seeds, idx.players, idx.profiles), want), a
+        assert np.array_equal(sample(sim, seeds, idx.players, idx.profiles), want), a
 
 
 def test_sample_block_fills_out(monkeypatch):
-    # out= gives the bits of a fresh block, on the compiled kernel and on
-    # the numpy fallback, for noisy factors and for all-zero widths
+    # the block overwrites out, which is returned, with the same bits on the
+    # compiled kernel and on the numpy fallback, for noisy factors and for
+    # all-zero widths
     base = gen_rg(3, 3, u0=2.0, seed=7)
     idx = IndexSet.full(base)
     seeds = draw_conditions(np.random.default_rng(9), 301)
@@ -282,10 +292,8 @@ def test_sample_block_fills_out(monkeypatch):
         blocks = []
         for lib in (kernel, None):
             monkeypatch.setattr(hashing, "_kernel", lambda: lib)
-            want = sim.sample_block(seeds, idx.players, idx.profiles)
-            buf = np.full(want.shape, np.nan)
-            assert sim.sample_block(seeds, idx.players, idx.profiles, out=buf) is buf
-            assert np.array_equal(buf, want)
+            buf = np.full((len(idx), len(seeds)), np.nan)
+            assert sim.sample_block(seeds, idx.players, idx.profiles, buf) is buf
             blocks.append(buf)
         assert np.array_equal(blocks[0], blocks[1])
 
@@ -301,7 +309,7 @@ def test_zero_width_factors_keep_negative_zero_base(monkeypatch):
     for sim in (noisy_sim(base, 0.0), FactoredNoiseSimulator(3.0, [0.0, 0.0], ["global", "agent"], base, 0)):
         for lib in (kernel, None):
             monkeypatch.setattr(hashing, "_kernel", lambda: lib)
-            got = sim.sample_block(seeds, idx.players, idx.profiles)
+            got = sample(sim, seeds, idx.players, idx.profiles)
             assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
 
 def test_factored_sim_image_sizes_and_range():
@@ -314,7 +322,7 @@ def test_factored_sim_image_sizes_and_range():
     assert sim.range_c == 2.0 * (1.0 + 4.0)
     idx = IndexSet.full(base)
     seeds = draw_conditions(np.random.default_rng(3), 50)
-    values = sim.sample_block(seeds, idx.players, idx.profiles)
+    values = sample(sim, seeds, idx.players, idx.profiles)
     assert np.all(np.abs(values) <= sim.range_c / 2)
 
 
@@ -367,7 +375,7 @@ def test_empirical_game_single_draw_and_zero_noise():
         base.strategy_counts
     )
     seeds = draw_conditions(np.random.Generator(np.random.PCG64(42)), 1)
-    block = sim.sample_block(seeds, idx.players, idx.profiles)
+    block = sample(sim, seeds, idx.players, idx.profiles)
     assert np.array_equal(emp.utilities.reshape(-1), block[:, 0])
     silent = noisy_sim(base, 0.0)
     res = gs(silent, idx, 13, 0.1, silent.range_c, BoundType.ONE_ERA, seed=5)

@@ -10,7 +10,7 @@ import pytest
 
 import egta.algorithms as algorithms
 from egta.games import IndexSet
-from egta.simulators import gen_rg, noisy_sim
+from egta.simulators import FACTOR_KINDS, FactoredNoiseSimulator, gen_rg, noisy_sim
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -38,14 +38,16 @@ def test_every_trace_point_resolves(tracing):
 
 def test_tracer_sees_the_kernel(tracing):
     # a kernel reached by any other name than the traced one would read
-    # zero hash calls here, and zero in every per-layer hash metric
+    # zero calls here, and zero in every per-layer hash or block metric;
+    # the factored simulator inherits the traced sample_block
     game = gen_rg(3, 3, seed=1)
-    tracer = tracing.Tracer()
-    with tracing.patched(tracer.replacements()):
-        tracer.run_pass(
-            0, lambda: algorithms.gs(noisy_sim(game, 2.0), IndexSet.full(game), 5000, 0.05, 30.0, "hoeffding")
-        )
-    metrics = tracing.layer_metrics(tracer.spans, 1, 1.0, 1.0)
-    calls = metrics["hashing.hash_uniform.calls"]
-    assert calls == metrics["simulators.sample_block.calls"] > 0
-    assert metrics["hashing.hash_uniform.elems"] == metrics["simulators.sample_block.evals"] == 81 * 5000
+    sims = [noisy_sim(game, 2.0), FactoredNoiseSimulator(5.0, [1.0, 0.5, 0.25, 0.5, 1.0], FACTOR_KINDS, game, 0)]
+    for sim in sims:
+        tracer = tracing.Tracer()
+        with tracing.patched(tracer.replacements()):
+            tracer.run_pass(
+                0, lambda: algorithms.gs(sim, IndexSet.full(game), 5000, 0.05, sim.range_c, "hoeffding")
+            )
+        metrics = tracing.layer_metrics(tracer.spans, 1, 1.0, 1.0)
+        assert metrics["hashing.hash_uniform.calls"] == metrics["simulators.sample_block.calls"] == 7
+        assert metrics["hashing.hash_uniform.elems"] == metrics["simulators.sample_block.evals"] == 81 * 5000
