@@ -126,7 +126,8 @@ def hash_uniform(
     u is the variate of (keys[f, i], cond_seeds[j]): the top 53 bits of
     splitmix64(splitmix64(key) + cond), centred in its bin, in [2^-54, 1].
     The condition seeds arrive finalized by ``draw_conditions``, so only the
-    keys are hashed here. The compiled kernel and numpy give the same bits.
+    keys are hashed here. Seeds and keys follow ``splitmix64``'s rule for
+    integers. The compiled kernel and numpy give the same bits.
     """
     conds = _uint64(cond_seeds, "cond_seeds")
     keys = _uint64(keys, "keys")
