@@ -28,16 +28,17 @@ from .games import (
     pure_eps_nash,
     rationalizable,
 )
-from .hashing import mix
+from .hashing import _draw_words, mix
 from .simulators import ConditionalSimulator, draw_conditions
 
 # cap on elements per sampling block; its column count sets how many
 # conditions each row sum adds at once, so it fixes the results' bits
 # (chunk boundaries depend only on the index-set size)
 _BLOCK_ELEMS = 2_000_000
-# cap on elements per row tile, which bounds the Hoeffding buffer and keeps
-# each tile in cache for its row sums; results are bit-identical for any
-# value, because 1ERA still takes one signed sum per column block
+# cap on elements per row tile, which bounds the Hoeffding buffer (the
+# kernel sums each row as it writes it, so only the 1ERA product reads a
+# tile again); results are bit-identical for any value, because row sums
+# never cross a row and 1ERA still takes one signed sum per column block
 _TILE_ELEMS = 65_536
 
 
@@ -174,16 +175,20 @@ def gs(
     average it is 2r + 3c*sqrt(ln(1/delta)/(2m)) for a fresh sign draw.
     A zero range c makes every sample exact, and both radii are then zero.
 
-    Conditions are consumed in column blocks of at most _BLOCK_ELEMS
-    samples, and each block is sampled in row tiles of _TILE_ELEMS samples
-    (at least one row), which bounds the size of the sampling buffer and
-    leaves every estimate unchanged. Each call owns one buffer, and the
-    simulator writes every tile into a view of it. Under 1ERA the buffer
-    holds a whole [n, cols] block, and the signed sum ``block @ sigma`` is
-    taken once per column block, because its bits depend on the number of
-    rows in the product. Those bits also depend on the BLAS thread count, so
-    a 1ERA radius reproduces only at a fixed thread count; estimates and
-    Hoeffding radii do not depend on it.
+    The m condition seeds come from a fresh PCG64 generator seeded with
+    ``seed``, and under 1ERA the m signs from its next words (see
+    ``_signs``). Conditions are consumed in column blocks of at most
+    _BLOCK_ELEMS samples, and each block is sampled in row tiles of
+    _TILE_ELEMS samples (at least one row), which bounds the size of the
+    sampling buffer and leaves every estimate unchanged. Each call owns one
+    buffer; the simulator writes every tile into a view of it and adds the
+    tile's row sums onto the estimates' running sums, as numpy's
+    ``tile.sum(axis=1)`` would. Under 1ERA the buffer holds a whole [n, cols]
+    block, and the signed sum ``block @ sigma`` is taken once per column
+    block, because its bits depend on the number of rows in the product.
+    Those bits also depend on the BLAS thread count, so a 1ERA radius
+    reproduces only at a fixed thread count; estimates and Hoeffding radii
+    do not depend on it.
     """
     bound = BoundType(bound)
     n = len(index_set)
@@ -196,10 +201,7 @@ def gs(
 
     rng = np.random.Generator(np.random.PCG64(seed))
     cond_seeds = draw_conditions(rng, m)
-    sigma = None
-    if bound is BoundType.ONE_ERA:
-        sigma = rng.integers(0, 2, size=m) * 2.0
-        sigma -= 1.0
+    sigma = _signs(rng, m) if bound is BoundType.ONE_ERA else None
 
     sums = np.zeros(n)
     signed = np.zeros(n)
@@ -217,9 +219,8 @@ def gs(
             at = r0 * cols if sigma is not None else 0  # 1ERA keeps the whole block
             tile = buffer[at : at + (r1 - r0) * cols].reshape(r1 - r0, cols)
             sim.sample_block(
-                cond_seeds[start:stop], index_set.players[r0:r1], index_set.profiles[r0:r1], out=tile
+                cond_seeds[start:stop], index_set.players[r0:r1], index_set.profiles[r0:r1], tile, sums[r0:r1]
             )
-            sums[r0:r1] += tile.sum(axis=1)
         if sigma is not None:
             signed += buffer[: n * cols].reshape(n, cols) @ sigma[start:stop]
     means = sums / m
@@ -230,6 +231,20 @@ def gs(
         r = float(np.abs(signed).max() / m)
         epsilon = era_eps(r, c, m, delta)
     return GSResult(index_set, means, epsilon, m, delta, bound)
+
+
+def _signs(rng: np.random.Generator, m: int) -> np.ndarray:
+    """m Rademacher signs: bits 31 and 63 of each of the next ceil(m/2)
+    64-bit words, +1.0 where the bit is set and -1.0 where it is not. Read
+    as two little-endian 32-bit halves, low half first, a word gives bit 31
+    and then bit 63 as its halves' top bits. From a generator with no
+    buffered 32-bit half, as gs's fresh one is, these are the signs
+    ``rng.integers(0, 2, size=m) * 2.0 - 1.0`` draws."""
+    halves = _draw_words(rng, (m + 1) // 2).astype("<u8", copy=False).view("<u4")[:m]
+    sigma = (halves >> 31).astype(np.float64)
+    sigma *= 2.0
+    sigma -= 1.0
+    return sigma
 
 
 def prune_pure(game: NormalFormGame, index_set: IndexSet, eps_hat: float) -> IndexSet:

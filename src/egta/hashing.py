@@ -7,16 +7,19 @@ consuming a shared stateful RNG.
 
 ``hash_uniform``, the noise kernel behind every simulator sample, writes a
 tile of utilities base + sum_f (u_f - 0.5) * w_f into the caller's buffer in
-one call. It runs as a small C loop when one can be built: the first call
+one call, and adds each row's sum onto the caller's sums while the row is in
+cache. It runs as a small C loop when one can be built: the first call
 compiles ``_C_SOURCE`` with gcc into ``$XDG_CACHE_HOME/egta`` (default
 ``~/.cache/egta``), under a name hashed from the source, the flags and the
 host CPU, and loads it with ctypes; a cached library that fails to load is
 built again once. Built without floating-point contraction, the loop does
 the numpy code's integer operations and separately rounded floating-point
-steps, so both give identical bits; ``splitmix64`` over arrays runs in the
-same library. Without a compiler, a writable cache directory or a loadable
-library, the numpy code runs instead, and a RuntimeWarning says why once per
-process; it is also the reference the tests compare against.
+steps, and sums each row in numpy's pairwise order, so both give identical
+bits. ``splitmix64`` over arrays and the 64-bit words drawn from a PCG64
+generator (condition seeds and 1ERA signs) run in the same library. Without
+a compiler, a writable cache directory or a loadable library, the numpy code
+runs instead, and a RuntimeWarning says why once per process; it is also the
+reference the tests compare against.
 """
 
 from __future__ import annotations
@@ -54,16 +57,22 @@ def splitmix64(x: np.ndarray | int) -> np.ndarray | int:
     z = _uint64(x, "splitmix64")
     if isinstance(z, np.ndarray):
         z = np.array(z)  # a copy, hashed in place below
-        lib = _kernel()
-        if lib is not None:
-            lib.egta_splitmix64(_address(z), z.size)
-        else:
-            _splitmix64_numpy(z)
+        _splitmix64_in_place(z)
         return z
     z = (z + _GOLDEN) & _MASK64
     z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
     z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
     return z ^ (z >> 31)
+
+
+def _splitmix64_in_place(z: np.ndarray) -> None:
+    """splitmix64 of each element of a writable C-contiguous uint64 array, in
+    place, compiled when the library is loaded."""
+    lib = _kernel()
+    if lib is not None:
+        lib.egta_splitmix64(_address(z), z.size)
+    else:
+        _splitmix64_numpy(z)
 
 
 def _splitmix64_numpy(z: np.ndarray) -> None:
@@ -98,7 +107,9 @@ def mix(*parts: int) -> int:
     """Hash an ordered tuple of integers into a single 64-bit value.
 
     Used to derive child seeds, e.g. ``mix(master_seed, replication)``.
-    Strings may be passed for labels; they are folded in bytewise.
+    Strings may be passed for labels; they are folded in bytewise. Other
+    parts follow ``splitmix64``'s rule for integers: ints of any sign are
+    taken mod 2^64, and floats, bools and anything else raise ValueError.
     """
     h = _GOLDEN
     for part in parts:
@@ -106,7 +117,10 @@ def mix(*parts: int) -> int:
             for b in part.encode("utf-8"):
                 h = splitmix64(h ^ b)
         else:
-            h = splitmix64(h ^ (int(part) & _MASK64))
+            z = _uint64(part, "mix")
+            if isinstance(z, np.ndarray) and z.ndim:
+                raise ValueError(f"mix takes ints and strings, not an array of shape {z.shape}")
+            h = splitmix64(h ^ int(z))
     return h
 
 
@@ -116,8 +130,10 @@ def hash_uniform(
     widths: np.ndarray,
     base: np.ndarray,
     out: np.ndarray,
+    sums: np.ndarray,
 ) -> np.ndarray:
-    """A tile of utilities, base plus F noise factors, written into ``out``.
+    """A tile of utilities, base plus F noise factors, written into ``out``,
+    with each row's sum added onto ``sums``.
 
     ``cond_seeds`` is [m], ``keys`` one row of n keys per factor ([F, n]),
     ``widths`` [F] and ``base`` [n]; ``out``, a writable C-contiguous float64
@@ -127,7 +143,10 @@ def hash_uniform(
     splitmix64(splitmix64(key) + cond), centred in its bin, in [2^-54, 1].
     The condition seeds arrive finalized by ``draw_conditions``, so only the
     keys are hashed here. Seeds and keys follow ``splitmix64``'s rule for
-    integers. The compiled kernel and numpy give the same bits.
+    integers. ``sums``, a writable C-contiguous float64 [n] array, gets
+    ``sums += out.sum(axis=1)``; the compiled kernel sums each leaf of
+    numpy's pairwise summation while it is in cache. The compiled kernel and
+    numpy give the same bits.
     """
     conds = _uint64(cond_seeds, "cond_seeds")
     keys = _uint64(keys, "keys")
@@ -135,15 +154,8 @@ def hash_uniform(
     base = np.ascontiguousarray(base, dtype=np.float64)
     if np.ndim(conds) != 1 or np.ndim(keys) != 2 or widths.shape != keys.shape[:1] or base.shape != keys.shape[1:]:
         raise ValueError("hash_uniform takes cond_seeds [m], keys [F, n], widths [F] and base [n]")
-    shape = base.shape + conds.shape
-    if not (
-        isinstance(out, np.ndarray)
-        and out.dtype == np.float64
-        and out.shape == shape
-        and out.flags.c_contiguous
-        and out.flags.writeable
-    ):
-        raise ValueError(f"out must be a writable C-contiguous float64 array of shape {shape}")
+    _check_buffer(out, "out", base.shape + conds.shape)
+    _check_buffer(sums, "sums", base.shape)
     lib = _kernel()
     if lib is None:
         out[...] = base[:, None]
@@ -152,12 +164,27 @@ def hash_uniform(
             u -= 0.5
             u *= width
             out += u
+        with np.errstate(over="ignore"):  # the compiled sum overflows to inf silently too
+            sums += out.sum(axis=1)
         return out
     lib.egta_noise(
         _address(conds), conds.size, _address(keys), keys.shape[0], base.size,
-        _address(widths), _address(base), _address(out),
+        _address(widths), _address(base), _address(out), _address(sums),
     )
     return out
+
+
+def _check_buffer(a, name: str, shape: tuple[int, ...]) -> None:
+    """Refuse anything but a writable C-contiguous float64 array of ``shape``
+    before a pointer to it is passed."""
+    if not (
+        isinstance(a, np.ndarray)
+        and a.dtype == np.float64
+        and a.shape == shape
+        and a.flags.c_contiguous
+        and a.flags.writeable
+    ):
+        raise ValueError(f"{name} must be a writable C-contiguous float64 array of shape {shape}")
 
 
 def _address(a: np.ndarray) -> int | None:
@@ -182,13 +209,41 @@ def _hash_uniform_numpy(conds: np.ndarray, keys: np.ndarray) -> np.ndarray:
     return out
 
 
+def _draw_words(rng: np.random.Generator, count: int) -> np.ndarray:
+    """The next ``count`` 64-bit words of ``rng`` as a uint64 array: those
+    ``rng.integers(0, 2**64, size=count, dtype=np.uint64)`` draws, which for
+    a PCG64 generator are its raw outputs. With the library loaded, a PCG64
+    generator's words are computed from its state, which is then advanced
+    as numpy advances it; a buffered 32-bit half stays buffered."""
+    bit_generator = rng.bit_generator
+    lib = _kernel()
+    if lib is None or type(bit_generator) is not np.random.PCG64:
+        return rng.integers(0, 2**64, size=count, dtype=np.uint64)
+    words = np.empty(count, dtype=np.uint64)
+    with bit_generator.lock:
+        state = bit_generator.state
+        pcg = state["state"]
+        regs = (ctypes.c_uint64 * 4)(pcg["state"] >> 64, pcg["state"] & _MASK64, pcg["inc"] >> 64, pcg["inc"] & _MASK64)
+        lib.egta_pcg64(regs, _address(words), count)
+        pcg["state"] = regs[0] << 64 | regs[1]
+        bit_generator.state = state
+    return words
+
+
 # The same arithmetic as _hash_uniform_numpy and hash_uniform's noise step.
 # The 53-bit integer converts to double exactly, and the scale, the offset,
 # the -0.5, the width and the add are separately rounded steps, as in numpy,
 # which -ffp-contract=off keeps from being fused; IEEE addition commutes.
+# Each row's sum follows numpy's pairwise summation, leaf by leaf.
 _C_SOURCE = r"""
 #include <stddef.h>
 #include <stdint.h>
+
+/* gcc prefers 256-bit vectors even where 512-bit ones exist; the hash's
+   64-bit multiplies run about a quarter faster in the wider ones */
+#ifdef __AVX512F__
+#pragma GCC target("prefer-vector-width=512")
+#endif
 
 static inline uint64_t splitmix64(uint64_t z) {
     z += 0x9E3779B97F4A7C15ULL;
@@ -202,34 +257,119 @@ static inline double noise(uint64_t key, uint64_t cond, double width) {
     return ((double)(int64_t)(z >> 11) * 0x1p-53 + 0x1p-54 - 0.5) * width;
 }
 
-/* out[i][j] = base[i] + the noise of each factor f of keys[f][i], in order */
+enum { BASE, ONTO_BASE, ONTO_ROW };
+
+/* row[j] for j < m: the base, or the noise of (key, width) added onto the
+   base or onto row[j] */
+static inline void pass(double *restrict row, const uint64_t *restrict conds, size_t m,
+                        int kind, uint64_t key, double width, double base) {
+    if (kind == BASE)
+        for (size_t j = 0; j < m; j++)
+            row[j] = base;
+    else if (kind == ONTO_BASE)
+        for (size_t j = 0; j < m; j++)
+            row[j] = noise(key, conds[j], width) + base;
+    else
+        for (size_t j = 0; j < m; j++)
+            row[j] = noise(key, conds[j], width) + row[j];
+}
+
+/* numpy's pairwise sum of a[0..n), n <= 128: in order from 0. below 8
+   elements, else in eight accumulators and then the tail */
+static double leaf_sum(const double *a, size_t n) {
+    double res = 0.;
+    if (n < 8) {
+        for (size_t i = 0; i < n; i++)
+            res += a[i];
+        return res;
+    }
+    double r[8];
+    for (int k = 0; k < 8; k++)
+        r[k] = a[k];
+    size_t i = 8;
+    for (; i < n - n % 8; i += 8)
+        for (int k = 0; k < 8; k++)
+            r[k] += a[i + k];
+    res = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]));
+    for (; i < n; i++)
+        res += a[i];
+    return res;
+}
+
+/* the last pass over row[0..m), written one leaf of numpy's pairwise sum at
+   a time and summed while the leaf is in cache; returns the row's sum */
+static double last_pass(double *row, const uint64_t *conds, size_t m,
+                        int kind, uint64_t key, double width, double base) {
+    if (m <= 128) {
+        pass(row, conds, m, kind, key, width, base);
+        return leaf_sum(row, m);
+    }
+    size_t half = m / 2 - m / 2 % 8;
+    double left = last_pass(row, conds, half, kind, key, width, base);
+    return left + last_pass(row + half, conds + half, m - half, kind, key, width, base);
+}
+
+/* out[i][j] = base[i] + the noise of each factor f of keys[f][i], in order,
+   and sums[i] += 0.0 + the pairwise sum of out[i], as numpy's row sum */
 void egta_noise(const uint64_t *restrict conds, size_t m,
                 const uint64_t *restrict keys, size_t factors, size_t n,
                 const double *restrict widths, const double *restrict base,
-                double *restrict out) {
+                double *restrict out, double *restrict sums) {
+    size_t last = factors ? factors - 1 : 0;
+    int kind = factors == 0 ? BASE : last ? ONTO_ROW : ONTO_BASE;
     for (size_t i = 0; i < n; i++) {
-        double *restrict row = out + i * m;
-        if (factors == 0) {
-            for (size_t j = 0; j < m; j++)
-                row[j] = base[i];
-            continue;
-        }
-        uint64_t key = splitmix64(keys[i]);
-        double width = widths[0], add = base[i];
-        for (size_t j = 0; j < m; j++)
-            row[j] = noise(key, conds[j], width) + add;
-        for (size_t f = 1; f < factors; f++) {
-            key = splitmix64(keys[f * n + i]);
-            width = widths[f];
-            for (size_t j = 0; j < m; j++)
-                row[j] = noise(key, conds[j], width) + row[j];
-        }
+        double *row = out + i * m;
+        for (size_t f = 0; f < last; f++)
+            pass(row, conds, m, f ? ONTO_ROW : ONTO_BASE, splitmix64(keys[f * n + i]), widths[f], base[i]);
+        uint64_t key = factors ? splitmix64(keys[last * n + i]) : 0;
+        double width = factors ? widths[last] : 0.0;
+        sums[i] += 0.0 + last_pass(row, conds, m, kind, key, width, base[i]);
     }
 }
 
 void egta_splitmix64(uint64_t *z, size_t n) {
     for (size_t i = 0; i < n; i++)
         z[i] = splitmix64(z[i]);
+}
+
+/* numpy's PCG64: step the 128-bit state by the multiplier and the
+   increment, then output its XSL-RR word */
+typedef unsigned __int128 u128;
+#define PCG_MULT (((u128)0x2360ED051FC65DA4ULL << 64) | 0x4385DF649FCCF645ULL)
+#define LANES 4
+
+static inline uint64_t xsl_rr(u128 state) {
+    uint64_t x = (uint64_t)(state >> 64) ^ (uint64_t)state;
+    unsigned rot = (unsigned)(state >> 122);
+    return (x >> rot) | (x << (-rot & 63));
+}
+
+/* the next n words of the generator whose state and increment are
+   regs[0..1] and regs[2..3] (high word first), into out; regs[0..1] end at
+   the advanced state. Word k comes from lane k % LANES, and each lane steps
+   LANES states at once, by MULT^LANES and inc * sum_{i<LANES} MULT^i, so the
+   lanes' multiplications overlap */
+void egta_pcg64(uint64_t *regs, uint64_t *restrict out, size_t n) {
+    u128 state = (u128)regs[0] << 64 | regs[1], inc = (u128)regs[2] << 64 | regs[3];
+    u128 lane[LANES], jump_mult = 1, jump_add = 0;
+    for (int l = 0; l < LANES; l++) {
+        lane[l] = state = state * PCG_MULT + inc;
+        jump_mult *= PCG_MULT;
+        jump_add = jump_add * PCG_MULT + inc;
+    }
+    state = (u128)regs[0] << 64 | regs[1];
+    size_t i = 0;
+    for (; i + LANES <= n; i += LANES) {
+        for (int l = 0; l < LANES; l++)
+            out[i + l] = xsl_rr(lane[l]);
+        state = lane[LANES - 1];
+        for (int l = 0; l < LANES; l++)
+            lane[l] = lane[l] * jump_mult + jump_add;
+    }
+    for (int l = 0; i < n; i++, l++)
+        out[i] = xsl_rr(state = lane[l]);
+    regs[0] = (uint64_t)(state >> 64);
+    regs[1] = (uint64_t)state;
 }
 """
 # never -ffast-math: it licenses rewrites that change the bits
@@ -291,12 +431,14 @@ def _load_kernel(cache_dir: Path, compiler: str = "gcc"):
 
 
 def _bind(lib: ctypes.CDLL) -> ctypes.CDLL:
-    """``lib`` with the argument and result types of its two functions."""
+    """``lib`` with the argument and result types of its functions."""
     pointer, size = ctypes.c_void_p, ctypes.c_size_t
-    lib.egta_noise.argtypes = [pointer, size, pointer, size, size, pointer, pointer, pointer]
+    lib.egta_noise.argtypes = [pointer, size, pointer, size, size, pointer, pointer, pointer, pointer]
     lib.egta_noise.restype = None
     lib.egta_splitmix64.argtypes = [pointer, size]
     lib.egta_splitmix64.restype = None
+    lib.egta_pcg64.argtypes = [ctypes.POINTER(ctypes.c_uint64), pointer, size]
+    lib.egta_pcg64.restype = None
     return lib
 
 

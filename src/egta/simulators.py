@@ -17,14 +17,18 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .games import NormalFormGame, nash_mask, welfare_table
-from .hashing import hash_uniform, mix, splitmix64
+from .hashing import _draw_words, _splitmix64_in_place, hash_uniform, mix, splitmix64
 
 
 def draw_conditions(rng: np.random.Generator, m: int) -> np.ndarray:
-    """m condition seeds as a uint64 array, finalized with splitmix64 once
-    here so that ``hash_uniform`` can pair them with keys without hashing
-    them again on every call."""
-    return splitmix64(rng.integers(0, 2**64, size=m, dtype=np.uint64))
+    """m condition seeds as a uint64 array: the words
+    ``rng.integers(0, 2**64, size=m, dtype=np.uint64)`` draws (for PCG64,
+    computed in the compiled library), finalized in place with splitmix64
+    once here so that ``hash_uniform`` can pair them with keys without
+    hashing them again on every call."""
+    words = _draw_words(rng, m)
+    _splitmix64_in_place(words)
+    return words
 
 
 class ConditionalSimulator:
@@ -44,10 +48,13 @@ class ConditionalSimulator:
         players: np.ndarray,
         profiles: np.ndarray,
         out: np.ndarray,
+        sums: np.ndarray,
     ) -> np.ndarray:
         """Utilities for each (player, profile) index under each condition,
         written into ``out`` (C-contiguous float64, [num_indices,
-        num_conditions]), which is returned."""
+        num_conditions]), which is returned, with each index's row sum
+        added onto ``sums`` (C-contiguous float64, [num_indices]) as
+        ``sums += out.sum(axis=1)`` would."""
         raise NotImplementedError
 
 
@@ -97,15 +104,16 @@ class NoisySimulator(ConditionalSimulator):
         """The one factor's hash keys: each index's flat position p P + s."""
         return players * self.base.num_profiles + profiles
 
-    def sample_block(self, cond_seeds, players, profiles, out):
+    def sample_block(self, cond_seeds, players, profiles, out, sums):
         """The additive-noise kernel of both simulators, one ``hash_uniform``
         call: each noisy factor i adds (u - 0.5) * w_i to the base, with u
         hashed from ``self._keys(i, players, profiles)`` and the condition.
-        The utilities are written into ``out``."""
+        The utilities are written into ``out`` and their row sums added
+        onto ``sums``."""
         keys = np.empty((len(self._noisy), len(players)), dtype=np.uint64)
         for row, i in enumerate(self._noisy):
             keys[row] = self._keys(i, players, profiles)
-        return hash_uniform(cond_seeds, keys, self._widths, self.base.utilities[players, profiles], out)
+        return hash_uniform(cond_seeds, keys, self._widths, self.base.utilities[players, profiles], out, sums)
 
 
 def noisy_sim(base: NormalFormGame, d: float) -> NoisySimulator:

@@ -137,6 +137,34 @@ def rationalizable_survivors(game: NormalFormGame, pairs, eps_hat):
     ]
 
 
+def pairwise_sum(values):
+    """numpy's pairwise summation of a sequence of floats, as it sums one
+    contiguous float64 row: in order from 0. below 8 elements; up to 128 in
+    eight interleaved accumulators, combined as
+    ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), then the tail in
+    order; beyond 128, split at n/2 less n/2 mod 8 and the halves' sums
+    added."""
+    n = len(values)
+    if n < 8:
+        total = 0.0
+        for v in values:
+            total += v
+        return total
+    if n <= 128:
+        r = list(values[:8])
+        i = 8
+        while i < n - n % 8:
+            for k in range(8):
+                r[k] += values[i + k]
+            i += 8
+        total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        for v in values[i:]:
+            total += v
+        return total
+    half = n // 2 - n // 2 % 8
+    return pairwise_sum(values[:half]) + pairwise_sum(values[half:])
+
+
 def welfare(game: NormalFormGame, profile):
     return sum(lookup(game, p, profile) for p in range(game.num_players))
 

@@ -186,10 +186,10 @@ def test_criterion_09_symmetrization():
     block = np.empty((len(idx), m))
     for rep in range(reps):
         rng = np.random.default_rng(mix(909, "x", rep))
-        values = sim.sample_block(draw_conditions(rng, m), idx.players, idx.profiles, block)
+        values = sim.sample_block(draw_conditions(rng, m), idx.players, idx.profiles, block, np.zeros(len(idx)))
         sup_devs[rep] = np.abs(values.mean(axis=1) - truth).max()
         rng2 = np.random.default_rng(mix(909, "era", rep))
-        values2 = sim.sample_block(draw_conditions(rng2, m), idx.players, idx.profiles, block)
+        values2 = sim.sample_block(draw_conditions(rng2, m), idx.players, idx.profiles, block, np.zeros(len(idx)))
         sigma = rng2.integers(0, 2, size=m).astype(np.float64) * 2.0 - 1.0
         eras[rep] = np.abs(values2 @ sigma).max() / m
     lhs = float(sup_devs.mean())

@@ -242,7 +242,7 @@ def test_noisy_sample_block_matches_formula():
     want = base.utilities[idx.players, idx.profiles][:, None] + (
         _hash_uniform_numpy(seeds, keys) - 0.5
     ) * sim.d
-    assert np.array_equal(sim.sample_block(seeds, idx.players, idx.profiles, np.empty(want.shape)), want)
+    assert np.array_equal(sim.sample_block(seeds, idx.players, idx.profiles, np.empty(want.shape), np.zeros(len(idx))), want)
 
 
 def test_gs_hoeffding_independent_of_blas_threads():
@@ -568,6 +568,18 @@ def test_psp_deterministic():
     assert np.array_equal(a.radii, b.radii)
     assert a.pure_equilibria == b.pure_equilibria
     assert a.delta_total == b.delta_total
+
+
+def test_psp_refuses_non_integer_seeds():
+    # psp derives each round's seed with mix, which used to truncate a float
+    # seed to the int below it and run that seed's trace
+    base = gen_rg(2, 2, seed=1)
+    sim = noisy_sim(base, 1.0)
+    sched = SamplingSchedule.finite_doubling(10, 30)
+    failure = FailureSchedule.uniform_split(0.1, sched.length)
+    for seed in (1.5, 1.0, True):
+        with pytest.raises(ValueError, match="mix takes"):
+            psp(sim, sched, failure, sim.range_c, BoundType.HOEFFDING, seed=seed)
 
 
 def _psp_rounds(monkeypatch, *args, **kwargs):

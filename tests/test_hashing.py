@@ -1,4 +1,5 @@
 import hashlib
+import math
 import os
 import shutil
 import subprocess
@@ -10,9 +11,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from egta import hashing
+from egta import algorithms, hashing
 from egta.hashing import hash_uniform, mix, splitmix64
 from egta.simulators import draw_conditions
+
+import _oracles as oracle
 
 _MASK = (1 << 64) - 1
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -46,7 +49,7 @@ def variates(conds, keys):
     because every u is a multiple of 2^-54 in [2^-54, 1]."""
     keys = np.asarray(keys)
     out = np.empty((keys.size, len(conds)))
-    return hash_uniform(conds, keys[None], [1.0], np.full(keys.size, 0.5), out)
+    return hash_uniform(conds, keys[None], [1.0], np.full(keys.size, 0.5), out, np.zeros(keys.size))
 
 
 def sequential(conds, keys, widths, base):
@@ -99,7 +102,7 @@ def test_variate_range_endpoints(monkeypatch):
         monkeypatch.setattr(hashing, "_kernel", lambda: kernel)
         assert variates(conds, [key]).tolist() == [want]
         # so noise of width d lies in (-d/2, d/2], and reaches d/2
-        noise = hash_uniform(conds, [[key]], [3.0], [0.0], np.empty((1, 4)))
+        noise = hash_uniform(conds, [[key]], [3.0], [0.0], np.empty((1, 4)), np.zeros(1))
         assert noise.min() > -1.5 and noise.max() == 1.5
 
 
@@ -131,6 +134,16 @@ def test_mix_order_and_label_sensitivity():
     assert mix(1, 2) != mix(2, 1)
     assert mix(1, "a") != mix(1, "b")
     assert mix(7, "run", 3) == mix(7, "run", 3)
+
+
+def test_mix_reads_parts_by_the_integer_rule():
+    # ints of any sign and numpy integers keep their bits mod 2^64
+    assert mix(-1) == mix(_MASK) == mix(np.int64(-1)) == mix(np.uint64(_MASK)) == mix(2**64 + _MASK)
+    assert mix(5, np.int32(3)) == mix(5, 3)
+    # floats and bools are refused, not truncated to an int
+    for part in (1.5, 1.0, True, np.float64(2.0), np.bool_(False), None, [1], np.arange(2)):
+        with pytest.raises(ValueError, match="mix takes"):
+            mix(7, part)
 
 
 needs_gcc = pytest.mark.skipif(shutil.which("gcc") is None, reason="gcc is not installed")
@@ -184,12 +197,66 @@ def test_compiled_kernel_bit_identical(compiled, monkeypatch, n, m):
 
         def run():
             out = np.full((n, m), np.nan)
-            assert hash_uniform(conds, factors, widths, base, out) is out
+            assert hash_uniform(conds, factors, widths, base, out, np.zeros(n)) is out
             return out
 
         got, want = _compiled_and_numpy(monkeypatch, compiled, run)
         assert np.array_equal(got, want), widths
         assert np.array_equal(got, sequential(conds, factors, widths, base)), widths
+
+
+def bits(a):
+    """An array's float64 bits, so that -0.0 and 0.0 differ."""
+    return np.asarray(a, dtype=np.float64).view(np.uint64)
+
+
+@pytest.mark.parametrize("n, m", [(1, 1), (1, 100_001), (33, 1953), (0, 5), (5, 0)])
+def test_compiled_row_sums_bit_identical(compiled, monkeypatch, n, m):
+    # sums += out.sum(axis=1) on both paths, and that is 0.0 plus numpy's
+    # pairwise sum of each row; -0.0 bases and zero widths make rows of
+    # signed zeros, whose sums only the leading 0.0 + turns to +0.0
+    rng = np.random.default_rng(n * 1_000_003 + m + 1)
+    conds = rng.integers(0, 2**64, size=m, dtype=np.uint64)
+    keys = rng.integers(0, 2**64, size=(3, n), dtype=np.uint64)
+    for base in (rng.uniform(-5.0, 5.0, size=n), np.full(n, -0.0)):
+        for start in (rng.normal(0.0, 100.0, size=n), np.full(n, -0.0)):
+            for widths in ([], [2.0], [0.3, 2.0], [2.0, 0.3, 1e-3], [0.0], [0.0, 0.0, 0.0]):
+                factors = keys[: len(widths)]
+
+                def run():
+                    out, sums = np.full((n, m), np.nan), start.copy()
+                    assert hash_uniform(conds, factors, widths, base, out, sums) is out
+                    return out, sums
+
+                (got_out, got), (want_out, want) = _compiled_and_numpy(monkeypatch, compiled, run)
+                assert np.array_equal(bits(got_out), bits(want_out)), widths
+                assert np.array_equal(bits(got), bits(want)), widths
+                pairwise = [s + (0.0 + oracle.pairwise_sum(row)) for s, row in zip(start.tolist(), want_out.tolist())]
+                assert np.array_equal(bits(got), bits(pairwise)), widths
+
+
+def _tile_shapes():
+    """Tile shapes around numpy's pairwise block (8, 128) and buffer (8192)
+    sizes, the ragged shapes gs cuts, and a row wider than a tile."""
+    cols = [1, 2, 7, 8, 9, 15, 16, 17, 127, 128, 129, 136, 255, 256, 257, 1000, 1953, 4096, 8191, 8192, 8193, 12500]
+    rows = [1, 2, 3, 5, 8, 33]
+    shapes = [(r, c) for r in rows for c in cols if r * c <= 70_000]
+    return shapes + [(5041, 1), (5041, 13), (2048, 32), (1, 100_001)]
+
+
+def test_pairwise_sum_oracle_matches_numpy():
+    # the compiled row sums copy numpy's reduction; if a numpy upgrade
+    # changes it, this fails by name before the kernel tests do. Magnitudes
+    # spread over 16 decades make every summation order round differently
+    rng = np.random.default_rng(2024)
+    reordered = 0
+    for r, c in _tile_shapes():
+        tile = rng.normal(size=(r, c)) * 10.0 ** rng.uniform(-8, 8, size=(r, c))
+        rows = tile.tolist()
+        want = [0.0 + oracle.pairwise_sum(row) for row in rows]
+        assert np.array_equal(bits(tile.sum(axis=1)), bits(want)), (r, c)
+        reordered += sum(math.fsum(row) != total for row, total in zip(rows, want))
+    assert reordered > 0  # so the comparison can fail
 
 
 def test_compiled_kernel_strided_and_extreme_inputs(compiled, monkeypatch):
@@ -209,7 +276,7 @@ def test_compiled_kernel_strided_and_extreme_inputs(compiled, monkeypatch):
     table = np.stack([keys, keys[::-1], keys * np.uint64(3)])[::2, ::3]
     widths, base = np.array([0.5, 9.0, 2.0])[::2], np.linspace(-4.0, 4.0, 2 * table.shape[1])[::2]
     got, want = _compiled_and_numpy(
-        monkeypatch, compiled, lambda: hash_uniform(conds, table, widths, base, np.empty((base.size, conds.size)))
+        monkeypatch, compiled, lambda: hash_uniform(conds, table, widths, base, np.empty((base.size, conds.size)), np.zeros(base.size))
     )
     assert np.array_equal(got, want)
     assert np.array_equal(got, sequential(conds, table, widths, base))
@@ -217,7 +284,7 @@ def test_compiled_kernel_strided_and_extreme_inputs(compiled, monkeypatch):
     got, want = _compiled_and_numpy(
         monkeypatch,
         compiled,
-        lambda: hash_uniform([0, 2**63, _MASK], np.arange(-3, 3)[None], [1.0], np.zeros(6), np.empty((6, 3))),
+        lambda: hash_uniform([0, 2**63, _MASK], np.arange(-3, 3)[None], [1.0], np.zeros(6), np.empty((6, 3)), np.zeros(6)),
     )
     assert np.array_equal(got, want)
 
@@ -233,7 +300,7 @@ def test_compiled_noise_step_extreme_values(compiled, monkeypatch):
             got, want = _compiled_and_numpy(
                 monkeypatch,
                 compiled,
-                lambda: hash_uniform(conds, factors, widths, bases, np.empty((bases.size, conds.size))),
+                lambda: hash_uniform(conds, factors, widths, bases, np.empty((bases.size, conds.size)), np.zeros(bases.size)),
             )
             assert np.array_equal(got, want), widths
             assert np.array_equal(got, sequential(conds, factors, widths, bases)), widths
@@ -260,7 +327,18 @@ def test_hash_uniform_refuses_bad_out(monkeypatch):
     for out in bad:
         for factors, widths in ((keys, [1.0, 2.0]), (keys[:0], [])):
             with pytest.raises(ValueError, match="out must be"):
-                hash_uniform(conds, factors, widths, base, out)
+                hash_uniform(conds, factors, widths, base, out, np.zeros(4))
+
+
+def test_hash_uniform_refuses_bad_sums(monkeypatch):
+    monkeypatch.setattr(hashing, "_kernel", lambda: pytest.fail("the kernel was reached"))
+    conds, keys, base, out = np.arange(6, dtype=np.uint64), np.arange(8, dtype=np.uint64).reshape(2, 4), np.zeros(4), np.zeros((4, 6))
+    read_only = np.zeros(4)
+    read_only.flags.writeable = False
+    bad = [None, np.zeros(4, dtype=np.float32), np.zeros(4, dtype=np.int64), np.zeros(3), np.zeros((4, 1)), np.zeros(8)[::2], read_only, [0.0] * 4]
+    for sums in bad:
+        with pytest.raises(ValueError, match="sums must be"):
+            hash_uniform(conds, keys, [1.0, 2.0], base, out, sums)
 
 
 def test_hash_uniform_refuses_bad_factors(monkeypatch):
@@ -281,7 +359,7 @@ def test_hash_uniform_refuses_bad_factors(monkeypatch):
     ]
     for args in bad:
         with pytest.raises(ValueError, match=r"keys \[F, n\]"):
-            hash_uniform(*args, out)
+            hash_uniform(*args, out, np.zeros(4))
     # keys and conditions follow splitmix64's rule: floats and bools are
     # refused, not truncated, and ints of any sign are taken mod 2^64
     for args in (
@@ -292,13 +370,13 @@ def test_hash_uniform_refuses_bad_factors(monkeypatch):
         ([True] * 6, keys, widths, base),
     ):
         with pytest.raises(ValueError, match="integer arrays"):
-            hash_uniform(*args, out)
+            hash_uniform(*args, out, np.zeros(4))
 
 
 def test_hash_uniform_takes_ints_of_any_sign_mod_2_64():
     out = np.empty((1, 3))
     want = variates(np.array([_MASK, 2**63, 0], dtype=np.uint64), [_MASK - 4])
-    assert np.array_equal(hash_uniform([-1, -(2**63), 2**64], [[-5]], [1.0], [0.5], out), want)
+    assert np.array_equal(hash_uniform([-1, -(2**63), 2**64], [[-5]], [1.0], [0.5], out, np.zeros(1)), want)
 
 
 def test_compiled_splitmix64_bit_identical(compiled, monkeypatch):
@@ -319,6 +397,68 @@ def test_compiled_splitmix64_bit_identical(compiled, monkeypatch):
     assert [int(v) for v in splitmix64(extremes)] == [reference_splitmix64(int(x)) for x in extremes]
     # signed values are taken mod 2^64
     assert [int(v) for v in splitmix64(signed)] == [reference_splitmix64(int(x) & _MASK) for x in signed]
+
+
+_DRAW_SEEDS = (0, 1, 12345, 2**63 + 5, 2**64 - 1)
+_DRAW_SIZES = (1, 2, 3, 4, 5, 7, 8, 9, 1000, 3162, 100_001)
+
+
+def test_compiled_draws_match_numpy(compiled, monkeypatch):
+    # gs draws its conditions and then its 1ERA signs from a fresh PCG64;
+    # both paths give the bits of numpy's own draws, across the compiled
+    # generator's lane boundaries
+    for seed in _DRAW_SEEDS:
+        for m in _DRAW_SIZES:
+            ref = np.random.Generator(np.random.PCG64(seed))
+            want_conds = splitmix64(ref.integers(0, 2**64, size=m, dtype=np.uint64))
+            want_state = ref.bit_generator.state
+            want_signs = ref.integers(0, 2, size=m) * 2.0 - 1.0
+
+            def run():
+                rng = np.random.Generator(np.random.PCG64(seed))
+                conds = draw_conditions(rng, m)
+                state = rng.bit_generator.state
+                return conds, state, algorithms._signs(rng, m)
+
+            for conds, state, signs in _compiled_and_numpy(monkeypatch, compiled, run):
+                assert conds.dtype == np.uint64 and np.array_equal(conds, want_conds), (seed, m)
+                assert state == want_state, (seed, m)
+                assert signs.dtype == np.float64 and np.array_equal(signs, want_signs), (seed, m)
+
+
+def test_draw_conditions_keeps_the_generator_state(compiled, monkeypatch):
+    # a buffered 32-bit half survives the compiled draw, as it survives
+    # numpy's, so every later draw is numpy's; other bit generators take
+    # numpy's own path
+    makers = [
+        lambda: np.random.Generator(np.random.PCG64(7)),
+        lambda: np.random.Generator(np.random.Philox(7)),
+        lambda: np.random.Generator(np.random.MT19937(7)),
+    ]
+    for make in makers:
+        for m in (0, 1, 9, 1001):
+
+            def later_draws(rng):
+                return [rng.integers(0, 2, size=5).tolist(), rng.random(3).tolist(), rng.integers(0, 2**64, size=3, dtype=np.uint64).tolist()]
+
+            ref = make()
+            ref.integers(0, 2)
+            want = splitmix64(ref.integers(0, 2**64, size=m, dtype=np.uint64))
+            want_state = ref.bit_generator.state
+            want_later = later_draws(ref)
+
+            def run():
+                rng = make()
+                rng.integers(0, 2)
+                conds = draw_conditions(rng, m)
+                return conds, rng.bit_generator.state, later_draws(rng)
+
+            for conds, state, later in _compiled_and_numpy(monkeypatch, compiled, run):
+                assert np.array_equal(conds, want) and conds.shape == (m,)
+                assert repr(state) == repr(want_state)  # Philox and MT19937 hold arrays
+                assert later == want_later
+            if isinstance(ref.bit_generator, np.random.PCG64):
+                assert want_state["has_uint32"] == 1
 
 
 # each forced failure and the reason its warning names; a corrupt cached
@@ -378,7 +518,7 @@ def test_fallback_warns_once_per_process(tmp_path):
         "from egta.hashing import hash_uniform, splitmix64\n"
         "for _ in range(3):\n"
         "    splitmix64(np.arange(5, dtype=np.uint64))\n"
-        "    hash_uniform(np.arange(5, dtype=np.uint64), [np.arange(3)], [1.0], np.zeros(3), np.empty((3, 5)))\n"
+        "    hash_uniform(np.arange(5, dtype=np.uint64), [np.arange(3)], [1.0], np.zeros(3), np.empty((3, 5)), np.zeros(3))\n"
         "print('done')\n"
     )
     proc = subprocess.run(
@@ -401,7 +541,7 @@ assert kernel is not None
 hashing._kernel = lambda: kernel
 # one factor of width 1 on a base of 1/2 gives the plain variates exactly
 out = np.empty((30, 1000))
-hashing.hash_uniform(np.arange(1000, dtype=np.uint64), [np.arange(30)], [1.0], np.full(30, 0.5), out)
+hashing.hash_uniform(np.arange(1000, dtype=np.uint64), [np.arange(30)], [1.0], np.full(30, 0.5), out, np.zeros(30))
 print(hashlib.sha256(out.tobytes()).hexdigest())
 """
 

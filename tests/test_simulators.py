@@ -29,7 +29,7 @@ import _oracles as oracle
 
 def sample(sim, seeds, players, profiles):
     """``sim.sample_block`` into a fresh buffer."""
-    return sim.sample_block(seeds, players, profiles, np.empty((len(players), len(seeds))))
+    return sim.sample_block(seeds, players, profiles, np.empty((len(players), len(seeds))), np.zeros(len(players)))
 
 
 def test_gen_rg_shape_and_support():
@@ -293,7 +293,7 @@ def test_sample_block_fills_out(monkeypatch):
         for lib in (kernel, None):
             monkeypatch.setattr(hashing, "_kernel", lambda: lib)
             buf = np.full((len(idx), len(seeds)), np.nan)
-            assert sim.sample_block(seeds, idx.players, idx.profiles, buf) is buf
+            assert sim.sample_block(seeds, idx.players, idx.profiles, buf, np.zeros(len(idx))) is buf
             blocks.append(buf)
         assert np.array_equal(blocks[0], blocks[1])
 
