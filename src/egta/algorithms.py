@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator, Sequence
@@ -28,7 +27,7 @@ from .games import (
     pure_eps_nash,
     rationalizable,
 )
-from .hashing import _draw_words, mix
+from .hashing import _draw_words, _generator, _integer, mix
 from .simulators import ConditionalSimulator, draw_conditions
 
 # cap on elements per sampling block; its column count sets how many
@@ -59,12 +58,9 @@ class SamplingSchedule:
     budget: int | None = None
 
     def __post_init__(self):
-        if not isinstance(self.m0, numbers.Integral) or not self.m0 >= 1:
-            raise ValueError("initial sample size must be an integer of at least 1")
-        if self.budget is not None and (
-            not isinstance(self.budget, numbers.Integral) or not self.budget >= self.m0
-        ):
-            raise ValueError("budget must be an integer that admits an iteration")
+        object.__setattr__(self, "m0", _integer(self.m0, "initial sample size m0", least=1))
+        if self.budget is not None:  # at least m0, so that one iteration fits
+            object.__setattr__(self, "budget", _integer(self.budget, "budget", least=self.m0))
 
     @staticmethod
     def finite_doubling(m0: int, budget: int) -> "SamplingSchedule":
@@ -97,10 +93,8 @@ class FailureSchedule:
     def __post_init__(self):
         if not 0 < self.delta < 1:
             raise ValueError("total failure probability must lie in (0, 1)")
-        if self.steps is not None and (
-            not isinstance(self.steps, numbers.Integral) or not self.steps >= 1
-        ):
-            raise ValueError("uniform split needs an integer number of steps, at least one")
+        if self.steps is not None:
+            object.__setattr__(self, "steps", _integer(self.steps, "number of steps", least=1))
 
     @staticmethod
     def uniform_split(delta: float, steps: int) -> "FailureSchedule":
@@ -176,11 +170,12 @@ def gs(
     A zero range c makes every sample exact, and both radii are then zero.
 
     The m condition seeds come from a fresh PCG64 generator seeded with
-    ``seed``, and under 1ERA the m signs from its next words (see
-    ``_signs``). Conditions are consumed in column blocks of at most
-    _BLOCK_ELEMS samples, and each block is sampled in row tiles of
-    _TILE_ELEMS samples (at least one row), which bounds the size of the
-    sampling buffer and leaves every estimate unchanged. Each call owns one
+    ``seed``, an integer taken mod 2^64 (so -1 and 2^64 - 1 give the same
+    bits), and under 1ERA the m signs from its next words (see ``_signs``).
+    Conditions are consumed in column blocks of at most _BLOCK_ELEMS
+    samples, and each block is sampled in row tiles of _TILE_ELEMS samples
+    (at least one row), which bounds the size of the sampling buffer and
+    leaves every estimate unchanged. Each call owns one
     buffer; the simulator writes every tile into a view of it and adds the
     tile's row sums onto the estimates' running sums, as numpy's
     ``tile.sum(axis=1)`` would. Under 1ERA the buffer holds a whole [n, cols]
@@ -194,12 +189,11 @@ def gs(
     n = len(index_set)
     if n == 0:
         raise ValueError("index set must be nonempty")
-    if not isinstance(m, numbers.Integral) or not m >= 1:
-        raise ValueError("sample count m must be an integer of at least 1")
+    m = _integer(m, "sample count m", least=1)
     _check_common(c, m, delta)
     index_set.validate_for(sim.base)
 
-    rng = np.random.Generator(np.random.PCG64(seed))
+    rng = _generator(seed)
     cond_seeds = draw_conditions(rng, m)
     sigma = _signs(rng, m) if bound is BoundType.ONE_ERA else None
 

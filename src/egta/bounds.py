@@ -13,6 +13,8 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
+from .hashing import _integer
+
 
 def _check_common(c: float, m: float, delta: float) -> None:
     if not 0 <= c < math.inf:
@@ -27,8 +29,7 @@ def hoeffding_eps(c: float, num_indices: int, m: float, delta: float) -> float:
     """Union-bound error radius over num_indices simultaneous estimates:
     c * sqrt(ln(2|I|/delta)/(2m)). Use hoeffding_eps_ln when |I| overflows."""
     _check_common(c, m, delta)
-    if not num_indices >= 1:
-        raise ValueError("index-set size must be at least 1")
+    num_indices = _integer(num_indices, "index-set size", least=1)
     return c * math.sqrt(math.log(2.0 * num_indices / delta) / (2.0 * m))
 
 
@@ -53,8 +54,7 @@ def ra_eps_upper(c: float, num_indices: int, m: float, delta: float) -> float:
     """A-priori cap on the Rademacher-average radius via Massart's finite
     class bound: c*sqrt(ln|I|/(2m)) + c*sqrt(ln(1/delta)/(2m))."""
     _check_common(c, m, delta)
-    if not num_indices >= 1:
-        raise ValueError("index-set size must be at least 1")
+    num_indices = _integer(num_indices, "index-set size", least=1)
     tail = c * math.sqrt(math.log(1.0 / delta) / (2.0 * m))
     return c * math.sqrt(math.log(num_indices) / (2.0 * m)) + tail
 
@@ -103,7 +103,7 @@ class NoiseProfile:
 
     def __post_init__(self):
         object.__setattr__(self, "breakpoints", tuple(float(v) for v in self.breakpoints))
-        object.__setattr__(self, "counts", tuple(int(f) for f in self.counts))
+        object.__setattr__(self, "counts", tuple(_integer(f, "index count", least=0) for f in self.counts))
         if not self.a >= 0:
             raise ValueError("expected-utility bound a must be nonnegative")
         v = self.breakpoints
@@ -113,8 +113,6 @@ class NoiseProfile:
             raise ValueError("breakpoints must be strictly increasing")
         if len(self.counts) != len(v) - 1:
             raise ValueError("need one count per interval")
-        if any(f < 0 for f in self.counts):
-            raise ValueError("counts must be nonnegative")
 
 
 def noise_scaling_ra_bound(profile: NoiseProfile, m: float) -> float:

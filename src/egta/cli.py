@@ -2,10 +2,12 @@
 experiment suite, all deterministic under --seed (CSV output is
 byte-identical across runs).
 
-Each subcommand declares its driver (``run``) and, for experiments, its
-plot (``lines``); option dests match the driver's keyword names, so main()
-calls every driver the same way. An experiment's flags and their defaults
-are read from its driver's signature, so each setting is declared once."""
+Each subcommand declares its driver (``run``) and, for experiments, a plot
+(``lines``) and ``--plot``. Its flags are the driver's keywords, so each
+setting is declared once and main() calls every driver the same way: a
+keyword without a default is a required flag typed by its annotation, a bool
+default is a switch, and any other default sets the flag's type. The library
+checks values such as ``--bound`` and ``--family``."""
 
 from __future__ import annotations
 
@@ -14,7 +16,7 @@ import inspect
 import sys
 
 from . import _svg, experiments
-from .algorithms import BoundType, FailureSchedule, SamplingSchedule, gs, psp
+from .algorithms import FailureSchedule, SamplingSchedule, gs, psp
 from .games import IndexSet, game_from_json, game_to_json
 from .simulators import (
     congestion_from_json,
@@ -25,10 +27,11 @@ from .simulators import (
     noisy_sim,
 )
 
-# experiment flags whose name is not the driver keyword with dashes
+# flags whose name is not the keyword with dashes
 _FLAGS = {
     "d": "--noise-d",
     "runs": "--reps",
+    "dense": "--expand",
     "d_values": "--d-grid",
     "m_values": "--m-grid",
     "players_values": "--players-grid",
@@ -42,6 +45,13 @@ _HELP = {
     "delta": "failure probability",
     "m": "samples per run",
     "budget": "total conditions per run",
+    "bound": "hoeffding or 1era",
+    "family": "rg (uniform payoffs, dense) or rc (congestion)",
+    "dense": "write rc games in dense form",
+    "game": "game JSON (dense or congestion)",
+    "infinite": "unbounded doubling schedule",
+    "mixed": "prune toward mixed equilibria",
+    "eps": "early-termination radius",
 }
 
 
@@ -89,20 +99,25 @@ def _load_base_game(path: str):
     return game_from_json(text)
 
 
-def _gen_game(family, players, k, facilities, alpha, u0, seed, dense) -> str:
+def _gen_game(family: str, players: int, k: int, facilities: int = 5, alpha: float = 0.1,
+              u0: float = 10.0, seed: int = 0, dense: bool = False) -> str:
     if family == "rg":
         return game_to_json(gen_rg(players, k, u0=u0, seed=seed)) + "\n"
+    if family != "rc":
+        raise ValueError(f"unknown game family {family!r}: rg or rc")
     cg = gen_rc(players, facilities, k, alpha=alpha, seed=seed)
     return (game_to_json(expand(cg)) if dense else congestion_to_json(cg)) + "\n"
 
 
-def _gs(game, d, m, delta, bound, seed) -> str:
+def _gs(game: str, d: float = 0.0, delta: float = 0.1, bound: str = "hoeffding",
+        seed: int = 0, m: int = 1000) -> str:
     sim = noisy_sim(_load_base_game(game), d)
-    result = gs(sim, IndexSet.full(sim.base), m, delta, sim.range_c, bound, seed=seed)
-    return result.to_json() + "\n"
+    return gs(sim, IndexSet.full(sim.base), m, delta, sim.range_c, bound, seed=seed).to_json() + "\n"
 
 
-def _psp(game, d, m0, budget, infinite, delta, bound, mixed, eps, seed) -> str:
+def _psp(game: str, d: float = 0.0, delta: float = 0.1, bound: str = "hoeffding",
+         seed: int = 0, m0: int = 100, budget: int = 25500, infinite: bool = False,
+         mixed: bool = False, eps: float = 0.0) -> str:
     sim = noisy_sim(_load_base_game(game), d)
     if infinite:
         sampling = SamplingSchedule.infinite_doubling(m0)
@@ -110,11 +125,8 @@ def _psp(game, d, m0, budget, infinite, delta, bound, mixed, eps, seed) -> str:
     else:
         sampling = SamplingSchedule.finite_doubling(m0, budget)
         failure = FailureSchedule.uniform_split(delta, sampling.length)
-    result = psp(
-        sim, sampling, failure, c=sim.range_c, bound=bound,
-        pure=not mixed, eps_threshold=eps, seed=seed,
-    )
-    return result.to_json() + "\n"
+    return psp(sim, sampling, failure, c=sim.range_c, bound=bound, pure=not mixed,
+               eps_threshold=eps, seed=seed).to_json() + "\n"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -123,25 +135,31 @@ def build_parser() -> argparse.ArgumentParser:
         description="Learn uniform approximations and pure equilibria of "
         "simulation-based games from noisy samples.",
     )
-    parser.set_defaults(plot=False, lines=None)
+    parser.set_defaults(plot=False)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def experiment(name, run, lines, **text):
+    def command(name, run, lines=None, **text):
         p = sub.add_parser(name, **text)
         p.set_defaults(run=run, lines=lines)
         p.add_argument("--out", default=None, help="output path (default stdout)")
-        p.add_argument("--plot", action="store_true", help="also write <out>.svg")
-        for key, param in inspect.signature(run).parameters.items():
-            default = shown = param.default
-            flag_type = type(default)
-            if isinstance(default, tuple):
-                flag_type = _int_list if all(type(x) is int for x in default) else _float_list
-                shown = ",".join(map(str, default))
-            p.add_argument(_FLAGS.get(key, "--" + key.replace("_", "-")), dest=key,
-                           type=flag_type, default=default,
-                           help=f"{_HELP.get(key, '')} (default {shown})".lstrip())
+        if lines is not None:
+            p.add_argument("--plot", action="store_true", help="also write <out>.svg")
+        for key, param in inspect.signature(run, eval_str=True).parameters.items():
+            flag = _FLAGS.get(key, "--" + key.replace("_", "-"))
+            default, about = param.default, _HELP.get(key)
+            if default is param.empty:
+                p.add_argument(flag, dest=key, type=param.annotation, required=True, help=about)
+            elif isinstance(default, bool):
+                p.add_argument(flag, dest=key, action="store_true", help=about)
+            else:
+                flag_type, shown = type(default), default
+                if isinstance(default, tuple):
+                    flag_type = _int_list if all(type(x) is int for x in default) else _float_list
+                    shown = ",".join(map(str, default))
+                p.add_argument(flag, dest=key, type=flag_type, default=default,
+                               help=f"{about or ''} (default {shown})".lstrip())
 
-    experiment(
+    command(
         "eps-vs-samples", experiments.run_eps_vs_samples,
         _lines("m", {"d={d}": "mean_epsilon"}, title="error radius vs samples",
                xlabel="m", ylabel="epsilon", logx=True, logy=True),
@@ -149,7 +167,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="CSV columns: d, m, mean_epsilon, ci_low, ci_high. "
         "One row per (noise width, sample count); 95%% normal CIs over --reps games.",
     )
-    experiment(
+    command(
         "nash-frequency", experiments.run_nash_frequency,
         _lines("profile", {"m={m}": "frequency"},
                title="profiles flagged as approximate equilibria",
@@ -158,7 +176,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="CSV columns: m, profile, frequency. Zero-frequency "
         "profiles are omitted. Metadata records the fixture and its true equilibrium.",
     )
-    experiment(
+    command(
         "success-rate", experiments.run_success_rate,
         _lines("delta", {"{family}/{bound}/rho={rho}": "success_rate"},
                keep=lambda row, options: row["rho"] in (options["rho_grid"][0],
@@ -168,7 +186,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="CSV columns: family, bound, delta, rho, success_rate, "
         "ci_low, ci_high. rho contracts the returned radius to probe slack.",
     )
-    experiment(
+    command(
         "gs-vs-psp", experiments.run_gs_vs_psp,
         _lines("game_size", {"psp": "eps_psp", "gs": "eps_gs"},
                title="progressive vs one-shot sampling", xlabel="game size",
@@ -179,7 +197,7 @@ def build_parser() -> argparse.ArgumentParser:
         "granted to the one-shot baseline.",
     )
     bound_lines = {"hoeffding": "hoeffding", "rademacher": "rademacher"}
-    experiment(
+    command(
         "bound-compare-factored", experiments.run_bound_compare_factored,
         _lines("players", bound_lines, title="bounds for factored noise",
                xlabel="players", ylabel="radius"),
@@ -187,7 +205,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="CSV columns: players, hoeffding, rademacher. Metadata "
         "records the first crossover player count.",
     )
-    experiment(
+    command(
         "bound-compare-vns", experiments.run_bound_compare_vns,
         _lines("players", bound_lines, title="bounds for variable-scale noise",
                xlabel="players", ylabel="radius"),
@@ -195,47 +213,11 @@ def build_parser() -> argparse.ArgumentParser:
         description="CSV columns: players, hoeffding, rademacher.",
     )
 
-    p = sub.add_parser(
-        "ppa-demo",
-        help="equilibria, costs, and pure price of anarchy of the canonical instance",
-    )
-    p.set_defaults(run=experiments.run_ppa_demo)
-    p.add_argument("--out", default=None)
-
-    p = sub.add_parser("gen-game", help="generate a game and write its JSON")
-    p.set_defaults(run=_gen_game)
-    p.add_argument("--family", choices=("rg", "rc"), required=True)
-    p.add_argument("--players", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--facilities", type=int, default=5)
-    p.add_argument("--alpha", type=float, default=0.1)
-    p.add_argument("--u0", type=float, default=10.0)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--expand", dest="dense", action="store_true",
-                   help="write rc games in dense form")
-    p.add_argument("--out", default=None)
-
-    learning = argparse.ArgumentParser(add_help=False)
-    learning.add_argument("--game", required=True, help="game JSON (dense or congestion)")
-    learning.add_argument("--noise-d", dest="d", type=float, default=0.0)
-    learning.add_argument("--delta", type=float, default=0.1)
-    learning.add_argument("--bound", choices=[b.value for b in BoundType], default="hoeffding")
-    learning.add_argument("--seed", type=int, default=0)
-    learning.add_argument("--out", default=None)
-
-    p = sub.add_parser("gs", parents=[learning], help="one global-sampling run on a game file")
-    p.set_defaults(run=_gs)
-    p.add_argument("--m", type=int, default=1000)
-
-    p = sub.add_parser(
-        "psp", parents=[learning], help="one progressive-sampling run on a game file"
-    )
-    p.set_defaults(run=_psp)
-    p.add_argument("--m0", type=int, default=100)
-    p.add_argument("--budget", type=int, default=25500)
-    p.add_argument("--infinite", action="store_true", help="unbounded doubling schedule")
-    p.add_argument("--mixed", action="store_true", help="prune toward mixed equilibria")
-    p.add_argument("--eps", type=float, default=0.0, help="early-termination radius")
+    command("ppa-demo", experiments.run_ppa_demo,
+            help="equilibria, costs, and pure price of anarchy of the canonical instance")
+    command("gen-game", _gen_game, help="generate a game and write its JSON")
+    command("gs", _gs, help="one global-sampling run on a game file")
+    command("psp", _psp, help="one progressive-sampling run on a game file")
 
     return parser
 
@@ -243,8 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     options = vars(parser.parse_args(argv))
-    del options["command"]
-    run, lines, plot, out = (options.pop(key) for key in ("run", "lines", "plot", "out"))
+    run, lines, plot, out, _ = (options.pop(key) for key in ("run", "lines", "plot", "out", "command"))
     if plot and out is None:
         parser.error("--plot needs --out to name the .svg file")
     try:

@@ -30,7 +30,7 @@ from .bounds import (
     noise_scaling_ra_bound,
 )
 from .games import IndexSet, NormalFormGame, check_containment, game_size, nash_mask
-from .hashing import mix
+from .hashing import _integer, mix
 from .simulators import (
     FACTOR_KINDS,
     expand,
@@ -87,8 +87,7 @@ def run_eps_vs_samples(
     """Error radius of global sampling versus sample count on random
     RC(5,5,2) congestion games (5 players, 5 facilities, up to 2 strategies
     each), one row per (noise width, sample count)."""
-    if reps < 1:
-        raise ValueError("reps must be at least 1")
+    reps = _integer(reps, "reps", least=1)
     name = "eps-vs-samples"
     rows = []
     bases = [expand(gen_rc(5, 5, 2, seed=mix(seed, name, rep))) for rep in range(reps)]
@@ -164,8 +163,7 @@ def run_nash_frequency(
 ) -> Table:
     """How often each profile of a fixed unique-equilibrium congestion game
     is flagged as a pure 2-epsilon-equilibrium by global sampling."""
-    if runs < 1:
-        raise ValueError("runs must be at least 1")
+    runs = _integer(runs, "runs", least=1)
     name = "nash-frequency"
     base, attempt, true_nash = find_unique_nash_rc_game(seed)
     sim = noisy_sim(base, d)
@@ -209,8 +207,7 @@ def run_success_rate(
 ) -> Table:
     """Empirical rate at which the two-sided equilibrium containment holds,
     swept over the failure probability and a radius contraction factor."""
-    if reps < 1:
-        raise ValueError("reps must be at least 1")
+    reps = _integer(reps, "reps", least=1)
     name = "success-rate"
     families = {
         "rc": lambda rep: expand(gen_rc(3, 3, 2, seed=mix(seed, name, "rc", rep))),
@@ -259,8 +256,7 @@ def run_gs_vs_psp(
 ) -> Table:
     """Progressive sampling run to completion versus one-shot sampling on the
     same total utility-evaluation budget, one row per random game."""
-    if reps < 1:
-        raise ValueError("reps must be at least 1")
+    reps = _integer(reps, "reps", least=1)
     name = "gs-vs-psp"
     sched = SamplingSchedule.finite_doubling(m0, budget)
     failure = FailureSchedule.uniform_split(delta, sched.length)
@@ -316,8 +312,7 @@ def _bound_compare(
     in place of the empirical Rademacher average, for 1..players_max players
     with BOUND_COMPARE_STRATEGIES actions each, over the full index set;
     metadata names the noise model's parameters."""
-    if players_max < 1:
-        raise ValueError("players_max must be at least 1")
+    players_max = _integer(players_max, "players_max", least=1)
     ln_s = math.log(BOUND_COMPARE_STRATEGIES)
     rows = []
     crossover = None
@@ -371,6 +366,7 @@ def run_bound_compare_vns(
     radius for games with 100 actions per player, expected utilities bounded
     by a = 1 and utility range c = 2: noise magnitudes are binned dyadically
     up to c, with index counts per bin halving as the bin's scale doubles."""
+    intervals = _integer(intervals, "intervals", least=1)
     a, c = 1.0, 2.0
     breakpoints = (0.0,) + tuple(c * 2.0 ** (i - intervals) for i in range(1, intervals + 1))
 

@@ -16,6 +16,8 @@ from typing import Sequence
 
 import numpy as np
 
+from .hashing import _integer
+
 Profile = tuple[int, ...]
 
 
@@ -31,10 +33,10 @@ class NormalFormGame:
     utilities: np.ndarray
 
     def __post_init__(self):
-        counts = tuple(int(k) for k in self.strategy_counts)
+        counts = tuple(_integer(k, "strategy count", least=1) for k in self.strategy_counts)
         object.__setattr__(self, "strategy_counts", counts)
-        if not counts or any(k < 1 for k in counts):
-            raise ValueError("every player needs at least one strategy")
+        if not counts:
+            raise ValueError("a game needs at least one player")
         u = np.asarray(self.utilities, dtype=np.float64)
         expected = (len(counts), math.prod(counts))
         if u.shape != expected:
@@ -58,7 +60,7 @@ class NormalFormGame:
         return self.utilities[p].reshape(self.strategy_counts)
 
     def profile_index(self, profile: Sequence[int]) -> int:
-        s = tuple(int(x) for x in profile)
+        s = tuple(_integer(x, "strategy") for x in profile)
         if len(s) != self.num_players:
             raise IndexError("profile length does not match player count")
         for p, (x, k) in enumerate(zip(s, self.strategy_counts)):
@@ -67,7 +69,7 @@ class NormalFormGame:
         return int(np.ravel_multi_index(s, self.strategy_counts))
 
     def profile_of_index(self, index: int) -> Profile:
-        if not 0 <= index < self.num_profiles:
+        if not 0 <= _integer(index, "profile index") < self.num_profiles:
             raise IndexError("profile index out of range")
         return tuple(int(x) for x in np.unravel_index(index, self.strategy_counts))
 
@@ -88,14 +90,15 @@ class IndexSet:
     profiles: np.ndarray
 
     def __post_init__(self):
-        p = np.asarray(self.players, dtype=np.int64).copy()
-        s = np.asarray(self.profiles, dtype=np.int64).copy()
-        if p.shape != s.shape or p.ndim != 1:
+        for name in ("players", "profiles"):
+            a = np.asarray(getattr(self, name))
+            if a.size and a.dtype.kind not in "iu":  # an empty list reads as float64
+                raise ValueError(f"{name} must be integers, not {a.dtype}")
+            a = a.astype(np.int64)
+            a.setflags(write=False)
+            object.__setattr__(self, name, a)
+        if self.players.shape != self.profiles.shape or self.players.ndim != 1:
             raise ValueError("players and profiles must be 1-d arrays of equal length")
-        p.setflags(write=False)
-        s.setflags(write=False)
-        object.__setattr__(self, "players", p)
-        object.__setattr__(self, "profiles", s)
 
     def __len__(self) -> int:
         return self.players.shape[0]
@@ -132,15 +135,21 @@ class IndexSet:
         return IndexSet(players, profiles)
 
 
+def _player(game: NormalFormGame, p: int) -> int:
+    """``p`` by the integer rule, when it names one of the game's players."""
+    p = _integer(p, "player")
+    if not 0 <= p < game.num_players:
+        raise IndexError("player index out of range")
+    return p
+
+
 def game_size(game: NormalFormGame) -> int:
     """Number of utility parameters: players times profiles."""
     return game.num_players * game.num_profiles
 
 
 def utility(game: NormalFormGame, p: int, profile: Sequence[int]) -> float:
-    if not 0 <= p < game.num_players:
-        raise IndexError("player index out of range")
-    return float(game.utilities[p, game.profile_index(profile)])
+    return float(game.utilities[_player(game, p), game.profile_index(profile)])
 
 
 def regret_table(game: NormalFormGame) -> np.ndarray:
@@ -154,9 +163,7 @@ def regret_table(game: NormalFormGame) -> np.ndarray:
 
 
 def pure_regret(game: NormalFormGame, p: int, profile: Sequence[int]) -> float:
-    if not 0 <= p < game.num_players:
-        raise IndexError("player index out of range")
-    return float(regret_table(game)[p, game.profile_index(profile)])
+    return float(regret_table(game)[_player(game, p), game.profile_index(profile)])
 
 
 def nash_mask(game: NormalFormGame, eps: float) -> np.ndarray:
@@ -183,10 +190,8 @@ def eps_dominates(game: NormalFormGame, p: int, s: int, s_other: int, eps: float
     """True when strategy s beats s_other by at least eps for player p in
     every opponent context (inclusive comparison).
     """
-    if not 0 <= p < game.num_players:
-        raise IndexError("player index out of range")
-    k = game.strategy_counts[p]
-    if not (0 <= s < k and 0 <= s_other < k):
+    k = game.strategy_counts[_player(game, p)]
+    if not (0 <= _integer(s, "strategy") < k and 0 <= _integer(s_other, "strategy") < k):
         raise IndexError("strategy index out of range")
     return bool(_dominance(np.take(game.tensor(p), [s, s_other], axis=p), p, eps)[0, 1])
 
@@ -212,7 +217,7 @@ def rationalizable(
     else:
         if len(restrict) != game.num_players:
             raise ValueError("restriction needs one strategy list per player")
-        alive = [sorted(set(int(s) for s in strats)) for strats in restrict]
+        alive = [sorted(set(_integer(s, "strategy") for s in strats)) for strats in restrict]
         for p, strats in enumerate(alive):
             if not strats or strats[0] < 0 or strats[-1] >= game.strategy_counts[p]:
                 raise ValueError("restriction invalid for this game")
@@ -238,9 +243,7 @@ def welfare_table(game: NormalFormGame) -> np.ndarray:
 
 def maximin_value(game: NormalFormGame, p: int) -> float:
     """Largest worst-case utility player p can secure with a pure strategy."""
-    if not 0 <= p < game.num_players:
-        raise IndexError("player index out of range")
-    t = game.tensor(p)
+    t = game.tensor(_player(game, p))
     axes = tuple(q for q in range(game.num_players) if q != p)
     pessimal = t.min(axis=axes) if axes else t
     return float(pessimal.max())
@@ -274,12 +277,12 @@ def game_from_json(text: str) -> NormalFormGame:
     if not isinstance(payload, dict):
         raise ValueError("game JSON must be an object")
     try:
-        players = int(payload["players"])
-        counts = [int(k) for k in payload["strategies"]]
+        players = _integer(payload["players"], "players")
+        counts = [_integer(k, "strategy count") for k in payload["strategies"]]
         utilities = np.asarray(payload["utilities"], dtype=np.float64)
     except KeyError as missing:
         raise ValueError(f"game JSON lacks the field {missing}") from None
-    except TypeError as error:
+    except (TypeError, ValueError) as error:
         raise ValueError(f"game JSON has a wrongly typed field: {error}") from None
     if players != len(counts):
         raise ValueError("players field does not match strategies length")

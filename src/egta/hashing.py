@@ -20,6 +20,9 @@ generator (condition seeds and 1ERA signs) run in the same library. Without
 a compiler, a writable cache directory or a loadable library, the numpy code
 runs instead, and a RuntimeWarning says why once per process; it is also the
 reference the tests compare against.
+
+The module is also the home of the package's one rule for reading integers:
+``_integer`` reads every count, index and seed, and ``_uint64`` hash inputs.
 """
 
 from __future__ import annotations
@@ -51,9 +54,9 @@ _HALF_BIN = 2.0**-54
 
 
 def splitmix64(x: np.ndarray | int) -> np.ndarray | int:
-    """splitmix64 finalizer of a Python int or an integer array, taken mod
-    2^64: an int gives an int, an array a uint64 array of its shape, 0-d
-    included. Floats, bools and anything else raise ValueError."""
+    """splitmix64 finalizer of an int or an integer array, taken mod 2^64: a
+    Python or numpy integer gives an int, an array a uint64 array of its
+    shape, 0-d included. Floats, bools and anything else raise ValueError."""
     z = _uint64(x, "splitmix64")
     if isinstance(z, np.ndarray):
         z = np.array(z)  # a copy, hashed in place below
@@ -85,11 +88,24 @@ def _splitmix64_numpy(z: np.ndarray) -> None:
     z ^= z >> np.uint64(31)
 
 
+def _integer(x, name: str, least: int | None = None) -> int:
+    """``x`` as an int, when it is a Python or numpy integer of at least
+    ``least``; bools, floats, strings, None and the rest raise ValueError."""
+    # an int skips the slow abstract-class check; bool is not type int
+    if type(x) is not int and (isinstance(x, bool) or not isinstance(x, numbers.Integral)):
+        raise ValueError(f"{name} must be an integer, not {type(x).__name__}")
+    x = int(x)
+    if least is not None and x < least:
+        raise ValueError(f"{name} must be at least {least}, not {x}")
+    return x
+
+
 def _uint64(x, name: str) -> np.ndarray | int:
     """The integers of ``x`` taken mod 2^64, whatever their sign: an int for
-    a Python int, else a C-contiguous uint64 array (``x`` itself when it is
-    one). Floats, bools and anything else raise ValueError. A sequence is
-    read item by item: numpy would infer float64 for ints past 2^63."""
+    a Python or numpy integer, else a C-contiguous uint64 array (``x``
+    itself when it is one). A sequence is read item by item by ``_integer``
+    (numpy would infer float64 for ints past 2^63), so floats and bools
+    raise ValueError, as do arrays of any dtype but an integer one."""
     if type(x) is int:
         return x & _MASK64
     if isinstance(x, np.ndarray):
@@ -97,10 +113,16 @@ def _uint64(x, name: str) -> np.ndarray | int:
             raise ValueError(f"{name} takes integer arrays and ints, not {x.dtype}")
         return np.asarray(x, dtype=np.uint64, order="C")
     items = np.array(x, dtype=object)
-    for item in items.flat:
-        if not isinstance(item, numbers.Integral) or isinstance(item, bool):
-            raise ValueError(f"{name} takes integer arrays and ints, not {type(item).__name__}")
-    return np.array([int(item) & _MASK64 for item in items.flat], dtype=np.uint64).reshape(items.shape)
+    try:
+        ints = [_integer(item, name) & _MASK64 for item in items.flat]
+    except ValueError as error:
+        raise ValueError(f"{name} takes integer arrays and ints: {error}") from None
+    return ints[0] if items.ndim == 0 else np.array(ints, dtype=np.uint64).reshape(items.shape)
+
+
+def _generator(seed) -> np.random.Generator:
+    """numpy's PCG64 generator of ``seed``, an integer taken mod 2^64."""
+    return np.random.Generator(np.random.PCG64(_integer(seed, "seed") & _MASK64))
 
 
 def mix(*parts: int) -> int:
@@ -118,9 +140,9 @@ def mix(*parts: int) -> int:
                 h = splitmix64(h ^ b)
         else:
             z = _uint64(part, "mix")
-            if isinstance(z, np.ndarray) and z.ndim:
+            if isinstance(z, np.ndarray):
                 raise ValueError(f"mix takes ints and strings, not an array of shape {z.shape}")
-            h = splitmix64(h ^ int(z))
+            h = splitmix64(h ^ z)
     return h
 
 

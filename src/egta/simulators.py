@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .games import NormalFormGame, nash_mask, welfare_table
-from .hashing import _draw_words, _splitmix64_in_place, hash_uniform, mix, splitmix64
+from .hashing import _draw_words, _generator, _integer, _splitmix64_in_place, hash_uniform, mix, splitmix64
 
 
 def draw_conditions(rng: np.random.Generator, m: int) -> np.ndarray:
@@ -26,7 +26,7 @@ def draw_conditions(rng: np.random.Generator, m: int) -> np.ndarray:
     computed in the compiled library), finalized in place with splitmix64
     once here so that ``hash_uniform`` can pair them with keys without
     hashing them again on every call."""
-    words = _draw_words(rng, m)
+    words = _draw_words(rng, _integer(m, "m", least=0))
     _splitmix64_in_place(words)
     return words
 
@@ -122,7 +122,8 @@ def noisy_sim(base: NormalFormGame, d: float) -> NoisySimulator:
 
 class FactoredNoiseSimulator(NoisySimulator):
     """Base game plus a sum of additive noise factors, each uniform on
-    (-a_i, a_i] and constant across indices with equal grouping value."""
+    (-a_i, a_i] and constant across indices with equal grouping value; factor
+    i's keys are salted with ``mix(seed, i)``, ``seed`` taken mod 2^64."""
 
     def __init__(
         self,
@@ -144,7 +145,7 @@ class FactoredNoiseSimulator(NoisySimulator):
         self.a0 = float(a0)
         self.a = tuple(float(x) for x in a)
         self.kinds = tuple(kinds)
-        self.seed = int(seed)
+        self.seed = _integer(seed, "seed") % 2**64
         # uniform on [-a_i, a_i] is (u - 0.5) * 2a_i, which rounds exactly
         # like (2u - 1) * a_i because doubling is exact
         self._set_noise(base, 2.0 * (self.a0 + sum(self.a)), [2.0 * a_i for a_i in self.a])
@@ -156,12 +157,13 @@ class FactoredNoiseSimulator(NoisySimulator):
 
 
 def gen_rg(num_players: int, k: int, u0: float = 10.0, seed: int = 0) -> NormalFormGame:
-    """Uniform random game: every utility i.i.d. uniform on (-u0/2, u0/2)."""
-    if num_players < 1 or k < 1:
+    """Uniform random game: every utility i.i.d. uniform on (-u0/2, u0/2),
+    drawn from numpy's PCG64 generator of ``seed`` taken mod 2^64."""
+    if _integer(num_players, "num_players") < 1 or _integer(k, "k") < 1:
         raise ValueError("need at least one player and one strategy")
     if not 0 < u0 < math.inf:
         raise ValueError("utility magnitude u0 must be positive and finite")
-    rng = np.random.Generator(np.random.PCG64(seed))
+    rng = _generator(seed)
     counts = (k,) * num_players
     shape = (num_players, math.prod(counts))
     return NormalFormGame(counts, rng.uniform(-u0 / 2.0, u0 / 2.0, size=shape))
@@ -177,8 +179,9 @@ class CongestionGame:
     cost_fn: Callable[[int, int], float] | None = None  # (facility, load) -> cost
 
     def __post_init__(self):
+        object.__setattr__(self, "num_facilities", _integer(self.num_facilities, "facility count"))
         sets = tuple(
-            tuple(tuple(sorted(int(e) for e in strat)) for strat in player_strats)
+            tuple(tuple(sorted(_integer(e, "facility") for e in strat)) for strat in player_strats)
             for player_strats in self.strategy_sets
         )
         object.__setattr__(self, "strategy_sets", sets)
@@ -214,15 +217,16 @@ def gen_rc(
     """Random congestion game: each player draws uniformly many candidate
     strategies (1..k); facility e joins a strategy with probability
     alpha^(e-1), so facility 1 is always included and strategies cluster on
-    low-numbered facilities. Duplicate strategies are dropped.
-    """
-    if num_players < 1 or num_facilities < 1:
+    low-numbered facilities. Duplicate strategies are dropped. The draws come
+    from numpy's PCG64 generator of ``seed`` taken mod 2^64."""
+    num_facilities = _integer(num_facilities, "num_facilities")  # 2**k of a numpy int wraps
+    if _integer(num_players, "num_players") < 1 or num_facilities < 1:
         raise ValueError("need at least one player and one facility")
-    if not 1 <= k <= 2**num_facilities - 1:
+    if not 1 <= _integer(k, "k") <= 2**num_facilities - 1:
         raise ValueError("k must lie in [1, 2^facilities - 1]")
     if not 0 < alpha < 1:
         raise ValueError("alpha must lie in (0, 1)")
-    rng = np.random.Generator(np.random.PCG64(seed))
+    rng = _generator(seed)
     inclusion = alpha ** np.arange(num_facilities)
     strategy_sets = []
     for _ in range(num_players):
@@ -270,7 +274,7 @@ def expand(cg: CongestionGame) -> NormalFormGame:
 
 def ppa_exact(cg: CongestionGame) -> float:
     """Exact pure price of anarchy: worst total cost over pure equilibria of
-    the expanded game, divided by the optimal total cost."""
+    the expanded game, divided by the optimal total cost, which must be > 0."""
     game = expand(cg)
     total_cost = -welfare_table(game)
     nash = nash_mask(game, 0.0)
@@ -278,7 +282,7 @@ def ppa_exact(cg: CongestionGame) -> float:
         raise RuntimeError("no pure equilibrium found; congestion games must have one")
     optimum = float(total_cost.min())
     if optimum <= 0:
-        raise RuntimeError("optimal total cost must be positive")
+        raise ValueError("optimal total cost must be positive")
     return float(total_cost[nash].max()) / optimum
 
 
@@ -318,14 +322,15 @@ def congestion_from_json(text: str) -> CongestionGame:
     if payload.get("cost") != "linear":
         raise ValueError("only the linear cost function is supported")
     try:
-        players, facilities = int(payload["players"]), int(payload["facilities"])
+        players = _integer(payload["players"], "players")
+        facilities = _integer(payload["facilities"], "facilities")
         sets = tuple(
-            tuple(tuple(int(e) for e in strat) for strat in player)
+            tuple(tuple(_integer(e, "facility") for e in strat) for strat in player)
             for player in payload["strategies"]
         )
     except KeyError as missing:
         raise ValueError(f"congestion game JSON lacks the field {missing}") from None
-    except TypeError as error:
+    except (TypeError, ValueError) as error:
         raise ValueError(f"congestion game JSON has a wrongly typed field: {error}") from None
     if players != len(sets):
         raise ValueError("players field does not match strategies length")

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from egta import experiments
+from egta import cli, experiments
 from egta.cli import build_parser, main
 from egta.games import game_from_json
 from egta.simulators import congestion_from_json
@@ -127,6 +127,9 @@ def test_library_errors_are_usage_errors(tmp_path, capsys):
         (["bound-compare-factored", "--players-max", "0", "--out", str(tmp_path / "b.csv"),
           "--plot"], "players_max must be at least 1"),
         (["bound-compare-vns", "--players-max", "-3"], "players_max must be at least 1"),
+        # the library, not the parser, checks the family and the bound
+        (["gen-game", "--family", "xx", "--players", "2", "--k", "2"], "unknown game family 'xx'"),
+        (["gs", "--game", str(good), "--bound", "bogus"], "'bogus' is not a valid BoundType"),
     ):
         with pytest.raises(SystemExit) as exit_info:
             main(args)
@@ -259,6 +262,62 @@ def test_experiment_flags_mirror_driver_signature(capsys):
         text = capsys.readouterr().out
         for flag, dest in flags.items():
             assert f" {flag} {dest.upper()}" in text, (name, flag)
+
+
+# the other subcommands' {flag: (dest, default)}, REQUIRED marking a flag
+# without a default; each dest is a keyword of the subcommand's function
+REQUIRED = inspect.Parameter.empty
+COMMAND_FLAGS = {
+    "ppa-demo": (experiments.run_ppa_demo, {}),
+    "gen-game": (cli._gen_game, {
+        "--family": ("family", REQUIRED), "--players": ("players", REQUIRED),
+        "--k": ("k", REQUIRED), "--facilities": ("facilities", 5), "--alpha": ("alpha", 0.1),
+        "--u0": ("u0", 10.0), "--seed": ("seed", 0), "--expand": ("dense", False),
+    }),
+    "gs": (cli._gs, {
+        "--game": ("game", REQUIRED), "--noise-d": ("d", 0.0), "--delta": ("delta", 0.1),
+        "--bound": ("bound", "hoeffding"), "--seed": ("seed", 0), "--m": ("m", 1000),
+    }),
+    "psp": (cli._psp, {
+        "--game": ("game", REQUIRED), "--noise-d": ("d", 0.0), "--delta": ("delta", 0.1),
+        "--bound": ("bound", "hoeffding"), "--seed": ("seed", 0), "--m0": ("m0", 100),
+        "--budget": ("budget", 25500), "--infinite": ("infinite", False),
+        "--mixed": ("mixed", False), "--eps": ("eps", 0.0),
+    }),
+}
+
+
+def test_command_flags_mirror_function_signature(capsys):
+    # gen-game, gs, psp and ppa-demo take their flags from their functions'
+    # signatures too; the table pins those flags and defaults, a required
+    # flag is typed by its annotation, and only the experiments have --plot
+    for name, (run, flags) in COMMAND_FLAGS.items():
+        params = inspect.signature(run, eval_str=True).parameters
+        assert {dest: p.default for dest, p in params.items()} == dict(flags.values()), name
+        required = [flag for flag, (_, default) in flags.items() if default is REQUIRED]
+        given = [arg for flag in required for arg in (flag, "3")]
+        options = vars(build_parser().parse_args([name, *given]))
+        assert options.pop("run") is run and options.pop("lines") is None, name
+        for key in ("plot", "out", "command"):
+            del options[key]
+        for flag in required:
+            dest = flags[flag][0]
+            assert options.pop(dest) == params[dest].annotation("3"), (name, flag)
+        assert options == {dest: default for dest, default in flags.values() if default is not REQUIRED}
+        for at in range(0, len(given), 2):  # leave out one required flag
+            with pytest.raises(SystemExit) as exit_info:
+                build_parser().parse_args([name, *given[:at], *given[at + 2:]])
+            assert exit_info.value.code == 2, (name, given[at])
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args([name, *given, "--plot"])
+        assert exit_info.value.code == 2, name
+        capsys.readouterr()
+        with pytest.raises(SystemExit):
+            main([name, "--help"])
+        text = capsys.readouterr().out
+        for flag, (dest, default) in flags.items():
+            shown = f" {flag}" if default is False else f" {flag} {dest.upper()}"
+            assert shown in text, (name, flag)
 
 
 # sha256 of every file the CLI writes at tiny sizes, frozen before main()

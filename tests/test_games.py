@@ -320,6 +320,10 @@ def test_game_json_validates_lengths():
         '{"players": null, "strategies": [1], "utilities": [0]}',
         '{"players": 1, "strategies": null, "utilities": [0]}',
         '{"players": 1, "strategies": [[1]], "utilities": [0]}',
+        # counts are read by the integer rule, not truncated
+        '{"players": 2, "strategies": [2.7, 1], "utilities": [0, 0, 0, 0]}',
+        '{"players": "2", "strategies": [2, 1], "utilities": [0, 0, 0, 0]}',
+        '{"players": 1, "strategies": [true], "utilities": [0]}',
     ):
         with pytest.raises(ValueError, match="wrongly typed"):
             game_from_json(text)

@@ -120,6 +120,10 @@ def test_ppa_exact_values():
     # identical-interest game with a unique optimum equilibrium
     shared = CongestionGame(2, (((0,), (0, 1)), ((0,), (0, 1))))
     assert ppa_exact(shared) == 1.0
+    # a cost function with a zero optimum has no price of anarchy
+    free = CongestionGame(2, (((0,),), ((1,),)), cost_fn=lambda e, n: 0.0)
+    with pytest.raises(ValueError, match="optimal total cost must be positive"):
+        ppa_exact(free)
 
 
 def test_ppa_example_equilibria():
@@ -171,6 +175,10 @@ def test_congestion_json_roundtrip():
         '{"cost": "linear", "players": 1, "facilities": 2, "strategies": [[0]]}',
         '{"cost": "linear", "players": 1, "facilities": 2, "strategies": null}',
         '{"cost": "linear", "players": null, "facilities": 2, "strategies": [[[0]]]}',
+        # counts and facilities are read by the integer rule, not truncated
+        '{"cost": "linear", "players": 1, "facilities": 2.9, "strategies": [[[0]]]}',
+        '{"cost": "linear", "players": 1, "facilities": 2, "strategies": [[[0.5]]]}',
+        '{"cost": "linear", "players": "1", "facilities": 2, "strategies": [[[0]]]}',
     ):
         with pytest.raises(ValueError, match="wrongly typed"):
             congestion_from_json(text)
