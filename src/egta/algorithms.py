@@ -127,14 +127,18 @@ class GSResult:
     bound: BoundType
 
     def sup_deviation(self, truth: NormalFormGame) -> float:
-        """Largest estimate error against a known expected game."""
+        """Largest estimate error against a known expected game; ValueError
+        if an index is out of the game's range."""
+        self.index_set.validate_for(truth)
         actual = truth.utilities[self.index_set.players, self.index_set.profiles]
         return float(np.abs(self.utilities - actual).max())
 
     def to_game(self, strategy_counts: Sequence[int]) -> NormalFormGame:
-        """The empirical game: estimates at their indices, zero elsewhere."""
+        """The empirical game: estimates at their indices, zero elsewhere;
+        ValueError if an index is out of the range the counts give."""
         counts = tuple(strategy_counts)
         table = np.zeros((len(counts), math.prod(counts)))
+        self.index_set.validate_for(NormalFormGame(counts, table))
         table[self.index_set.players, self.index_set.profiles] = self.utilities
         return NormalFormGame(counts, table)
 
@@ -338,13 +342,14 @@ def psp(
 
     Runs global sampling on the surviving index set once per schedule entry,
     drawing fresh conditions every iteration, and stops once the radius
-    reaches eps_threshold or the schedule ends; an unbounded schedule
-    therefore needs a positive eps_threshold. Between iterations prune_pure
-    or prune_mixed shrinks the index set on the empirical game. In pure mode
-    the output equilibria are the 2*epsilon-equilibria of the empirical game;
-    in mixed mode the output is the per-player 2*epsilon-rationalizable
-    restriction (equilibrium enumeration is out of scope). Pruned indices
-    keep the radius from their last estimation.
+    reaches eps_threshold or the schedule ends; a NaN or negative
+    eps_threshold raises ValueError, and an unbounded schedule needs a
+    positive one. Between iterations prune_pure or prune_mixed shrinks the
+    index set on the empirical game. In pure mode the output equilibria are
+    the 2*epsilon-equilibria of the empirical game; in mixed mode the output
+    is the per-player 2*epsilon-rationalizable restriction (equilibrium
+    enumeration is out of scope). Pruned indices keep the radius from their
+    last estimation.
     """
     game = sim.base
     index_set = IndexSet.full(game)
@@ -359,6 +364,8 @@ def psp(
             raise ValueError("failure schedule has fewer steps than the sampling schedule")
     if total_steps is None and not eps_threshold > 0:
         raise ValueError("an unbounded sampling schedule needs a positive eps_threshold")
+    if not eps_threshold >= 0:
+        raise ValueError(f"eps_threshold must be a non-negative number, not {eps_threshold}")
 
     trace: list[IterationRecord] = []
     consumed = 0.0

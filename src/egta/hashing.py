@@ -15,11 +15,12 @@ host CPU, and loads it with ctypes; a cached library that fails to load is
 built again once. Built without floating-point contraction, the loop does
 the numpy code's integer operations and separately rounded floating-point
 steps, and sums each row in numpy's pairwise order, so both give identical
-bits. ``splitmix64`` over arrays and the 64-bit words drawn from a PCG64
-generator (condition seeds and 1ERA signs) run in the same library. Without
-a compiler, a writable cache directory or a loadable library, the numpy code
-runs instead, and a RuntimeWarning says why once per process; it is also the
-reference the tests compare against.
+bits. ``splitmix64`` over arrays runs in the same library; the 64-bit words
+drawn from a PCG64 generator (condition seeds and 1ERA signs) are numpy's
+own ``random_raw`` output on either path. Without a compiler, a writable
+cache directory or a loadable library, the numpy code runs instead, and a
+RuntimeWarning says why once per process; it is also the reference the
+tests compare against.
 
 The module is also the home of the package's one rule for reading integers:
 ``_integer`` reads every count, index and seed, and ``_uint64`` hash inputs.
@@ -234,22 +235,11 @@ def _hash_uniform_numpy(conds: np.ndarray, keys: np.ndarray) -> np.ndarray:
 def _draw_words(rng: np.random.Generator, count: int) -> np.ndarray:
     """The next ``count`` 64-bit words of ``rng`` as a uint64 array: those
     ``rng.integers(0, 2**64, size=count, dtype=np.uint64)`` draws, which for
-    a PCG64 generator are its raw outputs. With the library loaded, a PCG64
-    generator's words are computed from its state, which is then advanced
-    as numpy advances it; a buffered 32-bit half stays buffered."""
-    bit_generator = rng.bit_generator
-    lib = _kernel()
-    if lib is None or type(bit_generator) is not np.random.PCG64:
-        return rng.integers(0, 2**64, size=count, dtype=np.uint64)
-    words = np.empty(count, dtype=np.uint64)
-    with bit_generator.lock:
-        state = bit_generator.state
-        pcg = state["state"]
-        regs = (ctypes.c_uint64 * 4)(pcg["state"] >> 64, pcg["state"] & _MASK64, pcg["inc"] >> 64, pcg["inc"] & _MASK64)
-        lib.egta_pcg64(regs, _address(words), count)
-        pcg["state"] = regs[0] << 64 | regs[1]
-        bit_generator.state = state
-    return words
+    a PCG64 generator are numpy's own ``random_raw`` outputs. Neither touches
+    a buffered 32-bit half."""
+    if type(rng.bit_generator) is np.random.PCG64:
+        return rng.bit_generator.random_raw(count)
+    return rng.integers(0, 2**64, size=count, dtype=np.uint64)
 
 
 # The same arithmetic as _hash_uniform_numpy and hash_uniform's noise step.
@@ -353,46 +343,6 @@ void egta_splitmix64(uint64_t *z, size_t n) {
     for (size_t i = 0; i < n; i++)
         z[i] = splitmix64(z[i]);
 }
-
-/* numpy's PCG64: step the 128-bit state by the multiplier and the
-   increment, then output its XSL-RR word */
-typedef unsigned __int128 u128;
-#define PCG_MULT (((u128)0x2360ED051FC65DA4ULL << 64) | 0x4385DF649FCCF645ULL)
-#define LANES 4
-
-static inline uint64_t xsl_rr(u128 state) {
-    uint64_t x = (uint64_t)(state >> 64) ^ (uint64_t)state;
-    unsigned rot = (unsigned)(state >> 122);
-    return (x >> rot) | (x << (-rot & 63));
-}
-
-/* the next n words of the generator whose state and increment are
-   regs[0..1] and regs[2..3] (high word first), into out; regs[0..1] end at
-   the advanced state. Word k comes from lane k % LANES, and each lane steps
-   LANES states at once, by MULT^LANES and inc * sum_{i<LANES} MULT^i, so the
-   lanes' multiplications overlap */
-void egta_pcg64(uint64_t *regs, uint64_t *restrict out, size_t n) {
-    u128 state = (u128)regs[0] << 64 | regs[1], inc = (u128)regs[2] << 64 | regs[3];
-    u128 lane[LANES], jump_mult = 1, jump_add = 0;
-    for (int l = 0; l < LANES; l++) {
-        lane[l] = state = state * PCG_MULT + inc;
-        jump_mult *= PCG_MULT;
-        jump_add = jump_add * PCG_MULT + inc;
-    }
-    state = (u128)regs[0] << 64 | regs[1];
-    size_t i = 0;
-    for (; i + LANES <= n; i += LANES) {
-        for (int l = 0; l < LANES; l++)
-            out[i + l] = xsl_rr(lane[l]);
-        state = lane[LANES - 1];
-        for (int l = 0; l < LANES; l++)
-            lane[l] = lane[l] * jump_mult + jump_add;
-    }
-    for (int l = 0; i < n; i++, l++)
-        out[i] = xsl_rr(state = lane[l]);
-    regs[0] = (uint64_t)(state >> 64);
-    regs[1] = (uint64_t)state;
-}
 """
 # never -ffast-math: it licenses rewrites that change the bits
 _C_FLAGS = ("-O3", "-march=native", "-ffp-contract=off", "-fPIC", "-shared")
@@ -459,8 +409,6 @@ def _bind(lib: ctypes.CDLL) -> ctypes.CDLL:
     lib.egta_noise.restype = None
     lib.egta_splitmix64.argtypes = [pointer, size]
     lib.egta_splitmix64.restype = None
-    lib.egta_pcg64.argtypes = [ctypes.POINTER(ctypes.c_uint64), pointer, size]
-    lib.egta_pcg64.restype = None
     return lib
 
 

@@ -23,7 +23,7 @@ from .hashing import _draw_words, _generator, _integer, _splitmix64_in_place, ha
 def draw_conditions(rng: np.random.Generator, m: int) -> np.ndarray:
     """m condition seeds as a uint64 array: the words
     ``rng.integers(0, 2**64, size=m, dtype=np.uint64)`` draws (for PCG64,
-    computed in the compiled library), finalized in place with splitmix64
+    numpy's own ``random_raw`` output), finalized in place with splitmix64
     once here so that ``hash_uniform`` can pair them with keys without
     hashing them again on every call."""
     words = _draw_words(rng, _integer(m, "m", least=0))

@@ -641,6 +641,19 @@ def test_psp_unbounded_schedule_needs_positive_threshold():
                 bound=BoundType.HOEFFDING,
                 eps_threshold=threshold,
             )
+    # a finite schedule refuses a NaN or negative threshold too, rather than
+    # running to its end
+    sched = SamplingSchedule.finite_doubling(100, 700)
+    for threshold in (float("nan"), -1.0):
+        with pytest.raises(ValueError, match="eps_threshold must be a non-negative number"):
+            psp(
+                sim,
+                sched,
+                FailureSchedule.uniform_split(0.1, sched.length),
+                c=sim.range_c,
+                bound=BoundType.HOEFFDING,
+                eps_threshold=threshold,
+            )
 
 
 def test_psp_schedule_mismatch_raises():

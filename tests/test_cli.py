@@ -130,6 +130,9 @@ def test_library_errors_are_usage_errors(tmp_path, capsys):
         # the library, not the parser, checks the family and the bound
         (["gen-game", "--family", "xx", "--players", "2", "--k", "2"], "unknown game family 'xx'"),
         (["gs", "--game", str(good), "--bound", "bogus"], "'bogus' is not a valid BoundType"),
+        # a finite schedule refuses a NaN threshold as an unbounded one does
+        (["psp", "--game", str(good), "--eps", "nan", "--budget", "700"],
+         "eps_threshold must be a non-negative number"),
     ):
         with pytest.raises(SystemExit) as exit_info:
             main(args)

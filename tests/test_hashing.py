@@ -405,8 +405,8 @@ _DRAW_SIZES = (1, 2, 3, 4, 5, 7, 8, 9, 1000, 3162, 100_001)
 
 def test_compiled_draws_match_numpy(compiled, monkeypatch):
     # gs draws its conditions and then its 1ERA signs from a fresh PCG64;
-    # both paths give the bits of numpy's own draws, across the compiled
-    # generator's lane boundaries
+    # with the kernel and without, they are the bits of numpy's own draws,
+    # at odd and even sizes, so the signs' last half word is covered
     for seed in _DRAW_SEEDS:
         for m in _DRAW_SIZES:
             ref = np.random.Generator(np.random.PCG64(seed))
@@ -426,10 +426,19 @@ def test_compiled_draws_match_numpy(compiled, monkeypatch):
                 assert signs.dtype == np.float64 and np.array_equal(signs, want_signs), (seed, m)
 
 
+def test_pcg64_words_never_reach_the_library(monkeypatch):
+    # numpy's random_raw draws a PCG64's words, so the library is never asked
+    monkeypatch.setattr(hashing, "_kernel", lambda: pytest.fail("the kernel was reached"))
+    for seed in _DRAW_SEEDS:
+        for m in _DRAW_SIZES:
+            want = np.random.Generator(np.random.PCG64(seed)).integers(0, 2**64, size=m, dtype=np.uint64)
+            assert np.array_equal(hashing._draw_words(np.random.Generator(np.random.PCG64(seed)), m), want), (seed, m)
+
+
 def test_draw_conditions_keeps_the_generator_state(compiled, monkeypatch):
-    # a buffered 32-bit half survives the compiled draw, as it survives
-    # numpy's, so every later draw is numpy's; other bit generators take
-    # numpy's own path
+    # a buffered 32-bit half survives PCG64's random_raw, as it survives
+    # integers, so every later draw is numpy's; other bit generators draw
+    # through integers
     makers = [
         lambda: np.random.Generator(np.random.PCG64(7)),
         lambda: np.random.Generator(np.random.Philox(7)),

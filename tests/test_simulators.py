@@ -401,3 +401,9 @@ def test_empirical_game_partial_index_set():
     assert emp.utilities[0, 0] == base.utilities[0, 0]
     assert emp.utilities[2, 5] == base.utilities[2, 5]
     assert emp.utilities[1, 3] == 0.0  # indices outside the set read zero
+    # a game whose players or profiles do not hold the index set is refused
+    for counts in (base.strategy_counts[:1], (1,) * base.num_players):
+        with pytest.raises(ValueError, match="index out of range"):
+            res.to_game(counts)
+        with pytest.raises(ValueError, match="index out of range"):
+            res.sup_deviation(NormalFormGame(counts, np.zeros((len(counts), math.prod(counts)))))
