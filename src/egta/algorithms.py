@@ -27,7 +27,7 @@ from .games import (
     pure_eps_nash,
     rationalizable,
 )
-from .hashing import _draw_words, _generator, _integer, mix
+from .hashing import _generator, _integer, mix
 from .simulators import ConditionalSimulator, draw_conditions
 
 # cap on elements per sampling block; its column count sets how many
@@ -238,7 +238,8 @@ def _signs(rng: np.random.Generator, m: int) -> np.ndarray:
     and then bit 63 as its halves' top bits. From a generator with no
     buffered 32-bit half, as gs's fresh one is, these are the signs
     ``rng.integers(0, 2, size=m) * 2.0 - 1.0`` draws."""
-    halves = _draw_words(rng, (m + 1) // 2).astype("<u8", copy=False).view("<u4")[:m]
+    words = rng.integers(0, 2**64, size=(m + 1) // 2, dtype=np.uint64)
+    halves = words.astype("<u8", copy=False).view("<u4")[:m]
     sigma = (halves >> 31).astype(np.float64)
     sigma *= 2.0
     sigma -= 1.0

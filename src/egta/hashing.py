@@ -15,12 +15,10 @@ host CPU, and loads it with ctypes; a cached library that fails to load is
 built again once. Built without floating-point contraction, the loop does
 the numpy code's integer operations and separately rounded floating-point
 steps, and sums each row in numpy's pairwise order, so both give identical
-bits. ``splitmix64`` over arrays runs in the same library; the 64-bit words
-drawn from a PCG64 generator (condition seeds and 1ERA signs) are numpy's
-own ``random_raw`` output on either path. Without a compiler, a writable
-cache directory or a loadable library, the numpy code runs instead, and a
-RuntimeWarning says why once per process; it is also the reference the
-tests compare against.
+bits. ``splitmix64`` over arrays runs in the same library. Without a
+compiler, a writable cache directory or a loadable library, the numpy code
+runs instead, and a RuntimeWarning says why once per process; it is also the
+reference the tests compare against.
 
 The module is also the home of the package's one rule for reading integers:
 ``_integer`` reads every count, index and seed, and ``_uint64`` hash inputs.
@@ -230,16 +228,6 @@ def _hash_uniform_numpy(conds: np.ndarray, keys: np.ndarray) -> np.ndarray:
     out *= _INV53
     out += _HALF_BIN
     return out
-
-
-def _draw_words(rng: np.random.Generator, count: int) -> np.ndarray:
-    """The next ``count`` 64-bit words of ``rng`` as a uint64 array: those
-    ``rng.integers(0, 2**64, size=count, dtype=np.uint64)`` draws, which for
-    a PCG64 generator are numpy's own ``random_raw`` outputs. Neither touches
-    a buffered 32-bit half."""
-    if type(rng.bit_generator) is np.random.PCG64:
-        return rng.bit_generator.random_raw(count)
-    return rng.integers(0, 2**64, size=count, dtype=np.uint64)
 
 
 # The same arithmetic as _hash_uniform_numpy and hash_uniform's noise step.

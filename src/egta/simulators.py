@@ -17,16 +17,15 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .games import NormalFormGame, nash_mask, welfare_table
-from .hashing import _draw_words, _generator, _integer, _splitmix64_in_place, hash_uniform, mix, splitmix64
+from .hashing import _generator, _integer, _splitmix64_in_place, hash_uniform, mix, splitmix64
 
 
 def draw_conditions(rng: np.random.Generator, m: int) -> np.ndarray:
-    """m condition seeds as a uint64 array: the words
-    ``rng.integers(0, 2**64, size=m, dtype=np.uint64)`` draws (for PCG64,
-    numpy's own ``random_raw`` output), finalized in place with splitmix64
-    once here so that ``hash_uniform`` can pair them with keys without
-    hashing them again on every call."""
-    words = _draw_words(rng, _integer(m, "m", least=0))
+    """m condition seeds as a uint64 array: the next m 64-bit words of
+    ``rng``, finalized in place with splitmix64 once here so that
+    ``hash_uniform`` can pair them with keys without hashing them again on
+    every call."""
+    words = rng.integers(0, 2**64, size=_integer(m, "m", least=0), dtype=np.uint64)
     _splitmix64_in_place(words)
     return words
 

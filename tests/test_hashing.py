@@ -427,18 +427,17 @@ def test_compiled_draws_match_numpy(compiled, monkeypatch):
 
 
 def test_pcg64_words_never_reach_the_library(monkeypatch):
-    # numpy's random_raw draws a PCG64's words, so the library is never asked
+    # gs's words come from numpy's own draws, so the library is never asked
     monkeypatch.setattr(hashing, "_kernel", lambda: pytest.fail("the kernel was reached"))
     for seed in _DRAW_SEEDS:
         for m in _DRAW_SIZES:
-            want = np.random.Generator(np.random.PCG64(seed)).integers(0, 2**64, size=m, dtype=np.uint64)
-            assert np.array_equal(hashing._draw_words(np.random.Generator(np.random.PCG64(seed)), m), want), (seed, m)
+            want = np.random.Generator(np.random.PCG64(seed)).integers(0, 2, size=m) * 2.0 - 1.0
+            assert np.array_equal(algorithms._signs(np.random.Generator(np.random.PCG64(seed)), m), want), (seed, m)
 
 
 def test_draw_conditions_keeps_the_generator_state(compiled, monkeypatch):
-    # a buffered 32-bit half survives PCG64's random_raw, as it survives
-    # integers, so every later draw is numpy's; other bit generators draw
-    # through integers
+    # a buffered 32-bit half survives the draw of 64-bit words, so every
+    # later draw is numpy's, for PCG64 and other bit generators
     makers = [
         lambda: np.random.Generator(np.random.PCG64(7)),
         lambda: np.random.Generator(np.random.Philox(7)),
