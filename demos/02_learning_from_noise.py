@@ -34,7 +34,8 @@ for m in (100, 1000, 10000):
 # The returned radius makes the equilibrium estimates trustworthy: every true
 # equilibrium is a 2*radius-equilibrium of the estimate, and every
 # 2*radius-equilibrium of the estimate is a 4*radius-equilibrium of the truth.
-estimate = result.to_game(truth.strategy_counts)
+# to_game() turns the estimates into a game of the sampled game's shape.
+estimate = result.to_game()
 print("flagged 2eps-equilibria:", pure_eps_nash(estimate, 2 * result.epsilon))
 
 # The same radius is available a priori (no sampling needed) for planning:

@@ -117,7 +117,7 @@ class FailureSchedule:
 
 @dataclass(frozen=True)
 class GSResult:
-    """Empirical utilities over an index set plus a uniform error radius."""
+    """Empirical utilities over an index set of the sampled game plus a uniform error radius."""
 
     index_set: IndexSet
     utilities: np.ndarray
@@ -125,22 +125,21 @@ class GSResult:
     m: int
     delta: float
     bound: BoundType
+    strategy_counts: tuple[int, ...]
 
     def sup_deviation(self, truth: NormalFormGame) -> float:
-        """Largest estimate error against a known expected game; ValueError
-        if an index is out of the game's range."""
-        self.index_set.validate_for(truth)
+        """Largest estimate error against the known expected game; ValueError
+        if its strategy counts are not those of the game sampled."""
+        if truth.strategy_counts != self.strategy_counts:
+            raise ValueError(f"strategy counts {truth.strategy_counts} are not those sampled, {self.strategy_counts}")
         actual = truth.utilities[self.index_set.players, self.index_set.profiles]
         return float(np.abs(self.utilities - actual).max())
 
-    def to_game(self, strategy_counts: Sequence[int]) -> NormalFormGame:
-        """The empirical game: estimates at their indices, zero elsewhere;
-        ValueError if an index is out of the range the counts give."""
-        counts = tuple(strategy_counts)
-        table = np.zeros((len(counts), math.prod(counts)))
-        self.index_set.validate_for(NormalFormGame(counts, table))
+    def to_game(self) -> NormalFormGame:
+        """The empirical game: estimates at their indices, zero elsewhere."""
+        table = np.zeros((len(self.strategy_counts), math.prod(self.strategy_counts)))
         table[self.index_set.players, self.index_set.profiles] = self.utilities
-        return NormalFormGame(counts, table)
+        return NormalFormGame(self.strategy_counts, table)
 
     def to_json(self) -> str:
         return json.dumps(
@@ -228,7 +227,7 @@ def gs(
     else:
         r = float(np.abs(signed).max() / m)
         epsilon = era_eps(r, c, m, delta)
-    return GSResult(index_set, means, epsilon, m, delta, bound)
+    return GSResult(index_set, means, epsilon, m, delta, bound, sim.base.strategy_counts)
 
 
 def _signs(rng: np.random.Generator, m: int) -> np.ndarray:

@@ -176,7 +176,7 @@ def run_nash_frequency(
                 sim, idx, m, delta, sim.range_c, BoundType.ONE_ERA,
                 seed=mix(seed, name, run, m),
             )
-            empirical = result.to_game(base.strategy_counts)
+            empirical = result.to_game()
             flagged += nash_mask(empirical, 2.0 * result.epsilon)
         for j in range(base.num_profiles):
             if flagged[j]:
@@ -229,7 +229,7 @@ def run_success_rate(
                         bound,
                         seed=mix(seed, name, family, rep, bound.value),
                     )
-                    empirical = result.to_game(sim.base.strategy_counts)
+                    empirical = result.to_game()
                     for rho in rho_grid:
                         success[rho][rep] = check_containment(
                             sim.base, empirical, rho * result.epsilon

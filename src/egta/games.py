@@ -190,6 +190,8 @@ def eps_dominates(game: NormalFormGame, p: int, s: int, s_other: int, eps: float
     """True when strategy s beats s_other by at least eps for player p in
     every opponent context (inclusive comparison).
     """
+    if not eps >= 0:
+        raise ValueError("eps must be nonnegative")
     k = game.strategy_counts[_player(game, p)]
     if not (0 <= _integer(s, "strategy") < k and 0 <= _integer(s_other, "strategy") < k):
         raise IndexError("strategy index out of range")

@@ -167,7 +167,7 @@ def hash_uniform(
     integers. ``sums``, a writable C-contiguous float64 [n] array, gets
     ``sums += out.sum(axis=1)``; the compiled kernel sums each leaf of
     numpy's pairwise summation while it is in cache. The compiled kernel and
-    numpy give the same bits.
+    numpy give the same bits, and numpy copies the base when F = 0.
     """
     conds = _uint64(cond_seeds, "cond_seeds")
     keys = _uint64(keys, "keys")
@@ -177,7 +177,7 @@ def hash_uniform(
         raise ValueError("hash_uniform takes cond_seeds [m], keys [F, n], widths [F] and base [n]")
     _check_buffer(out, "out", base.shape + conds.shape)
     _check_buffer(sums, "sums", base.shape)
-    lib = _kernel()
+    lib = _kernel() if widths.size else None
     if lib is None:
         out[...] = base[:, None]
         for row, width in zip(keys, widths):
@@ -257,16 +257,13 @@ static inline double noise(uint64_t key, uint64_t cond, double width) {
     return ((double)(int64_t)(z >> 11) * 0x1p-53 + 0x1p-54 - 0.5) * width;
 }
 
-enum { BASE, ONTO_BASE, ONTO_ROW };
+enum { ONTO_BASE, ONTO_ROW };
 
-/* row[j] for j < m: the base, or the noise of (key, width) added onto the
-   base or onto row[j] */
+/* row[j] for j < m: the noise of (key, width) added onto the base or onto
+   row[j] */
 static inline void pass(double *restrict row, const uint64_t *restrict conds, size_t m,
                         int kind, uint64_t key, double width, double base) {
-    if (kind == BASE)
-        for (size_t j = 0; j < m; j++)
-            row[j] = base;
-    else if (kind == ONTO_BASE)
+    if (kind == ONTO_BASE)
         for (size_t j = 0; j < m; j++)
             row[j] = noise(key, conds[j], width) + base;
     else
@@ -310,20 +307,19 @@ static double last_pass(double *row, const uint64_t *conds, size_t m,
 }
 
 /* out[i][j] = base[i] + the noise of each factor f of keys[f][i], in order,
-   and sums[i] += 0.0 + the pairwise sum of out[i], as numpy's row sum */
+   and sums[i] += 0.0 + the pairwise sum of out[i], as numpy's row sum; takes
+   at least one factor */
 void egta_noise(const uint64_t *restrict conds, size_t m,
                 const uint64_t *restrict keys, size_t factors, size_t n,
                 const double *restrict widths, const double *restrict base,
                 double *restrict out, double *restrict sums) {
-    size_t last = factors ? factors - 1 : 0;
-    int kind = factors == 0 ? BASE : last ? ONTO_ROW : ONTO_BASE;
+    size_t last = factors - 1;
     for (size_t i = 0; i < n; i++) {
         double *row = out + i * m;
         for (size_t f = 0; f < last; f++)
             pass(row, conds, m, f ? ONTO_ROW : ONTO_BASE, splitmix64(keys[f * n + i]), widths[f], base[i]);
-        uint64_t key = factors ? splitmix64(keys[last * n + i]) : 0;
-        double width = factors ? widths[last] : 0.0;
-        sums[i] += 0.0 + last_pass(row, conds, m, kind, key, width, base[i]);
+        sums[i] += 0.0 + last_pass(row, conds, m, last ? ONTO_ROW : ONTO_BASE,
+                                   splitmix64(keys[last * n + i]), widths[last], base[i]);
     }
 }
 

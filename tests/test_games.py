@@ -115,6 +115,10 @@ def test_eps_dominates_examples(prisoners_dilemma, matching_pennies):
             for s2 in range(2):
                 if s != s2:
                     assert not eps_dominates(matching_pennies, p, s, s2, 0.0)
+    # a NaN or negative eps is refused, as by nash_mask and rationalizable
+    for eps in (float("nan"), -1.0):
+        with pytest.raises(ValueError, match="eps must be nonnegative"):
+            eps_dominates(prisoners_dilemma, 0, 0, 1, eps)
 
 
 def test_eps_dominates_matches_oracle():

@@ -373,6 +373,21 @@ def test_hash_uniform_refuses_bad_factors(monkeypatch):
             hash_uniform(*args, out, np.zeros(4))
 
 
+def test_hash_uniform_without_factors_skips_the_kernel(monkeypatch):
+    # the kernel takes at least one factor; with none, numpy copies the base
+    # rows and adds their sums, so nothing is hashed
+    class Kernel:
+        def egta_noise(self, *args):
+            pytest.fail("the kernel was called")
+
+    monkeypatch.setattr(hashing, "_kernel", lambda: Kernel())
+    base = np.array([1.5, -0.0, 1e307, -2.25])  # 300 copies of 1e307 overflow
+    out, sums = np.empty((4, 300)), np.array([0.5, 0.0, 0.0, 1.0])
+    assert hash_uniform(np.arange(300), np.empty((0, 4), dtype=np.uint64), [], base, out, sums) is out
+    assert np.array_equal(out, np.repeat(base[:, None], 300, axis=1))
+    assert np.array_equal(sums, [0.5 + 1.5 * 300, 0.0, np.inf, 1.0 - 2.25 * 300])
+
+
 def test_hash_uniform_takes_ints_of_any_sign_mod_2_64():
     out = np.empty((1, 3))
     want = variates(np.array([_MASK, 2**63, 0], dtype=np.uint64), [_MASK - 4])

@@ -379,15 +379,13 @@ def test_empirical_game_single_draw_and_zero_noise():
     base = expand(ppa_example_game())
     idx = IndexSet.full(base)
     sim = noisy_sim(base, 2.0)
-    emp = gs(sim, idx, 1, 0.1, sim.range_c, BoundType.HOEFFDING, seed=42).to_game(
-        base.strategy_counts
-    )
+    emp = gs(sim, idx, 1, 0.1, sim.range_c, BoundType.HOEFFDING, seed=42).to_game()
     seeds = draw_conditions(np.random.Generator(np.random.PCG64(42)), 1)
     block = sample(sim, seeds, idx.players, idx.profiles)
     assert np.array_equal(emp.utilities.reshape(-1), block[:, 0])
     silent = noisy_sim(base, 0.0)
     res = gs(silent, idx, 13, 0.1, silent.range_c, BoundType.ONE_ERA, seed=5)
-    assert np.array_equal(res.to_game(base.strategy_counts).utilities, base.utilities)
+    assert np.array_equal(res.to_game().utilities, base.utilities)
 
 
 def test_empirical_game_partial_index_set():
@@ -396,14 +394,14 @@ def test_empirical_game_partial_index_set():
     sim = noisy_sim(base, 0.0)
     res = gs(sim, idx, 2, 0.1, sim.range_c, BoundType.HOEFFDING, seed=1)
     assert res.utilities.shape == (2,)
-    emp = res.to_game(base.strategy_counts)
+    emp = res.to_game()
     assert emp.strategy_counts == base.strategy_counts
+    assert res.strategy_counts == sim.base.strategy_counts  # the counts gs sampled on
     assert emp.utilities[0, 0] == base.utilities[0, 0]
     assert emp.utilities[2, 5] == base.utilities[2, 5]
     assert emp.utilities[1, 3] == 0.0  # indices outside the set read zero
-    # a game whose players or profiles do not hold the index set is refused
-    for counts in (base.strategy_counts[:1], (1,) * base.num_players):
-        with pytest.raises(ValueError, match="index out of range"):
-            res.to_game(counts)
-        with pytest.raises(ValueError, match="index out of range"):
+    # a truth of other strategy counts is refused, a larger game that holds
+    # every index included
+    for counts in (base.strategy_counts[:1], (1,) * base.num_players, base.strategy_counts + (3,)):
+        with pytest.raises(ValueError, match="strategy counts"):
             res.sup_deviation(NormalFormGame(counts, np.zeros((len(counts), math.prod(counts)))))
