@@ -34,11 +34,12 @@ from .simulators import ConditionalSimulator, draw_conditions
 # conditions each row sum adds at once, so it fixes the results' bits
 # (chunk boundaries depend only on the index-set size)
 _BLOCK_ELEMS = 2_000_000
-# cap on elements per row tile, which bounds the Hoeffding buffer (the
-# kernel sums each row as it writes it, so only the 1ERA product reads a
-# tile again); results are bit-identical for any value, because row sums
-# never cross a row and 1ERA still takes one signed sum per column block
-_TILE_ELEMS = 65_536
+# cap on elements per Hoeffding row tile, which keeps its buffer at 2 MB
+# (the kernel sums each row as it writes it, so no tile is read again);
+# 1ERA samples each whole column block in one call instead, because its
+# signed sum reads the block. Results are bit-identical for any value,
+# because row sums never cross a row
+_TILE_ELEMS = 262_144
 
 
 class BoundType(Enum):
@@ -176,17 +177,17 @@ def gs(
     ``seed``, an integer taken mod 2^64 (so -1 and 2^64 - 1 give the same
     bits), and under 1ERA the m signs from its next words (see ``_signs``).
     Conditions are consumed in column blocks of at most _BLOCK_ELEMS
-    samples, and each block is sampled in row tiles of _TILE_ELEMS samples
-    (at least one row), which bounds the size of the sampling buffer and
-    leaves every estimate unchanged. Each call owns one
-    buffer; the simulator writes every tile into a view of it and adds the
-    tile's row sums onto the estimates' running sums, as numpy's
-    ``tile.sum(axis=1)`` would. Under 1ERA the buffer holds a whole [n, cols]
-    block, and the signed sum ``block @ sigma`` is taken once per column
-    block, because its bits depend on the number of rows in the product.
-    Those bits also depend on the BLAS thread count, so a 1ERA radius
-    reproduces only at a fixed thread count; estimates and Hoeffding radii
-    do not depend on it.
+    samples. Each call owns one buffer; the simulator writes every tile
+    into a view of it and adds the tile's row sums onto the estimates'
+    running sums, as numpy's ``tile.sum(axis=1)`` would. Under Hoeffding
+    each block is sampled in row tiles of _TILE_ELEMS samples (at least one
+    row), which keeps the buffer at 2 MB and leaves every estimate
+    unchanged. Under 1ERA the buffer holds a whole [n, cols] block, sampled
+    in one call, and the signed sum ``block @ sigma`` is taken once per
+    column block, because its bits depend on the number of rows in the
+    product. Those bits also depend on the BLAS thread count, so a 1ERA
+    radius reproduces only at a fixed thread count; estimates and Hoeffding
+    radii do not depend on it.
     """
     bound = BoundType(bound)
     n = len(index_set)
@@ -203,23 +204,22 @@ def gs(
     sums = np.zeros(n)
     signed = np.zeros(n)
     block = max(1, _BLOCK_ELEMS // n)
-    # the first block is the widest; a tile holds at most max(_TILE_ELEMS,
-    # cols) samples, and under 1ERA the buffer keeps a whole block
+    # the first block is the widest; a Hoeffding tile holds at most
+    # max(_TILE_ELEMS, cols) samples, and a 1ERA tile is a whole block
     widest = min(block, m)
     buffer = np.empty(n * widest if sigma is not None else min(n * widest, max(_TILE_ELEMS, widest)))
     for start in range(0, m, block):
         stop = min(start + block, m)
         cols = stop - start
-        rows = max(1, _TILE_ELEMS // cols)
+        rows = n if sigma is not None else max(1, _TILE_ELEMS // cols)
         for r0 in range(0, n, rows):
             r1 = min(r0 + rows, n)
-            at = r0 * cols if sigma is not None else 0  # 1ERA keeps the whole block
-            tile = buffer[at : at + (r1 - r0) * cols].reshape(r1 - r0, cols)
+            tile = buffer[: (r1 - r0) * cols].reshape(r1 - r0, cols)
             sim.sample_block(
                 cond_seeds[start:stop], index_set.players[r0:r1], index_set.profiles[r0:r1], tile, sums[r0:r1]
             )
-        if sigma is not None:
-            signed += buffer[: n * cols].reshape(n, cols) @ sigma[start:stop]
+        if sigma is not None:  # the one tile is the whole block
+            signed += tile @ sigma[start:stop]
     means = sums / m
 
     if bound is BoundType.HOEFFDING:

@@ -114,8 +114,9 @@ class IndexSet:
             raise ValueError("player index out of range")
         if self.profiles.min() < 0 or self.profiles.max() >= game.num_profiles:
             raise ValueError("profile index out of range")
-        flat = self.players * game.num_profiles + self.profiles
-        if np.unique(flat).size != n:
+        seen = np.zeros(game.num_players * game.num_profiles, dtype=bool)
+        seen[self.players * game.num_profiles + self.profiles] = True
+        if np.count_nonzero(seen) != n:
             raise ValueError("duplicate (player, profile) pairs")
 
     def to_mask(self, game: NormalFormGame) -> np.ndarray:

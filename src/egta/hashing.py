@@ -51,6 +51,10 @@ _MASK64 = (1 << 64) - 1
 _INV53 = 2.0**-53
 _HALF_BIN = 2.0**-54
 
+# cap on samples per row chunk of the numpy fallback, which bounds its
+# uint64 and float64 grid temporaries (at least one row)
+_CHUNK_ELEMS = 65_536
+
 
 def splitmix64(x: np.ndarray | int) -> np.ndarray | int:
     """splitmix64 finalizer of an int or an integer array, taken mod 2^64: a
@@ -166,8 +170,10 @@ def hash_uniform(
     keys are hashed here. Seeds and keys follow ``splitmix64``'s rule for
     integers. ``sums``, a writable C-contiguous float64 [n] array, gets
     ``sums += out.sum(axis=1)``; the compiled kernel sums each leaf of
-    numpy's pairwise summation while it is in cache. The compiled kernel and
-    numpy give the same bits, and numpy copies the base when F = 0.
+    numpy's pairwise summation while it is in cache, and numpy sums row
+    chunks of at most _CHUNK_ELEMS samples as it writes them. The compiled
+    kernel and numpy give the same bits, and numpy copies the base when
+    F = 0.
     """
     conds = _uint64(cond_seeds, "cond_seeds")
     keys = _uint64(keys, "keys")
@@ -179,14 +185,20 @@ def hash_uniform(
     _check_buffer(sums, "sums", base.shape)
     lib = _kernel() if widths.size else None
     if lib is None:
-        out[...] = base[:, None]
-        for row, width in zip(keys, widths):
-            u = _hash_uniform_numpy(conds, row)
-            u -= 0.5
-            u *= width
-            out += u
-        with np.errstate(over="ignore"):  # the compiled sum overflows to inf silently too
-            sums += out.sum(axis=1)
+        # in row chunks, so the grid temporaries stay small; row sums never
+        # cross a row, so the chunks leave every bit unchanged
+        rows = max(1, _CHUNK_ELEMS // max(1, conds.size))
+        for r0 in range(0, base.size, rows):
+            chunk = slice(r0, r0 + rows)
+            tile = out[chunk]
+            tile[...] = base[chunk, None]
+            for row, width in zip(keys[:, chunk], widths):
+                u = _hash_uniform_numpy(conds, row)
+                u -= 0.5
+                u *= width
+                tile += u
+            with np.errstate(over="ignore"):  # the compiled sum overflows to inf silently too
+                sums[chunk] += tile.sum(axis=1)
         return out
     lib.egta_noise(
         _address(conds), conds.size, _address(keys), keys.shape[0], base.size,

@@ -156,13 +156,13 @@ def test_gs_chunked_accumulation_close_to_direct():
 
 
 def test_gs_row_tiles_bit_identical(monkeypatch):
-    # rows sampled in any tiling give the same bits under both bounds: 1-row
-    # tiles, ragged tails (50 000 elements leaves 8- and 60-row tiles over 324
+    # Hoeffding rows sampled in any tiling give the same bits: 1-row tiles,
+    # ragged tails (50 000 elements leaves 8- and 60-row tiles over 324
     # indices and 7-row tiles over 50), and one tile holding the whole index
     # set; m=7000 also splits RG(4,3) into a full and a ragged column block.
-    # RC(5,5,1) has 5 indices, so at m=70 000 even the default tiles are
-    # single rows wider than _TILE_ELEMS, and 1ERA must gather them into one
-    # signed sum per block
+    # RC(5,5,1) has 5 indices, so at m=70 000 1-row tiles are wider than
+    # _TILE_ELEMS. 1ERA samples each column block in one call, whatever the
+    # tile
     cases = [
         (gen_rg(4, 3, seed=5), 7000),
         (gen_rg(2, 5, seed=6), 7000),
@@ -173,31 +173,75 @@ def test_gs_row_tiles_bit_identical(monkeypatch):
     for base, m in cases:
         sim = noisy_sim(base, 2.0)
         idx = IndexSet.full(base)
-        calls = []
+        calls = _count_calls(sim)
+        runs, counts = [], []
+        for tile in tiles:
+            monkeypatch.setattr(algorithms, "_TILE_ELEMS", tile)
+            before = len(calls)
+            runs.append(gs(sim, idx, m, 0.1, sim.range_c, BoundType.HOEFFDING, seed=4))
+            counts.append(len(calls) - before)
+        # the 1-row tiling really tiles, so the check can fail
+        assert counts[1] > counts[0]
+        for res in runs[1:]:
+            assert np.array_equal(res.utilities, runs[0].utilities)
+            assert res.epsilon == runs[0].epsilon
+        blocks = -(-m // max(1, algorithms._BLOCK_ELEMS // len(idx)))
+        for tile in tiles:
+            monkeypatch.setattr(algorithms, "_TILE_ELEMS", tile)
+            before = len(calls)
+            gs(sim, idx, m, 0.1, sim.range_c, BoundType.ONE_ERA, seed=4)
+            assert len(calls) - before == blocks, tile
 
-        def counted(*args, sample_block=sim.sample_block, **kwargs):
-            calls.append(args)
-            return sample_block(*args, **kwargs)
 
-        sim.sample_block = counted
-        for bound in BoundType:
-            runs, counts = [], []
-            for tile in tiles:
-                monkeypatch.setattr(algorithms, "_TILE_ELEMS", tile)
-                before = len(calls)
-                runs.append(gs(sim, idx, m, 0.1, sim.range_c, bound, seed=4))
-                counts.append(len(calls) - before)
-            # the 1-row tiling really tiles, so each bound's check can fail
-            assert counts[1] > counts[0]
-            for res in runs[1:]:
-                assert np.array_equal(res.utilities, runs[0].utilities)
-                assert res.epsilon == runs[0].epsilon
+def test_gs_1era_fallback_chunks_bit_identical(monkeypatch):
+    # the numpy fallback samples a 1ERA block in row chunks of any size with
+    # the same bits: one row at a time, ragged chunks (50 000 elements
+    # leaves 8- and 60-row chunks over RG(4,3)'s two blocks) and one chunk
+    # per block; they are also the bits of the compiled kernel, where it
+    # loads
+    runs = [(noisy_sim(base, 2.0), IndexSet.full(base), m) for base, m in [
+        (expand(gen_rc(5, 5, 1, seed=3)), 70_000),
+        (gen_rg(4, 3, seed=5), 7000),
+    ]]
+    wants = [gs(sim, idx, m, 0.1, sim.range_c, BoundType.ONE_ERA, seed=4) for sim, idx, m in runs]
+    chunks = []
+
+    def counted(conds, keys, numpy=hashing._hash_uniform_numpy):
+        chunks.append(keys.size)
+        return numpy(conds, keys)
+
+    monkeypatch.setattr(hashing, "_kernel", lambda: None)
+    monkeypatch.setattr(hashing, "_hash_uniform_numpy", counted)
+    for (sim, idx, m), want in zip(runs, wants):
+        counts = []
+        for chunk in (1, 50_000, 10**12):
+            monkeypatch.setattr(hashing, "_CHUNK_ELEMS", chunk)
+            before = len(chunks)
+            res = gs(sim, idx, m, 0.1, sim.range_c, BoundType.ONE_ERA, seed=4)
+            counts.append(len(chunks) - before)
+            assert np.array_equal(res.utilities, want.utilities), chunk
+            assert res.epsilon == want.epsilon, chunk
+        # 1-row chunks really chunk, so the check can fail
+        assert counts[0] > counts[2] > 0
 
 
-def test_gs_1era_gathers_ragged_blocks_in_one_buffer():
-    # 288 indices at m=12 800 make a full 6944-column block and a ragged
-    # 5856-column one, and 1ERA keeps each whole; the ragged block must reuse
-    # the first block's buffer, so the call's peak stays near one 16 MB block
+def _count_calls(sim) -> list:
+    """The arguments of each later ``sim.sample_block`` call."""
+    calls = []
+
+    def counted(*args, sample_block=sim.sample_block, **kwargs):
+        calls.append(args)
+        return sample_block(*args, **kwargs)
+
+    sim.sample_block = counted
+    return calls
+
+
+def _peak_of_1era_ragged_blocks() -> tuple[int, int]:
+    """The peak traced bytes of a 1ERA gs call over ragged column blocks,
+    and the bytes of one full block. 288 indices at m=12 800 make a full
+    6944-column block and a ragged 5856-column one, and 1ERA keeps each
+    whole; the ragged block must reuse the first block's buffer."""
     base = gen_rg(2, 12, seed=1)
     sim = noisy_sim(base, 2.0)
     idx = IndexSet.full(base)
@@ -208,7 +252,20 @@ def test_gs_1era_gathers_ragged_blocks_in_one_buffer():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    block_bytes = 8 * len(idx) * (algorithms._BLOCK_ELEMS // len(idx))
+    return peak, 8 * len(idx) * (algorithms._BLOCK_ELEMS // len(idx))
+
+
+def test_gs_1era_gathers_ragged_blocks_in_one_buffer():
+    # the call's peak stays near one 16 MB block
+    peak, block_bytes = _peak_of_1era_ragged_blocks()
+    assert peak < 1.25 * block_bytes
+
+
+def test_gs_1era_fallback_gathers_ragged_blocks_in_one_buffer(monkeypatch):
+    # the numpy fallback samples each whole block in one call too, and its
+    # row chunks keep its grid temporaries far below a block
+    monkeypatch.setattr(hashing, "_kernel", lambda: None)
+    peak, block_bytes = _peak_of_1era_ragged_blocks()
     assert peak < 1.25 * block_bytes
 
 

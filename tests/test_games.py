@@ -349,7 +349,12 @@ def test_index_set_helpers(matching_pennies):
     assert mask.all()
     again = IndexSet.from_mask(mask)
     assert again.pairs() == full.pairs()
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="duplicate"):
         IndexSet([0, 0], [0, 0]).validate_for(matching_pennies)
-    with pytest.raises(ValueError):
+    # a duplicate that is not next to its twin
+    with pytest.raises(ValueError, match=r"duplicate \(player, profile\) pairs"):
+        IndexSet([0, 1, 0], [3, 0, 3]).validate_for(matching_pennies)
+    with pytest.raises(ValueError, match="player index out of range"):
         IndexSet([5], [0]).validate_for(matching_pennies)
+    with pytest.raises(ValueError, match="profile index out of range"):
+        IndexSet([0], [4]).validate_for(matching_pennies)

@@ -235,6 +235,44 @@ def test_compiled_row_sums_bit_identical(compiled, monkeypatch, n, m):
                 assert np.array_equal(bits(got), bits(pairwise)), widths
 
 
+@pytest.mark.parametrize("n, m", [(33, 1953), (5041, 13), (288, 6944)])
+def test_fallback_row_chunks_bit_identical(compiled, monkeypatch, n, m):
+    # the numpy fallback writes and sums out in row chunks of at most
+    # _CHUNK_ELEMS samples: one row at a time, ragged chunks (50 000 leaves
+    # a short last chunk on every shape here) or one chunk; each gives the
+    # compiled kernel's out and sums
+    rng = np.random.default_rng(n * 1_000_003 + m + 2)
+    conds = rng.integers(0, 2**64, size=m, dtype=np.uint64)
+    keys = rng.integers(0, 2**64, size=(3, n), dtype=np.uint64)
+    base = rng.uniform(-5.0, 5.0, size=n)
+    start = rng.normal(0.0, 100.0, size=n)
+    hashed = []
+
+    def counted(conds, keys, numpy=hashing._hash_uniform_numpy):
+        hashed.append(keys.size)
+        return numpy(conds, keys)
+
+    monkeypatch.setattr(hashing, "_hash_uniform_numpy", counted)
+    for widths in ([2.0], [2.0, 0.3, 1e-3]):
+        factors = keys[: len(widths)]
+
+        def run():
+            out, sums = np.full((n, m), np.nan), start.copy()
+            assert hash_uniform(conds, factors, widths, base, out, sums) is out
+            return out, sums
+
+        monkeypatch.setattr(hashing, "_kernel", lambda: compiled)
+        want_out, want = run()
+        monkeypatch.setattr(hashing, "_kernel", lambda: None)
+        for chunk, calls in ((1, n), (50_000, -(-n // (50_000 // m))), (10**12, 1)):
+            monkeypatch.setattr(hashing, "_CHUNK_ELEMS", chunk)
+            hashed.clear()
+            got_out, got = run()
+            assert len(hashed) == calls * len(widths), chunk  # one hash per chunk and factor
+            assert np.array_equal(bits(got_out), bits(want_out)), (chunk, widths)
+            assert np.array_equal(bits(got), bits(want)), (chunk, widths)
+
+
 def _tile_shapes():
     """Tile shapes around numpy's pairwise block (8, 128) and buffer (8192)
     sizes, the ragged shapes gs cuts, and a row wider than a tile."""

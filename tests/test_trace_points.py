@@ -39,15 +39,17 @@ def test_every_trace_point_resolves(tracing):
 def test_tracer_sees_the_kernel(tracing):
     # a kernel reached by any other name than the traced one would read
     # zero calls here, and zero in every per-layer hash or block metric;
-    # the factored simulator inherits the traced sample_block
+    # the factored simulator inherits the traced sample_block. Hoeffding
+    # samples the 81 rows of 5000 samples in tiles of _TILE_ELEMS, and 1ERA
+    # the one column block in one call
     game = gen_rg(3, 3, seed=1)
     sims = [noisy_sim(game, 2.0), FactoredNoiseSimulator(5.0, [1.0, 0.5, 0.25, 0.5, 1.0], FACTOR_KINDS, game, 0)]
+    tiles = -(-81 // (algorithms._TILE_ELEMS // 5000))
     for sim in sims:
-        tracer = tracing.Tracer()
-        with tracing.patched(tracer.replacements()):
-            tracer.run_pass(
-                0, lambda: algorithms.gs(sim, IndexSet.full(game), 5000, 0.05, sim.range_c, "hoeffding")
-            )
-        metrics = tracing.layer_metrics(tracer.spans, 1, 1.0, 1.0)
-        assert metrics["hashing.hash_uniform.calls"] == metrics["simulators.sample_block.calls"] == 7
-        assert metrics["hashing.hash_uniform.elems"] == metrics["simulators.sample_block.evals"] == 81 * 5000
+        for bound, calls in (("hoeffding", tiles), ("1era", 1)):
+            tracer = tracing.Tracer()
+            with tracing.patched(tracer.replacements()):
+                tracer.run_pass(0, lambda: algorithms.gs(sim, IndexSet.full(game), 5000, 0.05, sim.range_c, bound))
+            metrics = tracing.layer_metrics(tracer.spans, 1, 1.0, 1.0)
+            assert metrics["hashing.hash_uniform.calls"] == metrics["simulators.sample_block.calls"] == calls
+            assert metrics["hashing.hash_uniform.elems"] == metrics["simulators.sample_block.evals"] == 81 * 5000
