@@ -8,8 +8,9 @@ consuming a shared stateful RNG.
 ``hash_uniform``, the noise kernel behind every simulator sample, writes a
 tile of utilities base + sum_f (u_f - 0.5) * w_f into the caller's buffer in
 one call, and adds each row's sum onto the caller's sums while the row is in
-cache. It runs as a small C loop when one can be built: the first call
-compiles ``_C_SOURCE`` with gcc into ``$XDG_CACHE_HOME/egta`` (default
+cache. A tile of one noise factor runs as a small C loop when one can be
+built, and a tile of none or several in numpy. The first call compiles
+``_C_SOURCE`` with gcc into ``$XDG_CACHE_HOME/egta`` (default
 ``~/.cache/egta``), under a name hashed from the source, the flags and the
 host CPU, and loads it with ctypes; a cached library that fails to load is
 built again once. Built without floating-point contraction, the loop does
@@ -171,9 +172,9 @@ def hash_uniform(
     integers. ``sums``, a writable C-contiguous float64 [n] array, gets
     ``sums += out.sum(axis=1)``; the compiled kernel sums each leaf of
     numpy's pairwise summation while it is in cache, and numpy sums row
-    chunks of at most _CHUNK_ELEMS samples as it writes them. The compiled
-    kernel and numpy give the same bits, and numpy copies the base when
-    F = 0.
+    chunks of at most _CHUNK_ELEMS samples as it writes them. Only F = 1
+    runs compiled: F = 0 copies the base and F >= 2 applies the factors in
+    numpy, which gives the compiled kernel's bits.
     """
     conds = _uint64(cond_seeds, "cond_seeds")
     keys = _uint64(keys, "keys")
@@ -183,7 +184,7 @@ def hash_uniform(
         raise ValueError("hash_uniform takes cond_seeds [m], keys [F, n], widths [F] and base [n]")
     _check_buffer(out, "out", base.shape + conds.shape)
     _check_buffer(sums, "sums", base.shape)
-    lib = _kernel() if widths.size else None
+    lib = _kernel() if widths.size == 1 else None
     if lib is None:
         # in row chunks, so the grid temporaries stay small; row sums never
         # cross a row, so the chunks leave every bit unchanged
@@ -201,8 +202,8 @@ def hash_uniform(
                 sums[chunk] += tile.sum(axis=1)
         return out
     lib.egta_noise(
-        _address(conds), conds.size, _address(keys), keys.shape[0], base.size,
-        _address(widths), _address(base), _address(out), _address(sums),
+        _address(conds), conds.size, _address(keys), base.size, widths[0],
+        _address(base), _address(out), _address(sums),
     )
     return out
 
@@ -246,7 +247,9 @@ def _hash_uniform_numpy(conds: np.ndarray, keys: np.ndarray) -> np.ndarray:
 # The 53-bit integer converts to double exactly, and the scale, the offset,
 # the -0.5, the width and the add are separately rounded steps, as in numpy,
 # which -ffp-contract=off keeps from being fused; IEEE addition commutes.
-# Each row's sum follows numpy's pairwise summation, leaf by leaf.
+# Each row's sum follows numpy's pairwise summation, leaf by leaf. The loop
+# takes exactly one factor; hash_uniform runs tiles of none or several in
+# numpy.
 _C_SOURCE = r"""
 #include <stddef.h>
 #include <stdint.h>
@@ -269,18 +272,11 @@ static inline double noise(uint64_t key, uint64_t cond, double width) {
     return ((double)(int64_t)(z >> 11) * 0x1p-53 + 0x1p-54 - 0.5) * width;
 }
 
-enum { ONTO_BASE, ONTO_ROW };
-
-/* row[j] for j < m: the noise of (key, width) added onto the base or onto
-   row[j] */
+/* row[j] = base + the noise of (key, conds[j], width), for j < m */
 static inline void pass(double *restrict row, const uint64_t *restrict conds, size_t m,
-                        int kind, uint64_t key, double width, double base) {
-    if (kind == ONTO_BASE)
-        for (size_t j = 0; j < m; j++)
-            row[j] = noise(key, conds[j], width) + base;
-    else
-        for (size_t j = 0; j < m; j++)
-            row[j] = noise(key, conds[j], width) + row[j];
+                        uint64_t key, double width, double base) {
+    for (size_t j = 0; j < m; j++)
+        row[j] = noise(key, conds[j], width) + base;
 }
 
 /* numpy's pairwise sum of a[0..n), n <= 128: in order from 0. below 8
@@ -305,34 +301,26 @@ static double leaf_sum(const double *a, size_t n) {
     return res;
 }
 
-/* the last pass over row[0..m), written one leaf of numpy's pairwise sum at
-   a time and summed while the leaf is in cache; returns the row's sum */
+/* row[0..m), written one leaf of numpy's pairwise sum at a time and summed
+   while the leaf is in cache; returns the row's sum */
 static double last_pass(double *row, const uint64_t *conds, size_t m,
-                        int kind, uint64_t key, double width, double base) {
+                        uint64_t key, double width, double base) {
     if (m <= 128) {
-        pass(row, conds, m, kind, key, width, base);
+        pass(row, conds, m, key, width, base);
         return leaf_sum(row, m);
     }
     size_t half = m / 2 - m / 2 % 8;
-    double left = last_pass(row, conds, half, kind, key, width, base);
-    return left + last_pass(row + half, conds + half, m - half, kind, key, width, base);
+    double left = last_pass(row, conds, half, key, width, base);
+    return left + last_pass(row + half, conds + half, m - half, key, width, base);
 }
 
-/* out[i][j] = base[i] + the noise of each factor f of keys[f][i], in order,
-   and sums[i] += 0.0 + the pairwise sum of out[i], as numpy's row sum; takes
-   at least one factor */
+/* out[i][j] = base[i] + the noise of keys[i] of one factor of this width,
+   and sums[i] += 0.0 + the pairwise sum of out[i], as numpy's row sum */
 void egta_noise(const uint64_t *restrict conds, size_t m,
-                const uint64_t *restrict keys, size_t factors, size_t n,
-                const double *restrict widths, const double *restrict base,
-                double *restrict out, double *restrict sums) {
-    size_t last = factors - 1;
-    for (size_t i = 0; i < n; i++) {
-        double *row = out + i * m;
-        for (size_t f = 0; f < last; f++)
-            pass(row, conds, m, f ? ONTO_ROW : ONTO_BASE, splitmix64(keys[f * n + i]), widths[f], base[i]);
-        sums[i] += 0.0 + last_pass(row, conds, m, last ? ONTO_ROW : ONTO_BASE,
-                                   splitmix64(keys[last * n + i]), widths[last], base[i]);
-    }
+                const uint64_t *restrict keys, size_t n, double width,
+                const double *restrict base, double *restrict out, double *restrict sums) {
+    for (size_t i = 0; i < n; i++)
+        sums[i] += 0.0 + last_pass(out + i * m, conds, m, splitmix64(keys[i]), width, base[i]);
 }
 
 void egta_splitmix64(uint64_t *z, size_t n) {
@@ -345,11 +333,13 @@ _C_FLAGS = ("-O3", "-march=native", "-ffp-contract=off", "-fPIC", "-shared")
 
 
 def _cpu_signature() -> str:
-    """The host's architecture and, where readable, its CPU feature flags,
-    so a cache shared between hosts never loads another host's build."""
+    """The host's architecture and, where readable, its CPU feature flags
+    (the first ``flags`` line of /proc/cpuinfo on x86, ``Features`` on
+    aarch64), so a cache shared between hosts never loads another host's
+    build."""
     try:
         with open("/proc/cpuinfo") as fh:
-            flags = next((line for line in fh if line.startswith("flags")), "")
+            flags = next((line for line in fh if line.startswith(("flags", "Features"))), "")
     except OSError:
         flags = ""
     return platform.machine() + "\n" + flags
@@ -401,7 +391,7 @@ def _load_kernel(cache_dir: Path, compiler: str = "gcc"):
 def _bind(lib: ctypes.CDLL) -> ctypes.CDLL:
     """``lib`` with the argument and result types of its functions."""
     pointer, size = ctypes.c_void_p, ctypes.c_size_t
-    lib.egta_noise.argtypes = [pointer, size, pointer, size, size, pointer, pointer, pointer, pointer]
+    lib.egta_noise.argtypes = [pointer, size, pointer, size, ctypes.c_double, pointer, pointer, pointer]
     lib.egta_noise.restype = None
     lib.egta_splitmix64.argtypes = [pointer, size]
     lib.egta_splitmix64.restype = None

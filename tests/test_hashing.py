@@ -1,4 +1,6 @@
+import ctypes
 import hashlib
+import io
 import math
 import os
 import shutil
@@ -240,7 +242,8 @@ def test_fallback_row_chunks_bit_identical(compiled, monkeypatch, n, m):
     # the numpy fallback writes and sums out in row chunks of at most
     # _CHUNK_ELEMS samples: one row at a time, ragged chunks (50 000 leaves
     # a short last chunk on every shape here) or one chunk; each gives the
-    # compiled kernel's out and sums
+    # out and sums of one call at the default chunk size, which is the
+    # compiled kernel's at F = 1
     rng = np.random.default_rng(n * 1_000_003 + m + 2)
     conds = rng.integers(0, 2**64, size=m, dtype=np.uint64)
     keys = rng.integers(0, 2**64, size=(3, n), dtype=np.uint64)
@@ -271,6 +274,11 @@ def test_fallback_row_chunks_bit_identical(compiled, monkeypatch, n, m):
             assert len(hashed) == calls * len(widths), chunk  # one hash per chunk and factor
             assert np.array_equal(bits(got_out), bits(want_out)), (chunk, widths)
             assert np.array_equal(bits(got), bits(want)), (chunk, widths)
+        # with several factors both runs above are numpy, so the model
+        # checks them: factors in order, then each row's sum
+        model = sequential(conds, factors, widths, base)
+        assert np.array_equal(bits(want_out), bits(model)), widths
+        assert np.array_equal(bits(want), bits(start + model.sum(axis=1))), widths
 
 
 def _tile_shapes():
@@ -411,12 +419,16 @@ def test_hash_uniform_refuses_bad_factors(monkeypatch):
             hash_uniform(*args, out, np.zeros(4))
 
 
-def test_hash_uniform_without_factors_skips_the_kernel(monkeypatch):
-    # the kernel takes at least one factor; with none, numpy copies the base
-    # rows and adds their sums, so nothing is hashed
+def test_hash_uniform_compiles_only_one_factor(monkeypatch):
+    # the kernel takes exactly one factor; with none, numpy copies the base
+    # rows and adds their sums, so nothing is hashed, and with several numpy
+    # applies them in order
     class Kernel:
         def egta_noise(self, *args):
             pytest.fail("the kernel was called")
+
+        def egta_splitmix64(self, address, n):  # numpy hashes its keys here
+            hashing._splitmix64_numpy(np.ctypeslib.as_array((ctypes.c_uint64 * n).from_address(address)))
 
     monkeypatch.setattr(hashing, "_kernel", lambda: Kernel())
     base = np.array([1.5, -0.0, 1e307, -2.25])  # 300 copies of 1e307 overflow
@@ -424,6 +436,25 @@ def test_hash_uniform_without_factors_skips_the_kernel(monkeypatch):
     assert hash_uniform(np.arange(300), np.empty((0, 4), dtype=np.uint64), [], base, out, sums) is out
     assert np.array_equal(out, np.repeat(base[:, None], 300, axis=1))
     assert np.array_equal(sums, [0.5 + 1.5 * 300, 0.0, np.inf, 1.0 - 2.25 * 300])
+    conds = np.arange(300, dtype=np.uint64)
+    keys = np.arange(12, dtype=np.uint64).reshape(3, 4) * np.uint64(0x9E3779B9)
+    for widths in ([2.0, 0.3], [2.0, 0.3, 1e-3]):
+        factors = keys[: len(widths)]
+        out, sums = np.empty((4, 300)), np.zeros(4)
+        assert hash_uniform(conds, factors, widths, base, out, sums) is out
+        assert np.array_equal(out, sequential(conds, factors, widths, base)), widths
+
+    # one factor makes exactly one call, with the width as a number
+    calls = []
+
+    class Recording:
+        def egta_noise(self, *args):
+            calls.append(args)
+
+    monkeypatch.setattr(hashing, "_kernel", lambda: Recording())
+    hash_uniform(conds, keys[:1], [2.5], base, np.empty((4, 300)), np.zeros(4))
+    assert len(calls) == 1
+    assert calls[0][1] == 300 and calls[0][3:5] == (4, 2.5)
 
 
 def test_hash_uniform_takes_ints_of_any_sign_mod_2_64():
@@ -642,6 +673,31 @@ def test_concurrent_builds_share_one_library(tmp_path):
     outputs = log.read_text().split()
     assert len(outputs) == 4 and len(set(outputs)) == 4, outputs
     assert sorted(p.name for p in cache_dir.iterdir()) == [hashing._kernel_path(cache_dir).name]
+
+
+def test_kernel_path_hashes_the_cpu_features(monkeypatch, tmp_path):
+    # x86 lists its features on "flags" lines and aarch64 on "Features"
+    # lines; either way two hosts with different features get different
+    # cache files, and only the first such line is read
+    def cpuinfo(text):
+        return lambda path, *args, **kwargs: io.StringIO(text)
+
+    paths = {}
+    for name, text in {
+        "x86 avx2": "processor\t: 0\nflags\t\t: fpu sse2 avx2\nflags\t\t: other\n",
+        "x86 avx512": "processor\t: 0\nflags\t\t: fpu sse2 avx2 avx512f\n",
+        "arm": "processor\t: 0\nFeatures\t: fp asimd\nFeatures\t: other\n",
+        "arm sve": "processor\t: 0\nFeatures\t: fp asimd sve\n",
+        "no feature line": "",
+    }.items():
+        monkeypatch.setattr(hashing, "open", cpuinfo(text), raising=False)
+        paths[name] = hashing._kernel_path(tmp_path)
+    assert len(set(paths.values())) == len(paths), paths
+    # a later "flags" or "Features" line (another core's) changes nothing
+    monkeypatch.setattr(hashing, "open", cpuinfo("flags\t\t: fpu sse2 avx2\n"), raising=False)
+    assert hashing._kernel_path(tmp_path) == paths["x86 avx2"]
+    monkeypatch.setattr(hashing, "open", cpuinfo("Features\t: fp asimd\n"), raising=False)
+    assert hashing._kernel_path(tmp_path) == paths["arm"]
 
 
 @needs_gcc

@@ -285,24 +285,39 @@ def test_factored_sample_block_matches_formula():
 def test_sample_block_fills_out(monkeypatch):
     # the block overwrites out, which is returned, with the same bits on the
     # compiled kernel and on the numpy fallback, for noisy factors and for
-    # all-zero widths
+    # all-zero widths. Only tiles of one noise factor run compiled, among
+    # them a factored simulator's with one nonzero scale, whose keys alone
+    # are salted and hashed by factor
     base = gen_rg(3, 3, u0=2.0, seed=7)
     idx = IndexSet.full(base)
     seeds = draw_conditions(np.random.default_rng(9), 301)
     sims = [
-        noisy_sim(base, 2.0),
-        noisy_sim(base, 0.0),
-        FactoredNoiseSimulator(1.0, [0.0, 0.5, 0.0, 0.25, 0.75], FACTOR_KINDS, base, seed=3),
-        FactoredNoiseSimulator(1.0, [0.0] * 5, FACTOR_KINDS, base, seed=3),
+        (noisy_sim(base, 2.0), True),
+        (noisy_sim(base, 0.0), False),
+        (FactoredNoiseSimulator(1.0, [0.0, 0.5, 0.0, 0.25, 0.75], FACTOR_KINDS, base, seed=3), False),
+        (FactoredNoiseSimulator(1.0, [0.0, 0.0, 0.5, 0.0, 0.0], FACTOR_KINDS, base, seed=3), True),
+        (FactoredNoiseSimulator(1.0, [0.0] * 5, FACTOR_KINDS, base, seed=3), False),
     ]
     kernel = hashing._kernel()
-    for sim in sims:
+    calls = []
+
+    class Counted:
+        def egta_noise(self, *args):
+            calls.append(args)
+            kernel.egta_noise(*args)
+
+        def __getattr__(self, name):  # egta_splitmix64
+            return getattr(kernel, name)
+
+    for sim, compiled in sims:
         blocks = []
-        for lib in (kernel, None):
+        for lib in (kernel and Counted(), None):
             monkeypatch.setattr(hashing, "_kernel", lambda: lib)
+            calls.clear()
             buf = np.full((len(idx), len(seeds)), np.nan)
             assert sim.sample_block(seeds, idx.players, idx.profiles, buf, np.zeros(len(idx))) is buf
             blocks.append(buf)
+            assert len(calls) == (lib is not None and compiled)
         assert np.array_equal(blocks[0], blocks[1])
 
 
