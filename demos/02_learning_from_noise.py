@@ -23,7 +23,7 @@ print("hidden game:", truth.num_players, "players,", truth.num_profiles, "profil
 print("true pure equilibria:", pure_eps_nash(truth, 0.0))
 
 sim = noisy_sim(truth, d=3.0)  # utilities observed +- 1.5 at random
-index_set = IndexSet.full(truth)
+index_set = IndexSet.full(sim.strategy_counts)
 
 for m in (100, 1000, 10000):
     result = gs(sim, index_set, m=m, delta=0.1, c=sim.range_c,

@@ -24,6 +24,7 @@ from .games import (
     IndexSet,
     NormalFormGame,
     Profile,
+    _strategy_counts,
     pure_eps_nash,
     rationalizable,
 )
@@ -172,6 +173,8 @@ def gs(
     c*sqrt(ln(2|I|/delta)/(2m)); with the one-draw empirical Rademacher
     average it is 2r + 3c*sqrt(ln(1/delta)/(2m)) for a fresh sign draw.
     A zero range c makes every sample exact, and both radii are then zero.
+    A c below ``sim.range_c`` raises ValueError: its radius would not bound
+    the samples.
 
     The m condition seeds come from a fresh PCG64 generator seeded with
     ``seed``, an integer taken mod 2^64 (so -1 and 2^64 - 1 give the same
@@ -195,7 +198,9 @@ def gs(
         raise ValueError("index set must be nonempty")
     m = _integer(m, "sample count m", least=1)
     _check_common(c, m, delta)
-    index_set.validate_for(sim.base)
+    _check_range(sim, c)
+    counts = _strategy_counts(sim.strategy_counts)
+    index_set.validate_for(counts)
 
     rng = _generator(seed)
     cond_seeds = draw_conditions(rng, m)
@@ -227,7 +232,12 @@ def gs(
     else:
         r = float(np.abs(signed).max() / m)
         epsilon = era_eps(r, c, m, delta)
-    return GSResult(index_set, means, epsilon, m, delta, bound, sim.base.strategy_counts)
+    return GSResult(index_set, means, epsilon, m, delta, bound, counts)
+
+
+def _check_range(sim: ConditionalSimulator, c: float) -> None:
+    if c < sim.range_c:
+        raise ValueError(f"utility range c = {c} is below the simulator's declared range {sim.range_c}")
 
 
 def _signs(rng: np.random.Generator, m: int) -> np.ndarray:
@@ -251,8 +261,8 @@ def prune_pure(game: NormalFormGame, index_set: IndexSet, eps_hat: float) -> Ind
     indices at the same opponent context, is at most 2*eps_hat."""
     if not eps_hat >= 0:
         raise ValueError("eps_hat must be nonnegative")
-    index_set.validate_for(game)
-    mask = index_set.to_mask(game)
+    index_set.validate_for(game.strategy_counts)
+    mask = index_set.to_mask(game.strategy_counts)
     for p in range(game.num_players):
         t = game.tensor(p)
         alive = mask[p].reshape(game.strategy_counts)
@@ -269,7 +279,7 @@ def _restriction_of(index_set: IndexSet, game: NormalFormGame) -> list[list[int]
 def prune_mixed(game: NormalFormGame, index_set: IndexSet, eps_hat: float) -> IndexSet:
     """Indices worth keeping for mixed-equilibrium estimation: every
     coordinate of the profile is 2*eps_hat-rationalizable."""
-    index_set.validate_for(game)
+    index_set.validate_for(game.strategy_counts)
     restriction = _restriction_of(index_set, game)
     if [] in restriction:
         raise ValueError(f"index set has no index for player {restriction.index([])}")
@@ -349,12 +359,13 @@ def psp(
     the 2*epsilon-equilibria of the empirical game; in mixed mode the output
     is the per-player 2*epsilon-rationalizable restriction (equilibrium
     enumeration is out of scope). Pruned indices keep the radius from their
-    last estimation.
+    last estimation. As in gs, a c below ``sim.range_c`` raises ValueError.
     """
-    game = sim.base
-    index_set = IndexSet.full(game)
-    utilities = np.zeros((game.num_players, game.num_profiles))
-    radii = np.full((game.num_players, game.num_profiles), c / 2.0)
+    _check_range(sim, c)
+    counts = _strategy_counts(sim.strategy_counts)
+    index_set = IndexSet.full(counts)
+    utilities = np.zeros((len(counts), math.prod(counts)))
+    radii = np.full(utilities.shape, c / 2.0)
 
     total_steps = sampling.length
     if failure.steps is not None:
@@ -382,15 +393,15 @@ def psp(
 
         if epsilon <= eps_threshold or t == total_steps:
             break
-        index_set = prune(NormalFormGame(game.strategy_counts, utilities), index_set, epsilon)
+        index_set = prune(NormalFormGame(counts, utilities), index_set, epsilon)
 
-    empirical = NormalFormGame(game.strategy_counts, utilities)
+    empirical = NormalFormGame(counts, utilities)
     pure_equilibria = None
     mixed_restriction = None
     if pure:
         pure_equilibria = pure_eps_nash(empirical, 2.0 * epsilon)
     else:
-        restriction = _restriction_of(index_set, game)
+        restriction = _restriction_of(index_set, empirical)
         mixed_restriction = rationalizable(empirical, 2.0 * epsilon, restrict=restriction)
     return PSPResult(
         empirical, radii, pure_equilibria, mixed_restriction, epsilon, consumed, tuple(trace)

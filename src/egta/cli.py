@@ -112,7 +112,7 @@ def _gen_game(family: str, players: int, k: int, facilities: int = 5, alpha: flo
 def _gs(game: str, d: float = 0.0, delta: float = 0.1, bound: str = "hoeffding",
         seed: int = 0, m: int = 1000) -> str:
     sim = noisy_sim(_load_base_game(game), d)
-    return gs(sim, IndexSet.full(sim.base), m, delta, sim.range_c, bound, seed=seed).to_json() + "\n"
+    return gs(sim, IndexSet.full(sim.strategy_counts), m, delta, sim.range_c, bound, seed=seed).to_json() + "\n"
 
 
 def _psp(game: str, d: float = 0.0, delta: float = 0.1, bound: str = "hoeffding",

@@ -98,7 +98,7 @@ def run_eps_vs_samples(
             for rep, sim in enumerate(sims):
                 result = gs(
                     sim,
-                    IndexSet.full(sim.base),
+                    IndexSet.full(sim.strategy_counts),
                     m,
                     delta,
                     sim.range_c,
@@ -167,7 +167,7 @@ def run_nash_frequency(
     name = "nash-frequency"
     base, attempt, true_nash = find_unique_nash_rc_game(seed)
     sim = noisy_sim(base, d)
-    idx = IndexSet.full(base)
+    idx = IndexSet.full(sim.strategy_counts)
     rows = []
     for m in m_values:
         flagged = np.zeros(base.num_profiles, dtype=np.int64)
@@ -215,14 +215,15 @@ def run_success_rate(
     }
     rows = []
     for family, make in families.items():
-        sims = [noisy_sim(make(rep), d) for rep in range(reps)]
+        bases = [make(rep) for rep in range(reps)]
+        sims = [noisy_sim(base, d) for base in bases]
         for bound in (BoundType.HOEFFDING, BoundType.ONE_ERA):
             for delta in delta_grid:
                 success = {rho: np.zeros(reps, dtype=bool) for rho in rho_grid}
                 for rep, sim in enumerate(sims):
                     result = gs(
                         sim,
-                        IndexSet.full(sim.base),
+                        IndexSet.full(sim.strategy_counts),
                         m,
                         delta,
                         sim.range_c,
@@ -232,7 +233,7 @@ def run_success_rate(
                     empirical = result.to_game()
                     for rho in rho_grid:
                         success[rho][rep] = check_containment(
-                            sim.base, empirical, rho * result.epsilon
+                            bases[rep], empirical, rho * result.epsilon
                         )
                 for rho in rho_grid:
                     rate, lo, hi = _mean_ci(success[rho].astype(np.float64))

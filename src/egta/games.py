@@ -21,6 +21,19 @@ from .hashing import _integer
 Profile = tuple[int, ...]
 
 
+def _strategy_counts(counts: Sequence[int]) -> tuple[int, ...]:
+    """Per-player strategy counts as a tuple of integers of at least 1, by
+    the integer rule; anything else, a game included, raises ValueError."""
+    try:
+        items = iter(counts)
+    except TypeError:
+        raise ValueError(f"strategy counts must be a sequence, not {type(counts).__name__}") from None
+    counts = tuple(_integer(k, "strategy count", least=1) for k in items)
+    if not counts:
+        raise ValueError("a game needs at least one player")
+    return counts
+
+
 @dataclass(frozen=True)
 class NormalFormGame:
     """Dense normal-form game.
@@ -33,10 +46,8 @@ class NormalFormGame:
     utilities: np.ndarray
 
     def __post_init__(self):
-        counts = tuple(_integer(k, "strategy count", least=1) for k in self.strategy_counts)
+        counts = _strategy_counts(self.strategy_counts)
         object.__setattr__(self, "strategy_counts", counts)
-        if not counts:
-            raise ValueError("a game needs at least one player")
         u = np.asarray(self.utilities, dtype=np.float64)
         expected = (len(counts), math.prod(counts))
         if u.shape != expected:
@@ -106,21 +117,23 @@ class IndexSet:
     def pairs(self) -> list[tuple[int, int]]:
         return list(zip(self.players.tolist(), self.profiles.tolist()))
 
-    def validate_for(self, game: NormalFormGame) -> None:
+    def validate_for(self, strategy_counts: Sequence[int]) -> None:
+        """ValueError unless the pairs are distinct indices of these counts' game."""
+        num_players, num_profiles = _shape(strategy_counts)
         n = len(self)
         if n == 0:
             return
-        if self.players.min() < 0 or self.players.max() >= game.num_players:
+        if self.players.min() < 0 or self.players.max() >= num_players:
             raise ValueError("player index out of range")
-        if self.profiles.min() < 0 or self.profiles.max() >= game.num_profiles:
+        if self.profiles.min() < 0 or self.profiles.max() >= num_profiles:
             raise ValueError("profile index out of range")
-        seen = np.zeros(game.num_players * game.num_profiles, dtype=bool)
-        seen[self.players * game.num_profiles + self.profiles] = True
+        seen = np.zeros(num_players * num_profiles, dtype=bool)
+        seen[self.players * num_profiles + self.profiles] = True
         if np.count_nonzero(seen) != n:
             raise ValueError("duplicate (player, profile) pairs")
 
-    def to_mask(self, game: NormalFormGame) -> np.ndarray:
-        mask = np.zeros((game.num_players, game.num_profiles), dtype=bool)
+    def to_mask(self, strategy_counts: Sequence[int]) -> np.ndarray:
+        mask = np.zeros(_shape(strategy_counts), dtype=bool)
         mask[self.players, self.profiles] = True
         return mask
 
@@ -130,10 +143,14 @@ class IndexSet:
         return IndexSet(players, profiles)
 
     @staticmethod
-    def full(game: NormalFormGame) -> "IndexSet":
-        players = np.repeat(np.arange(game.num_players), game.num_profiles)
-        profiles = np.tile(np.arange(game.num_profiles), game.num_players)
-        return IndexSet(players, profiles)
+    def full(strategy_counts: Sequence[int]) -> "IndexSet":
+        """Every (player, profile) pair of these counts' game, player-major."""
+        return IndexSet.from_mask(np.ones(_shape(strategy_counts), dtype=bool))
+
+
+def _shape(strategy_counts: Sequence[int]) -> tuple[int, int]:
+    counts = _strategy_counts(strategy_counts)
+    return len(counts), math.prod(counts)
 
 
 def _player(game: NormalFormGame, p: int) -> int:

@@ -31,14 +31,13 @@ def draw_conditions(rng: np.random.Generator, m: int) -> np.ndarray:
 
 
 class ConditionalSimulator:
-    """Deterministic map (condition, player, profile) -> utility.
-
-    base is the expected game (ground truth, exposed for evaluation
-    harnesses); range_c declares the bound: all outputs lie in
-    [-range_c/2, range_c/2].
+    """Deterministic map (condition, player, profile) -> utility, and all
+    that gs and psp learn from: strategy_counts gives each player's number
+    of pure strategies, range_c declares the bound (all outputs lie in
+    [-range_c/2, range_c/2]), and sample_block draws utilities.
     """
 
-    base: NormalFormGame
+    strategy_counts: tuple[int, ...]
     range_c: float
 
     def sample_block(
@@ -80,7 +79,8 @@ def factor_image_sizes(kinds: Sequence[str], strategy_counts: Sequence[int]) -> 
 
 class NoisySimulator(ConditionalSimulator):
     """Base game plus additive uniform noise on (-d/2, d/2], independent per
-    (player, profile) index and shared-condition consistent."""
+    (player, profile) index and shared-condition consistent. base is the
+    expected game, ground truth for evaluation harnesses."""
 
     def __init__(self, base: NormalFormGame, d: float):
         if not 0 <= d < math.inf:
@@ -89,12 +89,13 @@ class NoisySimulator(ConditionalSimulator):
         self._set_noise(base, 2.0 * float(np.abs(base.utilities).max()) + self.d, (self.d,))
 
     def _set_noise(self, base: NormalFormGame, range_c: float, widths: Sequence[float]) -> None:
-        """Keep the base game, the declared range and the factors of nonzero
-        width with their widths: a zero-width factor's +-0.0 noise would turn
-        a -0.0 base into +0.0."""
+        """Keep the base game and its strategy counts, the declared range and
+        the factors of nonzero width with their widths: a zero-width factor's
+        +-0.0 noise would turn a -0.0 base into +0.0."""
         if range_c == math.inf:
             raise ValueError("the noise and utility scales overflow the utility range")
         self.base = base
+        self.strategy_counts = base.strategy_counts
         self.range_c = range_c
         self._noisy = [i for i, width in enumerate(widths) if width]
         self._widths = np.array([widths[i] for i in self._noisy], dtype=np.float64)

@@ -85,7 +85,7 @@ def test_criterion_04_gs_guarantee():
             base = expand(gen_rc(3, 3, 2, seed=mix(404, rep)))
             sim = noisy_sim(base, d)
             result = gs(
-                sim, IndexSet.full(base), m, delta, sim.range_c, bound,
+                sim, IndexSet.full(base.strategy_counts), m, delta, sim.range_c, bound,
                 seed=mix(404, "run", rep, bound.value),
             )
             hits += result.sup_deviation(base) <= result.epsilon
@@ -178,7 +178,7 @@ def test_criterion_09_symmetrization():
     t0 = time.perf_counter()
     base = gen_rg(2, 2, u0=4.0, seed=909)
     sim = noisy_sim(base, 4.0)
-    idx = IndexSet.full(base)
+    idx = IndexSet.full(base.strategy_counts)
     truth = base.utilities.reshape(-1)
     reps, m = 2000, 32
     sup_devs = np.empty(reps)

@@ -37,6 +37,7 @@ from egta.games import (
 from egta.experiments import center_per_player
 from egta.hashing import _hash_uniform_numpy
 from egta.simulators import (
+    ConditionalSimulator,
     draw_conditions,
     expand,
     gen_rc,
@@ -92,7 +93,7 @@ def test_failure_schedules():
 def test_gs_zero_noise_hoeffding_exact():
     base = expand(ppa_example_game())  # integer-valued utilities
     sim = noisy_sim(base, 0.0)
-    idx = IndexSet.full(base)
+    idx = IndexSet.full(base.strategy_counts)
     res = gs(sim, idx, m=37, delta=0.1, c=sim.range_c, bound=BoundType.HOEFFDING, seed=4)
     assert np.array_equal(res.utilities, base.utilities.reshape(-1))
     assert res.epsilon == hoeffding_eps(sim.range_c, len(idx), 37, 0.1)
@@ -102,7 +103,7 @@ def test_gs_zero_noise_hoeffding_exact():
 def test_gs_zero_noise_onera_tail_floor():
     base = expand(ppa_example_game())
     sim = noisy_sim(base, 0.0)
-    idx = IndexSet.full(base)
+    idx = IndexSet.full(base.strategy_counts)
     res = gs(sim, idx, m=50, delta=0.2, c=sim.range_c, bound=BoundType.ONE_ERA, seed=1)
     floor = 3 * sim.range_c * math.sqrt(math.log(1 / 0.2) / 100)
     assert res.epsilon >= floor
@@ -115,7 +116,7 @@ def test_gs_1era_radius_between_tail_and_range():
             sim = noisy_sim(base, d)
             c = sim.range_c
             for m in (1, 7, 300):
-                res = gs(sim, IndexSet.full(base), m, 0.1, c, BoundType.ONE_ERA, seed=m)
+                res = gs(sim, IndexSet.full(base.strategy_counts), m, 0.1, c, BoundType.ONE_ERA, seed=m)
                 tail = 3 * c * math.sqrt(math.log(1 / 0.1) / (2 * m))
                 assert tail <= res.epsilon <= c + tail
 
@@ -123,7 +124,7 @@ def test_gs_1era_radius_between_tail_and_range():
 def test_gs_deterministic_and_seed_sensitive():
     base = gen_rg(3, 2, seed=6)
     sim = noisy_sim(base, 2.0)
-    idx = IndexSet.full(base)
+    idx = IndexSet.full(base.strategy_counts)
     a = gs(sim, idx, 200, 0.1, sim.range_c, BoundType.ONE_ERA, seed=5)
     b = gs(sim, idx, 200, 0.1, sim.range_c, BoundType.ONE_ERA, seed=5)
     c = gs(sim, idx, 200, 0.1, sim.range_c, BoundType.ONE_ERA, seed=6)
@@ -135,7 +136,7 @@ def test_gs_golden_regression_rc552():
     cg = gen_rc(5, 5, 2, seed=17)
     base = expand(cg)
     sim = noisy_sim(base, 2.0)
-    idx = IndexSet.full(base)
+    idx = IndexSet.full(base.strategy_counts)
     res = gs(sim, idx, 10_000, 0.1, sim.range_c, BoundType.ONE_ERA, seed=123)
     assert res.epsilon == pytest.approx(GOLDEN_RC552_EPSILON, rel=0, abs=0)
 
@@ -143,7 +144,7 @@ def test_gs_golden_regression_rc552():
 def test_gs_chunked_accumulation_close_to_direct():
     base = gen_rg(2, 3, seed=8)
     sim = noisy_sim(base, 3.0)
-    idx = IndexSet.full(base)
+    idx = IndexSet.full(base.strategy_counts)
     direct = gs(sim, idx, 512, 0.1, sim.range_c, BoundType.ONE_ERA, seed=2)
     old = algorithms._BLOCK_ELEMS
     try:
@@ -172,7 +173,7 @@ def test_gs_row_tiles_bit_identical(monkeypatch):
     tiles = (10**12, 1, 50_000, algorithms._TILE_ELEMS)
     for base, m in cases:
         sim = noisy_sim(base, 2.0)
-        idx = IndexSet.full(base)
+        idx = IndexSet.full(base.strategy_counts)
         calls = _count_calls(sim)
         runs, counts = [], []
         for tile in tiles:
@@ -199,7 +200,7 @@ def test_gs_1era_fallback_chunks_bit_identical(monkeypatch):
     # leaves 8- and 60-row chunks over RG(4,3)'s two blocks) and one chunk
     # per block; they are also the bits of the compiled kernel, where it
     # loads
-    runs = [(noisy_sim(base, 2.0), IndexSet.full(base), m) for base, m in [
+    runs = [(noisy_sim(base, 2.0), IndexSet.full(base.strategy_counts), m) for base, m in [
         (expand(gen_rc(5, 5, 1, seed=3)), 70_000),
         (gen_rg(4, 3, seed=5), 7000),
     ]]
@@ -244,7 +245,7 @@ def _peak_of_1era_ragged_blocks() -> tuple[int, int]:
     whole; the ragged block must reuse the first block's buffer."""
     base = gen_rg(2, 12, seed=1)
     sim = noisy_sim(base, 2.0)
-    idx = IndexSet.full(base)
+    idx = IndexSet.full(base.strategy_counts)
     assert len(idx) == 288
     tracemalloc.start()
     try:
@@ -278,7 +279,7 @@ def test_gs_hoeffding_samples_into_one_tile_buffer():
         pytest.skip("the compiled kernel is not available")
     base = gen_rg(2, 12, seed=1)
     sim = noisy_sim(base, 2.0)
-    idx = IndexSet.full(base)
+    idx = IndexSet.full(base.strategy_counts)
     m = 12_800
     tracemalloc.start()
     try:
@@ -293,7 +294,7 @@ def test_gs_hoeffding_samples_into_one_tile_buffer():
 def test_noisy_sample_block_matches_formula():
     base = gen_rg(3, 3, seed=2)
     sim = noisy_sim(base, 5.0)
-    idx = IndexSet.full(base)
+    idx = IndexSet.full(base.strategy_counts)
     seeds = draw_conditions(np.random.default_rng(7), 300)
     keys = (idx.players * base.num_profiles + idx.profiles).astype(np.uint64)
     want = base.utilities[idx.players, idx.profiles][:, None] + (
@@ -311,7 +312,7 @@ def test_gs_hoeffding_independent_of_blas_threads():
         "from egta.simulators import gen_rg, noisy_sim\n"
         "base = gen_rg(4, 4, seed=3)\n"
         "sim = noisy_sim(base, 5.0)\n"
-        "print(gs(sim, IndexSet.full(base), 3000, 0.1, sim.range_c, BoundType.HOEFFDING,"
+        "print(gs(sim, IndexSet.full(base.strategy_counts), 3000, 0.1, sim.range_c, BoundType.HOEFFDING,"
         " seed=9).to_json())\n"
     )
     outputs = []
@@ -332,7 +333,7 @@ def test_gs_zero_range_is_exact():
     sim = noisy_sim(base, 0.0)
     assert sim.range_c == 0.0
     for bound in BoundType:
-        res = gs(sim, IndexSet.full(base), m=20, delta=0.1, c=sim.range_c, bound=bound, seed=3)
+        res = gs(sim, IndexSet.full(base.strategy_counts), m=20, delta=0.1, c=sim.range_c, bound=bound, seed=3)
         assert res.epsilon == 0.0
         assert np.array_equal(res.utilities, np.zeros(8))
     sched = SamplingSchedule.finite_doubling(10, 70)
@@ -344,21 +345,39 @@ def test_gs_zero_range_is_exact():
 def test_gs_validates_inputs():
     base = gen_rg(2, 2, seed=1)
     sim = noisy_sim(base, 1.0)
-    idx = IndexSet.full(base)
-    with pytest.raises(ValueError):
+    idx = IndexSet.full(base.strategy_counts)
+    # each case fails for its own reason before c = 1.0 < range_c is checked
+    with pytest.raises(ValueError, match="index set must be nonempty"):
         gs(sim, IndexSet([], []), 10, 0.1, 1.0, BoundType.HOEFFDING)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="sample count m must be at least 1"):
         gs(sim, idx, 0, 0.1, 1.0, BoundType.HOEFFDING)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="failure probability delta"):
         gs(sim, idx, 10, 1.1, 1.0, BoundType.HOEFFDING)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="utility range c must be finite and nonnegative"):
         gs(sim, idx, 10, 0.1, -1.0, BoundType.HOEFFDING)
     for m in (math.nan, 10.5, 10.0):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="sample count m must be an integer"):
             gs(sim, idx, m, 0.1, 1.0, BoundType.HOEFFDING)
     for bound in ("bogus", None, "HOEFFDING"):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="is not a valid BoundType"):
             gs(sim, idx, 10, 0.1, 1.0, bound)
+
+
+def test_gs_and_psp_refuse_c_below_the_declared_range():
+    """A c below range_c would give a radius the samples cannot back."""
+    sim = noisy_sim(gen_rg(2, 2, seed=1), 1.0)
+    assert 10.0 < sim.range_c < 11.0
+    idx = IndexSet.full(sim.strategy_counts)
+    sched = SamplingSchedule.finite_doubling(10, 30)
+    failure = FailureSchedule.uniform_split(0.1, sched.length)
+    for bound in BoundType:
+        with pytest.raises(ValueError, match="below the simulator's declared range"):
+            gs(sim, idx, 10, 0.1, 10.0, bound)
+        with pytest.raises(ValueError, match="below the simulator's declared range"):
+            psp(sim, sched, failure, 10.0, bound)
+        # the declared range and any wider one are accepted
+        assert gs(sim, idx, 10, 0.1, sim.range_c, bound).epsilon > 0
+        assert psp(sim, sched, failure, 2 * sim.range_c, bound).epsilon > 0
 
 
 def test_bound_accepts_enum_or_value():
@@ -366,7 +385,7 @@ def test_bound_accepts_enum_or_value():
     other value used to fall through to 1ERA without drawing signs."""
     base = gen_rg(2, 2, seed=1)
     sim = noisy_sim(base, 1.0)
-    idx = IndexSet.full(base)
+    idx = IndexSet.full(base.strategy_counts)
     for bound in BoundType:
         by_enum = gs(sim, idx, 10, 0.1, sim.range_c, bound, seed=3)
         by_value = gs(sim, idx, 10, 0.1, sim.range_c, bound.value, seed=3)
@@ -388,7 +407,7 @@ def test_gs_guarantee_monte_carlo_small():
     cg = gen_rc(3, 3, 2, seed=2)
     base = expand(cg)
     sim = noisy_sim(base, 5.0)
-    idx = IndexSet.full(base)
+    idx = IndexSet.full(base.strategy_counts)
     for bound in BoundType:
         hits = 0
         for rep in range(60):
@@ -405,7 +424,7 @@ def _pd_game():
 
 def test_prune_pure_no_pruning_for_huge_radius():
     g = _pd_game()
-    full = IndexSet.full(g)
+    full = IndexSet.full(g.strategy_counts)
     out = prune_pure(g, full, eps_hat=10.0)
     assert out.pairs() == full.pairs()
 
@@ -415,7 +434,7 @@ def test_prune_pure_pd_regret_table():
     # 2*eps_hat: with 2*eps_hat below the smallest positive regret these are
     # each player's best-response profiles
     g = _pd_game()
-    out = prune_pure(g, IndexSet.full(g), eps_hat=0.4)
+    out = prune_pure(g, IndexSet.full(g.strategy_counts), eps_hat=0.4)
     assert set(out.pairs()) == {(0, 2), (0, 3), (1, 1), (1, 3)}
     table = regret_table(g)
     for p, j in out.pairs():
@@ -425,7 +444,7 @@ def test_prune_pure_pd_regret_table():
 def test_prune_pure_monotone_in_radius():
     rng = np.random.default_rng(12)
     g = gen_rg(3, 3, seed=3)
-    full = IndexSet.full(g)
+    full = IndexSet.full(g.strategy_counts)
     for _ in range(10):
         small, large = sorted(rng.uniform(0, 4, size=2))
         s_small = set(prune_pure(g, full, small).pairs())
@@ -447,7 +466,7 @@ def test_prune_pure_uses_surviving_structure():
 def test_prune_rejects_negative_or_nan_radius():
     # NaN used to make prune_pure return no indices at all
     g = gen_rg(2, 2)
-    full = IndexSet.full(g)
+    full = IndexSet.full(g.strategy_counts)
     for prune in (prune_pure, prune_mixed):
         for eps_hat in (-1.0, float("nan")):
             with pytest.raises(ValueError, match="nonnegative"):
@@ -498,13 +517,13 @@ def test_prune_mixed_matches_oracle(case):
 
 def test_prune_mixed_no_pruning_for_huge_radius():
     g = _pd_game()
-    full = IndexSet.full(g)
+    full = IndexSet.full(g.strategy_counts)
     assert prune_mixed(g, full, eps_hat=10.0).pairs() == full.pairs()
 
 
 def test_prune_mixed_pd_keeps_defect_profile_only():
     g = _pd_game()
-    out = prune_mixed(g, IndexSet.full(g), eps_hat=0.2)
+    out = prune_mixed(g, IndexSet.full(g.strategy_counts), eps_hat=0.2)
     assert set(out.pairs()) == {(0, 3), (1, 3)}
 
 
@@ -516,7 +535,7 @@ def test_prune_mixed_dominated_own_coordinate_implies_pure_pruning():
     for trial in range(20):
         g = gen_rg(3, 3, seed=100 + trial)
         eps_hat = float(rng.uniform(0.05, 1.0))
-        full = IndexSet.full(g)
+        full = IndexSet.full(g.strategy_counts)
         mixed = set(prune_mixed(g, full, eps_hat).pairs())
         pure = set(prune_pure(g, full, eps_hat).pairs())
         from egta.games import rationalizable
@@ -879,6 +898,40 @@ def test_psp_golden_mixed_onera_geometric():
         seed=5,
     )
     assert _sha256(res.to_json()) == GOLDEN_PSP_MIXED_SHA256
+
+
+class _Blind(ConditionalSimulator):
+    """A simulator with no ground-truth game: it declares the contract and
+    passes each sample through from another simulator."""
+
+    def __init__(self, inner):
+        self.strategy_counts = inner.strategy_counts
+        self.range_c = inner.range_c
+        self._inner = inner
+
+    def sample_block(self, cond_seeds, players, profiles, out, sums):
+        return self._inner.sample_block(cond_seeds, players, profiles, out, sums)
+
+
+def test_gs_and_psp_need_no_base_game():
+    """gs and psp learn from strategy_counts, range_c and sample_block
+    alone, with the bits they give on the simulator holding the game."""
+    sim = noisy_sim(center_per_player(expand(gen_rc(3, 5, 6, alpha=0.6, seed=4))), 2.0)
+    blind = _Blind(sim)
+    assert not hasattr(blind, "base")
+    idx = IndexSet.full(sim.strategy_counts)
+    sched = SamplingSchedule.finite_doubling(100, 1500)
+    failure = FailureSchedule.uniform_split(0.1, sched.length)
+    for bound in BoundType:
+        want = gs(sim, idx, 300, 0.1, sim.range_c, bound, seed=2)
+        got = gs(blind, idx, 300, 0.1, blind.range_c, bound, seed=2)
+        assert got.to_json() == want.to_json()
+        assert got.strategy_counts == want.strategy_counts
+        for pure in (True, False):
+            want = psp(sim, sched, failure, sim.range_c, bound, pure, seed=3)
+            got = psp(blind, sched, failure, blind.range_c, bound, pure, seed=3)
+            assert len(got.trace) == 4
+            assert got.to_json() == want.to_json()
 
 
 # frozen from the first run; guards the whole sampling + bound pipeline

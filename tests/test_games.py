@@ -335,26 +335,41 @@ def test_game_json_validates_lengths():
 
 def test_own_strategy_matches_profile_of_index():
     g = NormalFormGame((2, 3, 1, 4), np.zeros((4, 24)))
-    idx = IndexSet.full(g)
+    idx = IndexSet.full(g.strategy_counts)
     got = g.own_strategy(idx.players, idx.profiles)
     want = [g.profile_of_index(s)[p] for p, s in idx.pairs()]
     assert got.tolist() == want
 
 
 def test_index_set_helpers(matching_pennies):
-    full = IndexSet.full(matching_pennies)
+    """IndexSet reads a game's shape from its strategy counts alone."""
+    counts = matching_pennies.strategy_counts
+    full = IndexSet.full(counts)
     assert len(full) == 8
-    full.validate_for(matching_pennies)
-    mask = full.to_mask(matching_pennies)
-    assert mask.all()
+    assert full.pairs() == IndexSet.full([np.int64(2), 2]).pairs()
+    full.validate_for(counts)
+    mask = full.to_mask(counts)
+    assert mask.shape == (2, 4) and mask.all()
     again = IndexSet.from_mask(mask)
     assert again.pairs() == full.pairs()
     with pytest.raises(ValueError, match="duplicate"):
-        IndexSet([0, 0], [0, 0]).validate_for(matching_pennies)
+        IndexSet([0, 0], [0, 0]).validate_for(counts)
     # a duplicate that is not next to its twin
     with pytest.raises(ValueError, match=r"duplicate \(player, profile\) pairs"):
-        IndexSet([0, 1, 0], [3, 0, 3]).validate_for(matching_pennies)
+        IndexSet([0, 1, 0], [3, 0, 3]).validate_for(counts)
     with pytest.raises(ValueError, match="player index out of range"):
-        IndexSet([5], [0]).validate_for(matching_pennies)
+        IndexSet([5], [0]).validate_for(counts)
     with pytest.raises(ValueError, match="profile index out of range"):
-        IndexSet([0], [4]).validate_for(matching_pennies)
+        IndexSet([0], [4]).validate_for(counts)
+    # the counts follow the rule a game's own counts do
+    for bad in ((), (2, 0), (2, 2.0), (True, 2), 2):
+        with pytest.raises(ValueError, match="strategy count|at least one player"):
+            IndexSet.full(bad)
+    # a game passed where its strategy counts belong
+    for call in (
+        lambda: IndexSet.full(matching_pennies),
+        lambda: full.validate_for(matching_pennies),
+        lambda: full.to_mask(matching_pennies),
+    ):
+        with pytest.raises(ValueError, match="strategy counts must be a sequence, not NormalFormGame"):
+            call()

@@ -30,7 +30,7 @@ from egta.simulators import (
 
 GAME = NormalFormGame((2, 2), np.arange(8.0).reshape(2, 4))
 SIM = noisy_sim(GAME, 1.0)
-FULL = IndexSet.full(GAME)
+FULL = IndexSet.full(GAME.strategy_counts)
 
 
 def _gs(m=10, seed=0):

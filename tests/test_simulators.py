@@ -187,7 +187,7 @@ def test_congestion_json_roundtrip():
 def test_noisy_sim_zero_noise_is_exact():
     base = expand(ppa_example_game())
     sim = noisy_sim(base, 0.0)
-    idx = IndexSet.full(base)
+    idx = IndexSet.full(base.strategy_counts)
     seeds = draw_conditions(np.random.default_rng(0), 7)
     values = sample(sim, seeds, idx.players, idx.profiles)
     assert np.array_equal(values, np.tile(base.utilities.reshape(-1)[:, None], (1, 7)))
@@ -196,7 +196,7 @@ def test_noisy_sim_zero_noise_is_exact():
 def test_noisy_sim_support_and_determinism():
     base = gen_rg(2, 2, seed=1)
     sim = noisy_sim(base, d=3.0)
-    idx = IndexSet.full(base)
+    idx = IndexSet.full(base.strategy_counts)
     seeds = draw_conditions(np.random.default_rng(1), 500)
     a = sample(sim, seeds, idx.players, idx.profiles)
     b = sample(sim, seeds, idx.players, idx.profiles)
@@ -220,7 +220,7 @@ def test_noisy_sim_query_matches_block():
     # a one-entry block (a single query) equals that entry of a full block
     base = gen_rg(3, 2, seed=2)
     sim = noisy_sim(base, d=2.0)
-    idx = IndexSet.full(base)
+    idx = IndexSet.full(base.strategy_counts)
     seeds = draw_conditions(np.random.default_rng(4), 5)
     full = sample(sim, seeds, idx.players, idx.profiles)
     j = base.profile_index((0, 1, 1))
@@ -233,7 +233,7 @@ def test_noisy_sim_means_concentrate_on_base():
     base = gen_rg(2, 2, seed=3)
     d = 4.0
     sim = noisy_sim(base, d)
-    idx = IndexSet.full(base)
+    idx = IndexSet.full(base.strategy_counts)
     m = 100_000
     seeds = draw_conditions(np.random.default_rng(11), m)
     means = sample(sim, seeds, idx.players, idx.profiles).mean(axis=1)
@@ -244,7 +244,7 @@ def test_noisy_sim_means_concentrate_on_base():
 def test_factored_sim_zero_scales_and_global_sharing():
     base = gen_rg(2, 3, u0=1.9, seed=4)
     silent = FactoredNoiseSimulator(1.0, [0.0], ["global"], base, seed=0)
-    idx = IndexSet.full(base)
+    idx = IndexSet.full(base.strategy_counts)
     seeds = draw_conditions(np.random.default_rng(2), 5)
     assert np.array_equal(
         sample(silent, seeds, idx.players, idx.profiles),
@@ -263,7 +263,7 @@ def test_factored_sample_block_matches_formula():
     # in-place code must give these bits exactly, whichever factor is the
     # first nonzero one
     base = gen_rg(3, 3, u0=2.0, seed=7)
-    idx = IndexSet.full(base)
+    idx = IndexSet.full(base.strategy_counts)
     seeds = draw_conditions(np.random.default_rng(8), 300)
     groups = {
         "global": np.zeros_like(idx.players),
@@ -289,7 +289,7 @@ def test_sample_block_fills_out(monkeypatch):
     # them a factored simulator's with one nonzero scale, whose keys alone
     # are salted and hashed by factor
     base = gen_rg(3, 3, u0=2.0, seed=7)
-    idx = IndexSet.full(base)
+    idx = IndexSet.full(base.strategy_counts)
     seeds = draw_conditions(np.random.default_rng(9), 301)
     sims = [
         (noisy_sim(base, 2.0), True),
@@ -325,7 +325,7 @@ def test_zero_width_factors_keep_negative_zero_base(monkeypatch):
     # a zero-width factor is dropped rather than adding +-0.0 noise, which
     # would turn a -0.0 base into +0.0
     base = NormalFormGame((2, 2), np.array([[-0.0, 1.0, -0.0, 2.0], [0.0, -0.0, 3.0, -0.0]]))
-    idx = IndexSet.full(base)
+    idx = IndexSet.full(base.strategy_counts)
     seeds = draw_conditions(np.random.default_rng(10), 9)
     want = np.repeat(base.utilities.reshape(-1)[:, None], 9, axis=1)
     kernel = hashing._kernel()
@@ -343,7 +343,7 @@ def test_factored_sim_image_sizes_and_range():
     huge = factor_image_sizes(FACTOR_KINDS, (100,) * 100)
     assert huge == [1, 100, 100, 100**100, 100 * 100**100]
     assert sim.range_c == 2.0 * (1.0 + 4.0)
-    idx = IndexSet.full(base)
+    idx = IndexSet.full(base.strategy_counts)
     seeds = draw_conditions(np.random.default_rng(3), 50)
     values = sample(sim, seeds, idx.players, idx.profiles)
     assert np.all(np.abs(values) <= sim.range_c / 2)
@@ -358,7 +358,7 @@ def test_factored_sim_mean_era_below_factored_bound():
     for players, k in ((2, 3), (3, 4)):
         base = gen_rg(players, k, u0=2.0, seed=players)
         b = factor_image_sizes(FACTOR_KINDS, base.strategy_counts)
-        idx = IndexSet.full(base)
+        idx = IndexSet.full(base.strategy_counts)
         for m in (100, 1000):
             r_hats = []
             for draw in range(30):
@@ -392,7 +392,7 @@ def test_empirical_game_single_draw_and_zero_noise():
     # the empirical game of gs (GSResult.to_game) from one condition is that
     # condition's block; without noise it is the base game at any m
     base = expand(ppa_example_game())
-    idx = IndexSet.full(base)
+    idx = IndexSet.full(base.strategy_counts)
     sim = noisy_sim(base, 2.0)
     emp = gs(sim, idx, 1, 0.1, sim.range_c, BoundType.HOEFFDING, seed=42).to_game()
     seeds = draw_conditions(np.random.Generator(np.random.PCG64(42)), 1)

@@ -49,7 +49,7 @@ def test_tracer_sees_the_kernel(tracing):
         for bound, calls in (("hoeffding", tiles), ("1era", 1)):
             tracer = tracing.Tracer()
             with tracing.patched(tracer.replacements()):
-                tracer.run_pass(0, lambda: algorithms.gs(sim, IndexSet.full(game), 5000, 0.05, sim.range_c, bound))
+                tracer.run_pass(0, lambda: algorithms.gs(sim, IndexSet.full(game.strategy_counts), 5000, 0.05, sim.range_c, bound))
             metrics = tracing.layer_metrics(tracer.spans, 1, 1.0, 1.0)
             assert metrics["hashing.hash_uniform.calls"] == metrics["simulators.sample_block.calls"] == calls
             assert metrics["hashing.hash_uniform.elems"] == metrics["simulators.sample_block.evals"] == 81 * 5000
