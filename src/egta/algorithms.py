@@ -127,21 +127,20 @@ class GSResult:
     m: int
     delta: float
     bound: BoundType
-    strategy_counts: tuple[int, ...]
 
     def sup_deviation(self, truth: NormalFormGame) -> float:
         """Largest estimate error against the known expected game; ValueError
         if its strategy counts are not those of the game sampled."""
-        if truth.strategy_counts != self.strategy_counts:
-            raise ValueError(f"strategy counts {truth.strategy_counts} are not those sampled, {self.strategy_counts}")
+        _check_counts(self.index_set, truth.strategy_counts)
         actual = truth.utilities[self.index_set.players, self.index_set.profiles]
         return float(np.abs(self.utilities - actual).max())
 
     def to_game(self) -> NormalFormGame:
         """The empirical game: estimates at their indices, zero elsewhere."""
-        table = np.zeros((len(self.strategy_counts), math.prod(self.strategy_counts)))
+        counts = self.index_set.strategy_counts
+        table = np.zeros((len(counts), math.prod(counts)))
         table[self.index_set.players, self.index_set.profiles] = self.utilities
-        return NormalFormGame(self.strategy_counts, table)
+        return NormalFormGame(counts, table)
 
     def to_json(self) -> str:
         return json.dumps(
@@ -174,7 +173,7 @@ def gs(
     average it is 2r + 3c*sqrt(ln(1/delta)/(2m)) for a fresh sign draw.
     A zero range c makes every sample exact, and both radii are then zero.
     A c below ``sim.range_c`` raises ValueError: its radius would not bound
-    the samples.
+    the samples. So does an index set of strategy counts other than ``sim``'s.
 
     The m condition seeds come from a fresh PCG64 generator seeded with
     ``seed``, an integer taken mod 2^64 (so -1 and 2^64 - 1 give the same
@@ -199,8 +198,7 @@ def gs(
     m = _integer(m, "sample count m", least=1)
     _check_common(c, m, delta)
     _check_range(sim, c)
-    counts = _strategy_counts(sim.strategy_counts)
-    index_set.validate_for(counts)
+    _check_counts(index_set, sim.strategy_counts)
 
     rng = _generator(seed)
     cond_seeds = draw_conditions(rng, m)
@@ -232,12 +230,17 @@ def gs(
     else:
         r = float(np.abs(signed).max() / m)
         epsilon = era_eps(r, c, m, delta)
-    return GSResult(index_set, means, epsilon, m, delta, bound, counts)
+    return GSResult(index_set, means, epsilon, m, delta, bound)
 
 
 def _check_range(sim: ConditionalSimulator, c: float) -> None:
     if c < sim.range_c:
         raise ValueError(f"utility range c = {c} is below the simulator's declared range {sim.range_c}")
+
+
+def _check_counts(index_set: IndexSet, declared: Sequence[int]) -> None:
+    if index_set.strategy_counts != (counts := _strategy_counts(declared)):
+        raise ValueError(f"strategy counts {counts} are not the index set's, {index_set.strategy_counts}")
 
 
 def _signs(rng: np.random.Generator, m: int) -> np.ndarray:
@@ -258,17 +261,18 @@ def _signs(rng: np.random.Generator, m: int) -> np.ndarray:
 def prune_pure(game: NormalFormGame, index_set: IndexSet, eps_hat: float) -> IndexSet:
     """Indices worth keeping for pure-equilibrium estimation: keep (p, s)
     when p's regret at s, with deviations ranging only over p's surviving
-    indices at the same opponent context, is at most 2*eps_hat."""
+    indices at the same opponent context, is at most 2*eps_hat. An index
+    set of other strategy counts than the game's raises ValueError."""
     if not eps_hat >= 0:
         raise ValueError("eps_hat must be nonnegative")
-    index_set.validate_for(game.strategy_counts)
-    mask = index_set.to_mask(game.strategy_counts)
+    _check_counts(index_set, game.strategy_counts)
+    mask = index_set.to_mask()
     for p in range(game.num_players):
         t = game.tensor(p)
         alive = mask[p].reshape(game.strategy_counts)
         best = np.where(alive, t, -np.inf).max(axis=p, keepdims=True)
         mask[p] = (alive & (best - t <= 2.0 * eps_hat)).reshape(-1)
-    return IndexSet.from_mask(mask)
+    return IndexSet.from_mask(mask, game.strategy_counts)
 
 
 def _restriction_of(index_set: IndexSet, game: NormalFormGame) -> list[list[int]]:
@@ -278,8 +282,9 @@ def _restriction_of(index_set: IndexSet, game: NormalFormGame) -> list[list[int]
 
 def prune_mixed(game: NormalFormGame, index_set: IndexSet, eps_hat: float) -> IndexSet:
     """Indices worth keeping for mixed-equilibrium estimation: every
-    coordinate of the profile is 2*eps_hat-rationalizable."""
-    index_set.validate_for(game.strategy_counts)
+    coordinate of the profile is 2*eps_hat-rationalizable. An index set of
+    other strategy counts than the game's raises ValueError."""
+    _check_counts(index_set, game.strategy_counts)
     restriction = _restriction_of(index_set, game)
     if [] in restriction:
         raise ValueError(f"index set has no index for player {restriction.index([])}")
@@ -287,7 +292,7 @@ def prune_mixed(game: NormalFormGame, index_set: IndexSet, eps_hat: float) -> In
     grid = np.zeros(game.strategy_counts, dtype=bool)
     grid[np.ix_(*surviving)] = True
     keep = grid.reshape(-1)[index_set.profiles]
-    return IndexSet(index_set.players[keep], index_set.profiles[keep])
+    return IndexSet(index_set.players[keep], index_set.profiles[keep], game.strategy_counts)
 
 
 @dataclass(frozen=True)
@@ -362,8 +367,8 @@ def psp(
     last estimation. As in gs, a c below ``sim.range_c`` raises ValueError.
     """
     _check_range(sim, c)
-    counts = _strategy_counts(sim.strategy_counts)
-    index_set = IndexSet.full(counts)
+    index_set = IndexSet.full(sim.strategy_counts)
+    counts = index_set.strategy_counts
     utilities = np.zeros((len(counts), math.prod(counts)))
     radii = np.full(utilities.shape, c / 2.0)
 

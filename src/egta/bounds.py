@@ -30,7 +30,10 @@ def hoeffding_eps(c: float, num_indices: int, m: float, delta: float) -> float:
     c * sqrt(ln(2|I|/delta)/(2m)). Use hoeffding_eps_ln when |I| overflows."""
     _check_common(c, m, delta)
     num_indices = _integer(num_indices, "index-set size", least=1)
-    return c * math.sqrt(math.log(2.0 * num_indices / delta) / (2.0 * m))
+    try:
+        return c * math.sqrt(math.log(2.0 * num_indices / delta) / (2.0 * m))
+    except OverflowError:
+        raise ValueError("index-set size overflows a float; use hoeffding_eps_ln") from None
 
 
 def hoeffding_eps_ln(c: float, ln_num_indices: float, m: float, delta: float) -> float:

@@ -33,6 +33,7 @@ from .games import IndexSet, NormalFormGame, check_containment, game_size, nash_
 from .hashing import _integer, mix
 from .simulators import (
     FACTOR_KINDS,
+    _anarchy,
     expand,
     factor_image_sizes,
     gen_rc,
@@ -91,18 +92,14 @@ def run_eps_vs_samples(
     name = "eps-vs-samples"
     rows = []
     bases = [expand(gen_rc(5, 5, 2, seed=mix(seed, name, rep))) for rep in range(reps)]
+    fulls = [IndexSet.full(base.strategy_counts) for base in bases]
     for d in d_values:
         sims = [noisy_sim(base, d) for base in bases]
         for m in m_values:
             eps = np.empty(reps)
             for rep, sim in enumerate(sims):
                 result = gs(
-                    sim,
-                    IndexSet.full(sim.strategy_counts),
-                    m,
-                    delta,
-                    sim.range_c,
-                    BoundType.ONE_ERA,
+                    sim, fulls[rep], m, delta, sim.range_c, BoundType.ONE_ERA,
                     seed=mix(seed, name, rep, int(d * 1000), m),
                 )
                 eps[rep] = result.epsilon
@@ -217,17 +214,13 @@ def run_success_rate(
     for family, make in families.items():
         bases = [make(rep) for rep in range(reps)]
         sims = [noisy_sim(base, d) for base in bases]
+        fulls = [IndexSet.full(base.strategy_counts) for base in bases]
         for bound in (BoundType.HOEFFDING, BoundType.ONE_ERA):
             for delta in delta_grid:
                 success = {rho: np.zeros(reps, dtype=bool) for rho in rho_grid}
                 for rep, sim in enumerate(sims):
                     result = gs(
-                        sim,
-                        IndexSet.full(sim.strategy_counts),
-                        m,
-                        delta,
-                        sim.range_c,
-                        bound,
+                        sim, fulls[rep], m, delta, sim.range_c, bound,
                         seed=mix(seed, name, family, rep, bound.value),
                     )
                     empirical = result.to_game()
@@ -384,12 +377,7 @@ def run_bound_compare_vns(
 
 def run_ppa_demo() -> str:
     """Text report for the canonical three-player congestion instance."""
-    cg = ppa_example_game()
-    game = expand(cg)
-    totals = -game.utilities.sum(axis=0)
-    nash = np.nonzero(nash_mask(game, 0.0))[0]
-    optimum = float(totals.min())
-    worst = float(totals[nash].max())
+    game, totals, nash, optimum, worst = _anarchy(ppa_example_game())
     lines = [
         "Pure price of anarchy demo: 3 players, 6 facilities, linear costs.",
         f"Pure equilibria ({nash.size}):",

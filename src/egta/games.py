@@ -95,12 +95,16 @@ class NormalFormGame:
 
 @dataclass(frozen=True)
 class IndexSet:
-    """Ordered, duplicate-free set of (player, profile-index) pairs."""
+    """Ordered set of distinct (player, profile-index) pairs of the game with
+    these strategy counts; ValueError at construction otherwise."""
 
     players: np.ndarray
     profiles: np.ndarray
+    strategy_counts: tuple[int, ...]
 
     def __post_init__(self):
+        counts = _strategy_counts(self.strategy_counts)
+        object.__setattr__(self, "strategy_counts", counts)
         for name in ("players", "profiles"):
             a = np.asarray(getattr(self, name))
             if a.size and a.dtype.kind not in "iu":  # an empty list reads as float64
@@ -110,6 +114,17 @@ class IndexSet:
             object.__setattr__(self, name, a)
         if self.players.shape != self.profiles.shape or self.players.ndim != 1:
             raise ValueError("players and profiles must be 1-d arrays of equal length")
+        # Python ints, so that a profile count past 2^63 compares exactly
+        for name, a, end in (("player", self.players, len(counts)), ("profile", self.profiles, math.prod(counts))):
+            if a.size and (int(a.min()) < 0 or int(a.max()) >= end):
+                raise ValueError(f"{name} index out of range")
+        # pairs in strictly increasing order are distinct; others are sorted first
+        dp, ds = np.diff(self.players), np.diff(self.profiles)
+        if not np.all((dp > 0) | (dp == 0) & (ds > 0)):
+            order = np.lexsort((self.profiles, self.players))
+            dp, ds = np.diff(self.players[order]), np.diff(self.profiles[order])
+        if np.any((dp == 0) & (ds == 0)):
+            raise ValueError("duplicate (player, profile) pairs")
 
     def __len__(self) -> int:
         return self.players.shape[0]
@@ -117,40 +132,21 @@ class IndexSet:
     def pairs(self) -> list[tuple[int, int]]:
         return list(zip(self.players.tolist(), self.profiles.tolist()))
 
-    def validate_for(self, strategy_counts: Sequence[int]) -> None:
-        """ValueError unless the pairs are distinct indices of these counts' game."""
-        num_players, num_profiles = _shape(strategy_counts)
-        n = len(self)
-        if n == 0:
-            return
-        if self.players.min() < 0 or self.players.max() >= num_players:
-            raise ValueError("player index out of range")
-        if self.profiles.min() < 0 or self.profiles.max() >= num_profiles:
-            raise ValueError("profile index out of range")
-        seen = np.zeros(num_players * num_profiles, dtype=bool)
-        seen[self.players * num_profiles + self.profiles] = True
-        if np.count_nonzero(seen) != n:
-            raise ValueError("duplicate (player, profile) pairs")
-
-    def to_mask(self, strategy_counts: Sequence[int]) -> np.ndarray:
-        mask = np.zeros(_shape(strategy_counts), dtype=bool)
+    def to_mask(self) -> np.ndarray:
+        mask = np.zeros((len(self.strategy_counts), math.prod(self.strategy_counts)), dtype=bool)
         mask[self.players, self.profiles] = True
         return mask
 
     @staticmethod
-    def from_mask(mask: np.ndarray) -> "IndexSet":
+    def from_mask(mask: np.ndarray, strategy_counts: Sequence[int]) -> "IndexSet":
         players, profiles = np.nonzero(mask)
-        return IndexSet(players, profiles)
+        return IndexSet(players, profiles, strategy_counts)
 
     @staticmethod
     def full(strategy_counts: Sequence[int]) -> "IndexSet":
         """Every (player, profile) pair of these counts' game, player-major."""
-        return IndexSet.from_mask(np.ones(_shape(strategy_counts), dtype=bool))
-
-
-def _shape(strategy_counts: Sequence[int]) -> tuple[int, int]:
-    counts = _strategy_counts(strategy_counts)
-    return len(counts), math.prod(counts)
+        counts = _strategy_counts(strategy_counts)
+        return IndexSet.from_mask(np.ones((len(counts), math.prod(counts)), dtype=bool), counts)
 
 
 def _player(game: NormalFormGame, p: int) -> int:

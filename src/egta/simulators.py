@@ -272,18 +272,25 @@ def expand(cg: CongestionGame) -> NormalFormGame:
     return NormalFormGame(counts, utilities)
 
 
-def ppa_exact(cg: CongestionGame) -> float:
-    """Exact pure price of anarchy: worst total cost over pure equilibria of
-    the expanded game, divided by the optimal total cost, which must be > 0."""
+def _anarchy(cg: CongestionGame) -> tuple[NormalFormGame, np.ndarray, np.ndarray, float, float]:
+    """The expanded game, each profile's total cost, the pure equilibria's
+    indices, the optimal cost (which must be > 0) and the worst equilibrium's."""
     game = expand(cg)
     total_cost = -welfare_table(game)
-    nash = nash_mask(game, 0.0)
-    if not nash.any():
+    nash = np.nonzero(nash_mask(game, 0.0))[0]
+    if not nash.size:
         raise RuntimeError("no pure equilibrium found; congestion games must have one")
     optimum = float(total_cost.min())
     if optimum <= 0:
         raise ValueError("optimal total cost must be positive")
-    return float(total_cost[nash].max()) / optimum
+    return game, total_cost, nash, optimum, float(total_cost[nash].max())
+
+
+def ppa_exact(cg: CongestionGame) -> float:
+    """Exact pure price of anarchy: worst total cost over pure equilibria of
+    the expanded game, divided by the optimal total cost, which must be > 0."""
+    *_, optimum, worst = _anarchy(cg)
+    return worst / optimum
 
 
 def ppa_example_game() -> CongestionGame:

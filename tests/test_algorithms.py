@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -348,7 +349,7 @@ def test_gs_validates_inputs():
     idx = IndexSet.full(base.strategy_counts)
     # each case fails for its own reason before c = 1.0 < range_c is checked
     with pytest.raises(ValueError, match="index set must be nonempty"):
-        gs(sim, IndexSet([], []), 10, 0.1, 1.0, BoundType.HOEFFDING)
+        gs(sim, IndexSet([], [], base.strategy_counts), 10, 0.1, 1.0, BoundType.HOEFFDING)
     with pytest.raises(ValueError, match="sample count m must be at least 1"):
         gs(sim, idx, 0, 0.1, 1.0, BoundType.HOEFFDING)
     with pytest.raises(ValueError, match="failure probability delta"):
@@ -361,6 +362,13 @@ def test_gs_validates_inputs():
     for bound in ("bogus", None, "HOEFFDING"):
         with pytest.raises(ValueError, match="is not a valid BoundType"):
             gs(sim, idx, 10, 0.1, 1.0, bound)
+    # an index set of another game's counts, though every pair would fit
+    with pytest.raises(ValueError, match=r"strategy counts \(2, 2\) are not the index set's, \(2, 3\)"):
+        gs(sim, IndexSet([0], [0], (2, 3)), 10, 0.1, sim.range_c, BoundType.HOEFFDING)
+    # a simulator whose declared counts are no sequence at all
+    sim.strategy_counts = 4
+    with pytest.raises(ValueError, match="strategy counts must be a sequence, not int"):
+        gs(sim, idx, 10, 0.1, sim.range_c, BoundType.HOEFFDING)
 
 
 def test_gs_and_psp_refuse_c_below_the_declared_range():
@@ -456,7 +464,7 @@ def test_prune_pure_uses_surviving_structure():
     # once an index is pruned it stops serving as a deviation target
     g = _pd_game()
     # drop player 0's cooperate-row indices by hand
-    kept = IndexSet([0, 0, 1, 1, 1, 1], [2, 3, 0, 1, 2, 3])
+    kept = IndexSet([0, 0, 1, 1, 1, 1], [2, 3, 0, 1, 2, 3], g.strategy_counts)
     out = prune_pure(g, kept, eps_hat=0.4)
     # player 1 at (C,C): deviation (C,D) still alive, regret 2 -> pruned;
     # player 1 at (D,C): deviation (D,D) alive, regret 1 -> pruned
@@ -476,9 +484,17 @@ def test_prune_rejects_negative_or_nan_radius():
 def test_prune_mixed_names_player_without_index():
     # both used to report an invalid "restriction" the caller never passed
     g = gen_rg(2, 2)
-    for index_set, player in ((IndexSet([0, 0], [0, 1]), 1), (IndexSet([], []), 0)):
+    for pairs, player in ((([0, 0], [0, 1]), 1), (([], []), 0)):
         with pytest.raises(ValueError, match=f"no index for player {player}"):
-            prune_mixed(g, index_set, 0.5)
+            prune_mixed(g, IndexSet(*pairs, g.strategy_counts), 0.5)
+
+
+def test_prune_refuses_index_set_of_other_counts():
+    g = gen_rg(2, 2)
+    for other in ((4,), (2, 2, 1), (2, 3)):
+        for prune in (prune_pure, prune_mixed):
+            with pytest.raises(ValueError, match=rf"strategy counts \(2, 2\) are not the index set's, {re.escape(str(other))}"):
+                prune(g, IndexSet([0], [0], other), 0.5)
 
 
 @st.composite
@@ -491,7 +507,7 @@ def _tied_game_and_index_set(draw):
     kept = draw(st.lists(st.booleans(), min_size=size, max_size=size))
     game = NormalFormGame(counts, np.array(payoffs, dtype=float).reshape(len(counts), -1))
     mask = np.array(kept).reshape(len(counts), -1)
-    return game, IndexSet.from_mask(mask), draw(st.sampled_from([0.0, 0.5, 1.0]))
+    return game, IndexSet.from_mask(mask, counts), draw(st.sampled_from([0.0, 0.5, 1.0]))
 
 
 @settings(max_examples=300, deadline=None)
@@ -926,12 +942,51 @@ def test_gs_and_psp_need_no_base_game():
         want = gs(sim, idx, 300, 0.1, sim.range_c, bound, seed=2)
         got = gs(blind, idx, 300, 0.1, blind.range_c, bound, seed=2)
         assert got.to_json() == want.to_json()
-        assert got.strategy_counts == want.strategy_counts
+        assert got.to_game().strategy_counts == blind.strategy_counts
         for pure in (True, False):
             want = psp(sim, sched, failure, sim.range_c, bound, pure, seed=3)
             got = psp(blind, sched, failure, blind.range_c, bound, pure, seed=3)
             assert len(got.trace) == 4
             assert got.to_json() == want.to_json()
+
+
+class _CountsOnly(ConditionalSimulator):
+    """A 20-player game with 8 strategies each, declared by its counts
+    alone: its 8^20 profiles are never expanded. Each index's base utility
+    is zero, and one noise factor of width 1 is keyed by its pair."""
+
+    strategy_counts = (8,) * 20
+    range_c = 1.0
+
+    def sample_block(self, cond_seeds, players, profiles, out, sums):
+        keys = hashing.splitmix64(profiles.astype(np.uint64)) + players.astype(np.uint64)
+        return hashing.hash_uniform(cond_seeds, keys[None], [1.0], np.zeros(len(players)), out, sums)
+
+
+def test_gs_samples_a_game_too_large_to_expand():
+    # the deviation neighbourhood of one profile: every (p, (s'_p, s_-p)),
+    # sum_p |S_p| = 160 indices; checking them must not allocate a table
+    # over the game's 20 * 8^20 indices
+    sim = _CountsOnly()
+    counts = sim.strategy_counts
+    profile = [p % 8 for p in range(20)]
+    players, profiles = [], []
+    for p in range(20):
+        for s in range(8):
+            players.append(p)
+            profiles.append(int(np.ravel_multi_index(profile[:p] + [s] + profile[p + 1:], counts)))
+    m, delta = 1000, 0.1
+    tracemalloc.start()
+    try:
+        idx = IndexSet(players, profiles, counts)
+        res = gs(sim, idx, m, delta, sim.range_c, BoundType.HOEFFDING, seed=4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+    assert res.utilities.shape == (160,) and np.all(np.abs(res.utilities) <= 0.5)
+    assert res.epsilon == hoeffding_eps(1.0, 160, m, delta)
+    assert res.index_set.strategy_counts == counts
 
 
 # frozen from the first run; guards the whole sampling + bound pipeline

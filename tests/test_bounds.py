@@ -37,6 +37,15 @@ def test_hoeffding_union_frozen_value():
     assert hoeffding_eps(2, 50, 200, 0.05) == pytest.approx(0.27569734238004695, rel=1e-14)
 
 
+def test_hoeffding_refuses_an_index_count_past_the_float_range():
+    # 2 * 10^400 has no float; the log-space form takes its logarithm, and
+    # the a-priori Rademacher cap logs the integer itself
+    with pytest.raises(ValueError, match="hoeffding_eps_ln"):
+        hoeffding_eps(1.0, 10**400, 100, 0.1)
+    assert math.isfinite(hoeffding_eps_ln(1.0, math.log(10**400), 100, 0.1))
+    assert ra_eps_upper(1.0, 10**400, 100, 0.1) == pytest.approx(2.25, abs=0.01)
+
+
 def test_hoeffding_doubling_identity():
     c, m, delta, n = 2.5, 400, 0.07, 13
     big_l = math.log(2 * n / delta)

@@ -18,7 +18,7 @@ from egta.experiments import (
     run_success_rate,
 )
 from egta.games import nash_mask, pure_eps_nash, regret_table
-from egta.simulators import gen_rc, gen_rg
+from egta.simulators import CongestionGame, gen_rc, gen_rg, ppa_exact
 
 import _oracles as oracle
 
@@ -196,3 +196,13 @@ def test_ppa_demo_report():
     assert "Optimal total cost: 6" in report
     assert "Worst equilibrium total cost: 15" in report
     assert "Pure price of anarchy: 2.5" in report
+
+
+def test_ppa_demo_checks_what_ppa_exact_checks(monkeypatch):
+    # the demo and ppa_exact share one computation, so a free instance is
+    # refused by both instead of dividing by a zero optimum in the demo
+    free = CongestionGame(1, (((0,),),), cost_fn=lambda facility, load: 0.0)
+    monkeypatch.setattr(experiments, "ppa_example_game", lambda: free)
+    for run in (run_ppa_demo, lambda: ppa_exact(free)):
+        with pytest.raises(ValueError, match="optimal total cost must be positive"):
+            run()

@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from egta.games import (
     IndexSet,
@@ -342,34 +346,75 @@ def test_own_strategy_matches_profile_of_index():
 
 
 def test_index_set_helpers(matching_pennies):
-    """IndexSet reads a game's shape from its strategy counts alone."""
+    """An IndexSet carries the strategy counts it indexes and checks its
+    pairs against them when it is built."""
     counts = matching_pennies.strategy_counts
     full = IndexSet.full(counts)
-    assert len(full) == 8
+    assert len(full) == 8 and full.strategy_counts == (2, 2)
     assert full.pairs() == IndexSet.full([np.int64(2), 2]).pairs()
-    full.validate_for(counts)
-    mask = full.to_mask(counts)
+    mask = full.to_mask()
     assert mask.shape == (2, 4) and mask.all()
-    again = IndexSet.from_mask(mask)
+    again = IndexSet.from_mask(mask, counts)
     assert again.pairs() == full.pairs()
     with pytest.raises(ValueError, match="duplicate"):
-        IndexSet([0, 0], [0, 0]).validate_for(counts)
+        IndexSet([0, 0], [0, 0], counts)
     # a duplicate that is not next to its twin
     with pytest.raises(ValueError, match=r"duplicate \(player, profile\) pairs"):
-        IndexSet([0, 1, 0], [3, 0, 3]).validate_for(counts)
+        IndexSet([0, 1, 0], [3, 0, 3], counts)
     with pytest.raises(ValueError, match="player index out of range"):
-        IndexSet([5], [0]).validate_for(counts)
+        IndexSet([5], [0], counts)
     with pytest.raises(ValueError, match="profile index out of range"):
-        IndexSet([0], [4]).validate_for(counts)
+        IndexSet([0], [4], counts)
     # the counts follow the rule a game's own counts do
     for bad in ((), (2, 0), (2, 2.0), (True, 2), 2):
         with pytest.raises(ValueError, match="strategy count|at least one player"):
             IndexSet.full(bad)
+        with pytest.raises(ValueError, match="strategy count|at least one player"):
+            IndexSet([0], [0], bad)
     # a game passed where its strategy counts belong
     for call in (
         lambda: IndexSet.full(matching_pennies),
-        lambda: full.validate_for(matching_pennies),
-        lambda: full.to_mask(matching_pennies),
+        lambda: IndexSet([0], [0], matching_pennies),
+        lambda: IndexSet.from_mask(mask, matching_pennies),
     ):
         with pytest.raises(ValueError, match="strategy counts must be a sequence, not NormalFormGame"):
             call()
+
+
+def test_index_set_of_a_game_too_large_to_expand():
+    # 20 players with 8 strategies each: 8^20 = 2^60 profiles, so a table
+    # over every (player, profile) pair could never be allocated
+    counts = (8,) * 20
+    idx = IndexSet([0, 19, 7], [0, 8**20 - 1, 12345], counts)
+    assert idx.pairs() == [(0, 0), (19, 8**20 - 1), (7, 12345)]
+    with pytest.raises(ValueError, match="duplicate"):
+        IndexSet([3, 19, 3], [8**19, 5, 8**19], counts)
+    with pytest.raises(ValueError, match="profile index out of range"):
+        IndexSet([0], [8**20], counts)
+
+
+@st.composite
+def _pairs_over_counts(draw):
+    # small counts, and pairs that may repeat or fall one step out of range
+    counts = tuple(draw(st.lists(st.integers(1, 3), min_size=1, max_size=3)))
+    pair = st.tuples(st.integers(-1, len(counts)), st.integers(-1, math.prod(counts)))
+    return counts, draw(st.lists(pair, max_size=12))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_pairs_over_counts())
+def test_index_set_checks_its_pairs_when_built(case):
+    counts, pairs = case
+    players, profiles = [p for p, _ in pairs], [s for _, s in pairs]
+    if not all(0 <= p < len(counts) for p in players):
+        reason = "player index out of range"
+    elif not all(0 <= s < math.prod(counts) for s in profiles):
+        reason = "profile index out of range"
+    elif len(set(pairs)) < len(pairs):
+        reason = r"duplicate \(player, profile\) pairs"
+    else:
+        idx = IndexSet(players, profiles, counts)
+        assert idx.pairs() == pairs and idx.strategy_counts == counts
+        return
+    with pytest.raises(ValueError, match=reason):
+        IndexSet(players, profiles, counts)

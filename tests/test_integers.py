@@ -58,8 +58,8 @@ SITES = {
     "NormalFormGame.strategy_counts": lambda x: NormalFormGame((x, 2), np.zeros((2, 4))),
     "NormalFormGame.profile_index": lambda x: GAME.profile_index((x, 0)),
     "NormalFormGame.profile_of_index": lambda x: GAME.profile_of_index(x),
-    "IndexSet.players": lambda x: IndexSet([x], [0]),
-    "IndexSet.profiles": lambda x: IndexSet([0], [x]),
+    "IndexSet.players": lambda x: IndexSet([x], [0], GAME.strategy_counts),
+    "IndexSet.profiles": lambda x: IndexSet([0], [x], GAME.strategy_counts),
     "rationalizable.restrict": lambda x: rationalizable(GAME, 0.0, restrict=[[x], [0]]),
     "utility.p": lambda x: utility(GAME, x, (0, 0)),
     "pure_regret.p": lambda x: pure_regret(GAME, x, (0, 0)),

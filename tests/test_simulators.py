@@ -405,13 +405,13 @@ def test_empirical_game_single_draw_and_zero_noise():
 
 def test_empirical_game_partial_index_set():
     base = expand(ppa_example_game())
-    idx = IndexSet([0, 2], [0, 5])
+    idx = IndexSet([0, 2], [0, 5], base.strategy_counts)
     sim = noisy_sim(base, 0.0)
     res = gs(sim, idx, 2, 0.1, sim.range_c, BoundType.HOEFFDING, seed=1)
     assert res.utilities.shape == (2,)
     emp = res.to_game()
     assert emp.strategy_counts == base.strategy_counts
-    assert res.strategy_counts == sim.base.strategy_counts  # the counts gs sampled on
+    assert res.index_set.strategy_counts == sim.strategy_counts  # the counts gs sampled on
     assert emp.utilities[0, 0] == base.utilities[0, 0]
     assert emp.utilities[2, 5] == base.utilities[2, 5]
     assert emp.utilities[1, 3] == 0.0  # indices outside the set read zero
