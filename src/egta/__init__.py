@@ -15,7 +15,6 @@ from .algorithms import (
     query_cost,
 )
 from .bounds import (
-    NoiseProfile,
     crossover_size,
     era_eps,
     factored_ra_bound,

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator, Sequence
@@ -96,7 +97,10 @@ class FailureSchedule:
         if not 0 < self.delta < 1:
             raise ValueError("total failure probability must lie in (0, 1)")
         if self.steps is not None:
-            object.__setattr__(self, "steps", _integer(self.steps, "number of steps", least=1))
+            steps = _integer(self.steps, "number of steps", least=1)
+            if not (steps <= sys.float_info.max and self.delta / steps > 0):
+                raise ValueError("too many steps: delta / steps is not a positive float")
+            object.__setattr__(self, "steps", steps)
 
     @staticmethod
     def uniform_split(delta: float, steps: int) -> "FailureSchedule":
@@ -117,7 +121,7 @@ class FailureSchedule:
                 t += 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GSResult:
     """Empirical utilities over an index set of the sampled game plus a uniform error radius."""
 
@@ -309,7 +313,7 @@ def query_cost(trace: Sequence[IterationRecord]) -> int:
     return sum(rec.m * rec.index_count for rec in trace)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PSPResult:
     """Everything progressive sampling returns: the full empirical game,
     per-index error radii, the equilibrium output, the final radius, the

@@ -1,8 +1,11 @@
 """Finite-sample uniform-error bounds for empirical utility estimates.
 
-Closed-form bounds (Hoeffding with a Bonferroni union, Massart-style upper
-bounds on the Rademacher average, factored-noise and variable-noise-scale
-refinements) plus the radius 2r + 3c*sqrt(ln(1/delta)/(2m)) for a one-draw
+Closed-form bounds: Hoeffding with a Bonferroni union over any number of
+indices, and Massart-style upper bounds on the Rademacher average, either
+over the whole index set or summed over groups of indices. A group is a
+noise factor's image, given as scales a and image sizes b, or an interval
+of a noise-magnitude census, given as breakpoints and per-interval index
+counts. Plus the radius 2r + 3c*sqrt(ln(1/delta)/(2m)) for a one-draw
 empirical Rademacher average r, which ``gs`` computes from its own samples.
 All utilities are assumed bounded in [-c/2, c/2] for the stated range c.
 """
@@ -10,10 +13,13 @@ All utilities are assumed bounded in [-c/2, c/2] for the stated range c.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import sys
 from typing import Sequence
 
 from .hashing import _integer
+
+_LN2 = math.log(2.0)
+_LN_FLOAT_MAX = math.log(sys.float_info.max)
 
 
 def _check_common(c: float, m: float, delta: float) -> None:
@@ -27,18 +33,21 @@ def _check_common(c: float, m: float, delta: float) -> None:
 
 def hoeffding_eps(c: float, num_indices: int, m: float, delta: float) -> float:
     """Union-bound error radius over num_indices simultaneous estimates:
-    c * sqrt(ln(2|I|/delta)/(2m)). Use hoeffding_eps_ln when |I| overflows."""
+    c * sqrt(ln(2|I|/delta)/(2m)), for any integer |I| >= 1."""
     _check_common(c, m, delta)
     num_indices = _integer(num_indices, "index-set size", least=1)
-    try:
-        return c * math.sqrt(math.log(2.0 * num_indices / delta) / (2.0 * m))
-    except OverflowError:
-        raise ValueError("index-set size overflows a float; use hoeffding_eps_ln") from None
+    ln_union = math.log(2.0 * num_indices / delta) if num_indices <= sys.float_info.max else math.inf
+    if ln_union == math.inf:
+        # past the float range: log2(2|I|) ln 2, because math.log of a huge
+        # int can drop by an ulp at a power of two and log2 cannot, floored
+        # at ln(largest float) so that the radius never falls as |I| grows
+        ln_union = max(math.log2(2 * num_indices) * _LN2 - math.log(delta), _LN_FLOAT_MAX)
+    return c * math.sqrt(ln_union / (2.0 * m))
 
 
 def hoeffding_eps_ln(c: float, ln_num_indices: float, m: float, delta: float) -> float:
     """Union-bound radius with the index-set size given in log space, for
-    games too large to represent |I| as a float."""
+    callers that hold ln|I| rather than |I|."""
     _check_common(c, m, delta)
     if not ln_num_indices >= 0:
         raise ValueError("ln of the index-set size must be nonnegative")
@@ -48,8 +57,8 @@ def hoeffding_eps_ln(c: float, ln_num_indices: float, m: float, delta: float) ->
 def era_eps(r: float, c: float, m: float, delta: float) -> float:
     """Uniform error radius from a one-draw empirical Rademacher average r."""
     _check_common(c, m, delta)
-    if not r >= 0:
-        raise ValueError("empirical Rademacher average must be nonnegative")
+    if not 0 <= r < math.inf:
+        raise ValueError("empirical Rademacher average must be finite and nonnegative")
     return 2.0 * r + 3.0 * c * math.sqrt(math.log(1.0 / delta) / (2.0 * m))
 
 
@@ -70,66 +79,50 @@ def crossover_size(delta: float) -> float:
     return 0.5 * (1.0 / delta) ** 8
 
 
-def factored_ra_bound(a0: float, a: Sequence[float], b: Sequence[int | float], m: float) -> float:
+def factored_ra_bound(a0: float, a: Sequence[float], b: Sequence[int], m: float) -> float:
     """Rademacher-average bound when conditional noise splits into additive
     factors: a0/sqrt(m) + sum_i a_i * min(1, sqrt(2 ln(b_i) / m)).
 
     a_i bounds factor i's magnitude and b_i the number of distinct values its
     grouping function can take. b_i may be arbitrarily large Python ints.
     """
-    if not m >= 1:
-        raise ValueError("sample count m must be at least 1")
-    if not a0 >= 0:
-        raise ValueError("expected-utility bound a0 must be nonnegative")
     if len(a) != len(b):
         raise ValueError("a and b must have equal length")
-    total = a0 / math.sqrt(m)
-    for a_i, b_i in zip(a, b):
-        if not (a_i > 0 and b_i >= 1):
-            raise ValueError("factor scales must be positive and counts >= 1")
-        total += a_i * min(1.0, math.sqrt(2.0 * math.log(b_i) / m))
-    return total
+    return _massart(a0, a, [_integer(b_i, "factor image size", least=1) for b_i in b], 2.0, m)
 
 
-@dataclass(frozen=True)
-class NoiseProfile:
-    """Noise-magnitude census for the variable-scale Rademacher bound.
+def noise_scaling_ra_bound(a: float, breakpoints: Sequence[float], counts: Sequence[int], m: float) -> float:
+    """Rademacher-average bound from a noise-magnitude census:
+    a/sqrt(m) + sum_i v_{i+1} * min(1, sqrt(ln(F_i) / (2m))).
 
     breakpoints = (v_0, ..., v_n) with v_0 = 0 strictly increasing up to the
-    largest noise magnitude; counts[i] is (an upper bound on) the number of
-    indices whose noise magnitude lies in (v_i, v_{i+1}].
+    largest noise magnitude; counts[i] is (an upper bound on) the number F_i
+    of indices whose noise magnitude lies in (v_i, v_{i+1}].
     """
-
-    a: float
-    breakpoints: tuple[float, ...]
-    counts: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "breakpoints", tuple(float(v) for v in self.breakpoints))
-        object.__setattr__(self, "counts", tuple(_integer(f, "index count", least=0) for f in self.counts))
-        if not self.a >= 0:
-            raise ValueError("expected-utility bound a must be nonnegative")
-        v = self.breakpoints
-        if len(v) < 2 or v[0] != 0.0:
-            raise ValueError("breakpoints must start at 0 and contain at least one interval")
-        if not all(v[i] < v[i + 1] for i in range(len(v) - 1)):
-            raise ValueError("breakpoints must be strictly increasing")
-        if len(self.counts) != len(v) - 1:
-            raise ValueError("need one count per interval")
+    v = tuple(float(x) for x in breakpoints)
+    counts = [_integer(f, "index count", least=0) for f in counts]
+    if len(v) < 2 or v[0] != 0.0:
+        raise ValueError("breakpoints must start at 0 and contain at least one interval")
+    if not all(v[i] < v[i + 1] for i in range(len(v) - 1)):
+        raise ValueError("breakpoints must be strictly increasing")
+    if len(counts) != len(v) - 1:
+        raise ValueError("need one count per interval")
+    return _massart(a, v[1:], counts, 0.5, m)
 
 
-def noise_scaling_ra_bound(profile: NoiseProfile, m: float) -> float:
-    """Rademacher-average bound from a noise-magnitude census:
-    a/sqrt(m) + sum_i v_i * min(1, sqrt(ln(F_i) / (2m))).
-
-    Intervals with zero or one index contribute nothing (ln F resolved as 0).
-    """
+def _massart(a0: float, scales: Sequence[float], sizes: Sequence[int], k: float, m: float) -> float:
+    """a0/sqrt(m) + sum_i w_i * min(1, sqrt(k ln(n_i) / m)): Massart's finite
+    class term for each group of n_i indices at scale w_i, where a group of
+    one index or none adds nothing."""
     if not m >= 1:
         raise ValueError("sample count m must be at least 1")
-    total = profile.a / math.sqrt(m)
-    for i, count in enumerate(profile.counts):
-        if count <= 1:
-            continue
-        v_i = profile.breakpoints[i + 1]
-        total += v_i * min(1.0, math.sqrt(math.log(count) / (2.0 * m)))
+    if not 0 <= a0 < math.inf:
+        raise ValueError("expected-utility bound must be finite and nonnegative")
+    if not all(0 < w < math.inf for w in scales):
+        raise ValueError("scales must be finite and positive")
+    total = a0 / math.sqrt(m)
+    for w, n in zip(scales, sizes):
+        if n > 1:
+            # m / k is exact, so the term rounds like 2 ln(n)/m and ln(n)/(2m)
+            total += w * min(1.0, math.sqrt(math.log(n) / (m / k)))
     return total

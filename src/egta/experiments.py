@@ -21,14 +21,7 @@ from .algorithms import (
     psp,
     query_cost,
 )
-from .bounds import (
-    NoiseProfile,
-    era_eps,
-    factored_ra_bound,
-    hoeffding_eps,
-    hoeffding_eps_ln,
-    noise_scaling_ra_bound,
-)
+from .bounds import era_eps, factored_ra_bound, hoeffding_eps, hoeffding_eps_ln, noise_scaling_ra_bound
 from .games import IndexSet, NormalFormGame, check_containment, game_size, nash_mask
 from .hashing import _integer, mix
 from .simulators import (
@@ -367,7 +360,7 @@ def run_bound_compare_vns(
     def radius(players: int) -> float:
         size = players * BOUND_COMPARE_STRATEGIES**players
         counts = tuple(-(-size // 2**i) for i in range(1, intervals + 1))
-        return noise_scaling_ra_bound(NoiseProfile(a, breakpoints, counts), m)
+        return noise_scaling_ra_bound(a, breakpoints, counts, m)
 
     return _bound_compare(
         "bound-compare-vns", players_max, m, delta, c, radius,

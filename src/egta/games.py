@@ -34,7 +34,7 @@ def _strategy_counts(counts: Sequence[int]) -> tuple[int, ...]:
     return counts
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NormalFormGame:
     """Dense normal-form game.
 
@@ -93,7 +93,7 @@ class NormalFormGame:
         return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IndexSet:
     """Ordered set of distinct (player, profile-index) pairs of the game with
     these strategy counts; ValueError at construction otherwise."""

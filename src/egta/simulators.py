@@ -77,6 +77,13 @@ def factor_image_sizes(kinds: Sequence[str], strategy_counts: Sequence[int]) -> 
     return [_FACTOR_TABLE[kind][1](strategy_counts) for kind in kinds]
 
 
+def _utility_bound(base: NormalFormGame) -> float:
+    """The largest |utility| of a base game; ValueError unless it is a NormalFormGame."""
+    if not isinstance(base, NormalFormGame):
+        raise ValueError(f"base must be a NormalFormGame, not {type(base).__name__}")
+    return float(np.abs(base.utilities).max())
+
+
 class NoisySimulator(ConditionalSimulator):
     """Base game plus additive uniform noise on (-d/2, d/2], independent per
     (player, profile) index and shared-condition consistent. base is the
@@ -86,7 +93,7 @@ class NoisySimulator(ConditionalSimulator):
         if not 0 <= d < math.inf:
             raise ValueError("noise width d must be finite and nonnegative")
         self.d = float(d)
-        self._set_noise(base, 2.0 * float(np.abs(base.utilities).max()) + self.d, (self.d,))
+        self._set_noise(base, 2.0 * _utility_bound(base) + self.d, (self.d,))
 
     def _set_noise(self, base: NormalFormGame, range_c: float, widths: Sequence[float]) -> None:
         """Keep the base game and its strategy counts, the declared range and
@@ -140,7 +147,7 @@ class FactoredNoiseSimulator(NoisySimulator):
                 raise ValueError(f"unknown factor kind {kind!r}")
         if not all(0 <= a_i < math.inf for a_i in a):
             raise ValueError("factor scales must be finite and nonnegative")
-        if not float(np.abs(base.utilities).max()) <= a0 < math.inf:
+        if not _utility_bound(base) <= a0 < math.inf:
             raise ValueError("a0 must be finite and bound the base game's utilities")
         self.a0 = float(a0)
         self.a = tuple(float(x) for x in a)

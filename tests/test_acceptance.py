@@ -14,7 +14,6 @@ from egta.bounds import (
     hoeffding_eps,
     noise_scaling_ra_bound,
     ra_eps_upper,
-    NoiseProfile,
 )
 from egta.experiments import (
     run_bound_compare_factored,
@@ -249,10 +248,10 @@ def test_criterion_11_bound_formula_regression():
         cuts = np.sort(rng.uniform(0.1, 10, size=3))
         breakpoints = (0.0, float(cuts[0]), float(cuts[1]), float(cuts[2]))
         counts = tuple(int(x) for x in rng.integers(0, 10**6, size=3))
-        profile = NoiseProfile(float(rng.uniform(0, 4)), breakpoints, counts)
+        a_noise = float(rng.uniform(0, 4))
         checks.append(
-            (noise_scaling_ra_bound(profile, m),
-             oracle.mp_noise_scaling(profile.a, breakpoints, counts, m))
+            (noise_scaling_ra_bound(a_noise, breakpoints, counts, m),
+             oracle.mp_noise_scaling(a_noise, breakpoints, counts, m))
         )
         for got, want in checks:
             want = float(want)

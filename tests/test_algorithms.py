@@ -89,6 +89,10 @@ def test_failure_schedules():
             FailureSchedule.uniform_split(0.1, steps)
     with pytest.raises(ValueError):
         FailureSchedule.uniform_split(0.1, 0)
+    # a share delta / steps that underflows, or a step count with no float
+    for delta, steps in ((1e-300, 10**100), (0.1, 10**400)):
+        with pytest.raises(ValueError, match="not a positive float"):
+            FailureSchedule.uniform_split(delta, steps)
 
 
 def test_gs_zero_noise_hoeffding_exact():
@@ -341,6 +345,29 @@ def test_gs_zero_range_is_exact():
     res = psp(sim, sched, FailureSchedule.uniform_split(0.1, 3), c=0.0, bound=BoundType.ONE_ERA)
     assert res.epsilon == 0.0 and len(res.trace) == 1
     assert len(res.pure_equilibria) == 4
+
+
+def test_games_index_sets_and_results_compare_by_identity():
+    # their fields hold numpy arrays, whose == has no single truth value
+    base = NormalFormGame((2, 2), np.zeros((2, 4)))
+    sim = noisy_sim(base, 1.0)
+    full = IndexSet.full(base.strategy_counts)
+    sched = SamplingSchedule.finite_doubling(10, 30)
+    results = (
+        base,
+        full,
+        gs(sim, full, 10, 0.1, sim.range_c, BoundType.HOEFFDING),
+        psp(sim, sched, FailureSchedule.uniform_split(0.1, 2), c=sim.range_c, bound=BoundType.HOEFFDING),
+    )
+    twins = (
+        NormalFormGame((2, 2), np.zeros((2, 4))),
+        IndexSet.full(base.strategy_counts),
+        gs(sim, full, 10, 0.1, sim.range_c, BoundType.HOEFFDING),
+        psp(sim, sched, FailureSchedule.uniform_split(0.1, 2), c=sim.range_c, bound=BoundType.HOEFFDING),
+    )
+    for x, twin in zip(results, twins):
+        assert x == x and x != twin
+        assert len({x, twin, x}) == 2
 
 
 def test_gs_validates_inputs():

@@ -1,10 +1,12 @@
 import math
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from egta.bounds import (
-    NoiseProfile,
     crossover_size,
     era_eps,
     factored_ra_bound,
@@ -37,13 +39,31 @@ def test_hoeffding_union_frozen_value():
     assert hoeffding_eps(2, 50, 200, 0.05) == pytest.approx(0.27569734238004695, rel=1e-14)
 
 
-def test_hoeffding_refuses_an_index_count_past_the_float_range():
-    # 2 * 10^400 has no float; the log-space form takes its logarithm, and
-    # the a-priori Rademacher cap logs the integer itself
-    with pytest.raises(ValueError, match="hoeffding_eps_ln"):
-        hoeffding_eps(1.0, 10**400, 100, 0.1)
-    assert math.isfinite(hoeffding_eps_ln(1.0, math.log(10**400), 100, 0.1))
+def test_hoeffding_takes_an_index_count_past_the_float_range():
+    # 2 * 10^308 and 10^400 have no float; the radius is then the log-space
+    # form's, as is the a-priori Rademacher cap, which logs the integer itself
+    for n in (10**308, 10**400):
+        assert hoeffding_eps(1.0, n, 100, 0.1) == pytest.approx(
+            hoeffding_eps_ln(1.0, math.log(n), 100, 0.1), rel=1e-14
+        )
     assert ra_eps_upper(1.0, 10**400, 100, 0.1) == pytest.approx(2.25, abs=0.01)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.integers(1, 10**400), st.integers(1, 10**400), st.sampled_from([0.5, 0.1, 1e-300]))
+def test_hoeffding_is_finite_and_nondecreasing_in_the_index_count(n, n2, delta):
+    # beside the drawn pair: the edge of the float range, where the two ways
+    # to take the log meet, and a power of two past it
+    edge = int(sys.float_info.max * delta / 2)
+    for pair in (sorted((n, n2)), (edge, edge + 2**970), (2**1100 - 1, 2**1100)):
+        lo, hi = (hoeffding_eps(1.0, x, 100, delta) for x in pair)
+        assert math.isfinite(hi) and lo <= hi
+    try:
+        union = 2 * n / delta
+    except OverflowError:
+        return
+    if union < math.inf:
+        assert hoeffding_eps(1.0, n, 100, delta) == math.sqrt(math.log(union) / 200.0)
 
 
 def test_hoeffding_doubling_identity():
@@ -104,33 +124,32 @@ def test_factored_ra_bound_values():
 
 
 def test_noise_profile_validation():
+    for breakpoints, counts in (
+        ((0.5, 1.0), (3,)),  # must start at 0
+        ((0.0, 1.0, 1.0), (3, 4)),  # strictly increasing
+        ((0.0, 1.0), (3, 4)),  # one count per interval
+        ((0.0, math.nan), (2,)),
+        ((0.0, math.nan, 1.0), (2, 2)),
+    ):
+        with pytest.raises(ValueError):
+            noise_scaling_ra_bound(1.0, breakpoints, counts, 10)
     with pytest.raises(ValueError):
-        NoiseProfile(1.0, (0.5, 1.0), (3,))  # must start at 0
-    with pytest.raises(ValueError):
-        NoiseProfile(1.0, (0.0, 1.0, 1.0), (3, 4))  # strictly increasing
-    with pytest.raises(ValueError):
-        NoiseProfile(1.0, (0.0, 1.0), (3, 4))  # one count per interval
-    with pytest.raises(ValueError):
-        NoiseProfile(math.nan, (0.0, 1.0), (3,))
-    with pytest.raises(ValueError):
-        NoiseProfile(1.0, (0.0, math.nan), (2,))
-    with pytest.raises(ValueError):
-        NoiseProfile(1.0, (0.0, math.nan, 1.0), (2, 2))
+        noise_scaling_ra_bound(math.nan, (0.0, 1.0), (3,), 10)
 
 
 def test_noise_scaling_values():
-    single = NoiseProfile(1.0, (0.0, 2.0), (1,))
-    assert noise_scaling_ra_bound(single, 400) == pytest.approx(0.05)
+    assert noise_scaling_ra_bound(1.0, (0.0, 2.0), (1,), 400) == pytest.approx(0.05)
     # only the last interval is populated
-    tail = NoiseProfile(1.0, (0.0, 0.5, 1.0, 2.0), (0, 0, 64))
     want = 1 / math.sqrt(400) + 2.0 * min(1.0, math.sqrt(math.log(64) / 800))
-    assert noise_scaling_ra_bound(tail, 400) == pytest.approx(want, rel=1e-14)
+    assert noise_scaling_ra_bound(1.0, (0.0, 0.5, 1.0, 2.0), (0, 0, 64), 400) == pytest.approx(
+        want, rel=1e-14
+    )
     # dyadic census from the variable-noise comparison, |P| = 10, |S| = 100
     n = 6
     size = 10 * 100**10
     breakpoints = (0.0,) + tuple(2.0 * 2.0 ** (i - n) for i in range(1, n + 1))
     counts = tuple(-(-size // 2**i) for i in range(1, n + 1))
-    got = noise_scaling_ra_bound(NoiseProfile(1.0, breakpoints, counts), 10000)
+    got = noise_scaling_ra_bound(1.0, breakpoints, counts, 10000)
     want = oracle.mp_noise_scaling(1.0, breakpoints, counts, 10000)
     assert got == pytest.approx(float(want), rel=1e-12)
     assert got > 0
@@ -193,7 +212,20 @@ def test_invalid_domains_raise():
         lambda: factored_ra_bound(1, [nan], [2], 10),
         lambda: factored_ra_bound(1, [1], [nan], 10),
         lambda: factored_ra_bound(1, [1], [2], nan),
-        lambda: noise_scaling_ra_bound(NoiseProfile(1.0, (0.0, 1.0), (2,)), nan),
+        lambda: noise_scaling_ra_bound(1.0, (0.0, 1.0), (2,), nan),
+    ):
+        with pytest.raises(ValueError):
+            call()
+    # an infinite scale used to give an infinite radius, and a float b_i to
+    # be read as a count
+    inf = math.inf
+    for call in (
+        lambda: era_eps(inf, 1, 10, 0.1),
+        lambda: factored_ra_bound(inf, [1], [2], 10),
+        lambda: factored_ra_bound(1, [inf], [2], 10),
+        lambda: factored_ra_bound(1, [1], [2.0], 10),
+        lambda: noise_scaling_ra_bound(inf, (0.0, 1.0), (2,), 10),
+        lambda: noise_scaling_ra_bound(1.0, (0.0, inf), (2,), 10),
     ):
         with pytest.raises(ValueError):
             call()

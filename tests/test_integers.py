@@ -8,7 +8,7 @@ import pytest
 
 from egta import experiments
 from egta.algorithms import BoundType, FailureSchedule, SamplingSchedule, gs
-from egta.bounds import NoiseProfile, hoeffding_eps, ra_eps_upper
+from egta.bounds import factored_ra_bound, hoeffding_eps, noise_scaling_ra_bound, ra_eps_upper
 from egta.games import (
     IndexSet,
     NormalFormGame,
@@ -46,7 +46,8 @@ SITES = {
     "gs.seed": lambda x: _gs(seed=x),
     "hoeffding_eps.num_indices": lambda x: hoeffding_eps(1.0, x, 10, 0.1),
     "ra_eps_upper.num_indices": lambda x: ra_eps_upper(1.0, x, 10, 0.1),
-    "NoiseProfile.counts": lambda x: NoiseProfile(1.0, (0.0, 1.0), (x,)),
+    "factored_ra_bound.b": lambda x: factored_ra_bound(1.0, [1.0], [x], 10),
+    "noise_scaling_ra_bound.counts": lambda x: noise_scaling_ra_bound(1.0, (0.0, 1.0), (x,), 10),
     "run_eps_vs_samples.reps": lambda x: experiments.run_eps_vs_samples(reps=x),
     "run_nash_frequency.runs": lambda x: experiments.run_nash_frequency(runs=x),
     "run_success_rate.reps": lambda x: experiments.run_success_rate(reps=x),

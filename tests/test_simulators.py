@@ -214,6 +214,8 @@ def test_noisy_sim_validates():
     # a finite width whose declared range 2 max|u| + d overflows
     with pytest.raises(ValueError, match="overflow the utility range"):
         noisy_sim(gen_rg(2, 2, u0=1e308), 1e308)
+    with pytest.raises(ValueError, match="NormalFormGame"):
+        noisy_sim([[1.0]], 1.0)
 
 
 def test_noisy_sim_query_matches_block():
@@ -386,6 +388,8 @@ def test_factored_sim_validates():
     for a0, a in ((10.0, [1e308, 1e308]), (1e308, [1e308, 0.0])):
         with pytest.raises(ValueError, match="overflow the utility range"):
             FactoredNoiseSimulator(a0, a, ["global", "agent"], base, seed=0)
+    with pytest.raises(ValueError, match="NormalFormGame"):
+        FactoredNoiseSimulator(2.0, [1.0], ["global"], [[1.0]], seed=0)
 
 
 def test_empirical_game_single_draw_and_zero_noise():
