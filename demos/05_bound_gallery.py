@@ -9,8 +9,9 @@ script reproduces the two closed-form comparisons and the break-even size.
 from egta import crossover_size
 from egta.experiments import run_bound_compare_factored, run_bound_compare_vns
 
-# Break-even index-set size as a function of the failure probability: below
-# it the union bound is tighter a priori, above it the Rademacher route wins.
+# Break-even index-set size as a function of the failure probability: there
+# the union radius equals the 1ERA radius with a zero Rademacher average, so
+# below it the union bound is tighter whatever the samples show.
 for delta in (0.5, 0.25, 0.1):
     print(f"delta={delta}: break-even index-set size {crossover_size(delta):.3g}")
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import sys
 from dataclasses import dataclass
 from enum import Enum
@@ -29,7 +30,7 @@ from .games import (
     pure_eps_nash,
     rationalizable,
 )
-from .hashing import _generator, _integer, mix
+from .hashing import _generator, _integer, _real, mix
 from .simulators import ConditionalSimulator, draw_conditions
 
 # cap on elements per sampling block; its column count sets how many
@@ -94,8 +95,7 @@ class FailureSchedule:
     steps: int | None = None  # uniform split over this many steps; None = geometric
 
     def __post_init__(self):
-        if not 0 < self.delta < 1:
-            raise ValueError("total failure probability must lie in (0, 1)")
+        object.__setattr__(self, "delta", _real(self.delta, "total failure probability", "in (0, 1)"))
         if self.steps is not None:
             steps = _integer(self.steps, "number of steps", least=1)
             if not (steps <= sys.float_info.max and self.delta / steps > 0):
@@ -200,7 +200,7 @@ def gs(
     if n == 0:
         raise ValueError("index set must be nonempty")
     m = _integer(m, "sample count m", least=1)
-    _check_common(c, m, delta)
+    c, _, delta = _check_common(c, m, delta)
     _check_range(sim, c)
     _check_counts(index_set, sim.strategy_counts)
 
@@ -267,8 +267,7 @@ def prune_pure(game: NormalFormGame, index_set: IndexSet, eps_hat: float) -> Ind
     when p's regret at s, with deviations ranging only over p's surviving
     indices at the same opponent context, is at most 2*eps_hat. An index
     set of other strategy counts than the game's raises ValueError."""
-    if not eps_hat >= 0:
-        raise ValueError("eps_hat must be nonnegative")
+    eps_hat = _real(eps_hat, "eps_hat", "nonnegative")
     _check_counts(index_set, game.strategy_counts)
     mask = index_set.to_mask()
     for p in range(game.num_players):
@@ -288,6 +287,7 @@ def prune_mixed(game: NormalFormGame, index_set: IndexSet, eps_hat: float) -> In
     """Indices worth keeping for mixed-equilibrium estimation: every
     coordinate of the profile is 2*eps_hat-rationalizable. An index set of
     other strategy counts than the game's raises ValueError."""
+    eps_hat = _real(eps_hat, "eps_hat", "nonnegative")
     _check_counts(index_set, game.strategy_counts)
     restriction = _restriction_of(index_set, game)
     if [] in restriction:
@@ -370,6 +370,7 @@ def psp(
     enumeration is out of scope). Pruned indices keep the radius from their
     last estimation. As in gs, a c below ``sim.range_c`` raises ValueError.
     """
+    c = _real(c, "utility range c", "finite and nonnegative")
     _check_range(sim, c)
     index_set = IndexSet.full(sim.strategy_counts)
     counts = index_set.strategy_counts
@@ -382,10 +383,9 @@ def psp(
             raise ValueError("an unbounded sampling schedule needs a geometric failure schedule")
         if failure.steps < total_steps:
             raise ValueError("failure schedule has fewer steps than the sampling schedule")
-    if total_steps is None and not eps_threshold > 0:
+    if total_steps is None and not (isinstance(eps_threshold, numbers.Real) and eps_threshold > 0):
         raise ValueError("an unbounded sampling schedule needs a positive eps_threshold")
-    if not eps_threshold >= 0:
-        raise ValueError(f"eps_threshold must be a non-negative number, not {eps_threshold}")
+    eps_threshold = _real(eps_threshold, "eps_threshold", "a non-negative number")
 
     trace: list[IterationRecord] = []
     consumed = 0.0

@@ -16,25 +16,31 @@ import math
 import sys
 from typing import Sequence
 
-from .hashing import _integer
+from .hashing import _integer, _real
 
 _LN2 = math.log(2.0)
 _LN_FLOAT_MAX = math.log(sys.float_info.max)
 
 
-def _check_common(c: float, m: float, delta: float) -> None:
-    if not 0 <= c < math.inf:
-        raise ValueError("utility range c must be finite and nonnegative")
-    if not m >= 1:
-        raise ValueError("sample count m must be at least 1")
-    if not 0 < delta < 1:
-        raise ValueError("failure probability delta must lie in (0, 1)")
+def _check_common(c: float, m: float, delta: float) -> tuple[float, float, float]:
+    """c, m and delta as floats, each in the range the bounds assume."""
+    return (
+        _real(c, "utility range c", "finite and nonnegative"),
+        _real(m, "sample count m", "at least 1 and finite"),
+        _real(delta, "failure probability delta", "in (0, 1)"),
+    )
+
+
+def _ln_inverse(delta: float) -> float:
+    """ln(1/delta), or -ln(delta) where 1/delta overflows to inf."""
+    inverse = 1.0 / delta
+    return math.log(inverse) if inverse < math.inf else -math.log(delta)
 
 
 def hoeffding_eps(c: float, num_indices: int, m: float, delta: float) -> float:
     """Union-bound error radius over num_indices simultaneous estimates:
     c * sqrt(ln(2|I|/delta)/(2m)), for any integer |I| >= 1."""
-    _check_common(c, m, delta)
+    c, m, delta = _check_common(c, m, delta)
     num_indices = _integer(num_indices, "index-set size", least=1)
     ln_union = math.log(2.0 * num_indices / delta) if num_indices <= sys.float_info.max else math.inf
     if ln_union == math.inf:
@@ -48,35 +54,40 @@ def hoeffding_eps(c: float, num_indices: int, m: float, delta: float) -> float:
 def hoeffding_eps_ln(c: float, ln_num_indices: float, m: float, delta: float) -> float:
     """Union-bound radius with the index-set size given in log space, for
     callers that hold ln|I| rather than |I|."""
-    _check_common(c, m, delta)
-    if not ln_num_indices >= 0:
-        raise ValueError("ln of the index-set size must be nonnegative")
+    c, m, delta = _check_common(c, m, delta)
+    ln_num_indices = _real(ln_num_indices, "ln of the index-set size", "finite and nonnegative")
     return c * math.sqrt((math.log(2.0) + ln_num_indices - math.log(delta)) / (2.0 * m))
 
 
 def era_eps(r: float, c: float, m: float, delta: float) -> float:
     """Uniform error radius from a one-draw empirical Rademacher average r."""
-    _check_common(c, m, delta)
-    if not 0 <= r < math.inf:
-        raise ValueError("empirical Rademacher average must be finite and nonnegative")
-    return 2.0 * r + 3.0 * c * math.sqrt(math.log(1.0 / delta) / (2.0 * m))
+    c, m, delta = _check_common(c, m, delta)
+    r = _real(r, "empirical Rademacher average", "finite and nonnegative")
+    return 2.0 * r + 3.0 * c * math.sqrt(_ln_inverse(delta) / (2.0 * m))
 
 
 def ra_eps_upper(c: float, num_indices: int, m: float, delta: float) -> float:
     """A-priori cap on the Rademacher-average radius via Massart's finite
     class bound: c*sqrt(ln|I|/(2m)) + c*sqrt(ln(1/delta)/(2m))."""
-    _check_common(c, m, delta)
+    c, m, delta = _check_common(c, m, delta)
     num_indices = _integer(num_indices, "index-set size", least=1)
-    tail = c * math.sqrt(math.log(1.0 / delta) / (2.0 * m))
+    tail = c * math.sqrt(_ln_inverse(delta) / (2.0 * m))
     return c * math.sqrt(math.log(num_indices) / (2.0 * m)) + tail
 
 
 def crossover_size(delta: float) -> float:
-    """Index-set size at which the a-priori Rademacher radius ties the
-    Hoeffding union radius: 1 / (2 delta^8)."""
-    if not 0 < delta <= 1:
-        raise ValueError("delta must lie in (0, 1]")
-    return 0.5 * (1.0 / delta) ** 8
+    """Index-set size 1 / (2 delta^8) at which the Hoeffding union radius
+    ``hoeffding_eps(c, |I|, m, delta)`` ties ``era_eps(0, c, m, delta)``, the
+    1ERA radius at r = 0, for every c and m: there ln(2|I|/delta) =
+    9 ln(1/delta). A size past the float range raises ValueError."""
+    delta = _real(delta, "delta", "in (0, 1]")
+    try:
+        size = 0.5 * (1.0 / delta) ** 8
+    except OverflowError:
+        size = math.inf
+    if size == math.inf:
+        raise ValueError(f"the crossover size at delta = {delta} is past the float range")
+    return size
 
 
 def factored_ra_bound(a0: float, a: Sequence[float], b: Sequence[int], m: float) -> float:
@@ -99,7 +110,7 @@ def noise_scaling_ra_bound(a: float, breakpoints: Sequence[float], counts: Seque
     largest noise magnitude; counts[i] is (an upper bound on) the number F_i
     of indices whose noise magnitude lies in (v_i, v_{i+1}].
     """
-    v = tuple(float(x) for x in breakpoints)
+    v = tuple(_real(x, "breakpoint", "finite and nonnegative") for x in breakpoints)
     counts = [_integer(f, "index count", least=0) for f in counts]
     if len(v) < 2 or v[0] != 0.0:
         raise ValueError("breakpoints must start at 0 and contain at least one interval")
@@ -114,12 +125,9 @@ def _massart(a0: float, scales: Sequence[float], sizes: Sequence[int], k: float,
     """a0/sqrt(m) + sum_i w_i * min(1, sqrt(k ln(n_i) / m)): Massart's finite
     class term for each group of n_i indices at scale w_i, where a group of
     one index or none adds nothing."""
-    if not m >= 1:
-        raise ValueError("sample count m must be at least 1")
-    if not 0 <= a0 < math.inf:
-        raise ValueError("expected-utility bound must be finite and nonnegative")
-    if not all(0 < w < math.inf for w in scales):
-        raise ValueError("scales must be finite and positive")
+    m = _real(m, "sample count m", "at least 1 and finite")
+    a0 = _real(a0, "expected-utility bound", "finite and nonnegative")
+    scales = [_real(w, "scale", "positive and finite") for w in scales]
     total = a0 / math.sqrt(m)
     for w, n in zip(scales, sizes):
         if n > 1:

@@ -23,7 +23,7 @@ from .algorithms import (
 )
 from .bounds import era_eps, factored_ra_bound, hoeffding_eps, hoeffding_eps_ln, noise_scaling_ra_bound
 from .games import IndexSet, NormalFormGame, check_containment, game_size, nash_mask
-from .hashing import _integer, mix
+from .hashing import _integer, _real, mix
 from .simulators import (
     FACTOR_KINDS,
     _anarchy,
@@ -198,6 +198,7 @@ def run_success_rate(
     """Empirical rate at which the two-sided equilibrium containment holds,
     swept over the failure probability and a radius contraction factor."""
     reps = _integer(reps, "reps", least=1)
+    rho_grid = tuple(_real(rho, "rho", "finite and nonnegative") for rho in rho_grid)
     name = "success-rate"
     families = {
         "rc": lambda rep: expand(gen_rc(3, 3, 2, seed=mix(seed, name, "rc", rep))),

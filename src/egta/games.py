@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .hashing import _integer
+from .hashing import _integer, _real
 
 Profile = tuple[int, ...]
 
@@ -182,8 +182,7 @@ def pure_regret(game: NormalFormGame, p: int, profile: Sequence[int]) -> float:
 
 def nash_mask(game: NormalFormGame, eps: float) -> np.ndarray:
     """Boolean mask over profiles: every player's regret <= eps (inclusive)."""
-    if not eps >= 0:
-        raise ValueError("eps must be nonnegative")
+    eps = _real(eps, "eps", "nonnegative")
     return (regret_table(game) <= eps).all(axis=0)
 
 
@@ -204,8 +203,7 @@ def eps_dominates(game: NormalFormGame, p: int, s: int, s_other: int, eps: float
     """True when strategy s beats s_other by at least eps for player p in
     every opponent context (inclusive comparison).
     """
-    if not eps >= 0:
-        raise ValueError("eps must be nonnegative")
+    eps = _real(eps, "eps", "nonnegative")
     k = game.strategy_counts[_player(game, p)]
     if not (0 <= _integer(s, "strategy") < k and 0 <= _integer(s_other, "strategy") < k):
         raise IndexError("strategy index out of range")
@@ -226,8 +224,7 @@ def rationalizable(
     mutually dominant (payoff-identical) strategies are kept and each player
     always retains at least one strategy.
     """
-    if not eps >= 0:
-        raise ValueError("eps must be nonnegative")
+    eps = _real(eps, "eps", "nonnegative")
     if restrict is None:
         alive = [list(range(k)) for k in game.strategy_counts]
     else:
@@ -271,6 +268,7 @@ def check_containment(g_a: NormalFormGame, g_b: NormalFormGame, eps: float) -> b
     """
     if g_a.strategy_counts != g_b.strategy_counts:
         raise ValueError("games must share players and strategy counts")
+    eps = _real(eps, "eps", "nonnegative")
     nash_a = nash_mask(g_a, 0.0)
     nash_b2 = nash_mask(g_b, 2.0 * eps)
     nash_a4 = nash_mask(g_a, 4.0 * eps)

@@ -21,8 +21,9 @@ compiler, a writable cache directory or a loadable library, the numpy code
 runs instead, and a RuntimeWarning says why once per process; it is also the
 reference the tests compare against.
 
-The module is also the home of the package's one rule for reading integers:
-``_integer`` reads every count, index and seed, and ``_uint64`` hash inputs.
+The module is also the home of the package's two rules for reading
+parameters: ``_integer`` reads every count, index and seed (and, through
+``_uint64``, hash inputs), and ``_real`` every real-valued parameter.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from __future__ import annotations
 import ctypes
 import functools
 import hashlib
+import math
 import numbers
 import os
 import platform
@@ -55,6 +57,17 @@ _HALF_BIN = 2.0**-54
 # cap on samples per row chunk of the numpy fallback, which bounds its
 # uint64 and float64 grid temporaries (at least one row)
 _CHUNK_ELEMS = 65_536
+
+# the ranges of real parameters, keyed by the words naming them; NaN is in none
+_REAL_RANGES = {
+    "nonnegative": lambda x: x >= 0.0,
+    "a non-negative number": lambda x: x >= 0.0,
+    "finite and nonnegative": lambda x: 0.0 <= x < math.inf,
+    "positive and finite": lambda x: 0.0 < x < math.inf,
+    "at least 1 and finite": lambda x: 1.0 <= x < math.inf,
+    "in (0, 1)": lambda x: 0.0 < x < 1.0,
+    "in (0, 1]": lambda x: 0.0 < x <= 1.0,
+}
 
 
 def splitmix64(x: np.ndarray | int) -> np.ndarray | int:
@@ -101,6 +114,22 @@ def _integer(x, name: str, least: int | None = None) -> int:
     x = int(x)
     if least is not None and x < least:
         raise ValueError(f"{name} must be at least {least}, not {x}")
+    return x
+
+
+def _real(x, name: str, kind: str) -> float:
+    """``x`` as a float, when it is a Python or numpy real number in the range
+    that ``kind`` names; bools, NaN and anything else raise ValueError."""
+    # a float or an int skips the slow abstract-class check; bool is neither type
+    if type(x) is not float:
+        if type(x) is not int and (isinstance(x, bool) or not isinstance(x, numbers.Real)):
+            raise ValueError(f"{name} must be a real number, not {type(x).__name__}")
+        try:
+            x = float(x)
+        except OverflowError:
+            raise ValueError(f"{name} must be {kind}, not a number past the float range") from None
+    if not _REAL_RANGES[kind](x):
+        raise ValueError(f"{name} must be {kind}, not {x}")
     return x
 
 

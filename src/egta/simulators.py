@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .games import NormalFormGame, nash_mask, welfare_table
-from .hashing import _generator, _integer, _splitmix64_in_place, hash_uniform, mix, splitmix64
+from .hashing import _generator, _integer, _real, _splitmix64_in_place, hash_uniform, mix, splitmix64
 
 
 def draw_conditions(rng: np.random.Generator, m: int) -> np.ndarray:
@@ -90,9 +90,7 @@ class NoisySimulator(ConditionalSimulator):
     expected game, ground truth for evaluation harnesses."""
 
     def __init__(self, base: NormalFormGame, d: float):
-        if not 0 <= d < math.inf:
-            raise ValueError("noise width d must be finite and nonnegative")
-        self.d = float(d)
+        self.d = _real(d, "noise width d", "finite and nonnegative")
         self._set_noise(base, 2.0 * _utility_bound(base) + self.d, (self.d,))
 
     def _set_noise(self, base: NormalFormGame, range_c: float, widths: Sequence[float]) -> None:
@@ -145,12 +143,10 @@ class FactoredNoiseSimulator(NoisySimulator):
         for kind in kinds:
             if kind not in _FACTOR_TABLE:
                 raise ValueError(f"unknown factor kind {kind!r}")
-        if not all(0 <= a_i < math.inf for a_i in a):
-            raise ValueError("factor scales must be finite and nonnegative")
-        if not _utility_bound(base) <= a0 < math.inf:
-            raise ValueError("a0 must be finite and bound the base game's utilities")
-        self.a0 = float(a0)
-        self.a = tuple(float(x) for x in a)
+        self.a = tuple(_real(a_i, "factor scale", "finite and nonnegative") for a_i in a)
+        self.a0 = _real(a0, "a0", "finite and nonnegative")
+        if self.a0 < _utility_bound(base):
+            raise ValueError(f"a0 = {self.a0} does not bound the base game's utilities")
         self.kinds = tuple(kinds)
         self.seed = _integer(seed, "seed") % 2**64
         # uniform on [-a_i, a_i] is (u - 0.5) * 2a_i, which rounds exactly
@@ -168,8 +164,7 @@ def gen_rg(num_players: int, k: int, u0: float = 10.0, seed: int = 0) -> NormalF
     drawn from numpy's PCG64 generator of ``seed`` taken mod 2^64."""
     if _integer(num_players, "num_players") < 1 or _integer(k, "k") < 1:
         raise ValueError("need at least one player and one strategy")
-    if not 0 < u0 < math.inf:
-        raise ValueError("utility magnitude u0 must be positive and finite")
+    u0 = _real(u0, "utility magnitude u0", "positive and finite")
     rng = _generator(seed)
     counts = (k,) * num_players
     shape = (num_players, math.prod(counts))
@@ -231,8 +226,7 @@ def gen_rc(
         raise ValueError("need at least one player and one facility")
     if not 1 <= _integer(k, "k") <= 2**num_facilities - 1:
         raise ValueError("k must lie in [1, 2^facilities - 1]")
-    if not 0 < alpha < 1:
-        raise ValueError("alpha must lie in (0, 1)")
+    alpha = _real(alpha, "alpha", "in (0, 1)")
     rng = _generator(seed)
     inclusion = alpha ** np.arange(num_facilities)
     strategy_sets = []

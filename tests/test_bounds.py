@@ -108,6 +108,28 @@ def test_crossover_size_values():
     assert crossover_size(0.5) == 128.0
     with pytest.raises(ValueError):
         crossover_size(0.0)
+    # a size past the float range used to leak OverflowError or give inf
+    for delta in (1e-40, 1e-310):
+        with pytest.raises(ValueError, match="past the float range"):
+            crossover_size(delta)
+
+
+def test_crossover_size_ties_hoeffding_with_era_at_zero():
+    # at |I| = 1/(2 delta^8), ln(2|I|/delta) = 9 ln(1/delta), so the union
+    # radius equals the 1ERA radius at r = 0 for every c and m
+    for delta in (0.5, 0.25, 0.1, 0.05, 0.01, 1e-3, 1e-4):
+        size = crossover_size(delta)
+        assert size == int(size)
+        for c, m in ((1.0, 10), (2.5, 1000), (7.0, 123457)):
+            tie = era_eps(0.0, c, m, delta)
+            assert abs(hoeffding_eps(c, int(size), m, delta) - tie) <= math.ulp(tie)
+
+
+def test_radii_stay_finite_for_subnormal_delta():
+    # 1/delta overflows below about 5.6e-309, where ln(1/delta) is still finite
+    for radius in (lambda d: era_eps(0.1, 1.0, 10, d), lambda d: ra_eps_upper(1.0, 5, 10, d)):
+        assert math.isfinite(radius(1e-310))
+        assert radius(1e-310) >= radius(1e-300)
 
 
 def test_factored_ra_bound_values():
