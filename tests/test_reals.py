@@ -114,9 +114,8 @@ def test_reals_of_any_type_give_a_floats_bits():
 
 
 def test_sample_counts_must_be_finite():
-    # an infinite m, or one past the float range, used to give a radius of 0
-    for m in (math.inf, 10**400):
-        with pytest.raises(ValueError, match="sample count m must be at least 1 and finite"):
-            hoeffding_eps(1.0, 5, m, 0.1)
-        with pytest.raises(ValueError, match="sample count m"):
-            factored_ra_bound(1.0, [1.0], [2], m)
+    # an infinite m used to give a radius of 0 (10**400 is a site value above)
+    with pytest.raises(ValueError, match="sample count m must be at least 1 and finite"):
+        hoeffding_eps(1.0, 5, math.inf, 0.1)
+    with pytest.raises(ValueError, match="sample count m"):
+        factored_ra_bound(1.0, [1.0], [2], math.inf)
