@@ -19,7 +19,6 @@ from .bounds import (
     era_eps,
     factored_ra_bound,
     hoeffding_eps,
-    hoeffding_eps_ln,
     noise_scaling_ra_bound,
     ra_eps_upper,
 )

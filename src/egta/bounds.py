@@ -1,11 +1,12 @@
 """Finite-sample uniform-error bounds for empirical utility estimates.
 
 Closed-form bounds: Hoeffding with a Bonferroni union over any number of
-indices, and Massart-style upper bounds on the Rademacher average, either
-over the whole index set or summed over groups of indices. A group is a
-noise factor's image, given as scales a and image sizes b, or an interval
-of a noise-magnitude census, given as breakpoints and per-interval index
-counts. Plus the radius 2r + 3c*sqrt(ln(1/delta)/(2m)) for a one-draw
+indices, which takes the index count as an exact integer of any size, and
+Massart-style upper bounds on the Rademacher average, either over the whole
+index set or summed over groups of indices. A group is a noise factor's
+image, given as scales a and image sizes b, or an interval of a
+noise-magnitude census, given as breakpoints and per-interval index counts.
+Plus the radius 2r + 3c*sqrt(ln(1/delta)/(2m)) for a one-draw
 empirical Rademacher average r, which ``gs`` computes from its own samples.
 All utilities are assumed bounded in [-c/2, c/2] for the stated range c.
 """
@@ -49,14 +50,6 @@ def hoeffding_eps(c: float, num_indices: int, m: float, delta: float) -> float:
         # at ln(largest float) so that the radius never falls as |I| grows
         ln_union = max(math.log2(2 * num_indices) * _LN2 - math.log(delta), _LN_FLOAT_MAX)
     return c * math.sqrt(ln_union / (2.0 * m))
-
-
-def hoeffding_eps_ln(c: float, ln_num_indices: float, m: float, delta: float) -> float:
-    """Union-bound radius with the index-set size given in log space, for
-    callers that hold ln|I| rather than |I|."""
-    c, m, delta = _check_common(c, m, delta)
-    ln_num_indices = _real(ln_num_indices, "ln of the index-set size", "finite and nonnegative")
-    return c * math.sqrt((math.log(2.0) + ln_num_indices - math.log(delta)) / (2.0 * m))
 
 
 def era_eps(r: float, c: float, m: float, delta: float) -> float:

@@ -21,7 +21,7 @@ from .algorithms import (
     psp,
     query_cost,
 )
-from .bounds import era_eps, factored_ra_bound, hoeffding_eps, hoeffding_eps_ln, noise_scaling_ra_bound
+from .bounds import era_eps, factored_ra_bound, hoeffding_eps, noise_scaling_ra_bound
 from .games import IndexSet, NormalFormGame, check_containment, game_size, nash_mask
 from .hashing import _integer, _real, mix
 from .simulators import (
@@ -296,18 +296,19 @@ def _bound_compare(
     radius_fn,
     metadata: dict[str, object],
 ) -> Table:
-    """Hoeffding union radius against the 1ERA radius with radius_fn(players)
-    in place of the empirical Rademacher average, for 1..players_max players
-    with BOUND_COMPARE_STRATEGIES actions each, over the full index set;
-    metadata names the noise model's parameters."""
+    """Hoeffding union radius against the 1ERA radius with
+    radius_fn(players, index_count, m) in place of the empirical Rademacher
+    average, for 1..players_max players with BOUND_COMPARE_STRATEGIES actions
+    each, over the full index set of players * BOUND_COMPARE_STRATEGIES**players
+    indices; metadata names the noise model's parameters."""
     players_max = _integer(players_max, "players_max", least=1)
-    ln_s = math.log(BOUND_COMPARE_STRATEGIES)
+    m = _integer(m, "m", least=1)
     rows = []
     crossover = None
     for players in range(1, players_max + 1):
-        ln_index_count = math.log(players) + players * ln_s
-        hoeff = hoeffding_eps_ln(c, ln_index_count, m, delta)
-        rad = era_eps(radius_fn(players), c, m, delta)
+        index_count = players * BOUND_COMPARE_STRATEGIES**players
+        hoeff = hoeffding_eps(c, index_count, m, delta)
+        rad = era_eps(radius_fn(players, index_count, m), c, m, delta)
         if crossover is None and hoeff > rad:
             crossover = players
         rows.append((players, hoeff, rad))
@@ -337,7 +338,7 @@ def run_bound_compare_factored(
     a0, a = 1.0, (1.0, 1.0, 1.0, 0.5, 0.5)
     c = 2.0 * (a0 + sum(a))
 
-    def radius(players: int) -> float:
+    def radius(players: int, index_count: int, m: int) -> float:
         b = factor_image_sizes(FACTOR_KINDS, (BOUND_COMPARE_STRATEGIES,) * players)
         return factored_ra_bound(a0, a, b, m)
 
@@ -358,9 +359,8 @@ def run_bound_compare_vns(
     a, c = 1.0, 2.0
     breakpoints = (0.0,) + tuple(c * 2.0 ** (i - intervals) for i in range(1, intervals + 1))
 
-    def radius(players: int) -> float:
-        size = players * BOUND_COMPARE_STRATEGIES**players
-        counts = tuple(-(-size // 2**i) for i in range(1, intervals + 1))
+    def radius(players: int, index_count: int, m: int) -> float:
+        counts = tuple(-(-index_count // 2**i) for i in range(1, intervals + 1))
         return noise_scaling_ra_bound(a, breakpoints, counts, m)
 
     return _bound_compare(

@@ -11,7 +11,6 @@ from egta.bounds import (
     era_eps,
     factored_ra_bound,
     hoeffding_eps,
-    hoeffding_eps_ln,
     noise_scaling_ra_bound,
     ra_eps_upper,
 )
@@ -40,11 +39,12 @@ def test_hoeffding_union_frozen_value():
 
 
 def test_hoeffding_takes_an_index_count_past_the_float_range():
-    # 2 * 10^308 and 10^400 have no float; the radius is then the log-space
-    # form's, as is the a-priori Rademacher cap, which logs the integer itself
+    # 2 * 10^308 and 10^400 have no float; the radius still matches the
+    # mpmath oracle, as does the a-priori Rademacher cap, which logs the
+    # integer itself
     for n in (10**308, 10**400):
         assert hoeffding_eps(1.0, n, 100, 0.1) == pytest.approx(
-            hoeffding_eps_ln(1.0, math.log(n), 100, 0.1), rel=1e-14
+            float(oracle.mp_hoeffding(1.0, n, 100, 0.1)), rel=1e-14
         )
     assert ra_eps_upper(1.0, 10**400, 100, 0.1) == pytest.approx(2.25, abs=0.01)
 
@@ -72,12 +72,6 @@ def test_hoeffding_doubling_identity():
     want_gap = c * (math.sqrt((big_l + math.log(2)) / (2 * m)) - math.sqrt(big_l / (2 * m)))
     gap = hoeffding_eps(c, 2 * n, m, delta) - hoeffding_eps(c, n, m, delta)
     assert gap == pytest.approx(want_gap, rel=1e-12)
-
-
-def test_hoeffding_ln_matches_linear_scale():
-    assert hoeffding_eps_ln(2, math.log(50), 200, 0.05) == pytest.approx(
-        hoeffding_eps(2, 50, 200, 0.05), rel=1e-14
-    )
 
 
 def test_era_eps_frozen_value():
@@ -226,7 +220,6 @@ def test_invalid_domains_raise():
     for call in (
         lambda: hoeffding_eps(1, 2, nan, 0.1),
         lambda: hoeffding_eps(1, nan, 10, 0.1),
-        lambda: hoeffding_eps_ln(1, nan, 10, 0.1),
         lambda: era_eps(nan, 1, 10, 0.1),
         lambda: ra_eps_upper(1, 2, nan, 0.1),
         lambda: ra_eps_upper(1, nan, 10, 0.1),

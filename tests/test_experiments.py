@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import egta.experiments as experiments
+from egta.bounds import hoeffding_eps
 from egta.experiments import (
     Table,
     center_per_player,
@@ -188,6 +189,20 @@ def test_bound_compare_vns_curves():
     size = 10 * 100**10
     counts = [-(-size // 2**i) for i in range(1, 7)]
     assert all(b <= -(-a // 2) for a, b in zip(counts, counts[1:]))
+
+
+def test_bound_compare_hoeffding_cells_use_exact_index_counts():
+    # every Hoeffding cell is hoeffding_eps on the exact count P * 100^P; at
+    # 200 players the counts (about 2e402) pass the float range, and the
+    # column still never decreases across that edge
+    for run in (run_bound_compare_factored, run_bound_compare_vns):
+        table, wide = run(), run(players_max=200)
+        assert wide.rows[:100] == table.rows
+        m, delta, c = (wide.metadata[key] for key in ("m", "delta", "c"))
+        hoeff = wide.column("hoeffding")
+        assert hoeff == [hoeffding_eps(c, p * 100**p, m, delta) for p in wide.column("players")]
+        assert all(a <= b for a, b in zip(hoeff, hoeff[1:]))
+    assert run_bound_compare_factored(players_max=200).metadata["crossover_players"] == 28
 
 
 def test_ppa_demo_report():

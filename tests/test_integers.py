@@ -55,6 +55,8 @@ SITES = {
     "run_bound_compare_factored.players_max":
         lambda x: experiments.run_bound_compare_factored(players_max=x),
     "run_bound_compare_vns.players_max": lambda x: experiments.run_bound_compare_vns(players_max=x),
+    "run_bound_compare_factored.m": lambda x: experiments.run_bound_compare_factored(players_max=3, m=x),
+    "run_bound_compare_vns.m": lambda x: experiments.run_bound_compare_vns(players_max=3, m=x),
     "run_bound_compare_vns.intervals": lambda x: experiments.run_bound_compare_vns(intervals=x),
     "NormalFormGame.strategy_counts": lambda x: NormalFormGame((x, 2), np.zeros((2, 4))),
     "NormalFormGame.profile_index": lambda x: GAME.profile_index((x, 0)),

@@ -23,7 +23,6 @@ from egta.bounds import (
     era_eps,
     factored_ra_bound,
     hoeffding_eps,
-    hoeffding_eps_ln,
     noise_scaling_ra_bound,
     ra_eps_upper,
 )
@@ -56,8 +55,6 @@ SITES = {
     "hoeffding_eps.delta": ("failure probability delta", lambda x: hoeffding_eps(1.0, 5, 10, x)),
     "gs.c": ("utility range c", lambda x: gs(SIM, FULL, 10, 0.1, x, "hoeffding")),
     "gs.delta": ("failure probability delta", lambda x: gs(SIM, FULL, 10, x, SIM.range_c, "hoeffding")),
-    "hoeffding_eps_ln.ln_num_indices":
-        ("ln of the index-set size", lambda x: hoeffding_eps_ln(1.0, x, 10, 0.1)),
     "era_eps.r": ("empirical Rademacher average", lambda x: era_eps(x, 1.0, 10, 0.1)),
     "ra_eps_upper.delta": ("failure probability delta", lambda x: ra_eps_upper(1.0, 5, 10, x)),
     "crossover_size.delta": ("delta", crossover_size),
