@@ -411,7 +411,7 @@ CLI_GOLDENS = {
     "bound-compare-vns": (
         ["bound-compare-vns", "--players-max", "12", "--intervals", "4", "--plot"],
         {
-            "": "b01f4cfc561bca63c9f3dcbce3df12ad2bc34d61da782e6541af5448ff1da485",
+            "": "9b721df536254a73db2ca629e8d00329303105620e8f1a49c02df7ebeffb9720",
             ".svg": "6bfc1c4a1dab0e8644126d2292bb9bef54573771a51f6ca9ec3008088f2eeaf5",
         },
     ),
