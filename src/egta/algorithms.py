@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 import sys
 from dataclasses import dataclass
 from enum import Enum
@@ -368,7 +367,8 @@ def psp(
     the 2*epsilon-equilibria of the empirical game; in mixed mode the output
     is the per-player 2*epsilon-rationalizable restriction (equilibrium
     enumeration is out of scope). Pruned indices keep the radius from their
-    last estimation. As in gs, a c below ``sim.range_c`` raises ValueError.
+    last estimation. As in gs, a c below ``sim.range_c`` or a seed that is
+    not an integer raises ValueError.
     """
     c = _real(c, "utility range c", "finite and nonnegative")
     _check_range(sim, c)
@@ -383,9 +383,10 @@ def psp(
             raise ValueError("an unbounded sampling schedule needs a geometric failure schedule")
         if failure.steps < total_steps:
             raise ValueError("failure schedule has fewer steps than the sampling schedule")
-    if total_steps is None and not (isinstance(eps_threshold, numbers.Real) and eps_threshold > 0):
+    eps_threshold = _real(eps_threshold, "eps_threshold", "nonnegative")
+    if total_steps is None and eps_threshold == 0.0:
         raise ValueError("an unbounded sampling schedule needs a positive eps_threshold")
-    eps_threshold = _real(eps_threshold, "eps_threshold", "a non-negative number")
+    seed = _integer(seed, "seed")
 
     trace: list[IterationRecord] = []
     consumed = 0.0

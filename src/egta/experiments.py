@@ -81,6 +81,7 @@ def run_eps_vs_samples(
     """Error radius of global sampling versus sample count on random
     RC(5,5,2) congestion games (5 players, 5 facilities, up to 2 strategies
     each), one row per (noise width, sample count)."""
+    seed = _integer(seed, "seed")
     reps = _integer(reps, "reps", least=1)
     name = "eps-vs-samples"
     rows = []
@@ -134,6 +135,7 @@ def find_unique_nash_rc_game(seed: int) -> tuple[NormalFormGame, int, int]:
     utility range stays proportional to the cost spread rather than the
     absolute cost level.
     """
+    seed = _integer(seed, "seed")
     for attempt in range(10_000):
         base = expand(gen_rc(5, 5, 2, alpha=0.5, seed=mix(seed, "fixture", attempt)))
         if base.num_profiles != 32:
@@ -153,6 +155,7 @@ def run_nash_frequency(
 ) -> Table:
     """How often each profile of a fixed unique-equilibrium congestion game
     is flagged as a pure 2-epsilon-equilibrium by global sampling."""
+    seed = _integer(seed, "seed")
     runs = _integer(runs, "runs", least=1)
     name = "nash-frequency"
     base, attempt, true_nash = find_unique_nash_rc_game(seed)
@@ -197,6 +200,7 @@ def run_success_rate(
 ) -> Table:
     """Empirical rate at which the two-sided equilibrium containment holds,
     swept over the failure probability and a radius contraction factor."""
+    seed = _integer(seed, "seed")
     reps = _integer(reps, "reps", least=1)
     rho_grid = tuple(_real(rho, "rho", "finite and nonnegative") for rho in rho_grid)
     name = "success-rate"
@@ -244,6 +248,7 @@ def run_gs_vs_psp(
 ) -> Table:
     """Progressive sampling run to completion versus one-shot sampling on the
     same total utility-evaluation budget, one row per random game."""
+    seed = _integer(seed, "seed")
     reps = _integer(reps, "reps", least=1)
     name = "gs-vs-psp"
     sched = SamplingSchedule.finite_doubling(m0, budget)

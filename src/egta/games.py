@@ -228,9 +228,12 @@ def rationalizable(
     if restrict is None:
         alive = [list(range(k)) for k in game.strategy_counts]
     else:
-        if len(restrict) != game.num_players:
+        try:
+            alive = [sorted(set(_integer(s, "strategy") for s in strats)) for strats in restrict]
+        except TypeError:  # restrict, or one of its lists, is not iterable
+            alive = None
+        if alive is None or len(alive) != game.num_players:
             raise ValueError("restriction needs one strategy list per player")
-        alive = [sorted(set(_integer(s, "strategy") for s in strats)) for strats in restrict]
         for p, strats in enumerate(alive):
             if not strats or strats[0] < 0 or strats[-1] >= game.strategy_counts[p]:
                 raise ValueError("restriction invalid for this game")

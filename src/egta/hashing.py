@@ -61,7 +61,6 @@ _CHUNK_ELEMS = 65_536
 # the ranges of real parameters, keyed by the words naming them; NaN is in none
 _REAL_RANGES = {
     "nonnegative": lambda x: x >= 0.0,
-    "a non-negative number": lambda x: x >= 0.0,
     "finite and nonnegative": lambda x: 0.0 <= x < math.inf,
     "positive and finite": lambda x: 0.0 < x < math.inf,
     "at least 1 and finite": lambda x: 1.0 <= x < math.inf,

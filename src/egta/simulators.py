@@ -71,10 +71,19 @@ _FACTOR_TABLE = {
 FACTOR_KINDS = tuple(_FACTOR_TABLE)
 
 
+def _factor(kind) -> tuple[Callable, Callable]:
+    """A factor kind's grouping function and image-size rule; any other
+    kind, hashable or not, raises ValueError."""
+    try:
+        return _FACTOR_TABLE[kind]
+    except (KeyError, TypeError):
+        raise ValueError(f"unknown factor kind {kind!r}") from None
+
+
 def factor_image_sizes(kinds: Sequence[str], strategy_counts: Sequence[int]) -> list[int]:
     """Number of distinct grouping values per factor (the b_i of the
     factored Rademacher bound), as exact ints for any game size."""
-    return [_FACTOR_TABLE[kind][1](strategy_counts) for kind in kinds]
+    return [_factor(kind)[1](strategy_counts) for kind in kinds]
 
 
 def _utility_bound(base: NormalFormGame) -> float:
@@ -138,11 +147,13 @@ class FactoredNoiseSimulator(NoisySimulator):
         base: NormalFormGame,
         seed: int,
     ):
-        if len(a) != len(kinds):
+        try:
+            paired = len(a) == len(kinds)
+        except TypeError:  # a scale or a kind where a sequence goes
+            paired = False
+        if not paired:
             raise ValueError("one scale per factor kind required")
-        for kind in kinds:
-            if kind not in _FACTOR_TABLE:
-                raise ValueError(f"unknown factor kind {kind!r}")
+        self._groupings = [_factor(kind)[0] for kind in kinds]
         self.a = tuple(_real(a_i, "factor scale", "finite and nonnegative") for a_i in a)
         self.a0 = _real(a0, "a0", "finite and nonnegative")
         if self.a0 < _utility_bound(base):
@@ -155,7 +166,7 @@ class FactoredNoiseSimulator(NoisySimulator):
 
     def _keys(self, i, players, profiles):
         """Factor i's hash keys: its grouping values, salted per factor and hashed."""
-        group = _FACTOR_TABLE[self.kinds[i]][0](self.base, players, profiles)
+        group = self._groupings[i](self.base, players, profiles)
         return splitmix64(group.astype(np.uint64) + np.uint64(mix(self.seed, i)))
 
 

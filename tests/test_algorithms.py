@@ -690,14 +690,14 @@ def test_psp_deterministic():
 
 
 def test_psp_refuses_non_integer_seeds():
-    # psp derives each round's seed with mix, which used to truncate a float
-    # seed to the int below it and run that seed's trace
+    # psp reads its seed by the integer rule: mix used to truncate a float
+    # seed to the int below it, and still folds a string in as a label
     base = gen_rg(2, 2, seed=1)
     sim = noisy_sim(base, 1.0)
     sched = SamplingSchedule.finite_doubling(10, 30)
     failure = FailureSchedule.uniform_split(0.1, sched.length)
-    for seed in (1.5, 1.0, True):
-        with pytest.raises(ValueError, match="mix takes"):
+    for seed in (1.5, 1.0, True, "1"):
+        with pytest.raises(ValueError, match="seed must be an integer"):
             psp(sim, sched, failure, sim.range_c, BoundType.HOEFFDING, seed=seed)
 
 
@@ -750,29 +750,26 @@ def test_psp_unbounded_schedule_needs_positive_threshold():
     # an unbounded doubling schedule stops only once the radius reaches the
     # threshold, and a radius never reaches 0, so psp must refuse up front
     sim = noisy_sim(_pd_game(), 1.0)
-    for threshold in (0.0, -1.0, float("nan")):
-        with pytest.raises(ValueError, match="positive eps_threshold"):
-            psp(
-                sim,
-                SamplingSchedule.infinite_doubling(100),
-                FailureSchedule.geometric_halving(0.1),
-                c=sim.range_c,
-                bound=BoundType.HOEFFDING,
-                eps_threshold=threshold,
-            )
-    # a finite schedule refuses a NaN or negative threshold too, rather than
-    # running to its end
+    unbounded = (SamplingSchedule.infinite_doubling(100), FailureSchedule.geometric_halving(0.1))
     sched = SamplingSchedule.finite_doubling(100, 700)
-    for threshold in (float("nan"), -1.0):
-        with pytest.raises(ValueError, match="eps_threshold must be a non-negative number"):
-            psp(
-                sim,
-                sched,
-                FailureSchedule.uniform_split(0.1, sched.length),
-                c=sim.range_c,
-                bound=BoundType.HOEFFDING,
-                eps_threshold=threshold,
-            )
+    finite = (sched, FailureSchedule.uniform_split(0.1, sched.length))
+    for threshold, schedules, message in (
+        (0.0, (unbounded,), "positive eps_threshold"),
+        # a NaN or negative threshold is refused on either schedule, rather
+        # than running a finite one to its end
+        (-1.0, (unbounded, finite), "eps_threshold must be nonnegative"),
+        (float("nan"), (unbounded, finite), "eps_threshold must be nonnegative"),
+    ):
+        for sampling, failure in schedules:
+            with pytest.raises(ValueError, match=message):
+                psp(
+                    sim,
+                    sampling,
+                    failure,
+                    c=sim.range_c,
+                    bound=BoundType.HOEFFDING,
+                    eps_threshold=threshold,
+                )
 
 
 def test_psp_schedule_mismatch_raises():

@@ -82,14 +82,17 @@ def test_psp_huge_threshold_stops_immediately(tmp_path):
 
 
 def test_psp_infinite_schedule_with_zero_eps_refused(tmp_path):
-    # with the default --eps 0, or with --eps nan, an unbounded schedule
-    # would never stop
+    # with the default --eps 0 an unbounded schedule would never stop, and
+    # --eps nan is refused by the real-number rule before that
     game_path = tmp_path / "game.json"
     main(
         ["gen-game", "--family", "rg", "--players", "2", "--k", "2", "--seed", "4",
          "--out", str(game_path)]
     )
-    for eps in ([], ["--eps", "nan"]):
+    for eps, message in (
+        ([], "positive eps_threshold"),
+        (["--eps", "nan"], "eps_threshold must be nonnegative"),
+    ):
         proc = subprocess.run(
             [sys.executable, "-m", "egta.cli", "psp", "--game", str(game_path), "--infinite",
              *eps],
@@ -98,7 +101,7 @@ def test_psp_infinite_schedule_with_zero_eps_refused(tmp_path):
             timeout=60,
         )
         assert proc.returncode == 2
-        assert "positive eps_threshold" in proc.stderr
+        assert message in proc.stderr
         assert "Traceback" not in proc.stderr
 
 
@@ -132,7 +135,7 @@ def test_library_errors_are_usage_errors(tmp_path, capsys):
         (["gs", "--game", str(good), "--bound", "bogus"], "'bogus' is not a valid BoundType"),
         # a finite schedule refuses a NaN threshold as an unbounded one does
         (["psp", "--game", str(good), "--eps", "nan", "--budget", "700"],
-         "eps_threshold must be a non-negative number"),
+         "eps_threshold must be nonnegative"),
     ):
         with pytest.raises(SystemExit) as exit_info:
             main(args)

@@ -174,9 +174,10 @@ def test_dominance_matches_oracle_on_tied_payoffs():
 
 
 def test_rationalizable_rejects_malformed_restriction(prisoners_dilemma):
-    # one strategy list per player, each nonempty; a short list used to hang
-    # and a long one leaked IndexError
-    for restrict in ([[0]], [[0, 1], [0], [1]], [[0, 1], []]):
+    # one strategy list per player, each nonempty; a short list used to hang,
+    # a long one leaked IndexError, and a restriction or list that is not a
+    # sequence leaked TypeError
+    for restrict in ([[0]], [[0, 1], [0], [1]], [[0, 1], []], 5, [None, [0]]):
         with pytest.raises(ValueError, match="restriction"):
             rationalizable(prisoners_dilemma, 0.0, restrict=restrict)
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from egta import experiments
-from egta.algorithms import BoundType, FailureSchedule, SamplingSchedule, gs
+from egta.algorithms import BoundType, FailureSchedule, SamplingSchedule, gs, psp
 from egta.bounds import factored_ra_bound, hoeffding_eps, noise_scaling_ra_bound, ra_eps_upper
 from egta.games import (
     IndexSet,
@@ -37,21 +37,35 @@ def _gs(m=10, seed=0):
     return gs(SIM, FULL, m, 0.1, SIM.range_c, BoundType.HOEFFDING, seed=seed)
 
 
-# each site takes the value under test where a count, index or seed goes
+# each site takes the value under test where a count, index or seed goes;
+# the seed sites run at tiny sizes, so that code which takes a string seed as
+# a label returns at once instead of refusing it
 SITES = {
     "SamplingSchedule.m0": lambda x: SamplingSchedule(x),
     "SamplingSchedule.budget": lambda x: SamplingSchedule(1, x),
     "FailureSchedule.steps": lambda x: FailureSchedule(0.1, x),
     "gs.m": lambda x: _gs(m=x),
     "gs.seed": lambda x: _gs(seed=x),
+    "psp.seed": lambda x: psp(SIM, SamplingSchedule(10, 30), FailureSchedule(0.1, 2), SIM.range_c,
+                              BoundType.HOEFFDING, seed=x),
     "hoeffding_eps.num_indices": lambda x: hoeffding_eps(1.0, x, 10, 0.1),
     "ra_eps_upper.num_indices": lambda x: ra_eps_upper(1.0, x, 10, 0.1),
     "factored_ra_bound.b": lambda x: factored_ra_bound(1.0, [1.0], [x], 10),
     "noise_scaling_ra_bound.counts": lambda x: noise_scaling_ra_bound(1.0, (0.0, 1.0), (x,), 10),
     "run_eps_vs_samples.reps": lambda x: experiments.run_eps_vs_samples(reps=x),
+    "run_eps_vs_samples.seed":
+        lambda x: experiments.run_eps_vs_samples(seed=x, reps=1, d_values=(2.0,), m_values=(10,)),
     "run_nash_frequency.runs": lambda x: experiments.run_nash_frequency(runs=x),
+    "run_nash_frequency.seed": lambda x: experiments.run_nash_frequency(seed=x, runs=1, m_values=(10,)),
     "run_success_rate.reps": lambda x: experiments.run_success_rate(reps=x),
+    "run_success_rate.seed": lambda x: experiments.run_success_rate(
+        seed=x, reps=1, delta_grid=(0.1,), rho_grid=(1.0,), m=10
+    ),
     "run_gs_vs_psp.reps": lambda x: experiments.run_gs_vs_psp(reps=x),
+    "run_gs_vs_psp.seed": lambda x: experiments.run_gs_vs_psp(
+        seed=x, reps=1, players_values=(2,), k_values=(2,), m0=10, budget=30
+    ),
+    "find_unique_nash_rc_game.seed": lambda x: experiments.find_unique_nash_rc_game(x),
     "run_bound_compare_factored.players_max":
         lambda x: experiments.run_bound_compare_factored(players_max=x),
     "run_bound_compare_vns.players_max": lambda x: experiments.run_bound_compare_vns(players_max=x),

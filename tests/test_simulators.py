@@ -375,10 +375,16 @@ def test_factored_sim_validates():
     base = gen_rg(2, 2, u0=4.0, seed=6)
     with pytest.raises(ValueError):
         FactoredNoiseSimulator(1.0, [1.0], ["global"], base, seed=0)  # a0 too small
-    with pytest.raises(ValueError):
-        FactoredNoiseSimulator(2.0, [1.0], ["unknown"], base, seed=0)
-    with pytest.raises(ValueError):
-        FactoredNoiseSimulator(2.0, [1.0, 1.0], ["global"], base, seed=0)
+    # an unknown kind, hashable or not, and scales or kinds that do not pair
+    # up used to leak KeyError or TypeError
+    for kinds in (["unknown"], [["global"]]):
+        with pytest.raises(ValueError, match="unknown factor kind"):
+            FactoredNoiseSimulator(2.0, [1.0], kinds, base, seed=0)
+        with pytest.raises(ValueError, match="unknown factor kind"):
+            factor_image_sizes(kinds, base.strategy_counts)
+    for a, kinds in (([1.0, 1.0], ["global"]), (1.0, ["global"]), ([1.0], None)):
+        with pytest.raises(ValueError, match="one scale per factor kind"):
+            FactoredNoiseSimulator(2.0, a, kinds, base, seed=0)
     # non-finite scales used to build with a NaN or infinite range_c
     nan, inf = float("nan"), float("inf")
     for a0, a in ((nan, [nan]), (nan, [1.0]), (10.0, [nan]), (10.0, [inf]), (inf, [1.0])):
