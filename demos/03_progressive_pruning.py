@@ -23,8 +23,8 @@ from egta.games import game_size
 truth = gen_rg(num_players=4, k=4, u0=10.0, seed=21)  # 1024 utilities
 sim = noisy_sim(truth, d=5.0)
 
-schedule = SamplingSchedule.finite_doubling(m0=100, budget=102300)
-failure = FailureSchedule.uniform_split(0.1, schedule.length)
+schedule = SamplingSchedule(m0=100, budget=102300)
+failure = FailureSchedule(0.1, schedule.length)
 result = psp(sim, schedule, failure, c=sim.range_c, bound=BoundType.HOEFFDING,
              pure=True, eps_threshold=0.0, seed=7)
 

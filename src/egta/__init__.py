@@ -20,7 +20,6 @@ from .bounds import (
     factored_ra_bound,
     hoeffding_eps,
     noise_scaling_ra_bound,
-    ra_eps_upper,
 )
 from .games import (
     IndexSet,

@@ -69,10 +69,6 @@ class SamplingSchedule:
     def finite_doubling(m0: int, budget: int) -> "SamplingSchedule":
         return SamplingSchedule(m0, budget)
 
-    @staticmethod
-    def infinite_doubling(m0: int) -> "SamplingSchedule":
-        return SamplingSchedule(m0, None)
-
     @property
     def length(self) -> int | None:
         """Number of iterations, or None when infinite."""
@@ -100,10 +96,6 @@ class FailureSchedule:
             if not (steps <= sys.float_info.max and self.delta / steps > 0):
                 raise ValueError("too many steps: delta / steps is not a positive float")
             object.__setattr__(self, "steps", steps)
-
-    @staticmethod
-    def uniform_split(delta: float, steps: int) -> "FailureSchedule":
-        return FailureSchedule(delta, steps)
 
     @staticmethod
     def geometric_halving(delta: float) -> "FailureSchedule":

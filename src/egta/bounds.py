@@ -2,9 +2,8 @@
 
 Closed-form bounds: Hoeffding with a Bonferroni union over any number of
 indices, which takes the index count as an exact integer of any size, and
-Massart-style upper bounds on the Rademacher average, either over the whole
-index set or summed over groups of indices. A group is a noise factor's
-image, given as scales a and image sizes b, or an interval of a
+Massart-style upper bounds on the Rademacher average summed over groups of
+indices. A group is a noise factor's image, given as scales a and image sizes b, or an interval of a
 noise-magnitude census, given as breakpoints and per-interval index counts.
 Plus the radius 2r + 3c*sqrt(ln(1/delta)/(2m)) for a one-draw
 empirical Rademacher average r, which ``gs`` computes from its own samples.
@@ -57,15 +56,6 @@ def era_eps(r: float, c: float, m: float, delta: float) -> float:
     c, m, delta = _check_common(c, m, delta)
     r = _real(r, "empirical Rademacher average", "finite and nonnegative")
     return 2.0 * r + 3.0 * c * math.sqrt(_ln_inverse(delta) / (2.0 * m))
-
-
-def ra_eps_upper(c: float, num_indices: int, m: float, delta: float) -> float:
-    """A-priori cap on the Rademacher-average radius via Massart's finite
-    class bound: c*sqrt(ln|I|/(2m)) + c*sqrt(ln(1/delta)/(2m))."""
-    c, m, delta = _check_common(c, m, delta)
-    num_indices = _integer(num_indices, "index-set size", least=1)
-    tail = c * math.sqrt(_ln_inverse(delta) / (2.0 * m))
-    return c * math.sqrt(math.log(num_indices) / (2.0 * m)) + tail
 
 
 def crossover_size(delta: float) -> float:

@@ -120,11 +120,10 @@ def _psp(game: str, d: float = 0.0, delta: float = 0.1, bound: str = "hoeffding"
          mixed: bool = False, eps: float = 0.0) -> str:
     sim = noisy_sim(_load_base_game(game), d)
     if infinite:
-        sampling = SamplingSchedule.infinite_doubling(m0)
-        failure = FailureSchedule.geometric_halving(delta)
+        sampling, failure = SamplingSchedule(m0), FailureSchedule(delta)
     else:
-        sampling = SamplingSchedule.finite_doubling(m0, budget)
-        failure = FailureSchedule.uniform_split(delta, sampling.length)
+        sampling = SamplingSchedule(m0, budget)
+        failure = FailureSchedule(delta, sampling.length)
     return psp(sim, sampling, failure, c=sim.range_c, bound=bound, pure=not mixed,
                eps_threshold=eps, seed=seed).to_json() + "\n"
 

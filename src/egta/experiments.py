@@ -251,8 +251,8 @@ def run_gs_vs_psp(
     seed = _integer(seed, "seed")
     reps = _integer(reps, "reps", least=1)
     name = "gs-vs-psp"
-    sched = SamplingSchedule.finite_doubling(m0, budget)
-    failure = FailureSchedule.uniform_split(delta, sched.length)
+    sched = SamplingSchedule(m0, budget)
+    failure = FailureSchedule(delta, sched.length)
     rows = []
     for players in players_values:
         for k in k_values:

@@ -253,10 +253,6 @@ def welfare(game: NormalFormGame, profile: Sequence[int]) -> float:
     return float(game.utilities[:, game.profile_index(profile)].sum())
 
 
-def welfare_table(game: NormalFormGame) -> np.ndarray:
-    return game.utilities.sum(axis=0)
-
-
 def maximin_value(game: NormalFormGame, p: int) -> float:
     """Largest worst-case utility player p can secure with a pure strategy."""
     t = game.tensor(_player(game, p))

@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .games import NormalFormGame, nash_mask, welfare_table
+from .games import NormalFormGame, nash_mask
 from .hashing import _generator, _integer, _real, _splitmix64_in_place, hash_uniform, mix, splitmix64
 
 
@@ -288,7 +288,7 @@ def _anarchy(cg: CongestionGame) -> tuple[NormalFormGame, np.ndarray, np.ndarray
     """The expanded game, each profile's total cost, the pure equilibria's
     indices, the optimal cost (which must be > 0) and the worst equilibrium's."""
     game = expand(cg)
-    total_cost = -welfare_table(game)
+    total_cost = -game.utilities.sum(axis=0)
     nash = np.nonzero(nash_mask(game, 0.0))[0]
     if not nash.size:
         raise RuntimeError("no pure equilibrium found; congestion games must have one")

@@ -219,13 +219,6 @@ def mp_era_eps(r, c, m, delta):
     return 2 * r + 3 * c * mpmath.sqrt(mpmath.log(1 / delta) / (2 * m))
 
 
-def mp_ra_upper(c, n, m, delta):
-    c, n, m, delta = (mpmath.mpf(x) for x in (c, n, m, delta))
-    return c * mpmath.sqrt(mpmath.log(n) / (2 * m)) + c * mpmath.sqrt(
-        mpmath.log(1 / delta) / (2 * m)
-    )
-
-
 def mp_factored(a0, a, b, m):
     total = mpmath.mpf(a0) / mpmath.sqrt(m)
     for a_i, b_i in zip(a, b):

@@ -13,7 +13,6 @@ from egta.bounds import (
     factored_ra_bound,
     hoeffding_eps,
     noise_scaling_ra_bound,
-    ra_eps_upper,
 )
 from egta.experiments import (
     run_bound_compare_factored,
@@ -238,7 +237,6 @@ def test_criterion_11_bound_formula_regression():
         checks = [
             (hoeffding_eps(c, n, m, delta), oracle.mp_hoeffding(c, n, m, delta)),
             (era_eps(r, c, m, delta), oracle.mp_era_eps(r, c, m, delta)),
-            (ra_eps_upper(c, n, m, delta), oracle.mp_ra_upper(c, n, m, delta)),
         ]
         n_factors = int(rng.integers(1, 6))
         a0 = float(rng.uniform(0, 5))

@@ -53,46 +53,52 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def test_sampling_schedule_finite():
-    sched = SamplingSchedule.finite_doubling(100, 25500)
+    sched = SamplingSchedule(100, 25500)
     assert list(sched.sizes()) == [100, 200, 400, 800, 1600, 3200, 6400, 12800]
     assert sched.length == 8
     with pytest.raises(ValueError):
-        SamplingSchedule.finite_doubling(100, 99)
+        SamplingSchedule(100, 99)
     # NaN and fractional sizes used to pass and yield no or fractional sizes
     for m0, budget in ((10, math.nan), (math.nan, 100), (1.5, 10), (10, 100.0), (0, 10)):
         with pytest.raises(ValueError):
-            SamplingSchedule.finite_doubling(m0, budget)
+            SamplingSchedule(m0, budget)
 
 
 def test_sampling_schedule_infinite():
-    sched = SamplingSchedule.infinite_doubling(50)
+    sched = SamplingSchedule(50)
     it = sched.sizes()
     assert [next(it) for _ in range(4)] == [50, 100, 200, 400]
     assert sched.length is None
     for m0 in (math.nan, 1.5, 0):
         with pytest.raises(ValueError):
-            SamplingSchedule.infinite_doubling(m0)
+            SamplingSchedule(m0)
 
 
 def test_failure_schedules():
-    uniform = FailureSchedule.uniform_split(0.1, 4)
+    uniform = FailureSchedule(0.1, 4)
     assert list(uniform.deltas()) == [0.025] * 4
-    geo = FailureSchedule.geometric_halving(0.2)
+    geo = FailureSchedule(0.2)
     it = geo.deltas()
     first = [next(it) for _ in range(5)]
     assert first == [0.1, 0.05, 0.025, 0.0125, 0.00625]
     assert sum(first) < 0.2
     with pytest.raises(ValueError):
-        FailureSchedule.uniform_split(1.5, 4)
+        FailureSchedule(1.5, 4)
     for steps in (0, math.nan, 2.5):
         with pytest.raises(ValueError):
-            FailureSchedule.uniform_split(0.1, steps)
+            FailureSchedule(0.1, steps)
     with pytest.raises(ValueError):
-        FailureSchedule.uniform_split(0.1, 0)
+        FailureSchedule(0.1, 0)
     # a share delta / steps that underflows, or a step count with no float
     for delta, steps in ((1e-300, 10**100), (0.1, 10**400)):
         with pytest.raises(ValueError, match="not a positive float"):
-            FailureSchedule.uniform_split(delta, steps)
+            FailureSchedule(delta, steps)
+
+
+def test_named_schedules_are_the_constructors_schedules():
+    # the benchmark's workloads still build their schedules by these names
+    assert SamplingSchedule.finite_doubling(100, 700) == SamplingSchedule(100, 700)
+    assert FailureSchedule.geometric_halving(0.1) == FailureSchedule(0.1)
 
 
 def test_gs_zero_noise_hoeffding_exact():
@@ -341,8 +347,8 @@ def test_gs_zero_range_is_exact():
         res = gs(sim, IndexSet.full(base.strategy_counts), m=20, delta=0.1, c=sim.range_c, bound=bound, seed=3)
         assert res.epsilon == 0.0
         assert np.array_equal(res.utilities, np.zeros(8))
-    sched = SamplingSchedule.finite_doubling(10, 70)
-    res = psp(sim, sched, FailureSchedule.uniform_split(0.1, 3), c=0.0, bound=BoundType.ONE_ERA)
+    sched = SamplingSchedule(10, 70)
+    res = psp(sim, sched, FailureSchedule(0.1, 3), c=0.0, bound=BoundType.ONE_ERA)
     assert res.epsilon == 0.0 and len(res.trace) == 1
     assert len(res.pure_equilibria) == 4
 
@@ -352,18 +358,18 @@ def test_games_index_sets_and_results_compare_by_identity():
     base = NormalFormGame((2, 2), np.zeros((2, 4)))
     sim = noisy_sim(base, 1.0)
     full = IndexSet.full(base.strategy_counts)
-    sched = SamplingSchedule.finite_doubling(10, 30)
+    sched = SamplingSchedule(10, 30)
     results = (
         base,
         full,
         gs(sim, full, 10, 0.1, sim.range_c, BoundType.HOEFFDING),
-        psp(sim, sched, FailureSchedule.uniform_split(0.1, 2), c=sim.range_c, bound=BoundType.HOEFFDING),
+        psp(sim, sched, FailureSchedule(0.1, 2), c=sim.range_c, bound=BoundType.HOEFFDING),
     )
     twins = (
         NormalFormGame((2, 2), np.zeros((2, 4))),
         IndexSet.full(base.strategy_counts),
         gs(sim, full, 10, 0.1, sim.range_c, BoundType.HOEFFDING),
-        psp(sim, sched, FailureSchedule.uniform_split(0.1, 2), c=sim.range_c, bound=BoundType.HOEFFDING),
+        psp(sim, sched, FailureSchedule(0.1, 2), c=sim.range_c, bound=BoundType.HOEFFDING),
     )
     for x, twin in zip(results, twins):
         assert x == x and x != twin
@@ -403,8 +409,8 @@ def test_gs_and_psp_refuse_c_below_the_declared_range():
     sim = noisy_sim(gen_rg(2, 2, seed=1), 1.0)
     assert 10.0 < sim.range_c < 11.0
     idx = IndexSet.full(sim.strategy_counts)
-    sched = SamplingSchedule.finite_doubling(10, 30)
-    failure = FailureSchedule.uniform_split(0.1, sched.length)
+    sched = SamplingSchedule(10, 30)
+    failure = FailureSchedule(0.1, sched.length)
     for bound in BoundType:
         with pytest.raises(ValueError, match="below the simulator's declared range"):
             gs(sim, idx, 10, 0.1, 10.0, bound)
@@ -429,8 +435,8 @@ def test_bound_accepts_enum_or_value():
     assert gs(sim, idx, 10, 0.1, sim.range_c, "hoeffding").epsilon == hoeffding_eps(
         sim.range_c, len(idx), 10, 0.1
     )
-    sched = SamplingSchedule.finite_doubling(10, 70)
-    failure = FailureSchedule.uniform_split(0.1, sched.length)
+    sched = SamplingSchedule(10, 70)
+    failure = FailureSchedule(0.1, sched.length)
     for bound in BoundType:
         by_enum, by_value = (
             psp(sim, sched, failure, sim.range_c, b, seed=5) for b in (bound, bound.value)
@@ -606,8 +612,8 @@ def test_psp_huge_threshold_single_iteration():
     sim = noisy_sim(base, 2.0)
     res = psp(
         sim,
-        SamplingSchedule.finite_doubling(100, 700),
-        FailureSchedule.uniform_split(0.1, 3),
+        SamplingSchedule(100, 700),
+        FailureSchedule(0.1, 3),
         c=sim.range_c,
         bound=BoundType.HOEFFDING,
         pure=True,
@@ -622,8 +628,8 @@ def test_psp_zero_noise_pd_finds_defect():
     sim = noisy_sim(_pd_game(), 0.0)
     res = psp(
         sim,
-        SamplingSchedule.infinite_doubling(100),
-        FailureSchedule.geometric_halving(0.1),
+        SamplingSchedule(100),
+        FailureSchedule(0.1),
         c=sim.range_c,
         bound=BoundType.HOEFFDING,
         pure=True,
@@ -639,8 +645,8 @@ def test_psp_zero_noise_pd_mixed_descriptor():
     sim = noisy_sim(_pd_game(), 0.0)
     res = psp(
         sim,
-        SamplingSchedule.infinite_doubling(100),
-        FailureSchedule.geometric_halving(0.1),
+        SamplingSchedule(100),
+        FailureSchedule(0.1),
         c=sim.range_c,
         bound=BoundType.HOEFFDING,
         pure=False,
@@ -654,11 +660,11 @@ def test_psp_zero_noise_pd_mixed_descriptor():
 def test_psp_runs_schedule_to_completion_with_zero_threshold():
     base = expand(ppa_example_game())
     sim = noisy_sim(base, 2.0)
-    sched = SamplingSchedule.finite_doubling(50, 350)
+    sched = SamplingSchedule(50, 350)
     res = psp(
         sim,
         sched,
-        FailureSchedule.uniform_split(0.1, sched.length),
+        FailureSchedule(0.1, sched.length),
         c=sim.range_c,
         bound=BoundType.HOEFFDING,
         pure=True,
@@ -672,7 +678,7 @@ def test_psp_runs_schedule_to_completion_with_zero_threshold():
 def test_psp_deterministic():
     base = gen_rg(3, 3, seed=14)
     sim = noisy_sim(base, 5.0)
-    sched = SamplingSchedule.finite_doubling(100, 1500)
+    sched = SamplingSchedule(100, 1500)
     kwargs = dict(
         c=sim.range_c,
         bound=BoundType.ONE_ERA,
@@ -680,8 +686,8 @@ def test_psp_deterministic():
         eps_threshold=0.0,
         seed=77,
     )
-    a = psp(sim, sched, FailureSchedule.uniform_split(0.1, sched.length), **kwargs)
-    b = psp(sim, sched, FailureSchedule.uniform_split(0.1, sched.length), **kwargs)
+    a = psp(sim, sched, FailureSchedule(0.1, sched.length), **kwargs)
+    b = psp(sim, sched, FailureSchedule(0.1, sched.length), **kwargs)
     assert a.trace == b.trace
     assert np.array_equal(a.empirical.utilities, b.empirical.utilities)
     assert np.array_equal(a.radii, b.radii)
@@ -694,8 +700,8 @@ def test_psp_refuses_non_integer_seeds():
     # seed to the int below it, and still folds a string in as a label
     base = gen_rg(2, 2, seed=1)
     sim = noisy_sim(base, 1.0)
-    sched = SamplingSchedule.finite_doubling(10, 30)
-    failure = FailureSchedule.uniform_split(0.1, sched.length)
+    sched = SamplingSchedule(10, 30)
+    failure = FailureSchedule(0.1, sched.length)
     for seed in (1.5, 1.0, True, "1"):
         with pytest.raises(ValueError, match="seed must be an integer"):
             psp(sim, sched, failure, sim.range_c, BoundType.HOEFFDING, seed=seed)
@@ -718,8 +724,8 @@ def _psp_rounds(monkeypatch, *args, **kwargs):
 def test_psp_delta_accounting_and_frozen_radii(monkeypatch):
     base = gen_rg(2, 4, seed=15)
     sim = noisy_sim(base, 8.0)
-    sched = SamplingSchedule.finite_doubling(100, 3100)
-    failure = FailureSchedule.uniform_split(0.1, sched.length)
+    sched = SamplingSchedule(100, 3100)
+    failure = FailureSchedule(0.1, sched.length)
     res, rounds = _psp_rounds(
         monkeypatch,
         sim,
@@ -750,9 +756,9 @@ def test_psp_unbounded_schedule_needs_positive_threshold():
     # an unbounded doubling schedule stops only once the radius reaches the
     # threshold, and a radius never reaches 0, so psp must refuse up front
     sim = noisy_sim(_pd_game(), 1.0)
-    unbounded = (SamplingSchedule.infinite_doubling(100), FailureSchedule.geometric_halving(0.1))
-    sched = SamplingSchedule.finite_doubling(100, 700)
-    finite = (sched, FailureSchedule.uniform_split(0.1, sched.length))
+    unbounded = (SamplingSchedule(100), FailureSchedule(0.1))
+    sched = SamplingSchedule(100, 700)
+    finite = (sched, FailureSchedule(0.1, sched.length))
     for threshold, schedules, message in (
         (0.0, (unbounded,), "positive eps_threshold"),
         # a NaN or negative threshold is refused on either schedule, rather
@@ -775,12 +781,12 @@ def test_psp_unbounded_schedule_needs_positive_threshold():
 def test_psp_schedule_mismatch_raises():
     base = gen_rg(2, 2, seed=16)
     sim = noisy_sim(base, 1.0)
-    sched = SamplingSchedule.finite_doubling(100, 1500)  # 4 iterations
+    sched = SamplingSchedule(100, 1500)  # 4 iterations
     with pytest.raises(ValueError):
         psp(
             sim,
             sched,
-            FailureSchedule.uniform_split(0.1, 2),
+            FailureSchedule(0.1, 2),
             c=sim.range_c,
             bound=BoundType.HOEFFDING,
         )
@@ -792,12 +798,12 @@ def test_psp_never_prunes_true_nash_when_guarantee_holds(monkeypatch):
         cg = gen_rc(3, 3, 2, seed=200 + seed)
         base = expand(cg)
         sim = noisy_sim(base, 5.0)
-        sched = SamplingSchedule.finite_doubling(100, 1500)
+        sched = SamplingSchedule(100, 1500)
         res, rounds = _psp_rounds(
             monkeypatch,
             sim,
             sched,
-            FailureSchedule.uniform_split(0.1, sched.length),
+            FailureSchedule(0.1, sched.length),
             c=sim.range_c,
             bound=BoundType.HOEFFDING,
             pure=True,
@@ -860,12 +866,12 @@ def test_psp_coverage(bound, pure, finite):
         base = gen_rg(3, 3, u0=0.5, seed=900 + seed) if pure else _near_tie_pair(900 + seed)
         sim = noisy_sim(base, 5.0)
         if finite:
-            sampling = SamplingSchedule.finite_doubling(100, 700)
-            failure = FailureSchedule.uniform_split(delta, sampling.length)
+            sampling = SamplingSchedule(100, 700)
+            failure = FailureSchedule(delta, sampling.length)
             threshold = 0.0
         else:
-            sampling = SamplingSchedule.infinite_doubling(10)
-            failure = FailureSchedule.geometric_halving(delta)
+            sampling = SamplingSchedule(10)
+            failure = FailureSchedule(delta)
             threshold = 0.3 if bound is BoundType.HOEFFDING else 1.0
         res = psp(sim, sampling, failure, sim.range_c, bound, pure, threshold, seed=seed)
         if pure:
@@ -881,11 +887,11 @@ def test_psp_coverage(bound, pure, finite):
 
 def test_psp_result_json():
     sim = noisy_sim(_pd_game(), 0.0)
-    sched = SamplingSchedule.finite_doubling(100, 300)
+    sched = SamplingSchedule(100, 300)
     res = psp(
         sim,
         sched,
-        FailureSchedule.uniform_split(0.1, sched.length),
+        FailureSchedule(0.1, sched.length),
         c=sim.range_c,
         bound=BoundType.HOEFFDING,
         pure=True,
@@ -912,11 +918,11 @@ GOLDEN_PSP_MIXED_SHA256 = "5930b496e2d587c16df48d15bf6edf622ee37db8d2bd533522955
 
 def test_psp_golden_pure_hoeffding_finite():
     sim = noisy_sim(expand(gen_rc(4, 4, 3, alpha=0.5, seed=1)), 3.0)
-    sched = SamplingSchedule.finite_doubling(100, 6300)
+    sched = SamplingSchedule(100, 6300)
     res = psp(
         sim,
         sched,
-        FailureSchedule.uniform_split(0.1, sched.length),
+        FailureSchedule(0.1, sched.length),
         c=sim.range_c,
         bound=BoundType.HOEFFDING,
         pure=True,
@@ -930,8 +936,8 @@ def test_psp_golden_mixed_onera_geometric():
     sim = noisy_sim(base, 2.0)
     res = psp(
         sim,
-        SamplingSchedule.finite_doubling(100, 12700),
-        FailureSchedule.geometric_halving(0.1),
+        SamplingSchedule(100, 12700),
+        FailureSchedule(0.1),
         c=sim.range_c,
         bound=BoundType.ONE_ERA,
         pure=False,
@@ -960,8 +966,8 @@ def test_gs_and_psp_need_no_base_game():
     blind = _Blind(sim)
     assert not hasattr(blind, "base")
     idx = IndexSet.full(sim.strategy_counts)
-    sched = SamplingSchedule.finite_doubling(100, 1500)
-    failure = FailureSchedule.uniform_split(0.1, sched.length)
+    sched = SamplingSchedule(100, 1500)
+    failure = FailureSchedule(0.1, sched.length)
     for bound in BoundType:
         want = gs(sim, idx, 300, 0.1, sim.range_c, bound, seed=2)
         got = gs(blind, idx, 300, 0.1, blind.range_c, bound, seed=2)

@@ -12,7 +12,6 @@ from egta.bounds import (
     factored_ra_bound,
     hoeffding_eps,
     noise_scaling_ra_bound,
-    ra_eps_upper,
 )
 
 import _oracles as oracle
@@ -40,13 +39,11 @@ def test_hoeffding_union_frozen_value():
 
 def test_hoeffding_takes_an_index_count_past_the_float_range():
     # 2 * 10^308 and 10^400 have no float; the radius still matches the
-    # mpmath oracle, as does the a-priori Rademacher cap, which logs the
-    # integer itself
+    # mpmath oracle
     for n in (10**308, 10**400):
         assert hoeffding_eps(1.0, n, 100, 0.1) == pytest.approx(
             float(oracle.mp_hoeffding(1.0, n, 100, 0.1)), rel=1e-14
         )
-    assert ra_eps_upper(1.0, 10**400, 100, 0.1) == pytest.approx(2.25, abs=0.01)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -86,16 +83,6 @@ def test_era_eps_limits():
     assert era_eps(0.3, 5, 100, 0.1) - base == pytest.approx(0.6, rel=1e-12)
 
 
-def test_ra_eps_upper_values():
-    assert ra_eps_upper(1.0, 1, 50, 0.2) == pytest.approx(
-        math.sqrt(math.log(5) / 100), rel=1e-14
-    )
-    assert ra_eps_upper(1.0, round(math.e**2), 2, math.exp(-1)) == pytest.approx(
-        math.sqrt(math.log(round(math.e**2)) / 4) + 0.5, rel=1e-14
-    )
-    assert ra_eps_upper(2.0, 9, 100, 0.3) >= 2.0 * math.sqrt(math.log(1 / 0.3) / 200)
-
-
 def test_crossover_size_values():
     assert crossover_size(0.1) == 5.0e7
     assert crossover_size(1.0) == 0.5
@@ -121,9 +108,8 @@ def test_crossover_size_ties_hoeffding_with_era_at_zero():
 
 def test_radii_stay_finite_for_subnormal_delta():
     # 1/delta overflows below about 5.6e-309, where ln(1/delta) is still finite
-    for radius in (lambda d: era_eps(0.1, 1.0, 10, d), lambda d: ra_eps_upper(1.0, 5, 10, d)):
-        assert math.isfinite(radius(1e-310))
-        assert radius(1e-310) >= radius(1e-300)
+    assert math.isfinite(era_eps(0.1, 1.0, 10, 1e-310))
+    assert era_eps(0.1, 1.0, 10, 1e-310) >= era_eps(0.1, 1.0, 10, 1e-300)
 
 
 def test_factored_ra_bound_values():
@@ -176,7 +162,6 @@ def test_bounds_monotone_in_m_and_delta():
         lambda m, d: hoeffding_eps(2, 1, m, d),
         lambda m, d: hoeffding_eps(2, 20, m, d),
         lambda m, d: era_eps(0.0, 2, m, d),
-        lambda m, d: ra_eps_upper(2, 20, m, d),
     ):
         assert fn(100, 0.1) > fn(200, 0.1)
         assert fn(100, 0.1) > fn(100, 0.2)
@@ -199,9 +184,6 @@ def test_bound_formulas_match_high_precision_references():
         assert era_eps(r, c, m, delta) == pytest.approx(
             float(oracle.mp_era_eps(r, c, m, delta)), rel=1e-12
         )
-        assert ra_eps_upper(c, n, m, delta) == pytest.approx(
-            float(oracle.mp_ra_upper(c, n, m, delta)), rel=1e-12
-        )
 
 
 def test_invalid_domains_raise():
@@ -221,8 +203,6 @@ def test_invalid_domains_raise():
         lambda: hoeffding_eps(1, 2, nan, 0.1),
         lambda: hoeffding_eps(1, nan, 10, 0.1),
         lambda: era_eps(nan, 1, 10, 0.1),
-        lambda: ra_eps_upper(1, 2, nan, 0.1),
-        lambda: ra_eps_upper(1, nan, 10, 0.1),
         lambda: factored_ra_bound(nan, [1], [2], 10),
         lambda: factored_ra_bound(1, [nan], [2], 10),
         lambda: factored_ra_bound(1, [1], [nan], 10),

@@ -8,7 +8,7 @@ import pytest
 
 from egta import experiments
 from egta.algorithms import BoundType, FailureSchedule, SamplingSchedule, gs, psp
-from egta.bounds import factored_ra_bound, hoeffding_eps, noise_scaling_ra_bound, ra_eps_upper
+from egta.bounds import factored_ra_bound, hoeffding_eps, noise_scaling_ra_bound
 from egta.games import (
     IndexSet,
     NormalFormGame,
@@ -49,7 +49,6 @@ SITES = {
     "psp.seed": lambda x: psp(SIM, SamplingSchedule(10, 30), FailureSchedule(0.1, 2), SIM.range_c,
                               BoundType.HOEFFDING, seed=x),
     "hoeffding_eps.num_indices": lambda x: hoeffding_eps(1.0, x, 10, 0.1),
-    "ra_eps_upper.num_indices": lambda x: ra_eps_upper(1.0, x, 10, 0.1),
     "factored_ra_bound.b": lambda x: factored_ra_bound(1.0, [1.0], [x], 10),
     "noise_scaling_ra_bound.counts": lambda x: noise_scaling_ra_bound(1.0, (0.0, 1.0), (x,), 10),
     "run_eps_vs_samples.reps": lambda x: experiments.run_eps_vs_samples(reps=x),

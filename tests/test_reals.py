@@ -24,7 +24,6 @@ from egta.bounds import (
     factored_ra_bound,
     hoeffding_eps,
     noise_scaling_ra_bound,
-    ra_eps_upper,
 )
 from egta.games import (
     IndexSet,
@@ -56,7 +55,6 @@ SITES = {
     "gs.c": ("utility range c", lambda x: gs(SIM, FULL, 10, 0.1, x, "hoeffding")),
     "gs.delta": ("failure probability delta", lambda x: gs(SIM, FULL, 10, x, SIM.range_c, "hoeffding")),
     "era_eps.r": ("empirical Rademacher average", lambda x: era_eps(x, 1.0, 10, 0.1)),
-    "ra_eps_upper.delta": ("failure probability delta", lambda x: ra_eps_upper(1.0, 5, 10, x)),
     "crossover_size.delta": ("delta", crossover_size),
     "factored_ra_bound.m": ("sample count m", lambda x: factored_ra_bound(1.0, [1.0], [2], x)),
     "factored_ra_bound.a0": ("expected-utility bound", lambda x: factored_ra_bound(x, [1.0], [2], 10)),
@@ -100,7 +98,6 @@ def test_reals_of_any_type_give_a_floats_bits():
         fc, fm, fdelta = float(c), float(m), float(delta)
         assert hoeffding_eps(c, 5, m, delta) == hoeffding_eps(fc, 5, fm, fdelta)
         assert era_eps(np.float16(0.5), c, m, delta) == era_eps(0.5, fc, fm, fdelta)
-        assert ra_eps_upper(c, 5, m, delta) == ra_eps_upper(fc, 5, fm, fdelta)
     assert factored_ra_bound(1, [1, 0.5], [3, 4], 25) == factored_ra_bound(1.0, [1.0, 0.5], [3, 4], 25.0)
     assert noise_scaling_ra_bound(1, (0, 1, 3), (2, 5), np.int32(7)) == noise_scaling_ra_bound(
         1.0, (0.0, 1.0, 3.0), (2, 5), 7.0
