@@ -360,8 +360,11 @@ def psp(
     is the per-player 2*epsilon-rationalizable restriction (equilibrium
     enumeration is out of scope). Pruned indices keep the radius from their
     last estimation. As in gs, a c below ``sim.range_c`` or a seed that is
-    not an integer raises ValueError.
+    not an integer raises ValueError, and so does a ``pure`` other than
+    True or False.
     """
+    if type(pure) not in (bool, np.bool_):
+        raise ValueError(f"pure must be True or False, not {pure!r}")
     c = _real(c, "utility range c", "finite and nonnegative")
     _check_range(sim, c)
     index_set = IndexSet.full(sim.strategy_counts)

@@ -16,7 +16,7 @@ import math
 import sys
 from typing import Sequence
 
-from .hashing import _integer, _real
+from .hashing import _integer, _items, _real
 
 _LN2 = math.log(2.0)
 _LN_FLOAT_MAX = math.log(sys.float_info.max)
@@ -80,6 +80,7 @@ def factored_ra_bound(a0: float, a: Sequence[float], b: Sequence[int], m: float)
     a_i bounds factor i's magnitude and b_i the number of distinct values its
     grouping function can take. b_i may be arbitrarily large Python ints.
     """
+    a, b = _items(a, "scales a"), _items(b, "image sizes b")
     if len(a) != len(b):
         raise ValueError("a and b must have equal length")
     return _massart(a0, a, [_integer(b_i, "factor image size", least=1) for b_i in b], 2.0, m)
@@ -93,8 +94,8 @@ def noise_scaling_ra_bound(a: float, breakpoints: Sequence[float], counts: Seque
     largest noise magnitude; counts[i] is (an upper bound on) the number F_i
     of indices whose noise magnitude lies in (v_i, v_{i+1}].
     """
-    v = tuple(_real(x, "breakpoint", "finite and nonnegative") for x in breakpoints)
-    counts = [_integer(f, "index count", least=0) for f in counts]
+    v = tuple(_real(x, "breakpoint", "finite and nonnegative") for x in _items(breakpoints, "breakpoints"))
+    counts = [_integer(f, "index count", least=0) for f in _items(counts, "counts")]
     if len(v) < 2 or v[0] != 0.0:
         raise ValueError("breakpoints must start at 0 and contain at least one interval")
     if not all(v[i] < v[i + 1] for i in range(len(v) - 1)):

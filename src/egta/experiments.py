@@ -23,7 +23,7 @@ from .algorithms import (
 )
 from .bounds import era_eps, factored_ra_bound, hoeffding_eps, noise_scaling_ra_bound
 from .games import IndexSet, NormalFormGame, check_containment, game_size, nash_mask
-from .hashing import _integer, _real, mix
+from .hashing import _integer, _items, _real, mix
 from .simulators import (
     FACTOR_KINDS,
     _anarchy,
@@ -63,6 +63,14 @@ def _cell(value) -> str:
     return str(value)
 
 
+def _grid(values, name: str, kind: str | None = None) -> tuple:
+    """A grid's entries as integers of at least 1, or as reals in the range
+    ``kind`` names; a scalar or a bad entry raises ValueError naming the grid."""
+    if kind is None:
+        return tuple(_integer(x, f"{name} entry", least=1) for x in _items(values, name))
+    return tuple(_real(x, f"{name} entry", kind) for x in _items(values, name))
+
+
 def _mean_ci(values: np.ndarray) -> tuple[float, float, float]:
     mean = float(values.mean())
     if values.size < 2:
@@ -83,6 +91,8 @@ def run_eps_vs_samples(
     each), one row per (noise width, sample count)."""
     seed = _integer(seed, "seed")
     reps = _integer(reps, "reps", least=1)
+    d_values = _grid(d_values, "d_values", "finite and nonnegative")
+    m_values = _grid(m_values, "m_values")
     name = "eps-vs-samples"
     rows = []
     bases = [expand(gen_rc(5, 5, 2, seed=mix(seed, name, rep))) for rep in range(reps)]
@@ -98,7 +108,7 @@ def run_eps_vs_samples(
                 )
                 eps[rep] = result.epsilon
             mean, lo, hi = _mean_ci(eps)
-            rows.append((float(d), m, mean, lo, hi))
+            rows.append((d, m, mean, lo, hi))
     return Table(
         ("d", "m", "mean_epsilon", "ci_low", "ci_high"),
         rows,
@@ -157,6 +167,7 @@ def run_nash_frequency(
     is flagged as a pure 2-epsilon-equilibrium by global sampling."""
     seed = _integer(seed, "seed")
     runs = _integer(runs, "runs", least=1)
+    m_values = _grid(m_values, "m_values")
     name = "nash-frequency"
     base, attempt, true_nash = find_unique_nash_rc_game(seed)
     sim = noisy_sim(base, d)
@@ -202,7 +213,8 @@ def run_success_rate(
     swept over the failure probability and a radius contraction factor."""
     seed = _integer(seed, "seed")
     reps = _integer(reps, "reps", least=1)
-    rho_grid = tuple(_real(rho, "rho", "finite and nonnegative") for rho in rho_grid)
+    delta_grid = _grid(delta_grid, "delta_grid", "in (0, 1)")
+    rho_grid = _grid(rho_grid, "rho_grid", "finite and nonnegative")
     name = "success-rate"
     families = {
         "rc": lambda rep: expand(gen_rc(3, 3, 2, seed=mix(seed, name, "rc", rep))),
@@ -250,6 +262,8 @@ def run_gs_vs_psp(
     same total utility-evaluation budget, one row per random game."""
     seed = _integer(seed, "seed")
     reps = _integer(reps, "reps", least=1)
+    players_values = _grid(players_values, "players_values")
+    k_values = _grid(k_values, "k_values")
     name = "gs-vs-psp"
     sched = SamplingSchedule(m0, budget)
     failure = FailureSchedule(delta, sched.length)

@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .hashing import _integer, _real
+from .hashing import _integer, _items, _real
 
 Profile = tuple[int, ...]
 
@@ -24,11 +24,7 @@ Profile = tuple[int, ...]
 def _strategy_counts(counts: Sequence[int]) -> tuple[int, ...]:
     """Per-player strategy counts as a tuple of integers of at least 1, by
     the integer rule; anything else, a game included, raises ValueError."""
-    try:
-        items = iter(counts)
-    except TypeError:
-        raise ValueError(f"strategy counts must be a sequence, not {type(counts).__name__}") from None
-    counts = tuple(_integer(k, "strategy count", least=1) for k in items)
+    counts = tuple(_integer(k, "strategy count", least=1) for k in _items(counts, "strategy counts"))
     if not counts:
         raise ValueError("a game needs at least one player")
     return counts

@@ -21,9 +21,9 @@ compiler, a writable cache directory or a loadable library, the numpy code
 runs instead, and a RuntimeWarning says why once per process; it is also the
 reference the tests compare against.
 
-The module is also the home of the package's two rules for reading
-parameters: ``_integer`` reads every count, index and seed (and, through
-``_uint64``, hash inputs), and ``_real`` every real-valued parameter.
+The module is also the home of the package's rules for reading parameters:
+``_integer`` reads every count, index and seed (and, through ``_uint64``, hash
+inputs), ``_real`` every real-valued parameter, and ``_items`` every sequence.
 """
 
 from __future__ import annotations
@@ -130,6 +130,14 @@ def _real(x, name: str, kind: str) -> float:
     if not _REAL_RANGES[kind](x):
         raise ValueError(f"{name} must be {kind}, not {x}")
     return x
+
+
+def _items(x, name: str) -> tuple:
+    """The items of ``x`` as a tuple; a scalar or other non-iterable raises ValueError."""
+    try:
+        return tuple(x)
+    except TypeError:
+        raise ValueError(f"{name} must be a sequence, not {type(x).__name__}") from None
 
 
 def _uint64(x, name: str) -> np.ndarray | int:

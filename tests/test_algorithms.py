@@ -792,6 +792,19 @@ def test_psp_schedule_mismatch_raises():
         )
 
 
+def test_psp_pure_is_true_or_false():
+    # any truthy pure, "no" included, used to run pure mode
+    sim = noisy_sim(_pd_game(), 1.0)
+    sched = SamplingSchedule(10, 30)
+    failure = FailureSchedule(0.1, sched.length)
+    run = lambda pure: psp(sim, sched, failure, c=sim.range_c, bound="hoeffding", pure=pure)
+    for pure in ("no", 1, None):
+        with pytest.raises(ValueError, match="pure must be True or False"):
+            run(pure)
+    for pure, want in ((np.True_, True), (np.False_, False)):
+        assert run(pure).to_json() == run(want).to_json()
+
+
 def test_psp_never_prunes_true_nash_when_guarantee_holds(monkeypatch):
     kept_all = 0
     for seed in range(40):

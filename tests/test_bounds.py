@@ -224,3 +224,12 @@ def test_invalid_domains_raise():
     ):
         with pytest.raises(ValueError):
             call()
+    # a scalar where a sequence goes used to leak TypeError
+    for name, call in (
+        ("scales a", lambda: factored_ra_bound(1.0, 1.0, [2], 10)),
+        ("image sizes b", lambda: factored_ra_bound(1.0, [1.0], 2, 10)),
+        ("breakpoints", lambda: noise_scaling_ra_bound(1.0, 5, (2,), 10)),
+        ("counts", lambda: noise_scaling_ra_bound(1.0, (0.0, 1.0), 5, 10)),
+    ):
+        with pytest.raises(ValueError, match=f"{name} must be a sequence"):
+            call()

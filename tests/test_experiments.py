@@ -205,6 +205,27 @@ def test_bound_compare_hoeffding_cells_use_exact_index_counts():
     assert run_bound_compare_factored(players_max=200).metadata["crossover_players"] == 28
 
 
+def test_grids_are_read_by_the_package_rules():
+    # a scalar grid used to leak TypeError, and a fractional m to be blamed
+    # on mix, which hashed it into a seed before gs could refuse it
+    for name, call in (
+        ("d_values", lambda: run_eps_vs_samples(reps=1, d_values=2.0, m_values=(10,))),
+        ("m_values", lambda: run_eps_vs_samples(reps=1, d_values=(2.0,), m_values=10)),
+        ("m_values", lambda: run_eps_vs_samples(reps=1, d_values=(2.0,), m_values=(10.5,))),
+        ("m_values", lambda: run_nash_frequency(runs=1, m_values=10)),
+        ("delta_grid", lambda: run_success_rate(reps=1, delta_grid=0.1, m=10)),
+        ("rho_grid", lambda: run_success_rate(reps=1, rho_grid=1.0, m=10)),
+        ("players_values", lambda: run_gs_vs_psp(reps=1, players_values=2)),
+        ("k_values", lambda: run_gs_vs_psp(reps=1, k_values=2)),
+    ):
+        with pytest.raises(ValueError, match=name):
+            call()
+    # numpy entries give a Python entry's bytes
+    kwargs = {"reps": 1, "d_values": (2.0,), "m_values": (10,)}
+    numpy_kwargs = {"reps": 1, "d_values": (np.float64(2.0),), "m_values": (np.int64(10),)}
+    assert run_eps_vs_samples(**numpy_kwargs).to_csv() == run_eps_vs_samples(**kwargs).to_csv()
+
+
 def test_ppa_demo_report():
     report = run_ppa_demo()
     assert "Pure equilibria (2):" in report

@@ -60,7 +60,12 @@ SITES = {
     "run_success_rate.seed": lambda x: experiments.run_success_rate(
         seed=x, reps=1, delta_grid=(0.1,), rho_grid=(1.0,), m=10
     ),
+    "run_eps_vs_samples.m_values":
+        lambda x: experiments.run_eps_vs_samples(reps=1, d_values=(2.0,), m_values=(x,)),
+    "run_nash_frequency.m_values": lambda x: experiments.run_nash_frequency(runs=1, m_values=(x,)),
     "run_gs_vs_psp.reps": lambda x: experiments.run_gs_vs_psp(reps=x),
+    "run_gs_vs_psp.players_values": lambda x: experiments.run_gs_vs_psp(reps=1, players_values=(x,)),
+    "run_gs_vs_psp.k_values": lambda x: experiments.run_gs_vs_psp(reps=1, k_values=(x,)),
     "run_gs_vs_psp.seed": lambda x: experiments.run_gs_vs_psp(
         seed=x, reps=1, players_values=(2,), k_values=(2,), m0=10, budget=30
     ),

@@ -79,7 +79,11 @@ SITES = {
     "gen_rg.u0": ("u0", lambda x: gen_rg(2, 2, u0=x)),
     "gen_rc.alpha": ("alpha", lambda x: gen_rc(2, 3, 2, alpha=x)),
     "run_success_rate.rho_grid":
-        ("rho", lambda x: experiments.run_success_rate(reps=1, delta_grid=(0.1,), rho_grid=(x,), m=10)),
+        ("rho_grid", lambda x: experiments.run_success_rate(reps=1, delta_grid=(0.1,), rho_grid=(x,), m=10)),
+    "run_success_rate.delta_grid":
+        ("delta_grid", lambda x: experiments.run_success_rate(reps=1, delta_grid=(x,), rho_grid=(1.0,), m=10)),
+    "run_eps_vs_samples.d_values":
+        ("d_values", lambda x: experiments.run_eps_vs_samples(reps=1, d_values=(x,), m_values=(10,))),
 }
 
 

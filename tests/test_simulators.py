@@ -382,6 +382,8 @@ def test_factored_sim_validates():
             FactoredNoiseSimulator(2.0, [1.0], kinds, base, seed=0)
         with pytest.raises(ValueError, match="unknown factor kind"):
             factor_image_sizes(kinds, base.strategy_counts)
+    with pytest.raises(ValueError, match="factor kinds must be a sequence"):
+        factor_image_sizes(5, (2, 2))
     for a, kinds in (([1.0, 1.0], ["global"]), (1.0, ["global"]), ([1.0], None)):
         with pytest.raises(ValueError, match="one scale per factor kind"):
             FactoredNoiseSimulator(2.0, a, kinds, base, seed=0)

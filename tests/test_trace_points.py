@@ -1,8 +1,12 @@
 """The benchmark instruments the library by patching module attributes by
-name; a deleted or renamed attribute must fail here, not only in the
-benchmark's own self-test."""
+name, and drives it by attribute and parameter name; a deleted or renamed
+attribute or parameter must fail here, not only in the benchmark's own
+self-test."""
 
+import ast
+import importlib
 import importlib.util
+import inspect
 import sys
 from pathlib import Path
 
@@ -13,6 +17,9 @@ from egta.games import IndexSet
 from egta.simulators import FACTOR_KINDS, FactoredNoiseSimulator, gen_rg, noisy_sim
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+WORKLOADS = TRACING.with_name("workloads.py")
+# the library modules that workloads.py imports as bare names
+MODULES = ("algorithms", "bounds", "experiments", "games", "simulators")
 
 
 @pytest.fixture
@@ -34,6 +41,51 @@ def test_every_trace_point_resolves(tracing):
     # that is only inherited fails here
     with tracing.patched([(target, lambda fn: fn) for target in targets]):
         pass
+
+
+def _chain(node):
+    """The dotted name of an attribute chain on a bare name, or None."""
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute) and (owner := _chain(node.value)):
+        return f"{owner}.{node.attr}"
+    return None
+
+
+def test_every_library_name_the_workloads_use_resolves():
+    tree = ast.parse(WORKLOADS.read_text())
+    # every attribute chain on a library module, its prefixes included
+    chains = {_chain(node) for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    chains = {chain for chain in chains if chain and chain.split(".")[0] in MODULES}
+    assert {
+        "algorithms.SamplingSchedule.finite_doubling",
+        "algorithms.FailureSchedule.geometric_halving",
+        "simulators.noisy_sim",
+    } <= chains
+    for chain in sorted(chains):
+        module, *attrs = chain.split(".")
+        owner = importlib.import_module(f"egta.{module}")
+        for attr in attrs:
+            assert hasattr(owner, attr), f"perfbench/workloads.py uses {chain}, which is gone"
+            owner = getattr(owner, attr)
+
+
+def test_checks_bind_the_parameter_names_of_gs_and_psp():
+    # check_gs and check_psp bind each call to its function's signature and
+    # read the bound arguments by name, as a["name"]
+    tree = ast.parse(WORKLOADS.read_text())
+    checks = {node.name: node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+    for function in (algorithms.gs, algorithms.psp):
+        check = checks[f"check_{function.__name__}"]
+        read = {
+            n.slice.value
+            for n in ast.walk(check)
+            if isinstance(n, ast.Subscript) and isinstance(n.value, ast.Name) and n.value.id == "a"
+            and isinstance(n.slice, ast.Constant)
+        }
+        assert read, check.name
+        missing = read - set(inspect.signature(function).parameters)
+        assert not missing, f"{check.name} reads {sorted(missing)}, not parameters of {function.__name__}"
 
 
 def test_tracer_sees_the_kernel(tracing):
