@@ -3,8 +3,9 @@
 Closed-form bounds: Hoeffding with a Bonferroni union over any number of
 indices, which takes the index count as an exact integer of any size, and
 Massart-style upper bounds on the Rademacher average summed over groups of
-indices. A group is a noise factor's image, given as scales a and image sizes b, or an interval of a
-noise-magnitude census, given as breakpoints and per-interval index counts.
+indices. A group is a noise factor's image, given as scales a and image
+sizes b, or an interval of a noise-magnitude census, given as breakpoints
+and per-interval index counts.
 Plus the radius 2r + 3c*sqrt(ln(1/delta)/(2m)) for a one-draw
 empirical Rademacher average r, which ``gs`` computes from its own samples.
 All utilities are assumed bounded in [-c/2, c/2] for the stated range c.

@@ -224,11 +224,9 @@ def rationalizable(
     if restrict is None:
         alive = [list(range(k)) for k in game.strategy_counts]
     else:
-        try:
-            alive = [sorted(set(_integer(s, "strategy") for s in strats)) for strats in restrict]
-        except TypeError:  # restrict, or one of its lists, is not iterable
-            alive = None
-        if alive is None or len(alive) != game.num_players:
+        lists = _items(restrict, "restriction")
+        alive = [sorted(set(_integer(s, "strategy") for s in _items(strats, "restriction"))) for strats in lists]
+        if len(alive) != game.num_players:
             raise ValueError("restriction needs one strategy list per player")
         for p, strats in enumerate(alive):
             if not strats or strats[0] < 0 or strats[-1] >= game.strategy_counts[p]:

@@ -147,18 +147,15 @@ class FactoredNoiseSimulator(NoisySimulator):
         base: NormalFormGame,
         seed: int,
     ):
-        try:
-            paired = len(a) == len(kinds)
-        except TypeError:  # a scale or a kind where a sequence goes
-            paired = False
-        if not paired:
+        a, kinds = _items(a, "factor scales a"), _items(kinds, "factor kinds")
+        if len(a) != len(kinds):
             raise ValueError("one scale per factor kind required")
         self._groupings = [_factor(kind)[0] for kind in kinds]
         self.a = tuple(_real(a_i, "factor scale", "finite and nonnegative") for a_i in a)
         self.a0 = _real(a0, "a0", "finite and nonnegative")
         if self.a0 < _utility_bound(base):
             raise ValueError(f"a0 = {self.a0} does not bound the base game's utilities")
-        self.kinds = tuple(kinds)
+        self.kinds = kinds
         self.seed = _integer(seed, "seed") % 2**64
         # uniform on [-a_i, a_i] is (u - 0.5) * 2a_i, which rounds exactly
         # like (2u - 1) * a_i because doubling is exact

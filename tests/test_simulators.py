@@ -384,8 +384,10 @@ def test_factored_sim_validates():
             factor_image_sizes(kinds, base.strategy_counts)
     with pytest.raises(ValueError, match="factor kinds must be a sequence"):
         factor_image_sizes(5, (2, 2))
-    for a, kinds in (([1.0, 1.0], ["global"]), (1.0, ["global"]), ([1.0], None)):
-        with pytest.raises(ValueError, match="one scale per factor kind"):
+    with pytest.raises(ValueError, match="one scale per factor kind"):
+        FactoredNoiseSimulator(2.0, [1.0, 1.0], ["global"], base, seed=0)
+    for a, kinds, name in ((1.0, ["global"], "factor scales a"), ([1.0], None, "factor kinds")):
+        with pytest.raises(ValueError, match=f"{name} must be a sequence"):
             FactoredNoiseSimulator(2.0, a, kinds, base, seed=0)
     # non-finite scales used to build with a NaN or infinite range_c
     nan, inf = float("nan"), float("inf")
