@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .games import NormalFormGame, nash_mask
+from .games import NormalFormGame, _strategy_counts, nash_mask
 from .hashing import _generator, _integer, _items, _real, _splitmix64_in_place, hash_uniform, mix, splitmix64
 
 
@@ -83,7 +83,8 @@ def _factor(kind) -> tuple[Callable, Callable]:
 def factor_image_sizes(kinds: Sequence[str], strategy_counts: Sequence[int]) -> list[int]:
     """Number of distinct grouping values per factor (the b_i of the
     factored Rademacher bound), as exact ints for any game size."""
-    return [_factor(kind)[1](strategy_counts) for kind in _items(kinds, "factor kinds")]
+    counts = _strategy_counts(strategy_counts)
+    return [_factor(kind)[1](counts) for kind in _items(kinds, "factor kinds")]
 
 
 def _utility_bound(base: NormalFormGame) -> float:

@@ -384,6 +384,11 @@ def test_factored_sim_validates():
             factor_image_sizes(kinds, base.strategy_counts)
     with pytest.raises(ValueError, match="factor kinds must be a sequence"):
         factor_image_sizes(5, (2, 2))
+    # strategy counts that are not a sequence of integers used to leak
+    # TypeError, or to be read as they came
+    for counts in (5, None, (2.5, 3)):
+        with pytest.raises(ValueError, match="strategy count"):
+            factor_image_sizes(FACTOR_KINDS, counts)
     with pytest.raises(ValueError, match="one scale per factor kind"):
         FactoredNoiseSimulator(2.0, [1.0, 1.0], ["global"], base, seed=0)
     for a, kinds, name in ((1.0, ["global"], "factor scales a"), ([1.0], None, "factor kinds")):
