@@ -28,6 +28,7 @@ from .games import (
     _strategy_counts,
     pure_eps_nash,
     rationalizable,
+    regret_table,
 )
 from .hashing import _generator, _integer, _real, mix
 from .simulators import ConditionalSimulator, draw_conditions
@@ -255,18 +256,13 @@ def _signs(rng: np.random.Generator, m: int) -> np.ndarray:
 
 def prune_pure(game: NormalFormGame, index_set: IndexSet, eps_hat: float) -> IndexSet:
     """Indices worth keeping for pure-equilibrium estimation: keep (p, s)
-    when p's regret at s, with deviations ranging only over p's surviving
-    indices at the same opponent context, is at most 2*eps_hat. An index
-    set of other strategy counts than the game's raises ValueError."""
+    when p's regret at s in the regret_table masked by the index set (so p
+    deviates only to surviving indices) is at most 2*eps_hat. An index set
+    of other strategy counts than the game's raises ValueError."""
     eps_hat = _real(eps_hat, "eps_hat", "nonnegative")
     _check_counts(index_set, game.strategy_counts)
     mask = index_set.to_mask()
-    for p in range(game.num_players):
-        t = game.tensor(p)
-        alive = mask[p].reshape(game.strategy_counts)
-        best = np.where(alive, t, -np.inf).max(axis=p, keepdims=True)
-        mask[p] = (alive & (best - t <= 2.0 * eps_hat)).reshape(-1)
-    return IndexSet.from_mask(mask, game.strategy_counts)
+    return IndexSet.from_mask(mask & (regret_table(game, mask) <= 2.0 * eps_hat), game.strategy_counts)
 
 
 def _restriction_of(index_set: IndexSet, game: NormalFormGame) -> list[list[int]]:

@@ -162,13 +162,18 @@ def utility(game: NormalFormGame, p: int, profile: Sequence[int]) -> float:
     return float(game.utilities[_player(game, p), game.profile_index(profile)])
 
 
-def regret_table(game: NormalFormGame) -> np.ndarray:
-    """Pure regret of every (player, profile): best unilateral gain, >= 0."""
+def regret_table(game: NormalFormGame, alive: np.ndarray | None = None) -> np.ndarray:
+    """Pure regret of every (player, profile), read by nash_mask, prune_pure
+    and check_containment. With a bool mask ``alive`` of the utilities' shape,
+    deviations range only over the cells it keeps (-inf where a context keeps
+    none); a mask of another shape raises ValueError. Unmasked, it is >= 0."""
+    if alive is not None and (alive.dtype != bool or alive.shape != game.utilities.shape):
+        raise ValueError(f"alive must be a bool mask of shape {game.utilities.shape}")
     out = np.empty_like(game.utilities)
     for p in range(game.num_players):
         t = game.tensor(p)
-        best = t.max(axis=p, keepdims=True)
-        out[p] = (best - t).reshape(-1)
+        kept = t if alive is None else np.where(alive[p].reshape(game.strategy_counts), t, -np.inf)
+        out[p] = (kept.max(axis=p, keepdims=True) - t).reshape(-1)
     return out
 
 
@@ -256,18 +261,14 @@ def maximin_value(game: NormalFormGame, p: int) -> float:
 
 
 def check_containment(g_a: NormalFormGame, g_b: NormalFormGame, eps: float) -> bool:
-    """Nash(g_a) within Nash_{2eps}(g_b) within Nash_{4eps}(g_a), by
-    exhaustive enumeration of pure profiles.
-    """
+    """Nash(g_a) within Nash_{2eps}(g_b) within Nash_{4eps}(g_a) over all pure
+    profiles, each game's profile regrets read once from its regret_table."""
     if g_a.strategy_counts != g_b.strategy_counts:
         raise ValueError("games must share players and strategy counts")
     eps = _real(eps, "eps", "nonnegative")
-    nash_a = nash_mask(g_a, 0.0)
-    nash_b2 = nash_mask(g_b, 2.0 * eps)
-    nash_a4 = nash_mask(g_a, 4.0 * eps)
-    first = bool(np.all(nash_b2[nash_a]))
-    second = bool(np.all(nash_a4[nash_b2]))
-    return first and second
+    worst_a, worst_b = (regret_table(g).max(axis=0) for g in (g_a, g_b))
+    nash_b2 = worst_b <= 2.0 * eps
+    return bool(np.all(nash_b2[worst_a <= 0.0]) and np.all(worst_a[nash_b2] <= 4.0 * eps))
 
 
 def game_to_json(game: NormalFormGame) -> str:

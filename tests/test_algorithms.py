@@ -30,6 +30,7 @@ from egta.bounds import hoeffding_eps
 from egta.games import (
     IndexSet,
     NormalFormGame,
+    check_containment,
     nash_mask,
     pure_eps_nash,
     rationalizable,
@@ -549,6 +550,48 @@ def test_prune_pure_matches_oracle(case):
     game, index_set, eps_hat = case
     want = oracle.restricted_regret_survivors(game, index_set.pairs(), eps_hat)
     assert prune_pure(game, index_set, eps_hat).pairs() == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(_tied_game_and_index_set())
+def test_masked_regret_table_matches_brute_force(case):
+    # a kept cell's best deviation ranges over the kept cells of its player
+    # and opponent context only; a context that keeps none reads -inf
+    game, index_set, _ = case
+    mask = index_set.to_mask()
+    table = regret_table(game, mask)
+    for p in range(game.num_players):
+        for flat in range(game.num_profiles):
+            profile = game.profile_of_index(flat)
+            context = [profile[:p] + (s,) + profile[p + 1:] for s in range(game.strategy_counts[p])]
+            kept = [game.utilities[p, j] for j in map(game.profile_index, context) if mask[p, j]]
+            if mask[p, flat]:
+                assert table[p, flat] == max(kept) - game.utilities[p, flat]
+            elif not kept:
+                assert table[p, flat] == -math.inf
+    assert np.array_equal(regret_table(game, np.ones_like(mask)), regret_table(game))
+
+
+def test_regret_table_refuses_a_mask_of_another_shape():
+    g = _pd_game()
+    for bad in (np.ones((2, 3), dtype=bool), np.ones(8, dtype=bool), np.ones((2, 4))):
+        with pytest.raises(ValueError, match="bool mask of shape"):
+            regret_table(g, bad)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_tied_game_and_index_set(), st.data())
+def test_check_containment_matches_oracle(case, data):
+    # Nash(a) within Nash_2eps(b) within Nash_4eps(a), with each set
+    # enumerated by the brute-force oracle
+    game, _, eps = case
+    size = game.utilities.size
+    payoffs = data.draw(st.lists(st.integers(-2, 2), min_size=size, max_size=size))
+    other = NormalFormGame(game.strategy_counts, np.array(payoffs, dtype=float).reshape(game.utilities.shape))
+    nash_a, nash_b2, nash_a4 = (
+        set(oracle.nash_set(g, e)) for g, e in ((game, 0.0), (other, 2.0 * eps), (game, 4.0 * eps))
+    )
+    assert check_containment(game, other, eps) == (nash_a <= nash_b2 <= nash_a4)
 
 
 @settings(max_examples=300, deadline=None)
