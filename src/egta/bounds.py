@@ -9,6 +9,7 @@ and per-interval index counts.
 Plus the radius 2r + 3c*sqrt(ln(1/delta)/(2m)) for a one-draw
 empirical Rademacher average r, which ``gs`` computes from its own samples.
 All utilities are assumed bounded in [-c/2, c/2] for the stated range c.
+A radius takes (x/2)/m, not x/(2m): the same bits, and 2m overflows past 2^1023.
 """
 
 from __future__ import annotations
@@ -49,14 +50,14 @@ def hoeffding_eps(c: float, num_indices: int, m: float, delta: float) -> float:
         # int can drop by an ulp at a power of two and log2 cannot, floored
         # at ln(largest float) so that the radius never falls as |I| grows
         ln_union = max(math.log2(2 * num_indices) * _LN2 - math.log(delta), _LN_FLOAT_MAX)
-    return c * math.sqrt(ln_union / (2.0 * m))
+    return c * math.sqrt(0.5 * ln_union / m)
 
 
 def era_eps(r: float, c: float, m: float, delta: float) -> float:
     """Uniform error radius from a one-draw empirical Rademacher average r."""
     c, m, delta = _check_common(c, m, delta)
     r = _real(r, "empirical Rademacher average", "finite and nonnegative")
-    return 2.0 * r + 3.0 * c * math.sqrt(_ln_inverse(delta) / (2.0 * m))
+    return 2.0 * r + 3.0 * c * math.sqrt(0.5 * _ln_inverse(delta) / m)
 
 
 def crossover_size(delta: float) -> float:
@@ -116,6 +117,6 @@ def _massart(a0: float, scales: Sequence[float], sizes: Sequence[int], k: float,
     total = a0 / math.sqrt(m)
     for w, n in zip(scales, sizes):
         if n > 1:
-            # m / k is exact, so the term rounds like 2 ln(n)/m and ln(n)/(2m)
-            total += w * min(1.0, math.sqrt(math.log(n) / (m / k)))
+            # k ln(n) is exact, so the term rounds like 2 ln(n)/m and ln(n)/(2m)
+            total += w * min(1.0, math.sqrt(k * math.log(n) / m))
     return total

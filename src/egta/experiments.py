@@ -92,6 +92,8 @@ def run_eps_vs_samples(
     seed = _integer(seed, "seed")
     reps = _integer(reps, "reps", least=1)
     d_values = _grid(d_values, "d_values", "finite and nonnegative")
+    if any(d * 1000 == math.inf for d in d_values):  # each d's seed key is int(d * 1000)
+        raise ValueError("d_values entries must keep d * 1000 finite")
     m_values = _grid(m_values, "m_values")
     name = "eps-vs-samples"
     rows = []

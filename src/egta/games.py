@@ -81,12 +81,10 @@ class NormalFormGame:
         return tuple(int(x) for x in np.unravel_index(index, self.strategy_counts))
 
     def own_strategy(self, players: np.ndarray, profiles: np.ndarray) -> np.ndarray:
-        """The strategy each index's player plays in its profile."""
-        out = np.empty(len(players), dtype=np.int64)
-        for p in range(self.num_players):
-            at = players == p
-            out[at] = np.unravel_index(profiles[at], self.strategy_counts)[p]
-        return out
+        """The strategy each index's player plays in its profile; ValueError for a player outside the game."""
+        if len(players) and (players.min() < 0 or players.max() >= self.num_players):
+            raise ValueError("player index out of range")
+        return np.array(np.unravel_index(profiles, self.strategy_counts))[players, np.arange(len(profiles))]
 
 
 @dataclass(frozen=True, eq=False)
@@ -167,6 +165,7 @@ def regret_table(game: NormalFormGame, alive: np.ndarray | None = None) -> np.nd
     and check_containment. With a bool mask ``alive`` of the utilities' shape,
     deviations range only over the cells it keeps (-inf where a context keeps
     none); a mask of another shape raises ValueError. Unmasked, it is >= 0."""
+    alive = None if alive is None else np.asarray(alive)
     if alive is not None and (alive.dtype != bool or alive.shape != game.utilities.shape):
         raise ValueError(f"alive must be a bool mask of shape {game.utilities.shape}")
     out = np.empty_like(game.utilities)

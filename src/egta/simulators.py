@@ -192,8 +192,8 @@ class CongestionGame:
     def __post_init__(self):
         object.__setattr__(self, "num_facilities", _integer(self.num_facilities, "facility count"))
         sets = tuple(
-            tuple(tuple(sorted(_integer(e, "facility") for e in strat)) for strat in player_strats)
-            for player_strats in self.strategy_sets
+            tuple(tuple(sorted(_integer(e, "facility") for e in _items(s, "strategy"))) for s in strats)
+            for strats in (_items(p, "strategies") for p in _items(self.strategy_sets, "strategy sets"))
         )
         object.__setattr__(self, "strategy_sets", sets)
         if not sets:

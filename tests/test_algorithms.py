@@ -574,9 +574,10 @@ def test_masked_regret_table_matches_brute_force(case):
 
 def test_regret_table_refuses_a_mask_of_another_shape():
     g = _pd_game()
-    for bad in (np.ones((2, 3), dtype=bool), np.ones(8, dtype=bool), np.ones((2, 4))):
+    for bad in (np.ones((2, 3), dtype=bool), np.ones(8, dtype=bool), np.ones((2, 4)), [[True]], [[1] * 4] * 2):
         with pytest.raises(ValueError, match="bool mask of shape"):
             regret_table(g, bad)
+    assert np.array_equal(regret_table(g, [[True] * 4] * 2), regret_table(g))
 
 
 @settings(max_examples=300, deadline=None)

@@ -158,13 +158,31 @@ def test_noise_scaling_values():
 
 
 def test_bounds_monotone_in_m_and_delta():
-    for fn in (
+    # radii fall as m grows, also past 2^1023 where 2m overflows the floats
+    with_delta = (
         lambda m, d: hoeffding_eps(2, 1, m, d),
         lambda m, d: hoeffding_eps(2, 20, m, d),
         lambda m, d: era_eps(0.0, 2, m, d),
-    ):
-        assert fn(100, 0.1) > fn(200, 0.1)
+    )
+    without_delta = (
+        lambda m, d: noise_scaling_ra_bound(0.0, (0.0, 1.0), (3,), m),
+        lambda m, d: factored_ra_bound(0.0, [1.0], [3], m),
+    )
+    for fn in with_delta + without_delta:
+        radii = [fn(m, 0.1) for m in (100, 200, 8e307, 2.0**1023, 1e308, sys.float_info.max)]
+        assert all(a > b > 0.0 for a, b in zip(radii, radii[1:]))
+    for fn in with_delta:
         assert fn(100, 0.1) > fn(100, 0.2)
+
+
+def test_radii_at_the_largest_sample_counts():
+    # 2m overflows past 2^1023, and a radius of 0.0 would claim exact estimates
+    for m in (1e308, sys.float_info.max):
+        assert hoeffding_eps(1.0, 5, m, 0.1) == pytest.approx(float(oracle.mp_hoeffding(1.0, 5, m, 0.1)), rel=1e-12)
+        assert era_eps(0.0, 1.0, m, 0.1) == pytest.approx(float(oracle.mp_era_eps(0.0, 1.0, m, 0.1)), rel=1e-12)
+        assert noise_scaling_ra_bound(0.0, (0.0, 1.0), (3,), m) == pytest.approx(
+            float(oracle.mp_noise_scaling(0.0, (0.0, 1.0), (3,), m)), rel=1e-12
+        )
 
 
 def test_bound_formulas_match_high_precision_references():

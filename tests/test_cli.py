@@ -123,6 +123,7 @@ def test_library_errors_are_usage_errors(tmp_path, capsys):
         # 2^64 profiles, which an int64 product wraps to an empty game
         (["gen-game", "--family", "rg", "--players", "2", "--k", "4294967296"], "Maximum allowed dimension"),
         (["eps-vs-samples", "--reps", "0"], "reps must be at least 1"),
+        (["eps-vs-samples", "--reps", "1", "--d-grid", "1e306", "--m-grid", "10"], "d_values entries must keep"),
         (["success-rate", "--reps", "0"], "reps must be at least 1"),
         (["nash-frequency", "--reps", "0"], "runs must be at least 1"),
         (["gs-vs-psp", "--reps", "0", "--out", str(tmp_path / "e.csv"), "--plot"],

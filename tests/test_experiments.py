@@ -212,6 +212,8 @@ def test_grids_are_read_by_the_package_rules():
         ("d_values", lambda: run_eps_vs_samples(reps=1, d_values=2.0, m_values=(10,))),
         ("m_values", lambda: run_eps_vs_samples(reps=1, d_values=(2.0,), m_values=10)),
         ("m_values", lambda: run_eps_vs_samples(reps=1, d_values=(2.0,), m_values=(10.5,))),
+        # each width's seed key int(d * 1000) must be finite
+        ("d_values", lambda: run_eps_vs_samples(reps=1, d_values=(2.0, 1e306), m_values=(10,))),
         ("m_values", lambda: run_nash_frequency(runs=1, m_values=10)),
         ("delta_grid", lambda: run_success_rate(reps=1, delta_grid=0.1, m=10)),
         ("rho_grid", lambda: run_success_rate(reps=1, rho_grid=1.0, m=10)),

@@ -345,6 +345,11 @@ def test_own_strategy_matches_profile_of_index():
     want = [g.profile_of_index(s)[p] for p, s in idx.pairs()]
     assert got.tolist() == want
 
+    # a player outside the game has no strategy to read
+    for players in ([4, -1, 0] * 300, [4], [-1]):
+        with pytest.raises(ValueError, match="player index out of range"):
+            g.own_strategy(np.array(players), np.zeros(len(players), dtype=np.int64))
+
 
 def test_index_set_helpers(matching_pennies):
     """An IndexSet carries the strategy counts it indexes and checks its

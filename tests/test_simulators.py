@@ -154,6 +154,10 @@ def test_congestion_validation():
         CongestionGame(2, (((),),))  # empty facility set
     with pytest.raises(ValueError):
         CongestionGame(2, (((0, 5),),))  # facility out of range
+    # each level of the strategy sets is read as a sequence
+    for sets, what in ((5, "strategy sets"), ((5,), "strategies"), (((5,),), "strategy")):
+        with pytest.raises(ValueError, match=f"{what} must be a sequence"):
+            CongestionGame(2, sets)
 
 
 def test_congestion_json_roundtrip():
