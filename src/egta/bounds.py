@@ -82,9 +82,8 @@ def factored_ra_bound(a0: float, a: Sequence[float], b: Sequence[int], m: float)
     a_i bounds factor i's magnitude and b_i the number of distinct values its
     grouping function can take. b_i may be arbitrarily large Python ints.
     """
-    a, b = _items(a, "scales a"), _items(b, "image sizes b")
-    if len(a) != len(b):
-        raise ValueError("a and b must have equal length")
+    a = _items(a, "scales a")
+    b = _items(b, "image sizes b", len(a))
     return _massart(a0, a, [_integer(b_i, "factor image size", least=1) for b_i in b], 2.0, m)
 
 
@@ -97,13 +96,11 @@ def noise_scaling_ra_bound(a: float, breakpoints: Sequence[float], counts: Seque
     of indices whose noise magnitude lies in (v_i, v_{i+1}].
     """
     v = tuple(_real(x, "breakpoint", "finite and nonnegative") for x in _items(breakpoints, "breakpoints"))
-    counts = [_integer(f, "index count", least=0) for f in _items(counts, "counts")]
     if len(v) < 2 or v[0] != 0.0:
         raise ValueError("breakpoints must start at 0 and contain at least one interval")
     if not all(v[i] < v[i + 1] for i in range(len(v) - 1)):
         raise ValueError("breakpoints must be strictly increasing")
-    if len(counts) != len(v) - 1:
-        raise ValueError("need one count per interval")
+    counts = [_integer(f, "index count", least=0) for f in _items(counts, "counts", len(v) - 1)]
     return _massart(a, v[1:], counts, 0.5, m)
 
 

@@ -67,17 +67,12 @@ class NormalFormGame:
         return self.utilities[p].reshape(self.strategy_counts)
 
     def profile_index(self, profile: Sequence[int]) -> int:
-        s = tuple(_integer(x, "strategy") for x in profile)
-        if len(s) != self.num_players:
-            raise IndexError("profile length does not match player count")
-        for p, (x, k) in enumerate(zip(s, self.strategy_counts)):
-            if not 0 <= x < k:
-                raise IndexError(f"strategy {x} out of range for player {p}")
+        profile = _items(profile, "profile", self.num_players)
+        s = tuple(_integer(x, "strategy", below=k) for x, k in zip(profile, self.strategy_counts))
         return int(np.ravel_multi_index(s, self.strategy_counts))
 
     def profile_of_index(self, index: int) -> Profile:
-        if not 0 <= _integer(index, "profile index") < self.num_profiles:
-            raise IndexError("profile index out of range")
+        index = _integer(index, "profile index", below=self.num_profiles)
         return tuple(int(x) for x in np.unravel_index(index, self.strategy_counts))
 
     def own_strategy(self, players: np.ndarray, profiles: np.ndarray) -> np.ndarray:
@@ -143,21 +138,13 @@ class IndexSet:
         return IndexSet.from_mask(np.ones((len(counts), math.prod(counts)), dtype=bool), counts)
 
 
-def _player(game: NormalFormGame, p: int) -> int:
-    """``p`` by the integer rule, when it names one of the game's players."""
-    p = _integer(p, "player")
-    if not 0 <= p < game.num_players:
-        raise IndexError("player index out of range")
-    return p
-
-
 def game_size(game: NormalFormGame) -> int:
     """Number of utility parameters: players times profiles."""
     return game.num_players * game.num_profiles
 
 
 def utility(game: NormalFormGame, p: int, profile: Sequence[int]) -> float:
-    return float(game.utilities[_player(game, p), game.profile_index(profile)])
+    return float(game.utilities[_integer(p, "player", below=game.num_players), game.profile_index(profile)])
 
 
 def regret_table(game: NormalFormGame, alive: np.ndarray | None = None) -> np.ndarray:
@@ -177,7 +164,7 @@ def regret_table(game: NormalFormGame, alive: np.ndarray | None = None) -> np.nd
 
 
 def pure_regret(game: NormalFormGame, p: int, profile: Sequence[int]) -> float:
-    return float(regret_table(game)[_player(game, p), game.profile_index(profile)])
+    return float(regret_table(game)[_integer(p, "player", below=game.num_players), game.profile_index(profile)])
 
 
 def nash_mask(game: NormalFormGame, eps: float) -> np.ndarray:
@@ -204,9 +191,8 @@ def eps_dominates(game: NormalFormGame, p: int, s: int, s_other: int, eps: float
     every opponent context (inclusive comparison).
     """
     eps = _real(eps, "eps", "nonnegative")
-    k = game.strategy_counts[_player(game, p)]
-    if not (0 <= _integer(s, "strategy") < k and 0 <= _integer(s_other, "strategy") < k):
-        raise IndexError("strategy index out of range")
+    k = game.strategy_counts[_integer(p, "player", below=game.num_players)]
+    s, s_other = _integer(s, "strategy", below=k), _integer(s_other, "strategy", below=k)
     return bool(_dominance(np.take(game.tensor(p), [s, s_other], axis=p), p, eps)[0, 1])
 
 
@@ -228,13 +214,13 @@ def rationalizable(
     if restrict is None:
         alive = [list(range(k)) for k in game.strategy_counts]
     else:
-        lists = _items(restrict, "restriction")
-        alive = [sorted(set(_integer(s, "strategy") for s in _items(strats, "restriction"))) for strats in lists]
-        if len(alive) != game.num_players:
-            raise ValueError("restriction needs one strategy list per player")
-        for p, strats in enumerate(alive):
-            if not strats or strats[0] < 0 or strats[-1] >= game.strategy_counts[p]:
-                raise ValueError("restriction invalid for this game")
+        lists = _items(restrict, "restriction", game.num_players)
+        alive = [
+            sorted(set(_integer(s, "restriction strategy", below=k) for s in _items(strats, "restriction")))
+            for strats, k in zip(lists, game.strategy_counts)
+        ]
+        if [] in alive:
+            raise ValueError(f"restriction leaves player {alive.index([])} no strategy")
 
     while True:
         doomed = []
@@ -253,7 +239,7 @@ def welfare(game: NormalFormGame, profile: Sequence[int]) -> float:
 
 def maximin_value(game: NormalFormGame, p: int) -> float:
     """Largest worst-case utility player p can secure with a pure strategy."""
-    t = game.tensor(_player(game, p))
+    t = game.tensor(_integer(p, "player", below=game.num_players))
     axes = tuple(q for q in range(game.num_players) if q != p)
     pessimal = t.min(axis=axes) if axes else t
     return float(pessimal.max())
@@ -285,14 +271,12 @@ def game_from_json(text: str) -> NormalFormGame:
         raise ValueError("game JSON must be an object")
     try:
         players = _integer(payload["players"], "players")
-        counts = [_integer(k, "strategy count") for k in payload["strategies"]]
+        counts = [_integer(k, "strategy count") for k in _items(payload["strategies"], "strategies", players)]
         utilities = np.asarray(payload["utilities"], dtype=np.float64)
     except KeyError as missing:
         raise ValueError(f"game JSON lacks the field {missing}") from None
     except (TypeError, ValueError) as error:
         raise ValueError(f"game JSON has a wrongly typed field: {error}") from None
-    if players != len(counts):
-        raise ValueError("players field does not match strategies length")
     expected = players * math.prod(counts)
     if utilities.shape != (expected,):
         raise ValueError(f"utilities must hold exactly {expected} values")

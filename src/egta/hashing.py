@@ -104,13 +104,19 @@ def _splitmix64_numpy(z: np.ndarray) -> None:
     z ^= z >> np.uint64(31)
 
 
-def _integer(x, name: str, least: int | None = None) -> int:
-    """``x`` as an int, when it is a Python or numpy integer of at least
-    ``least``; bools, floats, strings, None and the rest raise ValueError."""
+class _Unreadable(ValueError):
+    """A value a reading rule refuses for its type; the JSON readers call it wrongly typed."""
+
+
+def _integer(x, name: str, least: int | None = None, below: int | None = None) -> int:
+    """``x`` as an int, when it is a Python or numpy integer in [least, below), each end if given
+    and least 0 if only below is; bools, floats, None and the rest raise _Unreadable, others ValueError."""
     # an int skips the slow abstract-class check; bool is not type int
     if type(x) is not int and (isinstance(x, bool) or not isinstance(x, numbers.Integral)):
-        raise ValueError(f"{name} must be an integer, not {type(x).__name__}")
+        raise _Unreadable(f"{name} must be an integer, not {type(x).__name__}")
     x = int(x)
+    if below is not None and not (least or 0) <= x < below:
+        raise ValueError(f"{name} must lie in [{least or 0}, {below}), not {x}")
     if least is not None and x < least:
         raise ValueError(f"{name} must be at least {least}, not {x}")
     return x
@@ -122,7 +128,7 @@ def _real(x, name: str, kind: str) -> float:
     # a float or an int skips the slow abstract-class check; bool is neither type
     if type(x) is not float:
         if type(x) is not int and (isinstance(x, bool) or not isinstance(x, numbers.Real)):
-            raise ValueError(f"{name} must be a real number, not {type(x).__name__}")
+            raise _Unreadable(f"{name} must be a real number, not {type(x).__name__}")
         try:
             x = float(x)
         except OverflowError:
@@ -132,12 +138,15 @@ def _real(x, name: str, kind: str) -> float:
     return x
 
 
-def _items(x, name: str) -> tuple:
-    """The items of ``x`` as a tuple; a scalar or other non-iterable raises ValueError."""
+def _items(x, name: str, length: int | None = None) -> tuple:
+    """The items of ``x`` as a tuple; ValueError unless ``length`` of them, if given (_Unreadable if none)."""
     try:
-        return tuple(x)
+        items = tuple(x)
     except TypeError:
-        raise ValueError(f"{name} must be a sequence, not {type(x).__name__}") from None
+        raise _Unreadable(f"{name} must be a sequence, not {type(x).__name__}") from None
+    if length is not None and len(items) != length:
+        raise ValueError(f"{name} must have length {length}, not {len(items)}")
+    return items
 
 
 def _uint64(x, name: str) -> np.ndarray | int:

@@ -17,7 +17,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .games import NormalFormGame, _strategy_counts, nash_mask
-from .hashing import _generator, _integer, _items, _real, _splitmix64_in_place, hash_uniform, mix, splitmix64
+from .hashing import _generator, _integer, _items, _real, _splitmix64_in_place, _Unreadable
+from .hashing import hash_uniform, mix, splitmix64
 
 
 def draw_conditions(rng: np.random.Generator, m: int) -> np.ndarray:
@@ -148,9 +149,8 @@ class FactoredNoiseSimulator(NoisySimulator):
         base: NormalFormGame,
         seed: int,
     ):
-        a, kinds = _items(a, "factor scales a"), _items(kinds, "factor kinds")
-        if len(a) != len(kinds):
-            raise ValueError("one scale per factor kind required")
+        a = _items(a, "factor scales a")
+        kinds = _items(kinds, "factor kinds", len(a))
         self._groupings = [_factor(kind)[0] for kind in kinds]
         self.a = tuple(_real(a_i, "factor scale", "finite and nonnegative") for a_i in a)
         self.a0 = _real(a0, "a0", "finite and nonnegative")
@@ -171,8 +171,8 @@ class FactoredNoiseSimulator(NoisySimulator):
 def gen_rg(num_players: int, k: int, u0: float = 10.0, seed: int = 0) -> NormalFormGame:
     """Uniform random game: every utility i.i.d. uniform on (-u0/2, u0/2),
     drawn from numpy's PCG64 generator of ``seed`` taken mod 2^64."""
-    if _integer(num_players, "num_players") < 1 or _integer(k, "k") < 1:
-        raise ValueError("need at least one player and one strategy")
+    num_players = _integer(num_players, "num_players", least=1)
+    k = _integer(k, "k", least=1)
     u0 = _real(u0, "utility magnitude u0", "positive and finite")
     rng = _generator(seed)
     counts = (k,) * num_players
@@ -190,9 +190,10 @@ class CongestionGame:
     cost_fn: Callable[[int, int], float] | None = None  # (facility, load) -> cost
 
     def __post_init__(self):
-        object.__setattr__(self, "num_facilities", _integer(self.num_facilities, "facility count"))
+        n = _integer(self.num_facilities, "facility count")
+        object.__setattr__(self, "num_facilities", n)
         sets = tuple(
-            tuple(tuple(sorted(_integer(e, "facility") for e in _items(s, "strategy"))) for s in strats)
+            tuple(tuple(sorted(_integer(e, "facility", below=n) for e in _items(s, "strategy"))) for s in strats)
             for strats in (_items(p, "strategies") for p in _items(self.strategy_sets, "strategy sets"))
         )
         object.__setattr__(self, "strategy_sets", sets)
@@ -204,8 +205,6 @@ class CongestionGame:
             for strat in player_strats:
                 if not strat:
                     raise ValueError(f"player {p} has an empty facility set")
-                if strat[0] < 0 or strat[-1] >= self.num_facilities:
-                    raise ValueError("facility index out of range")
                 if len(set(strat)) != len(strat):
                     raise ValueError("facility listed twice in one strategy")
 
@@ -230,11 +229,9 @@ def gen_rc(
     alpha^(e-1), so facility 1 is always included and strategies cluster on
     low-numbered facilities. Duplicate strategies are dropped. The draws come
     from numpy's PCG64 generator of ``seed`` taken mod 2^64."""
-    num_facilities = _integer(num_facilities, "num_facilities")  # 2**k of a numpy int wraps
-    if _integer(num_players, "num_players") < 1 or num_facilities < 1:
-        raise ValueError("need at least one player and one facility")
-    if not 1 <= _integer(k, "k") <= 2**num_facilities - 1:
-        raise ValueError("k must lie in [1, 2^facilities - 1]")
+    num_players = _integer(num_players, "num_players", least=1)
+    num_facilities = _integer(num_facilities, "num_facilities", least=1)  # 2**k of a numpy int wraps
+    k = _integer(k, "k", least=1, below=2**num_facilities)
     alpha = _real(alpha, "alpha", "in (0, 1)")
     rng = _generator(seed)
     inclusion = alpha ** np.arange(num_facilities)
@@ -340,15 +337,8 @@ def congestion_from_json(text: str) -> CongestionGame:
         raise ValueError("only the linear cost function is supported")
     try:
         players = _integer(payload["players"], "players")
-        facilities = _integer(payload["facilities"], "facilities")
-        sets = tuple(
-            tuple(tuple(_integer(e, "facility") for e in strat) for strat in player)
-            for player in payload["strategies"]
-        )
+        return CongestionGame(payload["facilities"], _items(payload["strategies"], "strategies", players))
     except KeyError as missing:
         raise ValueError(f"congestion game JSON lacks the field {missing}") from None
-    except (TypeError, ValueError) as error:
+    except _Unreadable as error:
         raise ValueError(f"congestion game JSON has a wrongly typed field: {error}") from None
-    if players != len(sets):
-        raise ValueError("players field does not match strategies length")
-    return CongestionGame(facilities, sets)

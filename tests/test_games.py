@@ -39,11 +39,11 @@ def test_utility_matching_pennies(matching_pennies):
 
 
 def test_utility_index_errors(matching_pennies):
-    with pytest.raises(IndexError):
+    with pytest.raises(ValueError, match=r"player must lie in \[0, 2\), not 2"):
         utility(matching_pennies, 2, (0, 0))
-    with pytest.raises(IndexError):
+    with pytest.raises(ValueError, match=r"strategy must lie in \[0, 2\), not 2"):
         utility(matching_pennies, 0, (0, 2))
-    with pytest.raises(IndexError):
+    with pytest.raises(ValueError, match="profile must have length 2, not 1"):
         utility(matching_pennies, 0, (0,))
 
 

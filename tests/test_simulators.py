@@ -48,8 +48,8 @@ def test_gen_rg_deterministic_in_seed():
 
 
 def test_gen_rg_validates():
-    for players, k in ((0, 2), (2, 0)):
-        with pytest.raises(ValueError, match="at least one player"):
+    for players, k, name in ((0, 2, "num_players"), (2, 0, "k")):
+        with pytest.raises(ValueError, match=f"{name} must be at least 1"):
             gen_rg(players, k)
     for u0 in (0.0, -1.0, float("inf"), float("nan")):
         with pytest.raises(ValueError, match="u0 must be positive and finite"):
@@ -393,7 +393,7 @@ def test_factored_sim_validates():
     for counts in (5, None, (2.5, 3)):
         with pytest.raises(ValueError, match="strategy count"):
             factor_image_sizes(FACTOR_KINDS, counts)
-    with pytest.raises(ValueError, match="one scale per factor kind"):
+    with pytest.raises(ValueError, match="factor kinds must have length 2, not 1"):
         FactoredNoiseSimulator(2.0, [1.0, 1.0], ["global"], base, seed=0)
     for a, kinds, name in ((1.0, ["global"], "factor scales a"), ([1.0], None, "factor kinds")):
         with pytest.raises(ValueError, match=f"{name} must be a sequence"):
