@@ -169,7 +169,8 @@ def gs(
     average it is 2r + 3c*sqrt(ln(1/delta)/(2m)) for a fresh sign draw.
     A zero range c makes every sample exact, and both radii are then zero.
     A c below ``sim.range_c`` raises ValueError: its radius would not bound
-    the samples. So does an index set of strategy counts other than ``sim``'s.
+    the samples. So does an index set of strategy counts other than ``sim``'s,
+    and samples whose sums over the m conditions overflow the float range.
 
     The m condition seeds come from a fresh PCG64 generator seeded with
     ``seed``, an integer taken mod 2^64 (so -1 and 2^64 - 1 give the same
@@ -219,6 +220,8 @@ def gs(
             )
         if sigma is not None:  # the one tile is the whole block
             signed += tile @ sigma[start:stop]
+    if not (np.isfinite(sums).all() and np.isfinite(signed).all()):
+        raise ValueError(f"the sums of {m} samples overflow the float range: the samples are too large for this m")
     means = sums / m
 
     if bound is BoundType.HOEFFDING:

@@ -77,6 +77,9 @@ class NormalFormGame:
 
     def own_strategy(self, players: np.ndarray, profiles: np.ndarray) -> np.ndarray:
         """The strategy each index's player plays in its profile; ValueError for a player outside the game."""
+        players, profiles = np.asarray(players), np.asarray(profiles)
+        if players.shape != profiles.shape or players.ndim != 1:
+            raise ValueError("players and profiles must be 1-d arrays of equal length")
         if len(players) and (players.min() < 0 or players.max() >= self.num_players):
             raise ValueError("player index out of range")
         return np.array(np.unravel_index(profiles, self.strategy_counts))[players, np.arange(len(profiles))]

@@ -422,6 +422,23 @@ def test_gs_and_psp_refuse_c_below_the_declared_range():
         assert psp(sim, sched, failure, 2 * sim.range_c, bound).epsilon > 0
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("compiled", [True, False])
+def test_gs_refuses_sums_that_overflow(monkeypatch, compiled):
+    """Each sample of noise 1e308 wide is finite, but a sum of 1000 of them is
+    not: gs returned NaN estimates with a finite Hoeffding radius, and under
+    1ERA blamed the empirical Rademacher average."""
+    if not compiled:
+        monkeypatch.setattr(hashing, "_kernel", lambda: None)
+    sim = noisy_sim(gen_rg(2, 2, seed=1), 1e308)
+    idx = IndexSet.full(sim.strategy_counts)
+    for bound in BoundType:
+        with pytest.raises(ValueError, match="sums of 1000 samples overflow the float range"):
+            gs(sim, idx, 1000, 0.1, sim.range_c, bound)
+        # one sample is its own sum, and its estimates are finite
+        assert np.isfinite(gs(sim, idx, 1, 0.1, sim.range_c, bound).utilities).all()
+
+
 def test_bound_accepts_enum_or_value():
     """A BoundType's value selects the same bound as the member itself; any
     other value used to fall through to 1ERA without drawing signs."""

@@ -110,12 +110,16 @@ def test_library_errors_are_usage_errors(tmp_path, capsys):
     bad.write_text("[1]")
     good = tmp_path / "game.json"
     main(["gen-game", "--family", "rg", "--players", "2", "--k", "2", "--out", str(good)])
+    congestion = tmp_path / "rc.json"
+    main(["gen-game", "--family", "rc", "--players", "2", "--k", "2", "--out", str(congestion)])
     for args, message in (
         (["gs", "--game", str(bad)], "must be an object"),
         (["gs", "--game", str(tmp_path / "missing.json")], "No such file"),
         (["psp", "--game", str(good), "--delta", "2"], "failure probability"),
         (["gs", "--game", str(good), "--noise-d", "nan"], "noise width d must be finite"),
         (["gs", "--game", str(good), "--noise-d", "inf"], "noise width d must be finite"),
+        # each sample is finite, but a sum of 1000 is not
+        (["gs", "--game", str(congestion), "--noise-d", "1e308"], "sums of 1000 samples overflow the float range"),
         (["gen-game", "--family", "rg", "--players", "2", "--k", "2", "--u0", "inf"],
          "u0 must be positive and finite"),
         # a 40-player game would need 320 TiB: numpy refuses at once, allocating nothing

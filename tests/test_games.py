@@ -345,6 +345,12 @@ def test_own_strategy_matches_profile_of_index():
     want = [g.profile_of_index(s)[p] for p, s in idx.pairs()]
     assert got.tolist() == want
 
+    # lists are read as arrays, and players and profiles must pair up
+    assert gen_rg(2, 2).own_strategy([0, 1], [0, 1]).tolist() == [0, 1]
+    for players, profiles in (([0, 1], [0]), ([0], [0, 1]), ([[0]], [[0]])):
+        with pytest.raises(ValueError, match="1-d arrays of equal length"):
+            g.own_strategy(players, profiles)
+
     # a player outside the game has no strategy to read
     for players in ([4, -1, 0] * 300, [4], [-1]):
         with pytest.raises(ValueError, match="player index out of range"):

@@ -3,6 +3,8 @@ Python and numpy integers are taken, and bools, floats, strings and None
 raise ValueError instead of being truncated, accepted as 1 or leaking a
 TypeError."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from egta.games import (
     IndexSet,
     NormalFormGame,
     eps_dominates,
+    game_from_json,
     maximin_value,
     pure_regret,
     rationalizable,
@@ -21,6 +24,7 @@ from egta.games import (
 from egta.simulators import (
     CongestionGame,
     FactoredNoiseSimulator,
+    congestion_from_json,
     draw_conditions,
     expand,
     gen_rc,
@@ -99,6 +103,83 @@ SITES = {
     "CongestionGame.num_facilities": lambda x: CongestionGame(x, (((0,),),)),
     "CongestionGame.facility": lambda x: CongestionGame(2, (((x,),),)),
 }
+
+
+# each index site takes the value under test where an index goes, with the
+# least index it takes, the bound every index stays below and the name its
+# error gives
+INDEX_SITES = {
+    "utility.p": (lambda x: utility(GAME, x, (0, 0)), 0, 2, "player"),
+    "pure_regret.p": (lambda x: pure_regret(GAME, x, (0, 0)), 0, 2, "player"),
+    "eps_dominates.p": (lambda x: eps_dominates(GAME, x, 0, 1, 0.0), 0, 2, "player"),
+    "eps_dominates.s": (lambda x: eps_dominates(GAME, 0, x, 0, 0.0), 0, 2, "strategy"),
+    "eps_dominates.s_other": (lambda x: eps_dominates(GAME, 0, 0, x, 0.0), 0, 2, "strategy"),
+    "maximin_value.p": (lambda x: maximin_value(GAME, x), 0, 2, "player"),
+    "NormalFormGame.profile_index": (lambda x: GAME.profile_index((0, x)), 0, 2, "strategy"),
+    "NormalFormGame.profile_of_index": (lambda x: GAME.profile_of_index(x), 0, 4, "profile index"),
+    "rationalizable.restrict": (lambda x: rationalizable(GAME, 0.0, restrict=[[0], [x]]), 0, 2,
+                                "restriction strategy"),
+    "CongestionGame.facility": (lambda x: CongestionGame(3, (((x,),),)), 0, 3, "facility"),
+    "gen_rc.k": (lambda x: gen_rc(2, 3, x), 1, 8, "k"),
+}
+
+
+@pytest.mark.parametrize("site", sorted(INDEX_SITES))
+def test_indices_out_of_range_are_refused_by_name(site):
+    # an index below the least or at the bound used to leak IndexError at
+    # several of these sites
+    call, least, bound, name = INDEX_SITES[site]
+    call(least)
+    call(np.int64(bound - 1))
+    for value in (-1, least - 1, bound, np.int64(bound), bound + 2**64):
+        with pytest.raises(ValueError, match=rf"^{name} must lie in \[{least}, {bound}\), not {value}$"):
+            call(value)
+
+
+def _game_json(n):
+    return json.dumps({"players": 2, "strategies": [2] * n, "utilities": [0.0] * 8})
+
+
+def _congestion_json(n):
+    return json.dumps({"players": 2, "facilities": 2, "strategies": [[[0]]] * n, "cost": "linear"})
+
+
+# each length site takes the length under test where a list goes, with the
+# length it must have and the name its error gives; a list that must pair up
+# with another is named by the second of the two, whichever of them is off
+LENGTH_SITES = {
+    "NormalFormGame.profile_index": (lambda n: GAME.profile_index((0,) * n), 2, "profile"),
+    "rationalizable.restrict": (lambda n: rationalizable(GAME, 0.0, restrict=[[0]] * n), 2, "restriction"),
+    "factored_ra_bound.a": (lambda n: factored_ra_bound(1.0, [1.0] * n, [2, 2], 10), 2, "image sizes b"),
+    "factored_ra_bound.b": (lambda n: factored_ra_bound(1.0, [1.0, 1.0], [2] * n, 10), 2, "image sizes b"),
+    "noise_scaling_ra_bound.breakpoints":
+        (lambda n: noise_scaling_ra_bound(1.0, tuple(map(float, range(n + 1))), (1, 1), 10), 2, "counts"),
+    "noise_scaling_ra_bound.counts":
+        (lambda n: noise_scaling_ra_bound(1.0, (0.0, 1.0, 2.0), (1,) * n, 10), 2, "counts"),
+    "FactoredNoiseSimulator.a":
+        (lambda n: FactoredNoiseSimulator(10.0, [1.0] * n, ["global", "agent"], GAME, 0), 2, "factor kinds"),
+    "FactoredNoiseSimulator.kinds":
+        (lambda n: FactoredNoiseSimulator(10.0, [1.0, 1.0], ["global"] * n, GAME, 0), 2, "factor kinds"),
+    "game_from_json.strategies": (lambda n: game_from_json(_game_json(n)), 2, "strategies"),
+    "congestion_from_json.strategies": (lambda n: congestion_from_json(_congestion_json(n)), 2, "strategies"),
+}
+
+
+@pytest.mark.parametrize("site", sorted(LENGTH_SITES))
+def test_lists_of_the_wrong_length_are_refused_by_name(site):
+    # a profile or restriction one entry short or long used to leak
+    # IndexError, or to be taken when it was long
+    call, length, name = LENGTH_SITES[site]
+    call(length)
+    for n in (length - 1, length + 1):
+        with pytest.raises(ValueError, match=rf"{name} must have length \d+, not \d+$"):
+            call(n)
+
+
+def test_a_profile_must_be_a_sequence():
+    # profile_index(3) leaked TypeError: 'int' object is not iterable
+    with pytest.raises(ValueError, match="profile must be a sequence, not int"):
+        GAME.profile_index(3)
 
 
 @pytest.mark.parametrize("site", sorted(SITES))
