@@ -109,8 +109,8 @@ class _Unreadable(ValueError):
 
 
 def _integer(x, name: str, least: int | None = None, below: int | None = None) -> int:
-    """``x`` as an int, when it is a Python or numpy integer in [least, below), each end if given
-    and least 0 if only below is; bools, floats, None and the rest raise _Unreadable, others ValueError."""
+    """``x`` as an int: bools, floats, None and other non-integers raise _Unreadable, and an
+    integer outside [least, below) ValueError, each end checked if given, least 0 if only below is."""
     # an int skips the slow abstract-class check; bool is not type int
     if type(x) is not int and (isinstance(x, bool) or not isinstance(x, numbers.Integral)):
         raise _Unreadable(f"{name} must be an integer, not {type(x).__name__}")
@@ -139,7 +139,8 @@ def _real(x, name: str, kind: str) -> float:
 
 
 def _items(x, name: str, length: int | None = None) -> tuple:
-    """The items of ``x`` as a tuple; ValueError unless ``length`` of them, if given (_Unreadable if none)."""
+    """The items of ``x`` as a tuple: _Unreadable unless ``x`` is iterable, ValueError unless it
+    holds ``length`` items, if given."""
     try:
         items = tuple(x)
     except TypeError:
