@@ -268,9 +268,9 @@ def prune_pure(game: NormalFormGame, index_set: IndexSet, eps_hat: float) -> Ind
     return IndexSet.from_mask(mask & (regret_table(game, mask) <= 2.0 * eps_hat), game.strategy_counts)
 
 
-def _restriction_of(index_set: IndexSet, game: NormalFormGame) -> list[list[int]]:
-    own = game.own_strategy(index_set.players, index_set.profiles)
-    return [np.unique(own[index_set.players == p]).tolist() for p in range(game.num_players)]
+def _restriction_of(index_set: IndexSet) -> list[list[int]]:
+    strategies = np.unravel_index(index_set.profiles, index_set.strategy_counts)
+    return [np.unique(s[index_set.players == p]).tolist() for p, s in enumerate(strategies)]
 
 
 def prune_mixed(game: NormalFormGame, index_set: IndexSet, eps_hat: float) -> IndexSet:
@@ -279,7 +279,7 @@ def prune_mixed(game: NormalFormGame, index_set: IndexSet, eps_hat: float) -> In
     other strategy counts than the game's raises ValueError."""
     eps_hat = _real(eps_hat, "eps_hat", "nonnegative")
     _check_counts(index_set, game.strategy_counts)
-    restriction = _restriction_of(index_set, game)
+    restriction = _restriction_of(index_set)
     if [] in restriction:
         raise ValueError(f"index set has no index for player {restriction.index([])}")
     surviving = rationalizable(game, 2.0 * eps_hat, restrict=restriction)
@@ -405,7 +405,7 @@ def psp(
     if pure:
         pure_equilibria = pure_eps_nash(empirical, 2.0 * epsilon)
     else:
-        restriction = _restriction_of(index_set, empirical)
+        restriction = _restriction_of(index_set)
         mixed_restriction = rationalizable(empirical, 2.0 * epsilon, restrict=restriction)
     return PSPResult(
         empirical, radii, pure_equilibria, mixed_restriction, epsilon, consumed, tuple(trace)

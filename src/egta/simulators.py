@@ -65,7 +65,7 @@ class ConditionalSimulator:
 _FACTOR_TABLE = {
     "global": (lambda g, p, s: np.zeros_like(p), lambda counts: 1),
     "agent": (lambda g, p, s: p, len),
-    "own-strategy": (NormalFormGame.own_strategy, max),
+    "own-strategy": (lambda g, p, s: np.array(np.unravel_index(s, g.strategy_counts))[p, np.arange(len(s))], max),
     "profile": (lambda g, p, s: s, math.prod),
     "agent-profile": (lambda g, p, s: p * g.num_profiles + s, lambda c: len(c) * math.prod(c)),
 }
@@ -116,20 +116,24 @@ class NoisySimulator(ConditionalSimulator):
         self._noisy = [i for i, width in enumerate(widths) if width]
         self._widths = np.array([widths[i] for i in self._noisy], dtype=np.float64)
 
-    def _keys(self, i, players, profiles):
+    def _keys(self, i, flat, players, profiles):
         """The one factor's hash keys: each index's flat position p P + s."""
-        return players * self.base.num_profiles + profiles
+        return flat
 
     def sample_block(self, cond_seeds, players, profiles, out, sums):
         """The additive-noise kernel of both simulators, one ``hash_uniform``
         call: each noisy factor i adds (u - 0.5) * w_i to the base, with u
-        hashed from ``self._keys(i, players, profiles)`` and the condition.
-        The utilities are written into ``out`` and their row sums added
-        onto ``sums``."""
+        hashed from the condition and ``self._keys(i, flat, players,
+        profiles)``. The utilities go into ``out``, their row sums onto
+        ``sums``; an index outside the base game raises ValueError."""
+        try:
+            flat = np.ravel_multi_index((players, profiles), self.base.utilities.shape)
+        except (TypeError, ValueError):  # a float index, or one outside the game
+            raise ValueError(f"indices must be integers in a game of shape {self.base.utilities.shape}") from None
         keys = np.empty((len(self._noisy), len(players)), dtype=np.uint64)
         for row, i in enumerate(self._noisy):
-            keys[row] = self._keys(i, players, profiles)
-        return hash_uniform(cond_seeds, keys, self._widths, self.base.utilities[players, profiles], out, sums)
+            keys[row] = self._keys(i, flat, players, profiles)
+        return hash_uniform(cond_seeds, keys, self._widths, self.base.utilities.reshape(-1)[flat], out, sums)
 
 
 def noisy_sim(base: NormalFormGame, d: float) -> NoisySimulator:
@@ -162,7 +166,7 @@ class FactoredNoiseSimulator(NoisySimulator):
         # like (2u - 1) * a_i because doubling is exact
         self._set_noise(base, 2.0 * (self.a0 + sum(self.a)), [2.0 * a_i for a_i in self.a])
 
-    def _keys(self, i, players, profiles):
+    def _keys(self, i, flat, players, profiles):
         """Factor i's hash keys: its grouping values, salted per factor and hashed."""
         group = self._groupings[i](self.base, players, profiles)
         return splitmix64(group.astype(np.uint64) + np.uint64(mix(self.seed, i)))
@@ -252,20 +256,12 @@ def gen_rc(
 def expand(cg: CongestionGame) -> NormalFormGame:
     """Dense normal-form view of a congestion game; utilities are negated
     costs so the usual regret/equilibrium machinery applies unchanged."""
-    counts = cg.strategy_counts
-    num_profiles = math.prod(counts)
-    profiles = np.stack(
-        np.unravel_index(np.arange(num_profiles), counts), axis=1
-    )  # [num_profiles, P]
-    usage = []
-    for p, player_strats in enumerate(cg.strategy_sets):
-        u = np.zeros((counts[p], cg.num_facilities), dtype=np.float64)
+    strategies = np.unravel_index(np.arange(math.prod(cg.strategy_counts)), cg.strategy_counts)  # per player
+    usage = [np.zeros((k, cg.num_facilities)) for k in cg.strategy_counts]  # 1.0 where p's strategy s uses e
+    for u, player_strats in zip(usage, cg.strategy_sets):
         for s_idx, strat in enumerate(player_strats):
             u[s_idx, list(strat)] = 1.0
-        usage.append(u)
-    loads = np.zeros((num_profiles, cg.num_facilities))
-    for p in range(cg.num_players):
-        loads += usage[p][profiles[:, p]]
+    loads = sum(u[s] for u, s in zip(usage, strategies))  # [num_profiles, facilities]
     if cg.cost_fn is None:
         facility_costs = loads
     else:
@@ -273,10 +269,8 @@ def expand(cg: CongestionGame) -> NormalFormGame:
         for e in range(cg.num_facilities):
             for load in np.unique(loads[:, e]):
                 facility_costs[loads[:, e] == load, e] = cg.cost_fn(e, int(load))
-    utilities = np.empty((cg.num_players, num_profiles))
-    for p in range(cg.num_players):
-        utilities[p] = -(usage[p][profiles[:, p]] * facility_costs).sum(axis=1)
-    return NormalFormGame(counts, utilities)
+    utilities = np.array([-(u[s] * facility_costs).sum(axis=1) for u, s in zip(usage, strategies)])
+    return NormalFormGame(cg.strategy_counts, utilities)
 
 
 def _anarchy(cg: CongestionGame) -> tuple[NormalFormGame, np.ndarray, np.ndarray, float, float]:

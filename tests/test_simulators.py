@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -12,6 +13,7 @@ from egta.simulators import (
     FACTOR_KINDS,
     CongestionGame,
     FactoredNoiseSimulator,
+    NoisySimulator,
     congestion_from_json,
     congestion_to_json,
     draw_conditions,
@@ -112,6 +114,25 @@ def test_expand_custom_cost_fn():
     # facility 0 carries both players (cost 4), facility 1 only player 0
     assert utility(g, 0, (0, 0)) == -(4 + 1)
     assert utility(g, 1, (0, 0)) == -4
+
+
+# sha256 of expand(...).utilities over these gen_rc games, each under the
+# linear cost and under a float cost, frozen before expand read its
+# profiles' coordinates from one np.unravel_index. At alpha 0.5 and 0.7
+# strategies use three facilities or more, whose float costs round
+# differently when summed in another order
+GOLDEN_EXPAND_SHA256 = "29c39a467809983d069f125a25cdbe93c15b6fb05c67a8c0e960b5587bb4fe2e"
+
+
+def test_expand_golden():
+    digest = hashlib.sha256()
+    for shape in ((2, 3, 2, 0.1), (3, 4, 3, 0.7), (4, 5, 2, 0.5), (5, 5, 2, 0.7), (3, 6, 5, 0.7)):
+        for seed in range(3):
+            cg = gen_rc(*shape, seed=seed)
+            for cost_fn in (None, lambda e, n: 0.1 * n**1.5 + e / 7):
+                game = expand(CongestionGame(cg.num_facilities, cg.strategy_sets, cost_fn))
+                digest.update(game.utilities.tobytes())
+    assert digest.hexdigest() == GOLDEN_EXPAND_SHA256
 
 
 def test_ppa_exact_values():
@@ -274,7 +295,7 @@ def test_factored_sample_block_matches_formula():
     groups = {
         "global": np.zeros_like(idx.players),
         "agent": idx.players,
-        "own-strategy": base.own_strategy(idx.players, idx.profiles),
+        "own-strategy": np.array([base.profile_of_index(s)[p] for p, s in idx.pairs()]),
         "profile": idx.profiles,
         "agent-profile": idx.players * base.num_profiles + idx.profiles,
     }
@@ -286,6 +307,19 @@ def test_factored_sample_block_matches_formula():
                 keys = splitmix64(groups[kind].astype(np.uint64) + np.uint64(mix(3, i)))
                 want = want + (2.0 * _hash_uniform_numpy(seeds, keys) - 1.0) * a_i
         assert np.array_equal(sample(sim, seeds, idx.players, idx.profiles), want), a
+
+
+def test_sample_block_refuses_indices_outside_the_game():
+    # a negative index would be read from the end of the utility table and
+    # one past it would leak numpy's IndexError; a float index is no index
+    base = gen_rg(2, 2, seed=1)
+    seeds = draw_conditions(np.random.default_rng(0), 3)
+    sims = (NoisySimulator(base, 1.0), FactoredNoiseSimulator(5.0, [1.0, 1.0], ["own-strategy", "agent"], base, seed=0))
+    for sim in sims:
+        for players, profiles in (([-1], [0]), ([0], [-1]), ([2], [0]), ([0], [4]), ([0.0], [0]), ([1], [3.0])):
+            with pytest.raises(ValueError, match=r"integers in a game of shape \(2, 4\)"):
+                sample(sim, seeds, np.array(players), np.array(profiles))
+        assert sample(sim, seeds, np.array([0, 1]), np.array([0, 3])).shape == (2, 3)
 
 
 def test_sample_block_fills_out(monkeypatch):
