@@ -30,6 +30,14 @@ def _strategy_counts(counts: Sequence[int]) -> tuple[int, ...]:
     return counts
 
 
+def _bool_mask(mask, shape: tuple[int, ...], name: str) -> np.ndarray:
+    """mask as a bool array of this shape; any other dtype or shape raises ValueError."""
+    mask = np.asarray(mask)
+    if mask.dtype != bool or mask.shape != shape:
+        raise ValueError(f"{name} must be a bool mask of shape {shape}")
+    return mask
+
+
 @dataclass(frozen=True, eq=False)
 class NormalFormGame:
     """Dense normal-form game.
@@ -122,8 +130,10 @@ class IndexSet:
 
     @staticmethod
     def from_mask(mask: np.ndarray, strategy_counts: Sequence[int]) -> "IndexSet":
-        players, profiles = np.nonzero(mask)
-        return IndexSet(players, profiles, strategy_counts)
+        """The pairs a bool mask of shape [players, profiles] keeps; any other mask raises ValueError."""
+        counts = _strategy_counts(strategy_counts)
+        players, profiles = np.nonzero(_bool_mask(mask, (len(counts), math.prod(counts)), "mask"))
+        return IndexSet(players, profiles, counts)
 
     @staticmethod
     def full(strategy_counts: Sequence[int]) -> "IndexSet":
@@ -146,9 +156,7 @@ def regret_table(game: NormalFormGame, alive: np.ndarray | None = None) -> np.nd
     and check_containment. With a bool mask ``alive`` of the utilities' shape,
     deviations range only over the cells it keeps (-inf where a context keeps
     none); a mask of another shape raises ValueError. Unmasked, it is >= 0."""
-    alive = None if alive is None else np.asarray(alive)
-    if alive is not None and (alive.dtype != bool or alive.shape != game.utilities.shape):
-        raise ValueError(f"alive must be a bool mask of shape {game.utilities.shape}")
+    alive = None if alive is None else _bool_mask(alive, game.utilities.shape, "alive")
     out = np.empty_like(game.utilities)
     for p in range(game.num_players):
         t = game.tensor(p)

@@ -590,11 +590,25 @@ def test_masked_regret_table_matches_brute_force(case):
 
 
 def test_regret_table_refuses_a_mask_of_another_shape():
+    # regret_table's alive mask and IndexSet.from_mask's mask are read by
+    # one rule: a bool array of the utilities' shape, (2, 4) here
     g = _pd_game()
-    for bad in (np.ones((2, 3), dtype=bool), np.ones(8, dtype=bool), np.ones((2, 4)), [[True]], [[1] * 4] * 2):
+    bad_masks = (
+        np.ones((2, 3), dtype=bool),
+        np.ones((2, 2), dtype=bool),
+        np.ones(8, dtype=bool),
+        np.ones((2, 4, 1), dtype=bool),
+        np.ones((2, 4)),
+        [[True]],
+        [[1] * 4] * 2,
+    )
+    for bad in bad_masks:
         with pytest.raises(ValueError, match="bool mask of shape"):
             regret_table(g, bad)
+        with pytest.raises(ValueError, match="bool mask of shape"):
+            IndexSet.from_mask(bad, g.strategy_counts)
     assert np.array_equal(regret_table(g, [[True] * 4] * 2), regret_table(g))
+    assert IndexSet.from_mask([[True] * 4] * 2, g.strategy_counts).pairs() == IndexSet.full((2, 2)).pairs()
 
 
 @settings(max_examples=300, deadline=None)
