@@ -30,8 +30,10 @@ from .games import (
     rationalizable,
     regret_table,
 )
-from .hashing import _generator, _integer, _real, mix
-from .simulators import ConditionalSimulator, draw_conditions
+from .hashing import _draw, _integer, _real, mix
+# gs draws by _draw, with draw_conditions' bits; the benchmark's tracer
+# still patches the name algorithms.draw_conditions
+from .simulators import ConditionalSimulator, draw_conditions  # noqa: F401
 
 # cap on elements per sampling block; its column count sets how many
 # conditions each row sum adds at once, so it fixes the results' bits
@@ -172,9 +174,10 @@ def gs(
     the samples. So does an index set of strategy counts other than ``sim``'s,
     and samples whose sums over the m conditions overflow the float range.
 
-    The m condition seeds come from a fresh PCG64 generator seeded with
-    ``seed``, an integer taken mod 2^64 (so -1 and 2^64 - 1 give the same
-    bits), and under 1ERA the m signs from its next words (see ``_signs``).
+    The m condition seeds and, under 1ERA, the m signs come from
+    ``random_raw`` on a fresh PCG64 seeded with ``seed``, an integer taken
+    mod 2^64 (so -1 and 2^64 - 1 give the same bits); they are the bits
+    numpy's ``Generator.integers`` draws from it (see ``hashing._draw``).
     Conditions are consumed in column blocks of at most _BLOCK_ELEMS
     samples. Each call owns one buffer; the simulator writes every tile
     into a view of it and adds the tile's row sums onto the estimates'
@@ -197,12 +200,12 @@ def gs(
     _check_range(sim, c)
     _check_counts(index_set, sim.strategy_counts)
 
-    rng = _generator(seed)
-    cond_seeds = draw_conditions(rng, m)
-    sigma = _signs(rng, m) if bound is BoundType.ONE_ERA else None
+    cond_seeds, sigma = _draw(seed, m, bound is BoundType.ONE_ERA)
 
-    sums = np.zeros(n)
-    signed = np.zeros(n)
+    # the running sums and, under 1ERA, the signed sums below them, in one
+    # array whose rows' largest magnitudes are read, and checked, at once
+    acc = np.zeros((1 if sigma is None else 2, n))
+    sums = acc[0]
     block = max(1, _BLOCK_ELEMS // n)
     # the first block is the widest; a Hoeffding tile holds at most
     # max(_TILE_ELEMS, cols) samples, and a 1ERA tile is a whole block
@@ -219,16 +222,16 @@ def gs(
                 cond_seeds[start:stop], index_set.players[r0:r1], index_set.profiles[r0:r1], tile, sums[r0:r1]
             )
         if sigma is not None:  # the one tile is the whole block
-            signed += tile @ sigma[start:stop]
-    if not (np.isfinite(sums).all() and np.isfinite(signed).all()):
+            acc[1] += tile @ sigma[start:stop]
+    top = np.abs(acc).max(axis=1).tolist()  # each row's largest |sum|, NaN if one is
+    if not all(map(math.isfinite, top)):
         raise ValueError(f"the sums of {m} samples overflow the float range: the samples are too large for this m")
     means = sums / m
 
     if bound is BoundType.HOEFFDING:
         epsilon = hoeffding_eps(c, n, m, delta)
     else:
-        r = float(np.abs(signed).max() / m)
-        epsilon = era_eps(r, c, m, delta)
+        epsilon = era_eps(top[1] / m, c, m, delta)
     return GSResult(index_set, means, epsilon, m, delta, bound)
 
 
@@ -238,23 +241,11 @@ def _check_range(sim: ConditionalSimulator, c: float) -> None:
 
 
 def _check_counts(index_set: IndexSet, declared: Sequence[int]) -> None:
+    # counts equal to the index set's, as ints, need no second reading
+    if declared == index_set.strategy_counts and all(type(k) is int for k in declared):
+        return
     if index_set.strategy_counts != (counts := _strategy_counts(declared)):
         raise ValueError(f"strategy counts {counts} are not the index set's, {index_set.strategy_counts}")
-
-
-def _signs(rng: np.random.Generator, m: int) -> np.ndarray:
-    """m Rademacher signs: bits 31 and 63 of each of the next ceil(m/2)
-    64-bit words, +1.0 where the bit is set and -1.0 where it is not. Read
-    as two little-endian 32-bit halves, low half first, a word gives bit 31
-    and then bit 63 as its halves' top bits. From a generator with no
-    buffered 32-bit half, as gs's fresh one is, these are the signs
-    ``rng.integers(0, 2, size=m) * 2.0 - 1.0`` draws."""
-    words = rng.integers(0, 2**64, size=(m + 1) // 2, dtype=np.uint64)
-    halves = words.astype("<u8", copy=False).view("<u4")[:m]
-    sigma = (halves >> 31).astype(np.float64)
-    sigma *= 2.0
-    sigma -= 1.0
-    return sigma
 
 
 def prune_pure(game: NormalFormGame, index_set: IndexSet, eps_hat: float) -> IndexSet:

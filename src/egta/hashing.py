@@ -16,10 +16,11 @@ host CPU, and loads it with ctypes; a cached library that fails to load is
 built again once. Built without floating-point contraction, the loop does
 the numpy code's integer operations and separately rounded floating-point
 steps, and sums each row in numpy's pairwise order, so both give identical
-bits. ``splitmix64`` over arrays runs in the same library. Without a
-compiler, a writable cache directory or a loadable library, the numpy code
-runs instead, and a RuntimeWarning says why once per process; it is also the
-reference the tests compare against.
+bits. ``splitmix64`` over arrays and ``gs``'s draw (the seeding of its
+PCG64, and the finalizing of its conditions and signs) run in the same
+library. Without a compiler, a writable cache directory or a loadable
+library, the numpy code runs instead, and a RuntimeWarning says why once
+per process; it is also the reference the tests compare against.
 
 The module is also the home of the package's rules for reading parameters:
 ``_integer`` reads every count, index and seed (and, through ``_uint64``, hash
@@ -92,6 +93,56 @@ def _splitmix64_in_place(z: np.ndarray) -> None:
         lib.egta_splitmix64(_address(z), z.size)
     else:
         _splitmix64_numpy(z)
+
+
+class _SeedState(np.random.bit_generator.ISeedSequence):
+    """Seed words computed ahead: ``np.random.PCG64(_SeedState(state))`` is
+    seeded as ``np.random.PCG64(seed)`` is when state is
+    ``SeedSequence(seed).generate_state(4, np.uint64)``, all a PCG64 asks
+    its seed sequence for."""
+
+    def __init__(self, state: np.ndarray):
+        self.state = state
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.state
+
+
+def _draw(seed, m: int, signs: bool) -> tuple[np.ndarray, np.ndarray | None]:
+    """gs's m condition seeds and, if ``signs``, its m Rademacher signs, by
+    ``random_raw`` on the PCG64 of ``seed`` (an integer taken mod 2^64): the
+    first m words, finalized with splitmix64, and sign j +1.0 where bit 31
+    of the j-th little-endian 32-bit half of the next ceil(m/2) words is
+    set, else -1.0. These are the bits ``draw_conditions`` and then
+    ``rng.integers(0, 2, size=m) * 2.0 - 1.0`` give on a fresh generator of
+    the seed, since random_raw returns the words full-range ``integers``
+    draws. The library, when loaded, seeds the PCG64 (numpy's SeedSequence
+    takes 8-9 us, its copy one) and converts the words. The sign words get
+    an array of their own, freed here: kept alive beside the conditions,
+    they raised the benchmark's ``decay`` peak RSS from 63 to 75 MB near
+    its 700th pass."""
+    seed = _integer(seed, "seed") & _MASK64
+    lib = _kernel()
+    if lib is None:
+        bits = np.random.PCG64(seed)
+    else:
+        state = np.zeros(4, dtype=np.uint64)
+        lib.egta_seed_state(seed, _address(state))
+        bits = np.random.PCG64(_SeedState(state))
+    conds = bits.random_raw(m)
+    words = bits.random_raw((m + 1) // 2) if signs else None
+    if lib is not None:
+        sigma = np.empty(m) if signs else None
+        lib.egta_draw(_address(conds), m, _address(words), _address(sigma))
+        return conds, sigma
+    _splitmix64_numpy(conds)
+    if not signs:
+        return conds, None
+    halves = words.astype("<u8", copy=False).view("<u4")[:m]
+    sigma = (halves >> 31).astype(np.float64)
+    sigma *= 2.0
+    sigma -= 1.0
+    return conds, sigma
 
 
 def _splitmix64_numpy(z: np.ndarray) -> None:
@@ -213,9 +264,9 @@ def hash_uniform(
     in order adds (u - 0.5) * widths[f] onto it, rounded step by step, where
     u is the variate of (keys[f, i], cond_seeds[j]): the top 53 bits of
     splitmix64(splitmix64(key) + cond), centred in its bin, in [2^-54, 1].
-    The condition seeds arrive finalized by ``draw_conditions``, so only the
-    keys are hashed here. Seeds and keys follow ``splitmix64``'s rule for
-    integers. ``sums``, a writable C-contiguous float64 [n] array, gets
+    The condition seeds arrive finalized with splitmix64, by gs's draw or by
+    ``draw_conditions``, so only the keys are hashed here. Seeds and keys
+    follow ``splitmix64``'s rule for integers. ``sums``, a writable C-contiguous float64 [n] array, gets
     ``sums += out.sum(axis=1)``; the compiled kernel sums each leaf of
     numpy's pairwise summation while it is in cache, and numpy sums row
     chunks of at most _CHUNK_ELEMS samples as it writes them. Only F = 1
@@ -267,11 +318,12 @@ def _check_buffer(a, name: str, shape: tuple[int, ...]) -> None:
         raise ValueError(f"{name} must be a writable C-contiguous float64 array of shape {shape}")
 
 
-def _address(a: np.ndarray) -> int | None:
-    """Where a C-contiguous array's data starts (None if empty: it is never
-    read). ``a.ctypes.data`` builds an object on every use, which costs more
-    than hashing a small tile, so writable arrays use the buffer protocol."""
-    if not a.size:
+def _address(a: np.ndarray | None) -> int | None:
+    """Where a C-contiguous array's data starts (None for None, or if empty:
+    it is never read). ``a.ctypes.data`` builds an object on every use,
+    which costs more than hashing a small tile, so writable arrays use the
+    buffer protocol."""
+    if a is None or not a.size:
         return None
     if a.flags.writeable:
         return ctypes.addressof(ctypes.c_char.from_buffer(a))
@@ -369,9 +421,64 @@ void egta_noise(const uint64_t *restrict conds, size_t m,
         sums[i] += 0.0 + last_pass(out + i * m, conds, m, splitmix64(keys[i]), width, base[i]);
 }
 
+/* numpy's SeedSequence hash (numpy/random/bit_generator.pyx): hashmix
+   and mix, with their constants */
+static uint32_t seed_hashmix(uint32_t value, uint32_t *hash_const) {
+    value ^= *hash_const;
+    *hash_const *= 0x931e8875u;
+    value *= *hash_const;
+    return value ^ value >> 16;
+}
+
+static uint32_t seed_mix(uint32_t x, uint32_t y) {
+    uint32_t result = 0xca01f9ddu * x - 0x4973f715u * y;
+    return result ^ result >> 16;
+}
+
+/* state += numpy's SeedSequence(seed).generate_state(4, np.uint64), the
+   words a PCG64 of this seed is seeded from: the seed's little-endian
+   32-bit words, two and then zeros (numpy's one word for a seed below 2^32
+   mixes the same), hashed into a pool of four words, mixed, and hashed
+   out into eight, read in little-endian pairs */
+void egta_seed_state(uint64_t seed, uint64_t *restrict state) {
+    uint32_t pool[4], a = 0x43b0d7e5u, b = 0x8b51f9ddu;
+    for (int i = 0; i < 4; i++)
+        pool[i] = seed_hashmix(i < 2 ? (uint32_t)(seed >> 32 * i) : 0, &a);
+    for (int src = 0; src < 4; src++)
+        for (int dst = 0; dst < 4; dst++)
+            if (src != dst)
+                pool[dst] = seed_mix(pool[dst], seed_hashmix(pool[src], &a));
+    for (int i = 0; i < 8; i++) {
+        uint32_t value = pool[i % 4] ^ b;
+        b *= 0x58f38dedu;
+        value *= b;
+        state[i / 2] += (uint64_t)(value ^ value >> 16) << i % 2 * 32;
+    }
+}
+
 void egta_splitmix64(uint64_t *z, size_t n) {
     for (size_t i = 0; i < n; i++)
         z[i] = splitmix64(z[i]);
+}
+
+/* gs's draw: conds[0..m) become their splitmix64, and unless signs is
+   NULL, sign j < m is +1.0 where bit 31 of the j-th 32-bit half of words
+   is set and -1.0 where it is not, halves read low first as on a
+   little-endian host: bit 31 and then bit 63 of each word. Each sign is
+   written as the bits of a double, those of -1.0 with the sign bit cleared
+   where the bit is set */
+void egta_draw(uint64_t *restrict conds, size_t m, const uint64_t *restrict words,
+               uint64_t *restrict signs) {
+    egta_splitmix64(conds, m);
+    if (!signs)
+        return;
+    const uint64_t minus_one = 0xBFF0000000000000ULL, sign = 1ULL << 63;
+    for (size_t i = 0; i < m / 2; i++) {
+        signs[2 * i] = minus_one ^ (words[i] << 32 & sign);
+        signs[2 * i + 1] = minus_one ^ (words[i] & sign);
+    }
+    if (m % 2)
+        signs[m - 1] = minus_one ^ (words[m / 2] << 32 & sign);
 }
 """
 # never -ffast-math: it licenses rewrites that change the bits
@@ -441,6 +548,10 @@ def _bind(lib: ctypes.CDLL) -> ctypes.CDLL:
     lib.egta_noise.restype = None
     lib.egta_splitmix64.argtypes = [pointer, size]
     lib.egta_splitmix64.restype = None
+    lib.egta_draw.argtypes = [pointer, size, pointer, pointer]
+    lib.egta_seed_state.argtypes = [ctypes.c_uint64, pointer]
+    lib.egta_seed_state.restype = None
+    lib.egta_draw.restype = None
     return lib
 
 

@@ -125,11 +125,21 @@ class NoisySimulator(ConditionalSimulator):
         call: each noisy factor i adds (u - 0.5) * w_i to the base, with u
         hashed from the condition and ``self._keys(i, flat, players,
         profiles)``. The utilities go into ``out``, their row sums onto
-        ``sums``; an index outside the base game raises ValueError."""
+        ``sums``. ``players`` and ``profiles`` are read here, once, as
+        arrays: anything but two 1-d integer arrays (or lists) of one length
+        raises ValueError, as does an index outside the base game."""
+        players, profiles = np.asarray(players), np.asarray(profiles)
         try:
+            # numpy would read bools as 0 and 1 and broadcast unequal lengths
+            integers = players.dtype.kind in "iu" and profiles.dtype.kind in "iu"
+            if not integers or players.ndim != 1 or players.shape != profiles.shape:
+                raise ValueError
             flat = np.ravel_multi_index((players, profiles), self.base.utilities.shape)
         except (TypeError, ValueError):  # a float index, or one outside the game
-            raise ValueError(f"indices must be integers in a game of shape {self.base.utilities.shape}") from None
+            raise ValueError(
+                f"indices must be integers in a game of shape {self.base.utilities.shape}, "
+                "as two 1-d integer arrays of one length"
+            ) from None
         keys = np.empty((len(self._noisy), len(players)), dtype=np.uint64)
         for row, i in enumerate(self._noisy):
             keys[row] = self._keys(i, flat, players, profiles)

@@ -399,6 +399,11 @@ def test_gs_validates_inputs():
     # an index set of another game's counts, though every pair would fit
     with pytest.raises(ValueError, match=r"strategy counts \(2, 2\) are not the index set's, \(2, 3\)"):
         gs(sim, IndexSet([0], [0], (2, 3)), 10, 0.1, sim.range_c, BoundType.HOEFFDING)
+    # declared counts equal to the index set's, but not integers
+    for counts in ((2.0, 2), (2, np.float64(2))):
+        sim.strategy_counts = counts
+        with pytest.raises(ValueError, match="strategy count must be an integer, not float"):
+            gs(sim, idx, 10, 0.1, sim.range_c, BoundType.HOEFFDING)
     # a simulator whose declared counts are no sequence at all
     sim.strategy_counts = 4
     with pytest.raises(ValueError, match="strategy counts must be a sequence, not int"):

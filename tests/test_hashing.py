@@ -13,9 +13,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from egta import algorithms, hashing
+from egta import hashing
+from egta.algorithms import gs
+from egta.bounds import era_eps
+from egta.games import IndexSet
 from egta.hashing import hash_uniform, mix, splitmix64
-from egta.simulators import draw_conditions
+from egta.simulators import draw_conditions, gen_rg, noisy_sim
 
 import _oracles as oracle
 
@@ -488,9 +491,11 @@ _DRAW_SIZES = (1, 2, 3, 4, 5, 7, 8, 9, 1000, 3162, 100_001)
 
 
 def test_compiled_draws_match_numpy(compiled, monkeypatch):
-    # gs draws its conditions and then its 1ERA signs from a fresh PCG64;
-    # with the kernel and without, they are the bits of numpy's own draws,
-    # at odd and even sizes, so the signs' last half word is covered
+    # gs draws its conditions and then its 1ERA signs by random_raw on a
+    # fresh PCG64, and draw_conditions its conditions from a
+    # generator; with the kernel and without, they are the bits of numpy's
+    # own Generator.integers draws, at odd and even sizes, so the signs'
+    # last half word is covered, and draw_conditions leaves numpy's state
     for seed in _DRAW_SEEDS:
         for m in _DRAW_SIZES:
             ref = np.random.Generator(np.random.PCG64(seed))
@@ -501,22 +506,98 @@ def test_compiled_draws_match_numpy(compiled, monkeypatch):
             def run():
                 rng = np.random.Generator(np.random.PCG64(seed))
                 conds = draw_conditions(rng, m)
-                state = rng.bit_generator.state
-                return conds, state, algorithms._signs(rng, m)
+                return conds, rng.bit_generator.state, hashing._draw(seed, m, True), hashing._draw(seed, m, False)
 
-            for conds, state, signs in _compiled_and_numpy(monkeypatch, compiled, run):
+            for conds, state, onera, hoeffding in _compiled_and_numpy(monkeypatch, compiled, run):
                 assert conds.dtype == np.uint64 and np.array_equal(conds, want_conds), (seed, m)
                 assert state == want_state, (seed, m)
-                assert signs.dtype == np.float64 and np.array_equal(signs, want_signs), (seed, m)
+                for drawn in (onera[0], hoeffding[0]):
+                    assert drawn.dtype == np.uint64 and np.array_equal(drawn, want_conds), (seed, m)
+                assert onera[1].dtype == np.float64 and np.array_equal(onera[1], want_signs), (seed, m)
+                assert hoeffding[1] is None
 
 
-def test_pcg64_words_never_reach_the_library(monkeypatch):
-    # gs's words come from numpy's own draws, so the library is never asked
-    monkeypatch.setattr(hashing, "_kernel", lambda: pytest.fail("the kernel was reached"))
+def test_gs_samples_numpys_draws(compiled, monkeypatch):
+    # gs samples at the conditions Generator.integers draws, and under 1ERA
+    # its radius is the one of the signs it draws next: r-hat is the signed
+    # sum of the very block gs sampled, taken in the same BLAS call shape
+    game = gen_rg(2, 2, seed=1)
+    sim, idx = noisy_sim(game, 2.0), IndexSet.full(game.strategy_counts)
+    calls = []
+    sample_block = sim.sample_block
+    sim.sample_block = lambda *args: calls.append(args) or sample_block(*args)
     for seed in _DRAW_SEEDS:
         for m in _DRAW_SIZES:
-            want = np.random.Generator(np.random.PCG64(seed)).integers(0, 2, size=m) * 2.0 - 1.0
-            assert np.array_equal(algorithms._signs(np.random.Generator(np.random.PCG64(seed)), m), want), (seed, m)
+            ref = np.random.Generator(np.random.PCG64(seed))
+            want_conds = splitmix64(ref.integers(0, 2**64, size=m, dtype=np.uint64))
+            want_signs = ref.integers(0, 2, size=m) * 2.0 - 1.0
+
+            def run():
+                calls.clear()
+                onera = gs(sim, idx, m, 0.1, sim.range_c, "1era", seed=seed)
+                (conds, _, _, block, _), = calls  # one block of 8 rows
+                r = float(np.abs(block @ want_signs).max() / m)
+                hoeffding = gs(sim, idx, m, 0.1, sim.range_c, "hoeffding", seed=seed)
+                return conds, onera.epsilon, era_eps(r, sim.range_c, m, 0.1), [call[0] for call in calls[1:]]
+
+            for conds, got, want, hoeffding in _compiled_and_numpy(monkeypatch, compiled, run):
+                assert np.array_equal(conds, want_conds), (seed, m)
+                assert got == want, (seed, m)
+                # every Hoeffding row tile of the one column block
+                assert hoeffding and all(np.array_equal(c, want_conds) for c in hoeffding), (seed, m)
+
+
+def test_pcg64_words_come_from_numpy(compiled, monkeypatch):
+    # gs's words come from random_raw on numpy's own PCG64, the conditions'
+    # and then the signs'. The library only computes the PCG64's seed words
+    # first, and then, in one call, finalizes the conditions and turns the
+    # sign words into signs, as the numpy path does without it
+    raws = []
+
+    class RecordingPCG64(np.random.PCG64):
+        def random_raw(self, size=None, output=True):
+            raws.append(size)
+            return super().random_raw(size, output)
+
+    class Library:
+        def __init__(self):
+            self.calls = []
+
+        def __getattr__(self, name):
+            self.calls.append((name, len(raws)))
+            return getattr(compiled, name)
+
+    monkeypatch.setattr(np.random, "PCG64", RecordingPCG64)
+    for seed in _DRAW_SEEDS:
+        for m in _DRAW_SIZES:
+            for signs, sizes in ((True, [m, (m + 1) // 2]), (False, [m])):
+                library = Library()
+                monkeypatch.setattr(hashing, "_kernel", lambda: library)
+                raws.clear()
+                compiled_draw = hashing._draw(seed, m, signs)
+                assert raws == sizes, (seed, m)
+                assert library.calls == [("egta_seed_state", 0), ("egta_draw", len(sizes))], (seed, m)
+                monkeypatch.setattr(hashing, "_kernel", lambda: None)
+                raws.clear()
+                numpy_draw = hashing._draw(seed, m, signs)
+                assert raws == sizes, (seed, m)
+                assert np.array_equal(compiled_draw[0], numpy_draw[0])
+                assert signs or compiled_draw[1] is numpy_draw[1] is None
+                assert not signs or np.array_equal(compiled_draw[1], numpy_draw[1])
+
+
+def test_compiled_seed_state_is_numpys(compiled):
+    # gs seeds its PCG64 from the library's copy of numpy's SeedSequence
+    # hash, which must give numpy's four words, and so numpy's PCG64, for
+    # seeds of one 32-bit word and of two, the ends of each included
+    rng = np.random.default_rng(11)
+    seeds = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1]
+    seeds += rng.integers(0, 2**64, size=500, dtype=np.uint64).tolist() + rng.integers(0, 2**32, size=500).tolist()
+    for seed in seeds:
+        state = np.zeros(4, dtype=np.uint64)
+        compiled.egta_seed_state(seed, hashing._address(state))
+        assert np.array_equal(state, np.random.SeedSequence(seed).generate_state(4, np.uint64)), seed
+        assert np.random.PCG64(hashing._SeedState(state)).state == np.random.PCG64(seed).state, seed
 
 
 def test_draw_conditions_keeps_the_generator_state(compiled, monkeypatch):

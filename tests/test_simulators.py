@@ -322,6 +322,42 @@ def test_sample_block_refuses_indices_outside_the_game():
         assert sample(sim, seeds, np.array([0, 1]), np.array([0, 3])).shape == (2, 3)
 
 
+def test_sample_block_refuses_other_shapes_and_bools():
+    # numpy would broadcast players [0, 1] against profiles [0], sampling
+    # both players at profile 0, and read a bool array as the indices 1 and 0
+    base = gen_rg(2, 2, seed=1)
+    seeds = draw_conditions(np.random.default_rng(0), 3)
+    sims = (
+        NoisySimulator(base, 0.0),
+        NoisySimulator(base, 1.0),
+        FactoredNoiseSimulator(5.0, [1.0] * 5, FACTOR_KINDS, base, seed=0),
+    )
+    refused = (
+        ([0, 1], [0]),
+        ([0], [0, 1]),
+        ([[0, 1]], [[0, 3]]),
+        (0, 3),
+        ([True, False], [0, 1]),
+        ([0, 1], [True, False]),
+        ([], []),
+    )
+    for sim in sims:
+        for players, profiles in refused:
+            with pytest.raises(ValueError, match=r"integers in a game of shape \(2, 4\), as two 1-d integer arrays"):
+                sim.sample_block(seeds, np.array(players), np.array(profiles), np.empty((2, 3)), np.zeros(2))
+
+
+def test_sample_block_reads_lists_under_every_factor_kind():
+    # lists are read as arrays before any grouping function sees them
+    base = gen_rg(2, 2, seed=1)
+    idx = IndexSet.full(base.strategy_counts)
+    seeds = draw_conditions(np.random.default_rng(5), 7)
+    sims = [noisy_sim(base, 1.0)] + [FactoredNoiseSimulator(5.0, [1.0], [kind], base, seed=2) for kind in FACTOR_KINDS]
+    for sim in sims:
+        want = sample(sim, seeds, idx.players, idx.profiles)
+        assert np.array_equal(sample(sim, seeds, idx.players.tolist(), idx.profiles.tolist()), want)
+
+
 def test_sample_block_fills_out(monkeypatch):
     # the block overwrites out, which is returned, with the same bits on the
     # compiled kernel and on the numpy fallback, for noisy factors and for
