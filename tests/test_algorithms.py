@@ -444,6 +444,28 @@ def test_gs_refuses_sums_that_overflow(monkeypatch, compiled):
         assert np.isfinite(gs(sim, idx, 1, 0.1, sim.range_c, bound).utilities).all()
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy warns of the overflow first
+def test_gs_refuses_signed_sums_that_overflow():
+    """Samples a * sigma_j, with gs's own 1ERA signs: their sums stay
+    finite, but the signed sum is m * a, past the float range."""
+    m, a, seed = 128, 1e307, 3
+    sigma = hashing._draw(seed, m, True)[1]
+
+    class Signed(ConditionalSimulator):
+        strategy_counts = (1,)
+        range_c = 2.0 * a
+
+        def sample_block(self, cond_seeds, players, profiles, out, sums):
+            out[...] = a * sigma
+            sums += out.sum(axis=1)
+            return out
+
+    sim, idx = Signed(), IndexSet.full((1,))
+    assert np.isfinite(gs(sim, idx, m, 0.1, sim.range_c, BoundType.HOEFFDING, seed=seed).utilities).all()
+    with pytest.raises(ValueError, match="sums of 128 samples overflow the float range"):
+        gs(sim, idx, m, 0.1, sim.range_c, BoundType.ONE_ERA, seed=seed)
+
+
 def test_bound_accepts_enum_or_value():
     """A BoundType's value selects the same bound as the member itself; any
     other value used to fall through to 1ERA without drawing signs."""
