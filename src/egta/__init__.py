@@ -37,6 +37,7 @@ from .games import (
     utility,
     welfare,
 )
+from .hashing import draw_conditions
 from .simulators import (
     CongestionGame,
     ConditionalSimulator,
@@ -44,7 +45,6 @@ from .simulators import (
     NoisySimulator,
     congestion_from_json,
     congestion_to_json,
-    draw_conditions,
     expand,
     gen_rc,
     gen_rg,

@@ -30,10 +30,8 @@ from .games import (
     rationalizable,
     regret_table,
 )
-from .hashing import _draw, _integer, _real, mix
-# gs draws by _draw, with draw_conditions' bits; the benchmark's tracer
-# still patches the name algorithms.draw_conditions
-from .simulators import ConditionalSimulator, draw_conditions  # noqa: F401
+from .hashing import _integer, _real, draw_conditions, mix
+from .simulators import ConditionalSimulator
 
 # cap on elements per sampling block; its column count sets how many
 # conditions each row sum adds at once, so it fixes the results' bits
@@ -171,17 +169,19 @@ def gs(
     average it is 2r + 3c*sqrt(ln(1/delta)/(2m)) for a fresh sign draw.
     A zero range c makes every sample exact, and both radii are then zero.
     A c below ``sim.range_c`` raises ValueError: its radius would not bound
-    the samples. So does an index set of strategy counts other than ``sim``'s,
-    and samples whose sums over the m conditions overflow the float range.
+    the samples. So does anything but an IndexSet of ``sim``'s strategy
+    counts, and samples whose sums over the m conditions overflow the
+    float range.
 
     The m condition seeds and, under 1ERA, the m signs come from
     ``random_raw`` on a fresh PCG64 seeded with ``seed``, an integer taken
     mod 2^64 (so -1 and 2^64 - 1 give the same bits); they are the bits
-    numpy's ``Generator.integers`` draws from it (see ``hashing._draw``).
+    numpy's ``Generator.integers`` draws from it (see ``draw_conditions``).
     Conditions are consumed in column blocks of at most _BLOCK_ELEMS
-    samples. Each call owns one buffer; the simulator writes every tile
-    into a view of it and adds the tile's row sums onto the estimates'
-    running sums, as numpy's ``tile.sum(axis=1)`` would. Under Hoeffding
+    samples. Each call owns one buffer; the simulator writes every tile, of
+    a row slice of the index set, into a view of it and adds the tile's row
+    sums onto the estimates' running sums, as numpy's ``tile.sum(axis=1)``
+    would. Under Hoeffding
     each block is sampled in row tiles of _TILE_ELEMS samples (at least one
     row), which keeps the buffer at 2 MB and leaves every estimate
     unchanged. Under 1ERA the buffer holds a whole [n, cols] block, sampled
@@ -192,15 +192,15 @@ def gs(
     radii do not depend on it.
     """
     bound = BoundType(bound)
+    _check_counts(index_set, sim.strategy_counts)
     n = len(index_set)
     if n == 0:
         raise ValueError("index set must be nonempty")
     m = _integer(m, "sample count m", least=1)
     c, _, delta = _check_common(c, m, delta)
     _check_range(sim, c)
-    _check_counts(index_set, sim.strategy_counts)
 
-    cond_seeds, sigma = _draw(seed, m, bound is BoundType.ONE_ERA)
+    cond_seeds, sigma = draw_conditions(seed, m, bound is BoundType.ONE_ERA)
 
     # the running sums and, under 1ERA, the signed sums below them, in one
     # array whose rows' largest magnitudes are read, and checked, at once
@@ -218,9 +218,7 @@ def gs(
         for r0 in range(0, n, rows):
             r1 = min(r0 + rows, n)
             tile = buffer[: (r1 - r0) * cols].reshape(r1 - r0, cols)
-            sim.sample_block(
-                cond_seeds[start:stop], index_set.players[r0:r1], index_set.profiles[r0:r1], tile, sums[r0:r1]
-            )
+            sim.sample_block(cond_seeds[start:stop], index_set[r0:r1], tile, sums[r0:r1])
         if sigma is not None:  # the one tile is the whole block
             acc[1] += tile @ sigma[start:stop]
     top = np.abs(acc).max(axis=1).tolist()  # each row's largest |sum|, NaN if one is
@@ -241,6 +239,8 @@ def _check_range(sim: ConditionalSimulator, c: float) -> None:
 
 
 def _check_counts(index_set: IndexSet, declared: Sequence[int]) -> None:
+    if not isinstance(index_set, IndexSet):
+        raise ValueError(f"the index set must be an IndexSet, not {type(index_set).__name__}")
     # counts equal to the index set's, as ints, need no second reading
     if declared == index_set.strategy_counts and all(type(k) is int for k in declared):
         return

@@ -120,6 +120,16 @@ class IndexSet:
     def __len__(self) -> int:
         return self.players.shape[0]
 
+    def __getitem__(self, rows: slice) -> "IndexSet":
+        """The pairs in a slice of rows, as an IndexSet that is not checked
+        again: pairs taken from checked ones stay distinct and in range."""
+        if not isinstance(rows, slice):
+            raise ValueError(f"an IndexSet is sliced by rows, not indexed by {type(rows).__name__}")
+        part = object.__new__(IndexSet)
+        counts = self.strategy_counts
+        part.__dict__.update(players=self.players[rows], profiles=self.profiles[rows], strategy_counts=counts)
+        return part
+
     def pairs(self) -> list[tuple[int, int]]:
         return list(zip(self.players.tolist(), self.profiles.tolist()))
 

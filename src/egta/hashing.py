@@ -16,11 +16,11 @@ host CPU, and loads it with ctypes; a cached library that fails to load is
 built again once. Built without floating-point contraction, the loop does
 the numpy code's integer operations and separately rounded floating-point
 steps, and sums each row in numpy's pairwise order, so both give identical
-bits. ``splitmix64`` over arrays and ``gs``'s draw (the seeding of its
-PCG64, and the finalizing of its conditions and signs) run in the same
-library. Without a compiler, a writable cache directory or a loadable
-library, the numpy code runs instead, and a RuntimeWarning says why once
-per process; it is also the reference the tests compare against.
+bits. ``splitmix64`` over arrays and ``draw_conditions``, gs's draw (the
+seeding of its PCG64, and the finalizing of its conditions and signs), run
+in the same library. Without a compiler, a writable cache directory or a
+loadable library, the numpy code runs instead, and a RuntimeWarning says
+why once per process; it is also the reference the tests compare against.
 
 The module is also the home of the package's rules for reading parameters:
 ``_integer`` reads every count, index and seed (and, through ``_uint64``, hash
@@ -108,20 +108,22 @@ class _SeedState(np.random.bit_generator.ISeedSequence):
         return self.state
 
 
-def _draw(seed, m: int, signs: bool) -> tuple[np.ndarray, np.ndarray | None]:
+def draw_conditions(seed, m: int, signs: bool = False) -> tuple[np.ndarray, np.ndarray | None]:
     """gs's m condition seeds and, if ``signs``, its m Rademacher signs, by
     ``random_raw`` on the PCG64 of ``seed`` (an integer taken mod 2^64): the
-    first m words, finalized with splitmix64, and sign j +1.0 where bit 31
+    first m words, finalized with splitmix64 so that ``hash_uniform`` pairs
+    them with keys without hashing them again, and sign j +1.0 where bit 31
     of the j-th little-endian 32-bit half of the next ceil(m/2) words is
-    set, else -1.0. These are the bits ``draw_conditions`` and then
-    ``rng.integers(0, 2, size=m) * 2.0 - 1.0`` give on a fresh generator of
-    the seed, since random_raw returns the words full-range ``integers``
-    draws. The library, when loaded, seeds the PCG64 (numpy's SeedSequence
-    takes 8-9 us, its copy one) and converts the words. The sign words get
-    an array of their own, freed here: kept alive beside the conditions,
-    they raised the benchmark's ``decay`` peak RSS from 63 to 75 MB near
-    its 700th pass."""
+    set, else -1.0. These are the bits ``splitmix64(rng.integers(0, 2**64,
+    size=m, dtype=np.uint64))`` and then ``rng.integers(0, 2, size=m) * 2.0
+    - 1.0`` give on a fresh generator of the seed, since random_raw returns
+    the words full-range ``integers`` draws. The library, when loaded, seeds
+    the PCG64 (numpy's SeedSequence takes 8-9 us, its copy one) and converts
+    the words. The sign words get an array of their own, freed here: kept
+    alive beside the conditions, they raised the benchmark's ``decay`` peak
+    RSS from 63 to 75 MB near its 700th pass."""
     seed = _integer(seed, "seed") & _MASK64
+    m = _integer(m, "m", least=0)
     lib = _kernel()
     if lib is None:
         bits = np.random.PCG64(seed)
@@ -264,7 +266,7 @@ def hash_uniform(
     in order adds (u - 0.5) * widths[f] onto it, rounded step by step, where
     u is the variate of (keys[f, i], cond_seeds[j]): the top 53 bits of
     splitmix64(splitmix64(key) + cond), centred in its bin, in [2^-54, 1].
-    The condition seeds arrive finalized with splitmix64, by gs's draw or by
+    The condition seeds arrive finalized with splitmix64 by
     ``draw_conditions``, so only the keys are hashed here. Seeds and keys
     follow ``splitmix64``'s rule for integers. ``sums``, a writable C-contiguous float64 [n] array, gets
     ``sums += out.sum(axis=1)``; the compiled kernel sums each leaf of

@@ -16,19 +16,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .games import NormalFormGame, _strategy_counts, nash_mask
-from .hashing import _generator, _integer, _items, _real, _splitmix64_in_place, _Unreadable
+from .games import IndexSet, NormalFormGame, _strategy_counts, nash_mask
+from .hashing import _generator, _integer, _items, _real, _Unreadable
 from .hashing import hash_uniform, mix, splitmix64
-
-
-def draw_conditions(rng: np.random.Generator, m: int) -> np.ndarray:
-    """m condition seeds as a uint64 array: the next m 64-bit words of
-    ``rng``, finalized in place with splitmix64 once here so that
-    ``hash_uniform`` can pair them with keys without hashing them again on
-    every call."""
-    words = rng.integers(0, 2**64, size=_integer(m, "m", least=0), dtype=np.uint64)
-    _splitmix64_in_place(words)
-    return words
 
 
 class ConditionalSimulator:
@@ -42,18 +32,15 @@ class ConditionalSimulator:
     range_c: float
 
     def sample_block(
-        self,
-        cond_seeds: np.ndarray,
-        players: np.ndarray,
-        profiles: np.ndarray,
-        out: np.ndarray,
-        sums: np.ndarray,
+        self, cond_seeds: np.ndarray, index_set: IndexSet, out: np.ndarray, sums: np.ndarray
     ) -> np.ndarray:
-        """Utilities for each (player, profile) index under each condition,
-        written into ``out`` (C-contiguous float64, [num_indices,
-        num_conditions]), which is returned, with each index's row sum
-        added onto ``sums`` (C-contiguous float64, [num_indices]) as
-        ``sums += out.sum(axis=1)`` would."""
+        """Utilities for each (player, profile) pair of ``index_set`` under
+        each condition, written into ``out`` (C-contiguous float64,
+        [len(index_set), len(cond_seeds)]), which is returned, with each
+        pair's row sum added onto ``sums`` (C-contiguous float64,
+        [len(index_set)]) as ``sums += out.sum(axis=1)`` would. The pairs
+        were checked when the IndexSet was built, so they need no checking
+        here beyond its strategy counts."""
         raise NotImplementedError
 
 
@@ -116,33 +103,23 @@ class NoisySimulator(ConditionalSimulator):
         self._noisy = [i for i, width in enumerate(widths) if width]
         self._widths = np.array([widths[i] for i in self._noisy], dtype=np.float64)
 
-    def _keys(self, i, flat, players, profiles):
+    def _keys(self, i, flat, index_set):
         """The one factor's hash keys: each index's flat position p P + s."""
         return flat
 
-    def sample_block(self, cond_seeds, players, profiles, out, sums):
+    def sample_block(self, cond_seeds, index_set, out, sums):
         """The additive-noise kernel of both simulators, one ``hash_uniform``
         call: each noisy factor i adds (u - 0.5) * w_i to the base, with u
-        hashed from the condition and ``self._keys(i, flat, players,
-        profiles)``. The utilities go into ``out``, their row sums onto
-        ``sums``. ``players`` and ``profiles`` are read here, once, as
-        arrays: anything but two 1-d integer arrays (or lists) of one length
-        raises ValueError, as does an index outside the base game."""
-        players, profiles = np.asarray(players), np.asarray(profiles)
-        try:
-            # numpy would read bools as 0 and 1 and broadcast unequal lengths
-            integers = players.dtype.kind in "iu" and profiles.dtype.kind in "iu"
-            if not integers or players.ndim != 1 or players.shape != profiles.shape:
-                raise ValueError
-            flat = np.ravel_multi_index((players, profiles), self.base.utilities.shape)
-        except (TypeError, ValueError):  # a float index, or one outside the game
-            raise ValueError(
-                f"indices must be integers in a game of shape {self.base.utilities.shape}, "
-                "as two 1-d integer arrays of one length"
-            ) from None
-        keys = np.empty((len(self._noisy), len(players)), dtype=np.uint64)
+        hashed from the condition and ``self._keys(i, flat, index_set)``.
+        The utilities go into ``out``, their row sums onto ``sums``.
+        Anything but an IndexSet of the base game's strategy counts raises
+        ValueError."""
+        if not isinstance(index_set, IndexSet) or index_set.strategy_counts != self.strategy_counts:
+            raise ValueError(f"indices must be an IndexSet of the strategy counts {self.strategy_counts}")
+        flat = index_set.players * self.base.num_profiles + index_set.profiles
+        keys = np.empty((len(self._noisy), len(flat)), dtype=np.uint64)
         for row, i in enumerate(self._noisy):
-            keys[row] = self._keys(i, flat, players, profiles)
+            keys[row] = self._keys(i, flat, index_set)
         return hash_uniform(cond_seeds, keys, self._widths, self.base.utilities.reshape(-1)[flat], out, sums)
 
 
@@ -176,9 +153,9 @@ class FactoredNoiseSimulator(NoisySimulator):
         # like (2u - 1) * a_i because doubling is exact
         self._set_noise(base, 2.0 * (self.a0 + sum(self.a)), [2.0 * a_i for a_i in self.a])
 
-    def _keys(self, i, flat, players, profiles):
+    def _keys(self, i, flat, index_set):
         """Factor i's hash keys: its grouping values, salted per factor and hashed."""
-        group = self._groupings[i](self.base, players, profiles)
+        group = self._groupings[i](self.base, index_set.players, index_set.profiles)
         return splitmix64(group.astype(np.uint64) + np.uint64(mix(self.seed, i)))
 
 
@@ -211,6 +188,8 @@ class CongestionGame:
             for strats in (_items(p, "strategies") for p in _items(self.strategy_sets, "strategy sets"))
         )
         object.__setattr__(self, "strategy_sets", sets)
+        if self.cost_fn is not None and not callable(self.cost_fn):
+            raise ValueError(f"cost_fn must be callable or None, not {type(self.cost_fn).__name__}")
         if not sets:
             raise ValueError("need at least one player")
         for p, player_strats in enumerate(sets):

@@ -22,8 +22,8 @@ from egta.experiments import (
     run_ppa_demo,
 )
 from egta.games import IndexSet, NormalFormGame, check_containment, nash_mask
-from egta.hashing import mix
-from egta.simulators import draw_conditions, expand, gen_rc, gen_rg, noisy_sim
+from egta.hashing import draw_conditions, mix
+from egta.simulators import expand, gen_rc, gen_rg, noisy_sim
 
 import _oracles as oracle
 from conftest import random_game
@@ -183,12 +183,10 @@ def test_criterion_09_symmetrization():
     eras = np.empty(reps)
     block = np.empty((len(idx), m))
     for rep in range(reps):
-        rng = np.random.default_rng(mix(909, "x", rep))
-        values = sim.sample_block(draw_conditions(rng, m), idx.players, idx.profiles, block, np.zeros(len(idx)))
+        values = sim.sample_block(draw_conditions(mix(909, "x", rep), m)[0], idx, block, np.zeros(len(idx)))
         sup_devs[rep] = np.abs(values.mean(axis=1) - truth).max()
-        rng2 = np.random.default_rng(mix(909, "era", rep))
-        values2 = sim.sample_block(draw_conditions(rng2, m), idx.players, idx.profiles, block, np.zeros(len(idx)))
-        sigma = rng2.integers(0, 2, size=m).astype(np.float64) * 2.0 - 1.0
+        conds, sigma = draw_conditions(mix(909, "era", rep), m, signs=True)
+        values2 = sim.sample_block(conds, idx, block, np.zeros(len(idx)))
         eras[rep] = np.abs(values2 @ sigma).max() / m
     lhs = float(sup_devs.mean())
     rhs = 2.0 * float(eras.mean())

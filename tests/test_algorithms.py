@@ -37,10 +37,9 @@ from egta.games import (
     regret_table,
 )
 from egta.experiments import center_per_player
-from egta.hashing import _hash_uniform_numpy
+from egta.hashing import _hash_uniform_numpy, draw_conditions
 from egta.simulators import (
     ConditionalSimulator,
-    draw_conditions,
     expand,
     gen_rc,
     gen_rg,
@@ -307,12 +306,12 @@ def test_noisy_sample_block_matches_formula():
     base = gen_rg(3, 3, seed=2)
     sim = noisy_sim(base, 5.0)
     idx = IndexSet.full(base.strategy_counts)
-    seeds = draw_conditions(np.random.default_rng(7), 300)
+    seeds = draw_conditions(7, 300)[0]
     keys = (idx.players * base.num_profiles + idx.profiles).astype(np.uint64)
     want = base.utilities[idx.players, idx.profiles][:, None] + (
         _hash_uniform_numpy(seeds, keys) - 0.5
     ) * sim.d
-    assert np.array_equal(sim.sample_block(seeds, idx.players, idx.profiles, np.empty(want.shape), np.zeros(len(idx))), want)
+    assert np.array_equal(sim.sample_block(seeds, idx, np.empty(want.shape), np.zeros(len(idx))), want)
 
 
 def test_gs_hoeffding_independent_of_blas_threads():
@@ -449,13 +448,13 @@ def test_gs_refuses_signed_sums_that_overflow():
     """Samples a * sigma_j, with gs's own 1ERA signs: their sums stay
     finite, but the signed sum is m * a, past the float range."""
     m, a, seed = 128, 1e307, 3
-    sigma = hashing._draw(seed, m, True)[1]
+    sigma = draw_conditions(seed, m, signs=True)[1]
 
     class Signed(ConditionalSimulator):
         strategy_counts = (1,)
         range_c = 2.0 * a
 
-        def sample_block(self, cond_seeds, players, profiles, out, sums):
+        def sample_block(self, cond_seeds, index_set, out, sums):
             out[...] = a * sigma
             sums += out.sum(axis=1)
             return out
@@ -573,6 +572,19 @@ def test_prune_refuses_index_set_of_other_counts():
         for prune in (prune_pure, prune_mixed):
             with pytest.raises(ValueError, match=rf"strategy counts \(2, 2\) are not the index set's, {re.escape(str(other))}"):
                 prune(g, IndexSet([0], [0], other), 0.5)
+
+
+def test_gs_and_pruning_refuse_what_is_not_an_index_set():
+    # pairs, the two index arrays or a mask used to leak AttributeError
+    g = gen_rg(2, 2)
+    sim, idx = noisy_sim(g, 1.0), IndexSet.full(g.strategy_counts)
+    for indices in ([(0, 0)], (idx.players, idx.profiles), idx.to_mask(), None):
+        name = type(indices).__name__
+        with pytest.raises(ValueError, match=f"the index set must be an IndexSet, not {name}"):
+            gs(sim, indices, 10, 0.1, sim.range_c, "hoeffding")
+        for prune in (prune_pure, prune_mixed):
+            with pytest.raises(ValueError, match=f"the index set must be an IndexSet, not {name}"):
+                prune(g, indices, 0.5)
 
 
 @st.composite
@@ -1070,8 +1082,8 @@ class _Blind(ConditionalSimulator):
         self.range_c = inner.range_c
         self._inner = inner
 
-    def sample_block(self, cond_seeds, players, profiles, out, sums):
-        return self._inner.sample_block(cond_seeds, players, profiles, out, sums)
+    def sample_block(self, cond_seeds, index_set, out, sums):
+        return self._inner.sample_block(cond_seeds, index_set, out, sums)
 
 
 def test_gs_and_psp_need_no_base_game():
@@ -1103,9 +1115,9 @@ class _CountsOnly(ConditionalSimulator):
     strategy_counts = (8,) * 20
     range_c = 1.0
 
-    def sample_block(self, cond_seeds, players, profiles, out, sums):
-        keys = hashing.splitmix64(profiles.astype(np.uint64)) + players.astype(np.uint64)
-        return hashing.hash_uniform(cond_seeds, keys[None], [1.0], np.zeros(len(players)), out, sums)
+    def sample_block(self, cond_seeds, index_set, out, sums):
+        keys = hashing.splitmix64(index_set.profiles.astype(np.uint64)) + index_set.players.astype(np.uint64)
+        return hashing.hash_uniform(cond_seeds, keys[None], [1.0], np.zeros(len(index_set)), out, sums)
 
 
 def test_gs_samples_a_game_too_large_to_expand():

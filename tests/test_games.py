@@ -349,6 +349,10 @@ def test_index_set_helpers(matching_pennies):
     assert mask.shape == (2, 4) and mask.all()
     again = IndexSet.from_mask(mask, counts)
     assert again.pairs() == full.pairs()
+    # rows are sliced, never picked one by one or by a mask, which could repeat a pair
+    for rows in (0, [0, 0], np.ones(8, dtype=bool)):
+        with pytest.raises(ValueError, match="an IndexSet is sliced by rows"):
+            full[rows]
     with pytest.raises(ValueError, match="duplicate"):
         IndexSet([0, 0], [0, 0], counts)
     # a duplicate that is not next to its twin
@@ -408,6 +412,12 @@ def test_index_set_checks_its_pairs_when_built(case):
     else:
         idx = IndexSet(players, profiles, counts)
         assert idx.pairs() == pairs and idx.strategy_counts == counts
+        # a slice of checked pairs is taken unchecked, and would pass the check
+        for rows in (slice(None), slice(1, None), slice(len(pairs) // 2), slice(None, None, -2)):
+            part = idx[rows]
+            assert isinstance(part, IndexSet) and part.strategy_counts == counts
+            assert part.pairs() == IndexSet(players[rows], profiles[rows], counts).pairs() == pairs[rows]
+            assert not part.players.flags.writeable and not part.profiles.flags.writeable
         return
     with pytest.raises(ValueError, match=reason):
         IndexSet(players, profiles, counts)

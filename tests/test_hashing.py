@@ -17,8 +17,8 @@ from egta import hashing
 from egta.algorithms import gs
 from egta.bounds import era_eps
 from egta.games import IndexSet
-from egta.hashing import hash_uniform, mix, splitmix64
-from egta.simulators import draw_conditions, gen_rg, noisy_sim
+from egta.hashing import draw_conditions, hash_uniform, mix, splitmix64
+from egta.simulators import gen_rg, noisy_sim
 
 import _oracles as oracle
 
@@ -125,7 +125,7 @@ def test_hash_uniform_of_drawn_conditions_matches_reference():
     # it again, so every variate is F(splitmix64(key) + splitmix64(raw)) for
     # the raw seed the generator drew
     keys = np.array([0, 1, 2**63, _MASK, 987654321], dtype=np.uint64)
-    got = variates(draw_conditions(np.random.default_rng(3), 40), keys)
+    got = variates(draw_conditions(3, 40)[0], keys)
     raw = np.random.default_rng(3).integers(0, 2**64, size=40, dtype=np.uint64)
     for i, key in enumerate(keys):
         for j, cond in enumerate(raw):
@@ -491,26 +491,20 @@ _DRAW_SIZES = (1, 2, 3, 4, 5, 7, 8, 9, 1000, 3162, 100_001)
 
 
 def test_compiled_draws_match_numpy(compiled, monkeypatch):
-    # gs draws its conditions and then its 1ERA signs by random_raw on a
-    # fresh PCG64, and draw_conditions its conditions from a
-    # generator; with the kernel and without, they are the bits of numpy's
-    # own Generator.integers draws, at odd and even sizes, so the signs'
-    # last half word is covered, and draw_conditions leaves numpy's state
+    # draw_conditions, gs's draw, takes its conditions and then its 1ERA
+    # signs by random_raw on a fresh PCG64; with the kernel and without,
+    # they are the bits of numpy's own Generator.integers draws, at odd and
+    # even sizes, so the signs' last half word is covered
     for seed in _DRAW_SEEDS:
         for m in _DRAW_SIZES:
             ref = np.random.Generator(np.random.PCG64(seed))
             want_conds = splitmix64(ref.integers(0, 2**64, size=m, dtype=np.uint64))
-            want_state = ref.bit_generator.state
             want_signs = ref.integers(0, 2, size=m) * 2.0 - 1.0
 
             def run():
-                rng = np.random.Generator(np.random.PCG64(seed))
-                conds = draw_conditions(rng, m)
-                return conds, rng.bit_generator.state, hashing._draw(seed, m, True), hashing._draw(seed, m, False)
+                return draw_conditions(seed, m, True), draw_conditions(seed, m)
 
-            for conds, state, onera, hoeffding in _compiled_and_numpy(monkeypatch, compiled, run):
-                assert conds.dtype == np.uint64 and np.array_equal(conds, want_conds), (seed, m)
-                assert state == want_state, (seed, m)
+            for onera, hoeffding in _compiled_and_numpy(monkeypatch, compiled, run):
                 for drawn in (onera[0], hoeffding[0]):
                     assert drawn.dtype == np.uint64 and np.array_equal(drawn, want_conds), (seed, m)
                 assert onera[1].dtype == np.float64 and np.array_equal(onera[1], want_signs), (seed, m)
@@ -535,7 +529,7 @@ def test_gs_samples_numpys_draws(compiled, monkeypatch):
             def run():
                 calls.clear()
                 onera = gs(sim, idx, m, 0.1, sim.range_c, "1era", seed=seed)
-                (conds, _, _, block, _), = calls  # one block of 8 rows
+                (conds, _, block, _), = calls  # one block of 8 rows
                 r = float(np.abs(block @ want_signs).max() / m)
                 hoeffding = gs(sim, idx, m, 0.1, sim.range_c, "hoeffding", seed=seed)
                 return conds, onera.epsilon, era_eps(r, sim.range_c, m, 0.1), [call[0] for call in calls[1:]]
@@ -574,12 +568,12 @@ def test_pcg64_words_come_from_numpy(compiled, monkeypatch):
                 library = Library()
                 monkeypatch.setattr(hashing, "_kernel", lambda: library)
                 raws.clear()
-                compiled_draw = hashing._draw(seed, m, signs)
+                compiled_draw = draw_conditions(seed, m, signs)
                 assert raws == sizes, (seed, m)
                 assert library.calls == [("egta_seed_state", 0), ("egta_draw", len(sizes))], (seed, m)
                 monkeypatch.setattr(hashing, "_kernel", lambda: None)
                 raws.clear()
-                numpy_draw = hashing._draw(seed, m, signs)
+                numpy_draw = draw_conditions(seed, m, signs)
                 assert raws == sizes, (seed, m)
                 assert np.array_equal(compiled_draw[0], numpy_draw[0])
                 assert signs or compiled_draw[1] is numpy_draw[1] is None
@@ -598,40 +592,6 @@ def test_compiled_seed_state_is_numpys(compiled):
         compiled.egta_seed_state(seed, hashing._address(state))
         assert np.array_equal(state, np.random.SeedSequence(seed).generate_state(4, np.uint64)), seed
         assert np.random.PCG64(hashing._SeedState(state)).state == np.random.PCG64(seed).state, seed
-
-
-def test_draw_conditions_keeps_the_generator_state(compiled, monkeypatch):
-    # a buffered 32-bit half survives the draw of 64-bit words, so every
-    # later draw is numpy's, for PCG64 and other bit generators
-    makers = [
-        lambda: np.random.Generator(np.random.PCG64(7)),
-        lambda: np.random.Generator(np.random.Philox(7)),
-        lambda: np.random.Generator(np.random.MT19937(7)),
-    ]
-    for make in makers:
-        for m in (0, 1, 9, 1001):
-
-            def later_draws(rng):
-                return [rng.integers(0, 2, size=5).tolist(), rng.random(3).tolist(), rng.integers(0, 2**64, size=3, dtype=np.uint64).tolist()]
-
-            ref = make()
-            ref.integers(0, 2)
-            want = splitmix64(ref.integers(0, 2**64, size=m, dtype=np.uint64))
-            want_state = ref.bit_generator.state
-            want_later = later_draws(ref)
-
-            def run():
-                rng = make()
-                rng.integers(0, 2)
-                conds = draw_conditions(rng, m)
-                return conds, rng.bit_generator.state, later_draws(rng)
-
-            for conds, state, later in _compiled_and_numpy(monkeypatch, compiled, run):
-                assert np.array_equal(conds, want) and conds.shape == (m,)
-                assert repr(state) == repr(want_state)  # Philox and MT19937 hold arrays
-                assert later == want_later
-            if isinstance(ref.bit_generator, np.random.PCG64):
-                assert want_state["has_uint32"] == 1
 
 
 # each forced failure and the reason its warning names; a corrupt cached

@@ -11,6 +11,7 @@ import pytest
 from egta import experiments
 from egta.algorithms import BoundType, FailureSchedule, SamplingSchedule, gs, psp
 from egta.bounds import factored_ra_bound, hoeffding_eps, noise_scaling_ra_bound
+from egta.hashing import draw_conditions
 from egta.games import (
     IndexSet,
     NormalFormGame,
@@ -25,7 +26,6 @@ from egta.simulators import (
     CongestionGame,
     FactoredNoiseSimulator,
     congestion_from_json,
-    draw_conditions,
     expand,
     gen_rc,
     gen_rg,
@@ -90,7 +90,7 @@ SITES = {
     "pure_regret.p": lambda x: pure_regret(GAME, x, (0, 0)),
     "eps_dominates.s": lambda x: eps_dominates(GAME, 0, x, 0, 0.0),
     "maximin_value.p": lambda x: maximin_value(GAME, x),
-    "draw_conditions.m": lambda x: draw_conditions(np.random.default_rng(0), x),
+    "draw_conditions.m": lambda x: draw_conditions(0, x),
     "FactoredNoiseSimulator.seed":
         lambda x: FactoredNoiseSimulator(10.0, [1.0], ["global"], GAME, seed=x),
     "gen_rg.num_players": lambda x: gen_rg(x, 2),

@@ -8,7 +8,7 @@ from egta.algorithms import BoundType, gs
 from egta.bounds import factored_ra_bound
 from egta import hashing
 from egta.games import IndexSet, NormalFormGame, nash_mask, utility
-from egta.hashing import _hash_uniform_numpy, mix, splitmix64
+from egta.hashing import _hash_uniform_numpy, draw_conditions, mix, splitmix64
 from egta.simulators import (
     FACTOR_KINDS,
     CongestionGame,
@@ -16,7 +16,6 @@ from egta.simulators import (
     NoisySimulator,
     congestion_from_json,
     congestion_to_json,
-    draw_conditions,
     expand,
     factor_image_sizes,
     gen_rc,
@@ -29,9 +28,9 @@ from egta.simulators import (
 import _oracles as oracle
 
 
-def sample(sim, seeds, players, profiles):
+def sample(sim, seeds, idx):
     """``sim.sample_block`` into a fresh buffer."""
-    return sim.sample_block(seeds, players, profiles, np.empty((len(players), len(seeds))), np.zeros(len(players)))
+    return sim.sample_block(seeds, idx, np.empty((len(idx), len(seeds))), np.zeros(len(idx)))
 
 
 def test_gen_rg_shape_and_support():
@@ -181,6 +180,13 @@ def test_congestion_validation():
             CongestionGame(2, sets)
 
 
+def test_congestion_refuses_a_cost_fn_that_is_not_callable():
+    # expand used to leak TypeError when it first called such a cost_fn
+    for cost_fn in ("x", 1.0, [lambda e, n: n]):
+        with pytest.raises(ValueError, match=f"cost_fn must be callable or None, not {type(cost_fn).__name__}"):
+            CongestionGame(2, (((0,), (1,)),), cost_fn=cost_fn)
+
+
 def test_congestion_json_roundtrip():
     cg = gen_rc(4, 5, 2, seed=3)
     back = congestion_from_json(congestion_to_json(cg))
@@ -213,8 +219,8 @@ def test_noisy_sim_zero_noise_is_exact():
     base = expand(ppa_example_game())
     sim = noisy_sim(base, 0.0)
     idx = IndexSet.full(base.strategy_counts)
-    seeds = draw_conditions(np.random.default_rng(0), 7)
-    values = sample(sim, seeds, idx.players, idx.profiles)
+    seeds = draw_conditions(0, 7)[0]
+    values = sample(sim, seeds, idx)
     assert np.array_equal(values, np.tile(base.utilities.reshape(-1)[:, None], (1, 7)))
 
 
@@ -222,9 +228,9 @@ def test_noisy_sim_support_and_determinism():
     base = gen_rg(2, 2, seed=1)
     sim = noisy_sim(base, d=3.0)
     idx = IndexSet.full(base.strategy_counts)
-    seeds = draw_conditions(np.random.default_rng(1), 500)
-    a = sample(sim, seeds, idx.players, idx.profiles)
-    b = sample(sim, seeds, idx.players, idx.profiles)
+    seeds = draw_conditions(1, 500)[0]
+    a = sample(sim, seeds, idx)
+    b = sample(sim, seeds, idx)
     assert np.array_equal(a, b)
     spread = np.abs(a - base.utilities.reshape(-1)[:, None])
     assert np.all(spread < 1.5)
@@ -248,10 +254,10 @@ def test_noisy_sim_query_matches_block():
     base = gen_rg(3, 2, seed=2)
     sim = noisy_sim(base, d=2.0)
     idx = IndexSet.full(base.strategy_counts)
-    seeds = draw_conditions(np.random.default_rng(4), 5)
-    full = sample(sim, seeds, idx.players, idx.profiles)
+    seeds = draw_conditions(4, 5)[0]
+    full = sample(sim, seeds, idx)
     j = base.profile_index((0, 1, 1))
-    one = sample(sim, seeds[2:3], np.array([1]), np.array([j]))
+    one = sample(sim, seeds[2:3], IndexSet([1], [j], base.strategy_counts))
     assert one.shape == (1, 1)
     assert one[0, 0] == full[base.num_profiles + j, 2]
 
@@ -262,8 +268,8 @@ def test_noisy_sim_means_concentrate_on_base():
     sim = noisy_sim(base, d)
     idx = IndexSet.full(base.strategy_counts)
     m = 100_000
-    seeds = draw_conditions(np.random.default_rng(11), m)
-    means = sample(sim, seeds, idx.players, idx.profiles).mean(axis=1)
+    seeds = draw_conditions(11, m)[0]
+    means = sample(sim, seeds, idx).mean(axis=1)
     tol = 3.0 * d / np.sqrt(12.0 * m)
     assert np.all(np.abs(means - base.utilities.reshape(-1)) < tol)
 
@@ -272,13 +278,13 @@ def test_factored_sim_zero_scales_and_global_sharing():
     base = gen_rg(2, 3, u0=1.9, seed=4)
     silent = FactoredNoiseSimulator(1.0, [0.0], ["global"], base, seed=0)
     idx = IndexSet.full(base.strategy_counts)
-    seeds = draw_conditions(np.random.default_rng(2), 5)
+    seeds = draw_conditions(2, 5)[0]
     assert np.array_equal(
-        sample(silent, seeds, idx.players, idx.profiles),
+        sample(silent, seeds, idx),
         np.tile(base.utilities.reshape(-1)[:, None], (1, 5)),
     )
     noisy = FactoredNoiseSimulator(1.0, [0.7], ["global"], base, seed=0)
-    offsets = sample(noisy, seeds, idx.players, idx.profiles) - base.utilities.reshape(-1)[:, None]
+    offsets = sample(noisy, seeds, idx) - base.utilities.reshape(-1)[:, None]
     # the global factor shifts every index identically per condition
     assert np.allclose(offsets, offsets[0][None, :])
     assert np.all(np.abs(offsets) <= 0.7)
@@ -291,7 +297,7 @@ def test_factored_sample_block_matches_formula():
     # first nonzero one
     base = gen_rg(3, 3, u0=2.0, seed=7)
     idx = IndexSet.full(base.strategy_counts)
-    seeds = draw_conditions(np.random.default_rng(8), 300)
+    seeds = draw_conditions(8, 300)[0]
     groups = {
         "global": np.zeros_like(idx.players),
         "agent": idx.players,
@@ -306,56 +312,51 @@ def test_factored_sample_block_matches_formula():
             if a_i:
                 keys = splitmix64(groups[kind].astype(np.uint64) + np.uint64(mix(3, i)))
                 want = want + (2.0 * _hash_uniform_numpy(seeds, keys) - 1.0) * a_i
-        assert np.array_equal(sample(sim, seeds, idx.players, idx.profiles), want), a
+        assert np.array_equal(sample(sim, seeds, idx), want), a
 
 
-def test_sample_block_refuses_indices_outside_the_game():
-    # a negative index would be read from the end of the utility table and
-    # one past it would leak numpy's IndexError; a float index is no index
-    base = gen_rg(2, 2, seed=1)
-    seeds = draw_conditions(np.random.default_rng(0), 3)
-    sims = (NoisySimulator(base, 1.0), FactoredNoiseSimulator(5.0, [1.0, 1.0], ["own-strategy", "agent"], base, seed=0))
-    for sim in sims:
-        for players, profiles in (([-1], [0]), ([0], [-1]), ([2], [0]), ([0], [4]), ([0.0], [0]), ([1], [3.0])):
-            with pytest.raises(ValueError, match=r"integers in a game of shape \(2, 4\)"):
-                sample(sim, seeds, np.array(players), np.array(profiles))
-        assert sample(sim, seeds, np.array([0, 1]), np.array([0, 3])).shape == (2, 3)
-
-
-def test_sample_block_refuses_other_shapes_and_bools():
-    # numpy would broadcast players [0, 1] against profiles [0], sampling
-    # both players at profile 0, and read a bool array as the indices 1 and 0
-    base = gen_rg(2, 2, seed=1)
-    seeds = draw_conditions(np.random.default_rng(0), 3)
-    sims = (
+def _refusing_sims(base):
+    return (
         NoisySimulator(base, 0.0),
         NoisySimulator(base, 1.0),
         FactoredNoiseSimulator(5.0, [1.0] * 5, FACTOR_KINDS, base, seed=0),
     )
-    refused = (
-        ([0, 1], [0]),
-        ([0], [0, 1]),
-        ([[0, 1]], [[0, 3]]),
-        (0, 3),
-        ([True, False], [0, 1]),
-        ([0, 1], [True, False]),
-        ([], []),
-    )
-    for sim in sims:
-        for players, profiles in refused:
-            with pytest.raises(ValueError, match=r"integers in a game of shape \(2, 4\), as two 1-d integer arrays"):
-                sim.sample_block(seeds, np.array(players), np.array(profiles), np.empty((2, 3)), np.zeros(2))
 
 
-def test_sample_block_reads_lists_under_every_factor_kind():
-    # lists are read as arrays before any grouping function sees them
+def test_sample_block_refuses_indices_outside_the_game():
+    # an IndexSet of other strategy counts holds pairs outside this game, or
+    # pairs that name other indices of it; pairs outside their own counts'
+    # game never make an IndexSet (tests/test_games.py)
     base = gen_rg(2, 2, seed=1)
-    idx = IndexSet.full(base.strategy_counts)
-    seeds = draw_conditions(np.random.default_rng(5), 7)
-    sims = [noisy_sim(base, 1.0)] + [FactoredNoiseSimulator(5.0, [1.0], [kind], base, seed=2) for kind in FACTOR_KINDS]
-    for sim in sims:
-        want = sample(sim, seeds, idx.players, idx.profiles)
-        assert np.array_equal(sample(sim, seeds, idx.players.tolist(), idx.profiles.tolist()), want)
+    seeds = draw_conditions(0, 3)[0]
+    for sim in _refusing_sims(base):
+        for counts in ((2, 3), (3, 2), (4,), (2, 2, 2)):
+            with pytest.raises(ValueError, match=r"an IndexSet of the strategy counts \(2, 2\)"):
+                sample(sim, seeds, IndexSet([0, 0], [0, 3], counts))
+        assert sample(sim, seeds, IndexSet([0, 1], [0, 3], (2, 2))).shape == (2, 3)
+
+
+def test_sample_block_refuses_other_shapes_and_bools():
+    # only an IndexSet carries checked pairs: the two index arrays, their
+    # lists, a list of pairs and bool arrays are refused before any
+    # grouping function or gather reads them
+    base = gen_rg(2, 2, seed=1)
+    seeds = draw_conditions(0, 3)[0]
+    idx = IndexSet([0, 1], [0, 3], (2, 2))
+    refused = (
+        (idx.players, idx.profiles),
+        [idx.players.tolist(), idx.profiles.tolist()],
+        idx.pairs(),
+        np.array(idx.pairs()),
+        idx.to_mask(),
+        np.array([True, False]),
+        idx.players,
+        None,
+    )
+    for sim in _refusing_sims(base):
+        for indices in refused:
+            with pytest.raises(ValueError, match=r"indices must be an IndexSet of the strategy counts \(2, 2\)"):
+                sim.sample_block(seeds, indices, np.empty((2, 3)), np.zeros(2))
 
 
 def test_sample_block_fills_out(monkeypatch):
@@ -366,7 +367,7 @@ def test_sample_block_fills_out(monkeypatch):
     # are salted and hashed by factor
     base = gen_rg(3, 3, u0=2.0, seed=7)
     idx = IndexSet.full(base.strategy_counts)
-    seeds = draw_conditions(np.random.default_rng(9), 301)
+    seeds = draw_conditions(9, 301)[0]
     sims = [
         (noisy_sim(base, 2.0), True),
         (noisy_sim(base, 0.0), False),
@@ -391,7 +392,7 @@ def test_sample_block_fills_out(monkeypatch):
             monkeypatch.setattr(hashing, "_kernel", lambda: lib)
             calls.clear()
             buf = np.full((len(idx), len(seeds)), np.nan)
-            assert sim.sample_block(seeds, idx.players, idx.profiles, buf, np.zeros(len(idx))) is buf
+            assert sim.sample_block(seeds, idx, buf, np.zeros(len(idx))) is buf
             blocks.append(buf)
             assert len(calls) == (lib is not None and compiled)
         assert np.array_equal(blocks[0], blocks[1])
@@ -402,13 +403,13 @@ def test_zero_width_factors_keep_negative_zero_base(monkeypatch):
     # would turn a -0.0 base into +0.0
     base = NormalFormGame((2, 2), np.array([[-0.0, 1.0, -0.0, 2.0], [0.0, -0.0, 3.0, -0.0]]))
     idx = IndexSet.full(base.strategy_counts)
-    seeds = draw_conditions(np.random.default_rng(10), 9)
+    seeds = draw_conditions(10, 9)[0]
     want = np.repeat(base.utilities.reshape(-1)[:, None], 9, axis=1)
     kernel = hashing._kernel()
     for sim in (noisy_sim(base, 0.0), FactoredNoiseSimulator(3.0, [0.0, 0.0], ["global", "agent"], base, 0)):
         for lib in (kernel, None):
             monkeypatch.setattr(hashing, "_kernel", lambda: lib)
-            got = sample(sim, seeds, idx.players, idx.profiles)
+            got = sample(sim, seeds, idx)
             assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
 
 def test_factored_sim_image_sizes_and_range():
@@ -420,8 +421,8 @@ def test_factored_sim_image_sizes_and_range():
     assert huge == [1, 100, 100, 100**100, 100 * 100**100]
     assert sim.range_c == 2.0 * (1.0 + 4.0)
     idx = IndexSet.full(base.strategy_counts)
-    seeds = draw_conditions(np.random.default_rng(3), 50)
-    values = sample(sim, seeds, idx.players, idx.profiles)
+    seeds = draw_conditions(3, 50)[0]
+    values = sample(sim, seeds, idx)
     assert np.all(np.abs(values) <= sim.range_c / 2)
 
 
@@ -488,8 +489,8 @@ def test_empirical_game_single_draw_and_zero_noise():
     idx = IndexSet.full(base.strategy_counts)
     sim = noisy_sim(base, 2.0)
     emp = gs(sim, idx, 1, 0.1, sim.range_c, BoundType.HOEFFDING, seed=42).to_game()
-    seeds = draw_conditions(np.random.Generator(np.random.PCG64(42)), 1)
-    block = sample(sim, seeds, idx.players, idx.profiles)
+    seeds = draw_conditions(42, 1)[0]
+    block = sample(sim, seeds, idx)
     assert np.array_equal(emp.utilities.reshape(-1), block[:, 0])
     silent = noisy_sim(base, 0.0)
     res = gs(silent, idx, 13, 0.1, silent.range_c, BoundType.ONE_ERA, seed=5)

@@ -93,7 +93,8 @@ def test_tracer_sees_the_kernel(tracing):
     # zero calls here, and zero in every per-layer hash or block metric;
     # the factored simulator inherits the traced sample_block. Hoeffding
     # samples the 81 rows of 5000 samples in tiles of _TILE_ELEMS, and 1ERA
-    # the one column block in one call
+    # the one column block in one call. gs draws its conditions, and its
+    # signs, in one call of the traced draw_conditions
     game = gen_rg(3, 3, seed=1)
     sims = [noisy_sim(game, 2.0), FactoredNoiseSimulator(5.0, [1.0, 0.5, 0.25, 0.5, 1.0], FACTOR_KINDS, game, 0)]
     tiles = -(-81 // (algorithms._TILE_ELEMS // 5000))
@@ -105,3 +106,4 @@ def test_tracer_sees_the_kernel(tracing):
             metrics = tracing.layer_metrics(tracer.spans, 1, 1.0, 1.0)
             assert metrics["hashing.hash_uniform.calls"] == metrics["simulators.sample_block.calls"] == calls
             assert metrics["hashing.hash_uniform.elems"] == metrics["simulators.sample_block.evals"] == 81 * 5000
+            assert metrics["simulators.draw_conditions.calls"] == metrics["algorithms.gs.calls"] == 1
