@@ -11,6 +11,7 @@ has spent.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import sys
@@ -25,6 +26,7 @@ from .games import (
     IndexSet,
     NormalFormGame,
     Profile,
+    _game,
     _strategy_counts,
     pure_eps_nash,
     rationalizable,
@@ -104,13 +106,8 @@ class FailureSchedule:
 
     def deltas(self) -> Iterator[float]:
         if self.steps is not None:
-            for _ in range(self.steps):
-                yield self.delta / self.steps
-        else:
-            t = 1
-            while True:
-                yield self.delta * 2.0**-t
-                t += 1
+            return itertools.repeat(self.delta / self.steps, self.steps)
+        return (self.delta * 2.0**-t for t in itertools.count(1))
 
 
 @dataclass(frozen=True, eq=False)
@@ -126,8 +123,8 @@ class GSResult:
 
     def sup_deviation(self, truth: NormalFormGame) -> float:
         """Largest estimate error against the known expected game; ValueError
-        if its strategy counts are not those of the game sampled."""
-        _check_counts(self.index_set, truth.strategy_counts)
+        unless it is a NormalFormGame of the sampled game's strategy counts."""
+        _check_counts(self.index_set, _game(truth, "truth").strategy_counts)
         actual = truth.utilities[self.index_set.players, self.index_set.profiles]
         return float(np.abs(self.utilities - actual).max())
 
@@ -350,11 +347,14 @@ def psp(
     is the per-player 2*epsilon-rationalizable restriction (equilibrium
     enumeration is out of scope). Pruned indices keep the radius from their
     last estimation. As in gs, a c below ``sim.range_c`` or a seed that is
-    not an integer raises ValueError, and so does a ``pure`` other than
-    True or False.
+    not an integer raises ValueError, and so do schedules of the wrong type
+    and a ``pure`` other than True or False.
     """
     if type(pure) not in (bool, np.bool_):
         raise ValueError(f"pure must be True or False, not {pure!r}")
+    for name, schedule, kind in (("sampling", sampling, SamplingSchedule), ("failure", failure, FailureSchedule)):
+        if not isinstance(schedule, kind):
+            raise ValueError(f"the {name} schedule must be a {kind.__name__}, not {type(schedule).__name__}")
     c = _real(c, "utility range c", "finite and nonnegative")
     _check_range(sim, c)
     index_set = IndexSet.full(sim.strategy_counts)

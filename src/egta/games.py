@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .hashing import _integer, _items, _real
+from .hashing import _integer, _items, _real, _reals, _Unreadable
 
 Profile = tuple[int, ...]
 
@@ -28,6 +28,13 @@ def _strategy_counts(counts: Sequence[int]) -> tuple[int, ...]:
     if not counts:
         raise ValueError("a game needs at least one player")
     return counts
+
+
+def _game(g, name: str) -> "NormalFormGame":
+    """g, when it is a NormalFormGame; anything else raises ValueError."""
+    if not isinstance(g, NormalFormGame):
+        raise ValueError(f"{name} must be a NormalFormGame, not {type(g).__name__}")
+    return g
 
 
 def _bool_mask(mask, shape: tuple[int, ...], name: str) -> np.ndarray:
@@ -43,7 +50,7 @@ class NormalFormGame:
     """Dense normal-form game.
 
     utilities has shape [num_players, num_profiles] with the profile axis
-    linearized row-major over per-player strategy indices.
+    linearized row-major over per-player strategy indices; each is a finite real number.
     """
 
     strategy_counts: tuple[int, ...]
@@ -52,13 +59,10 @@ class NormalFormGame:
     def __post_init__(self):
         counts = _strategy_counts(self.strategy_counts)
         object.__setattr__(self, "strategy_counts", counts)
-        u = np.asarray(self.utilities, dtype=np.float64)
+        u = _reals(self.utilities, "utilities")
         expected = (len(counts), math.prod(counts))
         if u.shape != expected:
             raise ValueError(f"utilities must have shape {expected}, got {u.shape}")
-        if not np.all(np.isfinite(u)):
-            raise ValueError("utilities must be finite")
-        u = u.copy()
         u.setflags(write=False)
         object.__setattr__(self, "utilities", u)
 
@@ -259,8 +263,8 @@ def maximin_value(game: NormalFormGame, p: int) -> float:
 
 def check_containment(g_a: NormalFormGame, g_b: NormalFormGame, eps: float) -> bool:
     """Nash(g_a) within Nash_{2eps}(g_b) within Nash_{4eps}(g_a) over all pure
-    profiles, each game's profile regrets read once from its regret_table."""
-    if g_a.strategy_counts != g_b.strategy_counts:
+    profiles, each NormalFormGame's profile regrets read once from its regret_table."""
+    if _game(g_a, "g_a").strategy_counts != _game(g_b, "g_b").strategy_counts:
         raise ValueError("games must share players and strategy counts")
     eps = _real(eps, "eps", "nonnegative")
     worst_a, worst_b = (regret_table(g).max(axis=0) for g in (g_a, g_b))
@@ -284,10 +288,10 @@ def game_from_json(text: str) -> NormalFormGame:
     try:
         players = _integer(payload["players"], "players")
         counts = [_integer(k, "strategy count") for k in _items(payload["strategies"], "strategies", players)]
-        utilities = np.asarray(payload["utilities"], dtype=np.float64)
+        utilities = _reals(payload["utilities"], "utilities")
     except KeyError as missing:
         raise ValueError(f"game JSON lacks the field {missing}") from None
-    except (TypeError, ValueError) as error:
+    except _Unreadable as error:
         raise ValueError(f"game JSON has a wrongly typed field: {error}") from None
     expected = players * math.prod(counts)
     if utilities.shape != (expected,):

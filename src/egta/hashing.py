@@ -16,15 +16,16 @@ host CPU, and loads it with ctypes; a cached library that fails to load is
 built again once. Built without floating-point contraction, the loop does
 the numpy code's integer operations and separately rounded floating-point
 steps, and sums each row in numpy's pairwise order, so both give identical
-bits. ``splitmix64`` over arrays and ``draw_conditions``, gs's draw (the
-seeding of its PCG64, and the finalizing of its conditions and signs), run
-in the same library. Without a compiler, a writable cache directory or a
-loadable library, the numpy code runs instead, and a RuntimeWarning says
-why once per process; it is also the reference the tests compare against.
+bits. The library's only other steps are gs's draw in ``draw_conditions``:
+the seeding of its PCG64, and the finalizing of its conditions and signs.
+Without a compiler, a writable cache directory or a loadable library, the
+numpy code runs instead, and a RuntimeWarning says why once per process;
+it is also the reference the tests compare against.
 
 The module is also the home of the package's rules for reading parameters:
 ``_integer`` reads every count, index and seed (and, through ``_uint64``, hash
-inputs), ``_real`` every real-valued parameter, and ``_items`` every sequence.
+inputs), ``_real`` every real-valued parameter (and, through ``_reals``, a
+game's utilities), and ``_items`` every sequence.
 """
 
 from __future__ import annotations
@@ -61,6 +62,7 @@ _CHUNK_ELEMS = 65_536
 
 # the ranges of real parameters, keyed by the words naming them; NaN is in none
 _REAL_RANGES = {
+    "finite": math.isfinite,
     "nonnegative": lambda x: x >= 0.0,
     "finite and nonnegative": lambda x: 0.0 <= x < math.inf,
     "positive and finite": lambda x: 0.0 < x < math.inf,
@@ -76,23 +78,11 @@ def splitmix64(x: np.ndarray | int) -> np.ndarray | int:
     shape, 0-d included. Floats, bools and anything else raise ValueError."""
     z = _uint64(x, "splitmix64")
     if isinstance(z, np.ndarray):
-        z = np.array(z)  # a copy, hashed in place below
-        _splitmix64_in_place(z)
-        return z
+        return _splitmix64_numpy(np.array(z))  # a copy, hashed in place
     z = (z + _GOLDEN) & _MASK64
     z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
     z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
     return z ^ (z >> 31)
-
-
-def _splitmix64_in_place(z: np.ndarray) -> None:
-    """splitmix64 of each element of a writable C-contiguous uint64 array, in
-    place, compiled when the library is loaded."""
-    lib = _kernel()
-    if lib is not None:
-        lib.egta_splitmix64(_address(z), z.size)
-    else:
-        _splitmix64_numpy(z)
 
 
 class _SeedState(np.random.bit_generator.ISeedSequence):
@@ -147,14 +137,15 @@ def draw_conditions(seed, m: int, signs: bool = False) -> tuple[np.ndarray, np.n
     return conds, sigma
 
 
-def _splitmix64_numpy(z: np.ndarray) -> None:
-    """splitmix64 of each element of a uint64 array, in place."""
+def _splitmix64_numpy(z: np.ndarray) -> np.ndarray:
+    """splitmix64 of each element of a uint64 array, in place; returns the array."""
     z += np.uint64(_GOLDEN)
     z ^= z >> np.uint64(30)
     z *= np.uint64(_MIX1)
     z ^= z >> np.uint64(27)
     z *= np.uint64(_MIX2)
     z ^= z >> np.uint64(31)
+    return z
 
 
 class _Unreadable(ValueError):
@@ -188,6 +179,21 @@ def _real(x, name: str, kind: str) -> float:
             raise ValueError(f"{name} must be {kind}, not a number past the float range") from None
     if not _REAL_RANGES[kind](x):
         raise ValueError(f"{name} must be {kind}, not {x}")
+    return x
+
+
+def _reals(x, name: str) -> np.ndarray:
+    """The finite real numbers of ``x`` as a new float64 array. A sequence is read item by item by
+    ``_real`` (numpy reads True beside a number as 1.0), an array needs an integer or float dtype, and
+    bools, strings, complex numbers and other objects raise _Unreadable, values not finite ValueError."""
+    if not isinstance(x, np.ndarray):
+        items = np.array(x, dtype=object)
+        return np.array([_real(item, name, "finite") for item in items.flat]).reshape(items.shape)
+    if x.dtype.kind not in "iuf":
+        raise _Unreadable(f"{name} must be real numbers, not {x.dtype}")
+    x = x.astype(np.float64)
+    if not np.all(np.isfinite(x)):
+        raise ValueError(f"{name} must be finite")
     return x
 
 
@@ -334,8 +340,7 @@ def _address(a: np.ndarray | None) -> int | None:
 
 def _hash_uniform_numpy(conds: np.ndarray, keys: np.ndarray) -> np.ndarray:
     """The variates u of ``keys`` [n] and ``conds`` [m] in numpy, [n, m]."""
-    z = splitmix64(keys)[:, None] + conds[None, :]
-    _splitmix64_numpy(z)
+    z = _splitmix64_numpy(splitmix64(keys)[:, None] + conds[None, :])
     z >>= np.uint64(11)
     out = z.astype(np.float64)
     out *= _INV53
@@ -347,9 +352,7 @@ def _hash_uniform_numpy(conds: np.ndarray, keys: np.ndarray) -> np.ndarray:
 # The 53-bit integer converts to double exactly, and the scale, the offset,
 # the -0.5, the width and the add are separately rounded steps, as in numpy,
 # which -ffp-contract=off keeps from being fused; IEEE addition commutes.
-# Each row's sum follows numpy's pairwise summation, leaf by leaf. The loop
-# takes exactly one factor; hash_uniform runs tiles of none or several in
-# numpy.
+# Each row's sum follows numpy's pairwise summation, leaf by leaf.
 _C_SOURCE = r"""
 #include <stddef.h>
 #include <stdint.h>
@@ -458,11 +461,6 @@ void egta_seed_state(uint64_t seed, uint64_t *restrict state) {
     }
 }
 
-void egta_splitmix64(uint64_t *z, size_t n) {
-    for (size_t i = 0; i < n; i++)
-        z[i] = splitmix64(z[i]);
-}
-
 /* gs's draw: conds[0..m) become their splitmix64, and unless signs is
    NULL, sign j < m is +1.0 where bit 31 of the j-th 32-bit half of words
    is set and -1.0 where it is not, halves read low first as on a
@@ -471,7 +469,8 @@ void egta_splitmix64(uint64_t *z, size_t n) {
    where the bit is set */
 void egta_draw(uint64_t *restrict conds, size_t m, const uint64_t *restrict words,
                uint64_t *restrict signs) {
-    egta_splitmix64(conds, m);
+    for (size_t i = 0; i < m; i++)
+        conds[i] = splitmix64(conds[i]);
     if (!signs)
         return;
     const uint64_t minus_one = 0xBFF0000000000000ULL, sign = 1ULL << 63;
@@ -548,11 +547,9 @@ def _bind(lib: ctypes.CDLL) -> ctypes.CDLL:
     pointer, size = ctypes.c_void_p, ctypes.c_size_t
     lib.egta_noise.argtypes = [pointer, size, pointer, size, ctypes.c_double, pointer, pointer, pointer]
     lib.egta_noise.restype = None
-    lib.egta_splitmix64.argtypes = [pointer, size]
-    lib.egta_splitmix64.restype = None
-    lib.egta_draw.argtypes = [pointer, size, pointer, pointer]
     lib.egta_seed_state.argtypes = [ctypes.c_uint64, pointer]
     lib.egta_seed_state.restype = None
+    lib.egta_draw.argtypes = [pointer, size, pointer, pointer]
     lib.egta_draw.restype = None
     return lib
 

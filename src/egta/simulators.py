@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .games import IndexSet, NormalFormGame, _strategy_counts, nash_mask
+from .games import IndexSet, NormalFormGame, _game, _strategy_counts, nash_mask
 from .hashing import _generator, _integer, _items, _real, _Unreadable
 from .hashing import hash_uniform, mix, splitmix64
 
@@ -77,9 +77,7 @@ def factor_image_sizes(kinds: Sequence[str], strategy_counts: Sequence[int]) -> 
 
 def _utility_bound(base: NormalFormGame) -> float:
     """The largest |utility| of a base game; ValueError unless it is a NormalFormGame."""
-    if not isinstance(base, NormalFormGame):
-        raise ValueError(f"base must be a NormalFormGame, not {type(base).__name__}")
-    return float(np.abs(base.utilities).max())
+    return float(np.abs(_game(base, "base").utilities).max())
 
 
 class NoisySimulator(ConditionalSimulator):

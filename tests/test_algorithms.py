@@ -906,6 +906,34 @@ def test_psp_schedule_mismatch_raises():
         )
 
 
+def test_psp_refuses_schedules_of_the_wrong_type():
+    # each leaked AttributeError on its first use
+    sim = noisy_sim(gen_rg(2, 2, seed=16), 1.0)
+    sched, failure = SamplingSchedule(100, 1500), FailureSchedule(0.1, 4)
+    for sampling, fail, name in (
+        (failure, failure, "sampling schedule must be a SamplingSchedule, not FailureSchedule"),
+        (sched, sched, "failure schedule must be a FailureSchedule, not SamplingSchedule"),
+        (None, failure, "sampling schedule must be a SamplingSchedule, not NoneType"),
+        (sched, None, "failure schedule must be a FailureSchedule, not NoneType"),
+    ):
+        with pytest.raises(ValueError, match=name):
+            psp(sim, sampling, fail, sim.range_c, "hoeffding")
+
+
+def test_evaluation_helpers_refuse_what_is_not_a_game():
+    # each leaked AttributeError on the missing strategy counts
+    game = gen_rg(2, 2, seed=16)
+    sim = noisy_sim(game, 1.0)
+    result = gs(sim, IndexSet.full(game.strategy_counts), 10, 0.1, sim.range_c, "hoeffding")
+    for other in (None, game.utilities, sim):
+        with pytest.raises(ValueError, match="truth must be a NormalFormGame"):
+            result.sup_deviation(other)
+        with pytest.raises(ValueError, match="g_b must be a NormalFormGame"):
+            check_containment(game, other, 0.1)
+        with pytest.raises(ValueError, match="g_a must be a NormalFormGame"):
+            check_containment(other, game, 0.1)
+
+
 def test_psp_pure_is_true_or_false():
     # any truthy pure, "no" included, used to run pure mode
     sim = noisy_sim(_pd_game(), 1.0)

@@ -112,8 +112,11 @@ def test_library_errors_are_usage_errors(tmp_path, capsys):
     main(["gen-game", "--family", "rg", "--players", "2", "--k", "2", "--out", str(good)])
     congestion = tmp_path / "rc.json"
     main(["gen-game", "--family", "rc", "--players", "2", "--k", "2", "--out", str(congestion)])
+    strings = tmp_path / "strings.json"
+    strings.write_text('{"players": 1, "strategies": [2], "utilities": ["1", "2.5"]}')
     for args, message in (
         (["gs", "--game", str(bad)], "must be an object"),
+        (["gs", "--game", str(strings)], "utilities must be a real number, not str"),
         (["gs", "--game", str(tmp_path / "missing.json")], "No such file"),
         (["psp", "--game", str(good), "--delta", "2"], "failure probability"),
         (["gs", "--game", str(good), "--noise-d", "nan"], "noise width d must be finite"),

@@ -71,6 +71,34 @@ def test_game_validation():
         NormalFormGame((2, 2), bad)
 
 
+def test_game_reads_utilities_as_real_numbers():
+    # numpy read bools and strings as numbers, dropped a complex array's
+    # imaginary part with only a ComplexWarning, and leaked TypeError on a
+    # complex number in a list
+    for bad, kind in (
+        ([[1 + 1j, 2]], "complex"),
+        (np.array([[1 + 1j, 2]]), "complex128"),
+        ([[True, False]], "bool"),
+        ([[True, 2.5]], "bool"),
+        (np.array([[True, False]]), "bool"),
+        ([["1", "2"]], "str"),
+        (np.array([["1", "2"]]), "<U1"),
+        ([[1, None]], "NoneType"),
+        (np.array([[1, 2]], dtype=object), "object"),
+        ([[1], [1, 2]], "list"),
+    ):
+        with pytest.raises(ValueError, match=f"utilities must be (a )?real numbers?, not {kind}"):
+            NormalFormGame((2,), bad)
+    for bad in ([[math.inf, 1]], [[2**1024, 1]], np.array([[1.0, -np.inf]])):
+        with pytest.raises(ValueError, match="utilities must be finite"):
+            NormalFormGame((2,), bad)
+    # integers and floats of any width are read as float64, into a copy
+    for good in ([[1, 2.5]], np.array([[1, 2]], dtype=np.int8), np.array([[1, 2.5]], dtype=np.float32), [[np.int64(1), np.float32(2.5)]]):
+        g = NormalFormGame((2,), good)
+        assert g.utilities.dtype == np.float64 and g.utilities.tolist() == np.asarray(good, dtype=float).tolist()
+        assert not np.shares_memory(g.utilities, good)
+
+
 def test_pure_regret_examples(prisoners_dilemma, matching_pennies):
     assert pure_regret(prisoners_dilemma, 0, (0, 0)) == 2.0
     assert pure_regret(matching_pennies, 0, (0, 0)) == 0.0
@@ -333,9 +361,17 @@ def test_game_json_validates_lengths():
         '{"players": 2, "strategies": [2.7, 1], "utilities": [0, 0, 0, 0]}',
         '{"players": "2", "strategies": [2, 1], "utilities": [0, 0, 0, 0]}',
         '{"players": 1, "strategies": [true], "utilities": [0]}',
+        # utilities are read as real numbers, not converted
+        '{"players": 1, "strategies": [2], "utilities": ["1", "2.5"]}',
+        '{"players": 1, "strategies": [2], "utilities": [true, 1]}',
+        '{"players": 1, "strategies": [2], "utilities": [null, 1]}',
+        '{"players": 1, "strategies": [2], "utilities": "12"}',
+        '{"players": 1, "strategies": [2], "utilities": {"a": 1}}',
     ):
         with pytest.raises(ValueError, match="wrongly typed"):
             game_from_json(text)
+    with pytest.raises(ValueError, match="utilities must be finite"):
+        game_from_json('{"players": 1, "strategies": [2], "utilities": [1e400, 1]}')
 
 
 def test_index_set_helpers(matching_pennies):

@@ -1,4 +1,3 @@
-import ctypes
 import hashlib
 import io
 import math
@@ -7,6 +6,7 @@ import shutil
 import subprocess
 import sys
 import time
+import types
 import warnings
 from pathlib import Path
 
@@ -18,7 +18,7 @@ from egta.algorithms import gs
 from egta.bounds import era_eps
 from egta.games import IndexSet
 from egta.hashing import draw_conditions, hash_uniform, mix, splitmix64
-from egta.simulators import gen_rg, noisy_sim
+from egta.simulators import FACTOR_KINDS, FactoredNoiseSimulator, gen_rg, noisy_sim
 
 import _oracles as oracle
 
@@ -73,11 +73,22 @@ def test_splitmix64_known_answer():
 
 
 def test_splitmix64_array_matches_scalar_reference():
-    xs = np.array([0, 1, 2**63, _MASK, 123456789], dtype=np.uint64)
-    got = splitmix64(xs)
-    want = [reference_splitmix64(int(x)) for x in xs]
-    assert [int(v) for v in got] == want
-    assert splitmix64(int(xs[2])) == want[2]
+    # arrays of every layout hash element by element, as the scalar
+    # reference does, into a new uint64 array of their shape; signed values
+    # are taken mod 2^64 and the input is left as it was
+    extremes = np.array([0, 1, 2**63, _MASK, 123456789], dtype=np.uint64)
+    xs = np.concatenate([extremes, np.random.default_rng(5).integers(0, 2**64, size=995, dtype=np.uint64)])
+    inputs = (xs, xs[::-3], xs.reshape(40, 25), xs[:0], np.array(xs[2]), np.arange(-500, 500), np.array(-1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the wrapping arithmetic warns of no overflow
+        for x in inputs:
+            kept = x.copy()
+            got = splitmix64(x)
+            assert isinstance(got, np.ndarray) and got.dtype == np.uint64 and got.shape == x.shape
+            want = [reference_splitmix64(int(v) & _MASK) for v in x.flat]
+            assert [int(v) for v in got.flat] == want
+            assert np.array_equal(x, kept)
+    assert splitmix64(int(xs[2])) == reference_splitmix64(2**63)
 
 
 def test_splitmix64_refuses_non_integer_arrays():
@@ -430,9 +441,6 @@ def test_hash_uniform_compiles_only_one_factor(monkeypatch):
         def egta_noise(self, *args):
             pytest.fail("the kernel was called")
 
-        def egta_splitmix64(self, address, n):  # numpy hashes its keys here
-            hashing._splitmix64_numpy(np.ctypeslib.as_array((ctypes.c_uint64 * n).from_address(address)))
-
     monkeypatch.setattr(hashing, "_kernel", lambda: Kernel())
     base = np.array([1.5, -0.0, 1e307, -2.25])  # 300 copies of 1e307 overflow
     out, sums = np.empty((4, 300)), np.array([0.5, 0.0, 0.0, 1.0])
@@ -464,26 +472,6 @@ def test_hash_uniform_takes_ints_of_any_sign_mod_2_64():
     out = np.empty((1, 3))
     want = variates(np.array([_MASK, 2**63, 0], dtype=np.uint64), [_MASK - 4])
     assert np.array_equal(hash_uniform([-1, -(2**63), 2**64], [[-5]], [1.0], [0.5], out, np.zeros(1)), want)
-
-
-def test_compiled_splitmix64_bit_identical(compiled, monkeypatch):
-    extremes = np.array([0, 1, 2**63, _MASK], dtype=np.uint64)
-    xs = np.concatenate([extremes, np.random.default_rng(5).integers(0, 2**64, size=999, dtype=np.uint64)])
-    signed = np.arange(-500, 500)
-    inputs = (xs, xs[::-3], xs[:1000].reshape(40, 25), xs[:0], np.array(xs[2]), signed, np.array(-1))
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")  # the wrapping arithmetic warns of no overflow
-        for x in inputs:
-            kept = x.copy()
-            got, want = _compiled_and_numpy(monkeypatch, compiled, lambda: splitmix64(x))
-            assert isinstance(got, np.ndarray) and isinstance(want, np.ndarray)
-            assert got.dtype == want.dtype == np.uint64 and got.shape == want.shape == x.shape
-            assert np.array_equal(got, want)
-            assert np.array_equal(x, kept)
-    monkeypatch.setattr(hashing, "_kernel", lambda: compiled)
-    assert [int(v) for v in splitmix64(extremes)] == [reference_splitmix64(int(x)) for x in extremes]
-    # signed values are taken mod 2^64
-    assert [int(v) for v in splitmix64(signed)] == [reference_splitmix64(int(x) & _MASK) for x in signed]
 
 
 _DRAW_SEEDS = (0, 1, 12345, 2**63 + 5, 2**64 - 1)
@@ -578,6 +566,32 @@ def test_pcg64_words_come_from_numpy(compiled, monkeypatch):
                 assert np.array_equal(compiled_draw[0], numpy_draw[0])
                 assert signs or compiled_draw[1] is numpy_draw[1] is None
                 assert not signs or np.array_equal(compiled_draw[1], numpy_draw[1])
+
+
+def test_library_runs_only_gs_steps(compiled, monkeypatch):
+    # the library is reached only to seed gs's PCG64, finalize its draw and
+    # hash tiles of one noise factor: gs under both bounds on a noisy
+    # simulator and on factored ones with zero, one and several nonzero
+    # scales, and splitmix64 of an array, make no other call
+    names = []
+
+    class Recording:
+        def __getattr__(self, name):
+            names.append(name)
+            return getattr(compiled, name)
+
+    monkeypatch.setattr(hashing, "_kernel", lambda: Recording())
+    base = gen_rg(3, 3, u0=2.0, seed=7)
+    idx = IndexSet.full(base.strategy_counts)
+    sims = [noisy_sim(base, 2.0)] + [
+        FactoredNoiseSimulator(1.0, scales, FACTOR_KINDS, base, seed=3)
+        for scales in ([0.0] * 5, [0.0, 0.0, 0.5, 0.0, 0.0], [0.0, 0.5, 0.0, 0.25, 0.75])
+    ]
+    for sim in sims:
+        for bound in ("hoeffding", "1era"):
+            gs(sim, idx, 301, 0.1, sim.range_c, bound, seed=5)
+    splitmix64(np.arange(1000, dtype=np.uint64))
+    assert set(names) == {"egta_seed_state", "egta_draw", "egta_noise"}
 
 
 def test_compiled_seed_state_is_numpys(compiled):
@@ -748,3 +762,19 @@ def test_kernel_source_compiles_without_warnings(tmp_path):
         input=hashing._C_SOURCE, text=True, capture_output=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+    # the library exports exactly the functions _bind binds
+    if shutil.which("nm") is None:
+        pytest.skip("nm is not installed")
+    bound = set()
+
+    class Names:
+        def __getattr__(self, name):
+            bound.add(name)
+            return types.SimpleNamespace()
+
+    hashing._bind(Names())
+    symbols = subprocess.run(
+        ["nm", "-D", "--defined-only", str(tmp_path / "k.so")], capture_output=True, text=True, check=True,
+    ).stdout.split()
+    assert {name for name in symbols if name.startswith("egta_")} == bound
+    assert bound == {"egta_noise", "egta_seed_state", "egta_draw"}

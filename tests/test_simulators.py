@@ -383,9 +383,6 @@ def test_sample_block_fills_out(monkeypatch):
             calls.append(args)
             kernel.egta_noise(*args)
 
-        def __getattr__(self, name):  # egta_splitmix64
-            return getattr(kernel, name)
-
     for sim, compiled in sims:
         blocks = []
         for lib in (kernel and Counted(), None):
