@@ -474,6 +474,29 @@ def test_hash_uniform_takes_ints_of_any_sign_mod_2_64():
     assert np.array_equal(hash_uniform([-1, -(2**63), 2**64], [[-5]], [1.0], [0.5], out, np.zeros(1)), want)
 
 
+def test_compiled_splitmix64_bit_identical(compiled, monkeypatch):
+    # the library's splitmix64 is the finalization egta_draw runs on the
+    # conditions in place; with no sign words it does nothing else, so it
+    # gives the numpy and scalar reference bits on the extremes and on
+    # random words. splitmix64 of an array gives the same bits whether the
+    # library is loaded or not.
+    extremes = np.array([0, 1, 2**63, _MASK], dtype=np.uint64)
+    xs = np.concatenate([extremes, np.random.default_rng(5).integers(0, 2**64, size=999, dtype=np.uint64)])
+    for x in (xs, xs[::-3], xs[:1], xs[:0]):
+        got = np.ascontiguousarray(x, dtype=np.uint64).copy()
+        compiled.egta_draw(hashing._address(got), got.size, None, None)
+        assert np.array_equal(got, splitmix64(x))
+        assert [int(v) for v in got] == [reference_splitmix64(int(v)) for v in x]
+    signed = np.arange(-500, 500)
+    inputs = (xs, xs[::-3], xs[:1000].reshape(40, 25), xs[:0], np.array(xs[2]), signed, np.array(-1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the wrapping arithmetic warns of no overflow
+        for x in inputs:
+            got, want = _compiled_and_numpy(monkeypatch, compiled, lambda: splitmix64(x))
+            assert got.dtype == want.dtype == np.uint64 and got.shape == want.shape == x.shape
+            assert np.array_equal(got, want)
+
+
 _DRAW_SEEDS = (0, 1, 12345, 2**63 + 5, 2**64 - 1)
 _DRAW_SIZES = (1, 2, 3, 4, 5, 7, 8, 9, 1000, 3162, 100_001)
 
